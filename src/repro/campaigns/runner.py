@@ -30,6 +30,7 @@ executor-conformance suite).
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -331,9 +332,11 @@ class CampaignRunner:
         Store hits are served first; the remaining specs are shipped to the
         executor as plain :class:`~repro.campaigns.executors.WorkItem` data
         and absorbed as their results stream back — each fresh artifact is
-        persisted the moment it exists, so if a later spec fails the
-        completed work is already in the store and a retry only recomputes
-        what is genuinely new.
+        written the moment it exists (in the background, see
+        :meth:`ArtifactStore.deferred_index`; every write has landed before
+        this returns or raises), so if a later spec fails the completed work
+        is already in the store and a retry only recomputes what is
+        genuinely new.
 
         With telemetry on, the whole run executes under a
         ``campaign:<name>`` root span inside its own collector; worker
@@ -386,16 +389,24 @@ class CampaignRunner:
             for index, point in enumerate(pending)
         ]
         points_by_index = {item.index: point for item, point in zip(items, pending)}
-        if items:
-            for result in self.executor.execute(self.kernel, items):
-                self._absorb(
-                    result,
-                    points_by_index[result.item.index],
-                    artifacts,
-                    failures,
-                    engine_totals,
-                    payloads,
-                )
+        # Each artifact's write starts the moment it is absorbed and runs
+        # in the background; all have landed, and the index is refreshed
+        # once, when the block exits.
+        with (
+            contextlib.nullcontext()
+            if self.store is None
+            else self.store.deferred_index()
+        ):
+            if items:
+                for result in self.executor.execute(self.kernel, items):
+                    self._absorb(
+                        result,
+                        points_by_index[result.item.index],
+                        artifacts,
+                        failures,
+                        engine_totals,
+                        payloads,
+                    )
 
         scenarios = [
             {

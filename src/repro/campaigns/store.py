@@ -33,13 +33,26 @@ Design:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 import tempfile
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Collection,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from .. import __version__ as _code_version
 from .. import telemetry
@@ -192,11 +205,17 @@ class ArtifactStore:
             else code_version
         )
         self.stats = StoreStats()
-        #: Recency bumps of hits served since the last index write.  The
-        #: index is a pure accelerator, so hits never pay an index
+        #: Recency bumps (hits and writes, in order) since the last index
+        #: write.  The index is a pure accelerator, so hits never pay an index
         #: read-modify-write of their own; pending touches are folded in by
-        #: the next :meth:`store` (or, in memory only, by :meth:`entries`).
+        #: the next index refresh (or, in memory only, by :meth:`entries`).
         self._pending_touches: List[str] = []
+        #: Index entries of objects written since the last index write.
+        self._pending_entries: Dict[str, Dict[str, Any]] = {}
+        #: Object writer thread of the open :meth:`deferred_index` block.
+        self._writer: Optional[ThreadPoolExecutor] = None
+        #: ``(key, write future)`` of every object handed to the writer.
+        self._writes: List[Tuple[str, "Future[None]"]] = []
 
     # Paths -----------------------------------------------------------------
 
@@ -245,8 +264,11 @@ class ArtifactStore:
 
     # Index -----------------------------------------------------------------
 
-    def _load_index(self) -> Dict[str, Any]:
-        """The index document, rebuilt from the objects when unreadable."""
+    def _load_index(self, known: Collection[str] = ()) -> Dict[str, Any]:
+        """The index document, rebuilt from the objects when unreadable.
+
+        A rebuild skips the ``known`` objects: the caller holds their entries.
+        """
         try:
             data = json.loads(self._index_path.read_text(encoding="utf-8"))
             if (
@@ -257,12 +279,14 @@ class ArtifactStore:
                 return data
         except (OSError, ValueError):
             pass
-        return self._rebuild_index()
+        return self._rebuild_index(known)
 
-    def _rebuild_index(self) -> Dict[str, Any]:
+    def _rebuild_index(self, known: Collection[str] = ()) -> Dict[str, Any]:
         """Index rebuilt by scanning the object directory (deterministic)."""
         entries: Dict[str, Any] = {}
         for path in self.backend.iter_object_paths():
+            if path.stem in known:
+                continue
             record = self._read_object(path.stem, count_corrupt=False)
             if record is None:
                 continue
@@ -276,7 +300,7 @@ class ArtifactStore:
     def _write_index(self, index: Dict[str, Any]) -> None:
         """Atomically replace the index document."""
         self.root.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(index, sort_keys=True, indent=1) + "\n"
+        text = json.dumps(index, sort_keys=True) + "\n"
         _atomic_write(self.root, ".index", text, self._index_path)
 
     def _touch(self, index: Dict[str, Any], key: str) -> None:
@@ -297,11 +321,62 @@ class ArtifactStore:
             entry = index["entries"][key] = self._entry_from_record(record, size)
         entry["last_used"] = index["sequence"]
 
-    def _apply_pending(self, index: Dict[str, Any]) -> None:
-        """Fold the recency of hits served since the last index write."""
+    def _refresh_index(self) -> None:
+        """Fold the pending writes and touches into the index, evict, persist.
+
+        Touches replay in the order they happened, a written object's entry
+        joining the index at its write; the last object written is protected
+        from eviction.
+        """
+        index = self._load_index(known=self._pending_entries)
+        protect = None
         for key in self._pending_touches:
+            entry = self._pending_entries.pop(key, None)
+            if entry is not None:
+                index["entries"][key] = entry
+                protect = key
             self._touch(index, key)
         self._pending_touches.clear()
+        self._evict(index, protect=protect)
+        self._write_index(index)
+
+    @contextlib.contextmanager
+    def deferred_index(self) -> Iterator["ArtifactStore"]:
+        """Publish objects in the background and refresh the index once.
+
+        Inside the block, :meth:`store` serialises each record and hands
+        its write (temp file, fsync, atomic replace, directory fsync, as
+        always) to one writer thread, so the disk latency overlaps the
+        caller's next computation (the ``store.put`` span then times the
+        hand-off).  The index read-modify-write, and the
+        eviction it drives, run once when the block exits, error or not,
+        after every write has landed; the first failed write is re-raised
+        there.  A crash inside the block loses recency only: the objects are
+        on disk, and loads and the next index refresh adopt the ones the
+        index never saw.  A nested block joins the outer one.
+        """
+        if self._writer is not None:
+            yield self
+            return
+        self._writer = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="store-writer"
+        )
+        try:
+            yield self
+        finally:
+            self._writer.shutdown(wait=True)
+            self._writer = None
+            failure: Optional[BaseException] = None
+            for key, write in self._writes:
+                error = write.exception()
+                if error is not None:
+                    self._pending_entries.pop(key, None)
+                    failure = failure or error
+            self._writes.clear()
+            if self._pending_entries:
+                self._refresh_index()
+            if failure is not None:
+                raise failure
 
     # Objects ---------------------------------------------------------------
 
@@ -418,11 +493,11 @@ class ArtifactStore:
     ) -> str:
         """Persist one artifact atomically; returns its content address.
 
-        Each call re-reads and atomically rewrites ``index.json`` so racing
-        writers converge on a complete document — a deliberate trade-off:
-        the index write is O(store size), but campaigns persist tens of
-        artifacts while the correctness-critical object writes stay O(1),
-        and hits (:meth:`load`) never touch the index at all.
+        Outside a :meth:`deferred_index` block each call re-reads and
+        atomically rewrites ``index.json`` so racing writers converge on a
+        complete document; the index write is O(store size), so campaigns
+        defer it to one refresh per run.  The correctness-critical object
+        write is O(1), and hits (:meth:`load`) never touch the index at all.
         """
         if artifact.spec_hash != spec.content_hash():
             raise ConfigurationError(
@@ -447,7 +522,8 @@ class ArtifactStore:
         paths: List[str],
         payload: Dict[str, Any],
     ) -> str:
-        """Write one record envelope atomically and update the index."""
+        """Write one record envelope atomically (in the background inside a
+        :meth:`deferred_index` block) and queue its index entry."""
         record = {
             "store_version": STORE_VERSION,
             "key": key,
@@ -459,26 +535,29 @@ class ArtifactStore:
             "payload_sha256": _payload_digest(payload),
         }
         temp_dir = self.backend.temp_dir(key)
-        text = json.dumps(record, sort_keys=True, indent=2) + "\n"
+        # Compact on purpose: ``indent`` would route the dump through the
+        # pure-Python encoder, the campaign coordinator's largest cost after
+        # the object fsync.
+        text = json.dumps(record, sort_keys=True) + "\n"
+        write = (temp_dir, f".{key[:16]}", text, self._object_path(key))
         with telemetry.span("store.put", scenario=scenario):
-            _atomic_write(
-                temp_dir, f".{key[:16]}", text, self._object_path(key)
-            )
+            if self._writer is None:
+                _atomic_write(*write)
+            else:
+                self._writes.append((key, self._writer.submit(_atomic_write, *write)))
             self.stats.writes += 1
             telemetry.count("store.writes")
 
-            index = self._load_index()
-            self._apply_pending(index)
-            index["entries"][key] = {
+            self._pending_entries[key] = {
                 "scenario": scenario,
                 "spec_hash": spec_hash,
                 "paths": paths,
                 "size_bytes": len(text.encode("utf-8")),
                 "last_used": 0,
             }
-            self._touch(index, key)
-            self._evict(index, protect=key)
-            self._write_index(index)
+            self._pending_touches.append(key)
+            if self._writer is None:
+                self._refresh_index()
         return key
 
     # Reduced-basis records ---------------------------------------------------

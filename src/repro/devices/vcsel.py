@@ -13,6 +13,9 @@ temperature-dependent differential slope efficiency (linear decay), an ohmic
 electrical characteristic, and junction self-heating through a device-level
 thermal resistance.  Self-heating is resolved with a damped fixed-point
 iteration, which naturally produces the thermal roll-over of Figure 8-c.
+The inverse problem the paper sweeps (current and optical power at a given
+dissipated power) needs no iteration: the dissipated power fixes the
+junction temperature, which leaves one quadratic in the current.
 """
 
 from __future__ import annotations
@@ -269,24 +272,11 @@ class VcselModel:
 
         This inverts the paper's sweep variable: Figures 9 and 10 sweep
         ``PVCSEL`` (the dissipated power) rather than the bias current.
+        Scalar form of :meth:`currents_for_dissipated_power`.
         """
-        if dissipated_power_w < 0.0:
-            raise DeviceError("dissipated power must be >= 0")
-        if dissipated_power_w == 0.0:
-            return 0.0
-        maximum = self._p.max_current_a
-
-        def objective(current_a: float) -> float:
-            point = self.operating_point(current_a, base_temperature_c)
-            return point.dissipated_power_w - dissipated_power_w
-
-        top = objective(maximum)
-        if top < 0.0:
-            raise DeviceError(
-                f"requested dissipated power {dissipated_power_w * 1e3:.2f} mW is not "
-                "reachable below the maximum drive current"
-            )
-        return float(optimize.brentq(objective, 0.0, maximum, xtol=1.0e-9))
+        return float(
+            self.currents_for_dissipated_power(dissipated_power_w, base_temperature_c)
+        )
 
     def current_for_optical_power(
         self, optical_power_w: float, base_temperature_c: float
@@ -318,12 +308,12 @@ class VcselModel:
         """Emitted optical power when the device dissipates ``dissipated_power_w``.
 
         This reproduces the x-axis convention of the paper's Figure 8-c
-        (``OPVCSEL`` versus ``PVCSEL``).
+        (``OPVCSEL`` versus ``PVCSEL``).  Scalar form of
+        :meth:`optical_powers_from_dissipated`.
         """
-        current = self.current_for_dissipated_power(
-            dissipated_power_w, base_temperature_c
+        return float(
+            self.optical_powers_from_dissipated(dissipated_power_w, base_temperature_c)
         )
-        return self.operating_point(current, base_temperature_c).optical_power_w
 
     # Batched evaluation ----------------------------------------------------------------
 
@@ -408,52 +398,71 @@ class VcselModel:
             wall_plug_efficiency=efficiency,
         )
 
-    def currents_for_dissipated_power(
-        self,
-        dissipated_power_w: ArrayLike,
-        base_temperature_c: ArrayLike,
-        xtol_a: float = 1.0e-12,
-    ) -> np.ndarray:
-        """Vectorized :meth:`current_for_dissipated_power`.
+    def _dissipated_power_inversion(
+        self, dissipated_power_w: ArrayLike, base_temperature_c: ArrayLike
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Closed-form inversion of the dissipated power: ``(current, optical)``.
 
-        Element-wise bisection on the (monotone) dissipated-power
-        characteristic down to an ``xtol_a`` current bracket; the result
-        matches the scalar ``brentq`` inversion to well below its own
-        ``1e-9`` A tolerance.
+        At the operating point that dissipates ``P`` the junction sits at
+        ``Tj = Tb + Rth * P``, which fixes the threshold ``Ith`` and slope
+        ``s``; the current is then the root of ``I (V0 + R I) = P`` below
+        threshold, or of ``R I^2 + (V0 - s) I + s Ith - P = 0`` above it.
+        Below threshold the dissipation rises strictly with the current and,
+        above it, the quadratic is convex and negative at ``Ith``; so the
+        result is the smallest current dissipating ``P`` at that junction
+        temperature.  Both roots use the cancellation-free form, which
+        degrades to the linear root when ``R = 0``.  A target with no root
+        below the maximum drive current raises :class:`DeviceError`.
         """
         target = np.asarray(dissipated_power_w, dtype=float)
         base = np.asarray(base_temperature_c, dtype=float)
         target, base = np.broadcast_arrays(target, base)
-        target = np.ascontiguousarray(target)
-        base = np.ascontiguousarray(base)
         if np.any(target < 0.0):
             raise DeviceError("dissipated power must be >= 0")
-        maximum = self._p.max_current_a
-        top = self.operating_points(np.full_like(target, maximum), base).dissipated_power_w
-        unreachable = top < target
+        p = self._p
+        junction = base + p.thermal_resistance_k_per_w * target
+        delta = junction - p.reference_temperature_c
+        threshold = p.threshold_current_a * np.exp(delta / p.threshold_t0_k)
+        slope = np.maximum(
+            0.0, p.slope_efficiency_w_per_a * (1.0 - delta / p.slope_decay_span_k)
+        )
+        v0, r = p.turn_on_voltage_v, p.series_resistance_ohm
+        with np.errstate(divide="ignore", invalid="ignore"):
+            below = 2.0 * target / (v0 + np.sqrt(v0 * v0 + 4.0 * r * target))
+            b = v0 - slope
+            c = slope * threshold - target
+            root = np.sqrt(b * b - 4.0 * r * c)
+            above = np.where(
+                b >= 0.0, -2.0 * c / (b + root), (root - b) / (2.0 * r)
+            )
+        at_threshold = threshold * (v0 + r * threshold)
+        current = np.where(target <= at_threshold, below, above)
+        current = np.where(target == 0.0, 0.0, current)
+        unreachable = ~(current <= p.max_current_a)
         if np.any(unreachable):
             worst = float(np.max(target[unreachable]))
             raise DeviceError(
                 f"requested dissipated power {worst * 1e3:.2f} mW is not "
                 "reachable below the maximum drive current"
             )
-        low = np.zeros_like(target)
-        high = np.full_like(target, maximum)
-        iterations = max(1, math.ceil(math.log2(maximum / xtol_a)))
-        for _ in range(iterations):
-            middle = 0.5 * (low + high)
-            dissipated = self.operating_points(middle, base).dissipated_power_w
-            above = dissipated >= target
-            high = np.where(above, middle, high)
-            low = np.where(above, low, middle)
-        return np.where(target == 0.0, 0.0, 0.5 * (low + high))
+        return current, np.maximum(0.0, slope * (current - threshold))
+
+    def currents_for_dissipated_power(
+        self, dissipated_power_w: ArrayLike, base_temperature_c: ArrayLike
+    ) -> np.ndarray:
+        """Vectorized :meth:`current_for_dissipated_power` (closed form)."""
+        current, _ = self._dissipated_power_inversion(
+            dissipated_power_w, base_temperature_c
+        )
+        return current
 
     def optical_powers_from_dissipated(
         self,
         dissipated_power_w: ArrayLike,
         base_temperature_c: ArrayLike,
     ) -> np.ndarray:
-        """Vectorized :meth:`optical_power_from_dissipated`."""
-        base = np.asarray(base_temperature_c, dtype=float)
-        currents = self.currents_for_dissipated_power(dissipated_power_w, base)
-        return self.operating_points(currents, base).optical_power_w
+        """Vectorized :meth:`optical_power_from_dissipated` (closed form)."""
+        _, optical = self._dissipated_power_inversion(
+            dissipated_power_w, base_temperature_c
+        )
+        return optical

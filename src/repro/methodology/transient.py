@@ -33,6 +33,10 @@ from ..oni import OniPowerConfig
 from ..snr import BatchSnrReport, OniThermalState
 from ..thermal import TRANSIENT_METHODS, TransientResult
 
+#: Tie window of :meth:`SnrTimeSeries.worst_sample`, in units in the last
+#: place of the worst SNR.
+SNR_TIE_ULPS = 64
+
 
 @dataclass(frozen=True)
 class TransientRequest:
@@ -251,10 +255,21 @@ class SnrTimeSeries:
         }
 
     def worst_sample(self) -> Tuple[float, str, float]:
-        """(time, link name, SNR) of the globally worst sample."""
-        t_index, s_index = np.unravel_index(
-            int(np.argmin(self.batch.snr_db)), self.batch.snr_db.shape
-        )
+        """(time, link name, SNR) of the globally worst sample.
+
+        Samples within :data:`SNR_TIE_ULPS` units in the last place of the
+        minimum are ties, resolved to the earliest time (then the first link
+        in canonical order).  Otherwise the last bits of round-off would pick
+        which of several equal samples is reported, e.g. along a plateau
+        where the temperatures stop changing.
+        """
+        snr = self.batch.snr_db
+        flat = int(np.argmin(snr))
+        worst = snr.flat[flat]
+        if np.isfinite(worst):
+            slack = SNR_TIE_ULPS * np.spacing(abs(worst))
+            flat = int(np.argmax(snr.ravel() <= worst + slack))
+        t_index, s_index = np.unravel_index(flat, snr.shape)
         return (
             float(self.times_s[t_index]),
             self.link_names[s_index],

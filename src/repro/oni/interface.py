@@ -203,9 +203,7 @@ class OpticalNetworkInterface:
         self, thermal_map: ThermalMap, kind: str, z_range: Tuple[float, float]
     ) -> List[float]:
         """Average temperature of each device of the given kind."""
-        return [
-            thermal_map.average_over(box) for box in self.device_boxes(kind, z_range)
-        ]
+        return thermal_map.averages_over(self.device_boxes(kind, z_range)).tolist()
 
     def gradient_temperature_c(
         self, thermal_map: ThermalMap, z_range: Tuple[float, float]

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
 from .. import constants
 from ..errors import ConfigurationError
@@ -595,10 +595,12 @@ class ScenarioSpec:
         were constructed (object graph, parsed JSON, re-serialised dict); any
         single changed leaf changes the hash.  Golden artifacts embed this
         hash, so a spec edit without a golden refresh fails loudly.
+
+        Memoised on the instance, like :meth:`design_hash`: a spec is frozen
+        (its mapping fields are read-only by convention too), and a campaign
+        asks for both hashes several times per spec.
         """
-        return hashlib.sha256(
-            canonical_json(self.to_dict()).encode("utf-8")
-        ).hexdigest()
+        return self._memoised_hash("_content_hash", self.to_dict)
 
     def short_hash(self) -> str:
         """First 12 hex characters of :meth:`content_hash` (bench/report IDs)."""
@@ -612,10 +614,25 @@ class ScenarioSpec:
         chip / network / workload configuration hash identically.  The
         campaign matrix expansion deduplicates on this hash.
         """
+        return self._memoised_hash("_design_hash", self._design_dict)
+
+    def _design_dict(self) -> Dict[str, Any]:
         data = self.to_dict()
         del data["name"]
         del data["description"]
-        return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
+        return data
+
+    def _memoised_hash(
+        self, attribute: str, document: Callable[[], Dict[str, Any]]
+    ) -> str:
+        """SHA-256 of ``document()``'s canonical JSON, cached in ``attribute``."""
+        memo = self.__dict__.get(attribute)
+        if memo is None:
+            memo = hashlib.sha256(
+                canonical_json(document()).encode("utf-8")
+            ).hexdigest()
+            object.__setattr__(self, attribute, memo)
+        return memo
 
     # Parametrization -------------------------------------------------------
 

@@ -266,10 +266,9 @@ def boundary_rhs(operator: AssembledOperator, boundaries: BoundaryConditions) ->
         if condition.kind == "convective":
             np.add.at(rhs, cells, conductances * condition.ambient_c)
         else:
-            field = condition.temperature_field
             centres = operator.face_centres[face]
-            temperatures = np.array(
-                [field(x, y, z) for x, y, z in centres], dtype=float
+            temperatures = condition.temperature_field(
+                centres[:, 0], centres[:, 1], centres[:, 2]
             )
             np.add.at(rhs, cells, conductances * temperatures)
     return rhs

@@ -13,16 +13,22 @@ Three kinds are supported on each of the six faces of the mesh bounding box:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Union
+
+import numpy as np
 
 from ..errors import SolverError
 
 #: Face identifiers, named by the outward normal direction.
 FACES = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")
 
-#: Signature of a spatially varying Dirichlet temperature [degC];
-#: arguments are the (x, y, z) coordinates of the boundary face centre.
-TemperatureField = Callable[[float, float, float], float]
+#: Signature of a spatially varying Dirichlet temperature [degC].  It is
+#: called once per face with the x, y and z coordinate arrays of all the
+#: face centres and returns their temperatures: an array of the same shape,
+#: or a scalar for a uniform face.
+TemperatureField = Callable[
+    [np.ndarray, np.ndarray, np.ndarray], Union[float, np.ndarray]
+]
 
 
 @dataclass(frozen=True)

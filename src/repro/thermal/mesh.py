@@ -11,68 +11,98 @@ than by meshing the whole chip at 5 um.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..caching import LruCache
 from ..errors import MeshError
 from ..geometry import Box, LayerStack, Rect
 from ..materials import AIR, Material
 from ..units import um_to_m
 
 
-@dataclass(frozen=True)
-class BoxOverlap:
-    """Separable box/mesh overlap: per-axis lengths on their nonzero ranges.
+def _axis_overlap_lengths(ticks: np.ndarray, lower, upper) -> np.ndarray:
+    """Overlap lengths of intervals ``[lower, upper]`` with the cells of an axis.
 
-    All lengths are strictly positive (the nonzero overlap range along an
-    axis is contiguous), so every cell of the
-    ``[x_slice, y_slice, z_slice]`` sub-box overlaps the source box.
+    ``lower`` / ``upper`` broadcast against the cell axis: scalars give one
+    ``(n_cells,)`` row, ``(N, 1)`` columns give an ``(N, n_cells)`` matrix.
+    """
+    return np.clip(
+        np.minimum(ticks[1:], upper) - np.maximum(ticks[:-1], lower), 0.0, None
+    )
+
+
+def _nonzero_slice(lengths: np.ndarray) -> slice:
+    """Index range of the nonzero entries of a 1-D overlap profile.
+
+    The overlap of an interval with an axis is nonzero on a contiguous
+    range, so this slice holds every overlapping cell and nothing else.
+    """
+    nonzero = np.flatnonzero(lengths)
+    if nonzero.size == 0:
+        return slice(0, 0)
+    return slice(int(nonzero[0]), int(nonzero[-1]) + 1)
+
+
+@dataclass(frozen=True)
+class BoxOverlaps:
+    """Separable overlaps of N boxes with a tensor mesh.
+
+    The overlap volume of box ``b`` with cell ``(i, j, k)`` factors into
+    ``x_lengths[b, i] * y_lengths[b, j] * z_lengths(b)[k]``.  Boxes sharing a
+    z-extent share their z profile, so they form one group: depositing into
+    or contracting with a field is then one small matmul per group instead
+    of one array operation per box.
     """
 
-    x_slice: slice
-    y_slice: slice
-    z_slice: slice
+    #: Per-box overlap lengths along x, shape ``(N, nx)`` [m].
     x_lengths: np.ndarray
+    #: Per-box overlap lengths along y, shape ``(N, ny)`` [m].
     y_lengths: np.ndarray
-    z_lengths: np.ndarray
+    #: One ``(members, z_slice, z_lengths)`` per distinct z-extent: the box
+    #: indices, the z-cells they overlap and the overlap lengths there.
+    z_groups: Tuple[Tuple[np.ndarray, slice, np.ndarray], ...]
+    #: Total overlap volume per box, shape ``(N,)`` [m^3].
+    volumes: np.ndarray
+    #: Mesh shape ``(nx, ny, nz)``.
+    shape: Tuple[int, int, int]
 
-    @property
-    def total_volume(self) -> float:
-        """Total overlap volume [m^3]."""
-        return float(
-            self.x_lengths.sum() * self.y_lengths.sum() * self.z_lengths.sum()
-        )
+    def deposit(self, weights: np.ndarray) -> np.ndarray:
+        """Field ``sum_b weights[b] * overlap_volume_b``, shape ``(nx, ny, nz)``."""
+        field = np.zeros(self.shape, dtype=float)
+        for members, z_slice, z_lengths in self.z_groups:
+            x_weighted = self.x_lengths[members].T * weights[members]
+            plane = x_weighted @ self.y_lengths[members]
+            field[:, :, z_slice] += plane[:, :, None] * z_lengths
+        return field
 
-    def volumes(self) -> np.ndarray:
-        """Dense per-cell overlap volumes of the sub-box."""
-        return (
-            self.x_lengths[:, None, None]
-            * self.y_lengths[None, :, None]
-            * self.z_lengths[None, None, :]
-        )
-
-    def weighted_sum(self, field: np.ndarray) -> float:
-        """Overlap-volume-weighted sum of ``field`` (full mesh shape)."""
-        sub = field[self.x_slice, self.y_slice, self.z_slice]
-        return float(
-            np.einsum(
-                "ijk,i,j,k->",
-                sub,
-                self.x_lengths,
-                self.y_lengths,
-                self.z_lengths,
+    def weighted_sums(self, field: np.ndarray) -> np.ndarray:
+        """Overlap-volume-weighted sum of ``field`` over each box, shape ``(N,)``."""
+        sums = np.zeros(self.volumes.size, dtype=float)
+        for members, z_slice, z_lengths in self.z_groups:
+            plane = field[:, :, z_slice] @ z_lengths
+            sums[members] = np.einsum(
+                "bi,bi->b", self.x_lengths[members] @ plane, self.y_lengths[members]
             )
-        )
+        return sums
 
+    def first_empty(self) -> Optional[int]:
+        """Index of the first box that does not overlap the mesh, if any."""
+        empty = np.flatnonzero(self.volumes <= 0.0)
+        return int(empty[0]) if empty.size else None
 
-#: Cache sentinel for "this box does not overlap the mesh" (LruCache treats
-#: ``None`` as a miss, so the negative outcome needs its own marker).
-_NO_OVERLAP = object()
+    def cell_slices(self, index: int) -> Tuple[slice, slice, slice]:
+        """Index ranges of the cells box ``index`` overlaps (may be empty)."""
+        for members, z_slice, _ in self.z_groups:
+            if index in members:
+                return (
+                    _nonzero_slice(self.x_lengths[index]),
+                    _nonzero_slice(self.y_lengths[index]),
+                    z_slice,
+                )
+        raise IndexError(index)
 
 
 @dataclass(frozen=True)
@@ -202,13 +232,6 @@ class Mesh3D:
                     "cell heat capacities must be strictly positive and finite"
                 )
         self.c_volumetric = c_volumetric
-        #: Box coordinates -> BoxOverlap (or the no-overlap sentinel).  The
-        #: same boxes are rasterised over and over — every segment of an
-        #: activity schedule re-projects the identical source geometry, only
-        #: the powers change — so profiles are memoised per mesh.  Bounded
-        #: LRU: large sweeps over moving probe windows must not accumulate
-        #: profiles without limit.
-        self._overlap_profiles: LruCache[object] = LruCache(max_entries=4096)
 
     @property
     def has_heat_capacity(self) -> bool:
@@ -313,10 +336,25 @@ class Mesh3D:
         box = self.bounding_box()
         if not box.contains_point(x, y, z):
             raise MeshError(f"point ({x}, {y}, {z}) lies outside the mesh")
-        i = min(max(bisect.bisect_right(self.x_ticks, x) - 1, 0), self.nx - 1)
-        j = min(max(bisect.bisect_right(self.y_ticks, y) - 1, 0), self.ny - 1)
-        k = min(max(bisect.bisect_right(self.z_ticks, z) - 1, 0), self.nz - 1)
-        return i, j, k
+        i, j, k = self.nearest_cells(x, y, z)
+        return int(i), int(j), int(k)
+
+    def nearest_cells(self, x, y, z) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cell indices of points (arrays or scalars), clamped into the mesh.
+
+        A point on a tick belongs to the cell above it; a point outside the
+        mesh maps to the nearest boundary cell along each axis.
+        """
+        return tuple(
+            np.clip(
+                np.searchsorted(ticks, values, side="right") - 1, 0, ticks.size - 2
+            )
+            for ticks, values in (
+                (self.x_ticks, x),
+                (self.y_ticks, y),
+                (self.z_ticks, z),
+            )
+        )
 
     def cell_box(self, i: int, j: int, k: int) -> Box:
         """Bounding box of cell (i, j, k)."""
@@ -343,78 +381,40 @@ class Mesh3D:
 
     # Overlap helpers ---------------------------------------------------------
 
-    @staticmethod
-    def _axis_overlap(ticks: np.ndarray, lower: float, upper: float) -> np.ndarray:
-        """Per-cell overlap lengths of the interval [lower, upper] with an axis."""
-        starts = np.maximum(ticks[:-1], lower)
-        ends = np.minimum(ticks[1:], upper)
-        return np.clip(ends - starts, 0.0, None)
+    def box_overlaps(self, boxes: Sequence[Box]) -> BoxOverlaps:
+        """Separable overlaps of ``boxes`` with the mesh, in one batch.
 
-    def box_overlap_profile(self, box: Box) -> Optional["BoxOverlap"]:
-        """Separable overlap of ``box`` with the mesh, trimmed to its sub-box.
-
-        The overlap volume of a rectilinear box with a tensor mesh factors
-        into per-axis overlap lengths that are nonzero only on a contiguous
-        index range.  Returning the three trimmed 1-D profiles (plus their
-        index slices) lets hot paths work on the small sub-box instead of
-        materialising a full ``(nx, ny, nz)`` array per box.  Returns ``None``
-        when the box does not overlap the mesh.
-
-        The overlap is computed only on the tick window the interval can
-        touch (located by bisection) and memoised per box coordinates: the
-        rasterisation cost of a source set then scales with the sources'
-        footprint rather than the mesh size, and repeated projections of the
-        same geometry (every segment of an activity schedule, every probe of
-        a sweep) are free.
+        Each axis is one broadcast over all boxes; the boxes are grouped
+        by z-extent (see :class:`BoxOverlaps`).  A box outside the mesh gets
+        a zero volume; callers decide whether that is an error.
         """
-        key = (box.x_min, box.x_max, box.y_min, box.y_max, box.z_min, box.z_max)
-        cached = self._overlap_profiles.get(key)
-        if cached is not None:
-            return cached if isinstance(cached, BoxOverlap) else None
-        profiles = []
-        slices = []
-        for ticks, lower, upper in (
-            (self.x_ticks, box.x_min, box.x_max),
-            (self.y_ticks, box.y_min, box.y_max),
-            (self.z_ticks, box.z_min, box.z_max),
-        ):
-            # Cells strictly outside [lower, upper] cannot overlap; restrict
-            # the vector work to the bisected candidate window.
-            window_start = max(int(np.searchsorted(ticks, lower, side="right")) - 1, 0)
-            window_stop = min(int(np.searchsorted(ticks, upper, side="left")), ticks.size - 1)
-            if window_start >= window_stop:
-                self._overlap_profiles.put(key, _NO_OVERLAP)
-                return None
-            starts = np.maximum(ticks[window_start:window_stop], lower)
-            ends = np.minimum(ticks[window_start + 1 : window_stop + 1], upper)
-            lengths = np.clip(ends - starts, 0.0, None)
-            nonzero = np.flatnonzero(lengths)
-            if nonzero.size == 0:
-                self._overlap_profiles.put(key, _NO_OVERLAP)
-                return None
-            first, last = int(nonzero[0]), int(nonzero[-1]) + 1
-            profiles.append(lengths[first:last])
-            slices.append(slice(window_start + first, window_start + last))
-        profile = BoxOverlap(
-            x_slice=slices[0],
-            y_slice=slices[1],
-            z_slice=slices[2],
-            x_lengths=profiles[0],
-            y_lengths=profiles[1],
-            z_lengths=profiles[2],
+        coords = np.array(
+            [(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes], dtype=float
+        ).reshape(-1, 4)
+        x_lengths = _axis_overlap_lengths(self.x_ticks, coords[:, 0:1], coords[:, 2:3])
+        y_lengths = _axis_overlap_lengths(self.y_ticks, coords[:, 1:2], coords[:, 3:4])
+        members_by_extent: Dict[Tuple[float, float], List[int]] = {}
+        for index, box in enumerate(boxes):
+            members_by_extent.setdefault((box.z_min, box.z_max), []).append(index)
+        groups = []
+        z_totals = np.empty(len(coords), dtype=float)
+        for (z_lower, z_upper), members in members_by_extent.items():
+            z_lengths = _axis_overlap_lengths(self.z_ticks, z_lower, z_upper)
+            z_slice = _nonzero_slice(z_lengths)
+            z_totals[members] = z_lengths.sum()
+            groups.append((np.array(members), z_slice, z_lengths[z_slice]))
+        volumes = x_lengths.sum(axis=1) * y_lengths.sum(axis=1) * z_totals
+        return BoxOverlaps(
+            x_lengths=x_lengths,
+            y_lengths=y_lengths,
+            z_groups=tuple(groups),
+            volumes=volumes,
+            shape=self.shape,
         )
-        self._overlap_profiles.put(key, profile)
-        return profile
 
     def box_overlap_volumes(self, box: Box) -> np.ndarray:
         """Per-cell overlap volume with ``box`` [m^3], shape ``(nx, ny, nz)``."""
-        volumes = np.zeros(self.shape, dtype=float)
-        profile = self.box_overlap_profile(box)
-        if profile is not None:
-            volumes[profile.x_slice, profile.y_slice, profile.z_slice] = (
-                profile.volumes()
-            )
-        return volumes
+        return self.box_overlaps([box]).deposit(np.ones(1))
 
 
 class MeshBuilder:

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import AnalysisError
 from ..geometry import Box, Rect
-from .mesh import Mesh3D
+from .mesh import BoxOverlaps, Mesh3D
 
 
 class ThermalMap:
@@ -48,6 +48,14 @@ class ThermalMap:
         i, j, k = self._mesh.locate(x, y, z)
         return float(self._temperatures[i, j, k])
 
+    def clamped_temperatures_at(self, x, y, z) -> np.ndarray:
+        """Temperatures of the cells containing points given as coordinate arrays.
+
+        Points outside the mesh take the temperature of the nearest boundary
+        cell (see :meth:`Mesh3D.nearest_cells`).
+        """
+        return self._temperatures[self._mesh.nearest_cells(x, y, z)]
+
     def global_min(self) -> float:
         """Minimum temperature over the whole domain."""
         return float(self._temperatures.min())
@@ -58,26 +66,28 @@ class ThermalMap:
 
     # Box queries ---------------------------------------------------------------
 
-    def _box_profile(self, box: Box):
-        profile = self._mesh.box_overlap_profile(box)
-        if profile is None or profile.total_volume <= 0.0:
+    def _overlaps(self, boxes: Sequence[Box]) -> BoxOverlaps:
+        overlaps = self._mesh.box_overlaps(boxes)
+        outside = overlaps.first_empty()
+        if outside is not None:
             raise AnalysisError(
                 "query box does not overlap the thermal map domain: "
-                f"{box!r}"
+                f"{boxes[outside]!r}"
             )
-        return profile
+        return overlaps
+
+    def averages_over(self, boxes: Sequence[Box]) -> np.ndarray:
+        """Volume-weighted average temperature over each box, shape ``(N,)``."""
+        overlaps = self._overlaps(boxes)
+        return overlaps.weighted_sums(self._temperatures) / overlaps.volumes
 
     def average_over(self, box: Box) -> float:
         """Volume-weighted average temperature over ``box``."""
-        profile = self._box_profile(box)
-        return profile.weighted_sum(self._temperatures) / profile.total_volume
+        return float(self.averages_over([box])[0])
 
     def extrema_over(self, box: Box) -> Tuple[float, float]:
         """Minimum and maximum cell temperature among cells overlapping ``box``."""
-        profile = self._box_profile(box)
-        values = self._temperatures[
-            profile.x_slice, profile.y_slice, profile.z_slice
-        ]
+        values = self._temperatures[self._overlaps([box]).cell_slices(0)]
         return float(values.min()), float(values.max())
 
     def max_over(self, box: Box) -> float:
@@ -121,7 +131,8 @@ class ThermalMap:
 
     def average_by_boxes(self, boxes: Dict[str, Box]) -> Dict[str, float]:
         """Average temperature for each named box."""
-        return {name: self.average_over(box) for name, box in boxes.items()}
+        averages = self.averages_over(list(boxes.values()))
+        return dict(zip(boxes, averages.tolist()))
 
     def hottest_point(self) -> Tuple[float, float, float, float]:
         """Coordinates (x, y, z) and temperature of the hottest cell centre."""
@@ -174,7 +185,6 @@ class ThermalMap:
         z_max: float,
     ) -> np.ndarray:
         """Average temperatures of a sequence of footprints (e.g. all ONIs)."""
-        return np.array(
-            [self.average_over_rect(rect, z_min, z_max) for rect in footprints],
-            dtype=float,
+        return self.averages_over(
+            [Box.from_rect(rect, z_min, z_max) for rect in footprints]
         )

@@ -335,33 +335,17 @@ class _ProbeFunctional:
         boxes = [spec] if isinstance(spec, Box) else list(spec)
         if not boxes:
             raise SolverError(f"probe {name!r} has no boxes")
-        ny, nz = mesh.ny, mesh.nz
-        index_parts: List[np.ndarray] = []
-        weight_parts: List[np.ndarray] = []
-        for box in boxes:
-            profile = mesh.box_overlap_profile(box)
-            if profile is None or profile.total_volume <= 0.0:
-                raise SolverError(
-                    f"probe {name!r}: box {box!r} does not overlap the mesh"
-                )
-            i = np.arange(profile.x_slice.start, profile.x_slice.stop)
-            j = np.arange(profile.y_slice.start, profile.y_slice.stop)
-            k = np.arange(profile.z_slice.start, profile.z_slice.stop)
-            cells = (
-                (i[:, None, None] * ny + j[None, :, None]) * nz + k[None, None, :]
+        overlaps = mesh.box_overlaps(boxes)
+        outside = overlaps.first_empty()
+        if outside is not None:
+            raise SolverError(
+                f"probe {name!r}: box {boxes[outside]!r} does not overlap the mesh"
             )
-            index_parts.append(cells.ravel())
-            # Mean of per-box averages: each box contributes weights that
-            # sum to 1/len(boxes).
-            weight_parts.append(
-                profile.volumes().ravel() / (profile.total_volume * len(boxes))
-            )
-        indices = np.concatenate(index_parts)
-        weights = np.concatenate(weight_parts)
-        # Merge cells shared by several boxes into one weight each.
-        self.indices, inverse = np.unique(indices, return_inverse=True)
-        self.weights = np.zeros(self.indices.size, dtype=float)
-        np.add.at(self.weights, inverse, weights)
+        # Mean of per-box averages: each box contributes weights that sum to
+        # 1/len(boxes); cells shared by several boxes add up in the deposit.
+        weights = overlaps.deposit(1.0 / (overlaps.volumes * len(boxes))).ravel()
+        self.indices = np.flatnonzero(weights)
+        self.weights = weights[self.indices]
 
     def value(self, flat_temperatures: np.ndarray) -> float:
         return float(self.weights @ flat_temperatures[self.indices])

@@ -132,17 +132,10 @@ class ZoomSolver:
         )
 
     def _boundaries(self, coarse_map: ThermalMap) -> BoundaryConditions:
-        bounding = coarse_map.mesh.bounding_box()
-
-        def clamped_temperature(x: float, y: float, z: float) -> float:
-            x_clamped = min(max(x, bounding.x_min), bounding.x_max)
-            y_clamped = min(max(y, bounding.y_min), bounding.y_max)
-            z_clamped = min(max(z, bounding.z_min), bounding.z_max)
-            return coarse_map.temperature_at(x_clamped, y_clamped, z_clamped)
-
+        coarse_field = coarse_map.clamped_temperatures_at
         boundaries = BoundaryConditions()
         for face in ("x_min", "x_max", "y_min", "y_max"):
-            boundaries.set_face(face, FaceCondition.dirichlet(clamped_temperature))
+            boundaries.set_face(face, FaceCondition.dirichlet(coarse_field))
         # When the zoom window is clipped vertically, the cut faces are interior
         # surfaces of the package and take the coarse solution as Dirichlet
         # values; faces coinciding with the real package boundary keep the
@@ -154,11 +147,11 @@ class ZoomSolver:
             else self._stack.total_thickness
         )
         if z_low > 1.0e-12:
-            boundaries.set_face("z_min", FaceCondition.dirichlet(clamped_temperature))
+            boundaries.set_face("z_min", FaceCondition.dirichlet(coarse_field))
         else:
             boundaries.set_face("z_min", self._coarse_boundaries.face("z_min"))
         if z_high < self._stack.total_thickness - 1.0e-12:
-            boundaries.set_face("z_max", FaceCondition.dirichlet(clamped_temperature))
+            boundaries.set_face("z_max", FaceCondition.dirichlet(coarse_field))
         else:
             boundaries.set_face("z_max", self._coarse_boundaries.face("z_max"))
         return boundaries

@@ -191,6 +191,32 @@ class TestCampaignRun:
         # the genuinely new (here: still-broken) one.
         assert store.load(good.spec, ("steady",)) is not None
 
+    def test_stop_before_index_refresh_loses_only_recency(
+        self, tmp_path, monkeypatch
+    ):
+        """A campaign stopped between its object writes and its one index
+        refresh leaves every object servable from a reopened store."""
+
+        def stop(self):
+            raise KeyboardInterrupt("stopped before the index refresh")
+
+        monkeypatch.setattr(ArtifactStore, "_refresh_index", stop)
+        with pytest.raises(KeyboardInterrupt):
+            CampaignRunner(
+                TINY, store=ArtifactStore(tmp_path / "store"), paths=("steady",)
+            ).run()
+        monkeypatch.undo()
+        assert not (tmp_path / "store" / "index.json").exists()
+
+        reopened = ArtifactStore(tmp_path / "store")
+        for point in TINY.points():
+            assert reopened.load(point.spec, ("steady",)) is not None
+        assert sorted(entry.scenario for entry in reopened.entries()) == [
+            point.spec.name for point in TINY.points()
+        ]
+        warm = CampaignRunner(TINY, store=reopened, paths=("steady",)).run()
+        assert warm.summary["store_hits"] == 2
+
     def test_bare_spec_list(self):
         spec = TINY.points()[0].spec
         report = run_campaign([spec], paths=("steady",), name="bare")

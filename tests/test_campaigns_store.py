@@ -154,6 +154,86 @@ class TestDurability:
                 assert events[position + 1] == "fsync"
 
 
+class TestDeferredIndex:
+    def test_one_index_write_for_the_whole_block(self, store, monkeypatch):
+        writes = []
+        real_write = ArtifactStore._write_index
+
+        def counting_write(self, index):
+            writes.append(sorted(index["entries"]))
+            return real_write(self, index)
+
+        monkeypatch.setattr(ArtifactStore, "_write_index", counting_write)
+        specs = [make_spec(index) for index in range(3)]
+        with store.deferred_index():
+            keys = [store.store(spec, make_artifact(spec)) for spec in specs]
+            assert writes == []
+        assert writes == [sorted(keys)]
+        # Recency follows the write order; every object is served.
+        assert [entry.key for entry in store.entries()] == keys
+        for spec in specs:
+            assert store.load(spec) is not None
+
+    def test_deferred_writes_fsync_before_and_after_publishing(
+        self, store, monkeypatch
+    ):
+        from repro.campaigns import store as store_module
+
+        events = []
+        real_fsync, real_replace = store_module.os.fsync, store_module.os.replace
+
+        def recording_fsync(fd):
+            events.append("fsync")
+            return real_fsync(fd)
+
+        def recording_replace(src, dst):
+            events.append("replace")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(store_module.os, "fsync", recording_fsync)
+        monkeypatch.setattr(store_module.os, "replace", recording_replace)
+        with store.deferred_index():
+            for index in range(3):
+                spec = make_spec(index)
+                store.store(spec, make_artifact(spec))
+        # Three objects plus the index, each fsynced, then published, then
+        # its directory fsynced.
+        assert events == ["fsync", "replace", "fsync"] * 4
+
+    def test_failed_write_is_raised_and_left_out_of_the_index(
+        self, store, monkeypatch
+    ):
+        from repro.campaigns import store as store_module
+
+        real_write = store_module._atomic_write
+        failing = store.key_for(make_spec(1))
+
+        def flaky_write(directory, prefix, text, target):
+            if target.stem == failing:
+                raise OSError("disk full")
+            return real_write(directory, prefix, text, target)
+
+        monkeypatch.setattr(store_module, "_atomic_write", flaky_write)
+        with pytest.raises(OSError, match="disk full"):
+            with store.deferred_index():
+                for index in range(3):
+                    spec = make_spec(index)
+                    store.store(spec, make_artifact(spec))
+        indexed = json.loads(store._index_path.read_text())["entries"]
+        assert failing not in indexed and len(indexed) == 2
+        assert store.load(make_spec(1)) is None
+        assert store.load(make_spec(2)) is not None
+
+    def test_nested_block_joins_the_outer_one(self, store):
+        spec = make_spec()
+        with store.deferred_index():
+            with store.deferred_index():
+                store.store(spec, make_artifact(spec))
+            assert not store._index_path.exists()
+        assert store._index_path.exists()
+        assert store.load(spec) is not None
+
+
 class TestIntegrityFaults:
     def put_one(self, store):
         spec = make_spec()

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
+from scipy import optimize
+
 from repro.constants import quantum_slope_efficiency_w_per_a
 from repro.devices import VcselModel, VcselParameters
 from repro.errors import DeviceError
@@ -12,6 +14,19 @@ from repro.errors import DeviceError
 @pytest.fixture(scope="module")
 def vcsel():
     return VcselModel()
+
+
+def brentq_current(model: VcselModel, power_w: float, base_c: float) -> float:
+    """Reference inversion: root of the forward model's dissipated power."""
+    if power_w == 0.0:
+        return 0.0
+
+    def excess(current_a: float) -> float:
+        return model.operating_point(current_a, base_c).dissipated_power_w - power_w
+
+    return optimize.brentq(
+        excess, 0.0, model.parameters.max_current_a, xtol=1.0e-13, rtol=1.0e-15
+    )
 
 
 class TestVcselParameters:
@@ -186,9 +201,10 @@ class TestBatchedEvaluation:
         currents = vcsel.currents_for_dissipated_power(powers, 45.0)
         assert currents[0] == 0.0
         for index, power in enumerate(powers[1:], start=1):
-            reference = vcsel.current_for_dissipated_power(float(power), 45.0)
-            # brentq stops at xtol=1e-9 A; the vectorized bisection is tighter.
-            assert abs(currents[index] - reference) < 2.0e-9
+            reference = brentq_current(vcsel, float(power), 45.0)
+            assert abs(currents[index] - reference) < 1.0e-9
+            scalar = vcsel.current_for_dissipated_power(float(power), 45.0)
+            assert scalar == currents[index]
 
     def test_optical_powers_from_dissipated_match_scalar(self, vcsel):
         powers = np.array([2.0e-3, 3.6e-3, 5.0e-3])
@@ -205,3 +221,103 @@ class TestBatchedEvaluation:
             vcsel.currents_for_dissipated_power(np.array([1.0]), np.array([40.0]))
         with pytest.raises(DeviceError):
             vcsel.currents_for_dissipated_power(np.array([-1.0e-3]), np.array([40.0]))
+
+
+class TestClosedFormInversion:
+    """The closed-form dissipated-power inversion against the forward model.
+
+    Each parameter set keeps the dissipated power monotone in the current,
+    so the ``brentq`` root over the whole drive range is the unique one.
+    """
+
+    MODELS = {
+        "default": VcselParameters(),
+        "ohmic_only": VcselParameters(
+            turn_on_voltage_v=0.0, series_resistance_ohm=300.0
+        ),
+        "diode_only": VcselParameters(series_resistance_ohm=0.0),
+    }
+    #: Base temperatures; at 90 degC the junction is past the slope decay
+    #: span, so the slope is clamped to 0 and the device never lases.
+    TEMPERATURES_C = (25.0, 45.0, 70.0, 90.0)
+    #: From zero through sub-threshold (~0.2-1 mW) to well above threshold.
+    POWERS_W = (0.0, 0.2e-3, 1.0e-3, 2.5e-3, 3.6e-3, 5.0e-3)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_matches_brentq_on_the_grid(self, name):
+        model = VcselModel(self.MODELS[name])
+        powers = np.array(self.POWERS_W)[:, None]
+        temperatures = np.array(self.TEMPERATURES_C)[None, :]
+        currents = model.currents_for_dissipated_power(powers, temperatures)
+        optical = model.optical_powers_from_dissipated(powers, temperatures)
+        regimes = set()
+        for i, power in enumerate(self.POWERS_W):
+            for j, base in enumerate(self.TEMPERATURES_C):
+                reference = brentq_current(model, power, base)
+                assert abs(currents[i, j] - reference) <= 1.0e-9, (power, base)
+                point = model.operating_point(reference, base)
+                junction = point.junction_temperature_c
+                assert optical[i, j] == pytest.approx(
+                    point.optical_power_w, abs=1.0e-10
+                )
+                if power == 0.0:
+                    regimes.add("zero")
+                elif model.slope_efficiency_w_per_a(junction) == 0.0:
+                    regimes.add("slope clamped")
+                elif reference < model.threshold_current_a(junction):
+                    regimes.add("below threshold")
+                else:
+                    regimes.add("above threshold")
+        assert regimes == {
+            "zero",
+            "slope clamped",
+            "below threshold",
+            "above threshold",
+        }
+
+    def test_scalar_and_vector_share_the_formula(self):
+        model = VcselModel(self.MODELS["diode_only"])
+        batch = model.currents_for_dissipated_power(np.array([1.0e-3, 3.6e-3]), 45.0)
+        assert model.current_for_dissipated_power(1.0e-3, 45.0) == batch[0]
+        assert model.current_for_dissipated_power(3.6e-3, 45.0) == batch[1]
+        optical = model.optical_powers_from_dissipated(3.6e-3, 45.0)
+        assert model.optical_power_from_dissipated(3.6e-3, 45.0) == optical
+
+    def test_no_voltage_drop_cannot_dissipate(self):
+        model = VcselModel(
+            VcselParameters(turn_on_voltage_v=0.0, series_resistance_ohm=0.0)
+        )
+        assert model.current_for_dissipated_power(0.0, 40.0) == 0.0
+        assert model.optical_power_from_dissipated(0.0, 40.0) == 0.0
+        with pytest.raises(DeviceError, match="not reachable below the maximum"):
+            model.current_for_dissipated_power(1.0e-3, 40.0)
+
+    def test_falling_linear_branch_is_unreachable(self):
+        # R = 0 and V0 < s: the dissipation falls above threshold, so a
+        # target above the threshold dissipation has no root at all.
+        model = VcselModel(
+            VcselParameters(turn_on_voltage_v=0.3, series_resistance_ohm=0.0)
+        )
+        with pytest.raises(DeviceError, match="not reachable below the maximum"):
+            model.current_for_dissipated_power(1.0e-3, 25.0)
+
+    def test_non_finite_inputs_fail_loudly(self):
+        model = VcselModel()
+        with pytest.raises(DeviceError, match="not reachable"):
+            model.currents_for_dissipated_power(np.nan, 40.0)
+        with pytest.raises(DeviceError, match="not reachable"):
+            model.optical_powers_from_dissipated(np.array([1.0e-3, 2.0e-3]), np.nan)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_unreachable_target_keeps_the_message(self, name):
+        model = VcselModel(self.MODELS[name])
+        top = model.operating_point(model.parameters.max_current_a, 40.0)
+        target = 1.01 * top.dissipated_power_w
+        with pytest.raises(
+            DeviceError,
+            match=(
+                f"requested dissipated power {target * 1e3:.2f} mW is not "
+                "reachable below the maximum drive current"
+            ),
+        ):
+            model.currents_for_dissipated_power(np.array([1.0e-3, target]), 40.0)

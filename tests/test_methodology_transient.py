@@ -1,6 +1,7 @@
 """Tests for the transient flow integration, engine caching and SNR chaining."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from repro import (
 from repro.activity import ActivityTrace, SyntheticTraceGenerator
 from repro.errors import ConfigurationError
 from repro.methodology import transient_request_key
+from repro.methodology.transient import SnrTimeSeries
 
 #: Coarse resolutions keep the whole module in a few seconds.
 FAST_SETTINGS = SimulationSettings(
@@ -164,6 +166,22 @@ class TestTransientSnr:
         assert link in series.link_names
         assert value == pytest.approx(series.overall_worst_snr_db)
         assert 0.0 <= time_at <= evaluation.times_s[-1]
+
+    def test_worst_sample_resolves_round_off_ties_to_the_earliest(self):
+        plateau = 18.49917293494968
+        snr = np.array(
+            [
+                [30.0, plateau + 2.2e-11],  # a real (if tiny) difference
+                [30.0, np.nextafter(plateau, np.inf)],  # tied to the last ulp
+                [30.0, plateau],
+                [30.0, plateau],
+            ]
+        )
+        batch = SimpleNamespace(batch_size=4, snr_db=snr, link_names=("a", "b"))
+        series = SnrTimeSeries(times_s=np.arange(4) * 0.5, batch=batch)
+        assert series.worst_sample() == (0.5, "b", snr[1, 1])
+        snr[3, 0] = -np.inf
+        assert series.worst_sample() == (1.5, "a", -np.inf)
 
     def test_time_below_floor_accounting(self, flow, ramp_trace, power):
         evaluation = flow.run_transient(ramp_trace, power, dt_s=0.5, initial="steady")

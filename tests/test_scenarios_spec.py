@@ -1,5 +1,6 @@
 """Spec layer of the scenario subsystem: validation, round trips, hashing."""
 
+import dataclasses
 import json
 
 import pytest
@@ -186,6 +187,22 @@ class TestContentHash:
         )
         parsed = ScenarioSpec.from_json(built.to_json())
         assert built.content_hash() == parsed.content_hash()
+
+    def test_hashes_are_memoised_per_instance(self, monkeypatch):
+        spec = ScenarioSpec(name="x")
+        content, design = spec.content_hash(), spec.design_hash()
+        calls = []
+        monkeypatch.setattr(
+            ScenarioSpec, "to_dict", lambda self: calls.append(self) or {}
+        )
+        assert (spec.content_hash(), spec.design_hash()) == (content, design)
+        assert calls == []
+        # A derived spec is a new instance and hashes its own content.
+        monkeypatch.undo()
+        renamed = dataclasses.replace(spec, name="y")
+        assert renamed.content_hash() != content
+        assert renamed.design_hash() == design
+        assert spec == ScenarioSpec(name="x")
 
     def test_short_hash_prefixes_content_hash(self):
         spec = ScenarioSpec(name="x")

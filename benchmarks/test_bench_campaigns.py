@@ -1,4 +1,4 @@
-"""Campaign timing: cold compute vs warm store-served replay, serial vs pool.
+"""Campaign timing: cold compute vs warm store-served replay, serial vs process.
 
 The bench matrix (the built-in ``campaign_smoke``: 4 small-die specs through
 every analysis path) runs three ways against a fresh on-disk
@@ -7,7 +7,8 @@ every analysis path) runs three ways against a fresh on-disk
 * **cold** — empty store: every spec computes end to end and is persisted;
 * **warm** — the same campaign again on the same store: every artifact is
   served from disk after an integrity re-hash, no solver runs at all;
-* **parallel** — cold again (fresh store) over a ``workers=4`` process pool.
+* **parallel** — cold again (fresh store) over the ``workers=4`` supervised
+  process executor.
 
 The acceptance gates of the campaign subsystem are asserted here: the warm
 replay must be at least 10x faster than the cold run, warm artifacts must be

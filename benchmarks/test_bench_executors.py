@@ -2,19 +2,14 @@
 
 A 60-scenario steady-state matrix (6 VCSEL drives x 10 chip powers over the
 small conformance die) runs cold — fresh store, every spec computed — once
-per executor: serial, process pool, async in-process and the supervised
-queue-worker simulator.  The serial and async executors then replay the same
-campaign warm (fully store-served) to time the pure orchestration overhead.
+per executor: serial and the supervised process executor.  The serial
+executor then replays the same campaign warm (fully store-served) to time the
+pure orchestration overhead.
 
-Performance gates of the execution-kernel refactor:
-
-* the ``workers=4`` process pool must finish the cold matrix at least
-  :data:`MIN_PROCESS_SPEEDUP` x faster than serial — asserted only on hosts
-  with >= 4 CPUs (a 1-core CI runner cannot physically parallelise; the
-  timing is still recorded there);
-* the async executor's warm, store-served replay must stay within 10% of the
-  serial warm replay (plus a small absolute slack for scheduler startup):
-  async orchestration may not tax the replay path it is supposed to overlap.
+Performance gate of the execution-kernel refactor: the ``workers=4`` process
+executor must finish the cold matrix at least :data:`MIN_PROCESS_SPEEDUP` x
+faster than serial — asserted only on hosts with >= 4 CPUs (a 1-core CI
+runner cannot physically parallelise; the timing is still recorded there).
 
 Correctness stays pinned here too: every cold report must equal the serial
 report byte for byte.  Records land in ``BENCH_executors.json`` keyed by
@@ -43,12 +38,8 @@ pytestmark = pytest.mark.slow
 
 BENCH_RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_executors.json"
 
-#: Cold process-pool speedup gate over serial (hosts with >= 4 CPUs only).
+#: Cold process-executor speedup gate over serial (hosts with >= 4 CPUs only).
 MIN_PROCESS_SPEEDUP = 2.0
-#: Warm async replay may cost at most 10% over warm serial...
-MAX_ASYNC_WARM_RATIO = 1.10
-#: ...plus this absolute slack [s] for event-loop/thread-pool startup.
-ASYNC_WARM_SLACK_S = 0.25
 
 #: Steady-state only: the per-spec cost stays small enough that the
 #: 60-scenario matrix times orchestration, not one giant solve.
@@ -93,8 +84,6 @@ MATRIX = ScenarioMatrix(
 EXECUTORS = (
     ("serial", {"executor": "serial"}),
     ("process", {"executor": "process", "workers": 4}),
-    ("async", {"executor": "async", "workers": 4}),
-    ("queue", {"executor": "queue", "workers": 2}),
 )
 
 
@@ -135,12 +124,8 @@ def test_executor_cold_and_warm_timings(benchmark, tmp_path):
     warm_serial, warm_serial_s = timed_run(
         stores["serial"], executor="serial"
     )
-    warm_async, warm_async_s = timed_run(
-        stores["async"], executor="async", workers=4
-    )
-    for warm in (warm_serial, warm_async):
-        assert warm.summary["store_hits"] == scenario_count
-        assert warm.artifacts == reports["serial"].artifacts
+    assert warm_serial.summary["store_hits"] == scenario_count
+    assert warm_serial.artifacts == reports["serial"].artifacts
 
     benchmark.pedantic(
         lambda: timed_run(stores["serial"], executor="serial"),
@@ -151,17 +136,10 @@ def test_executor_cold_and_warm_timings(benchmark, tmp_path):
     cpu_count = os.cpu_count() or 1
     if cpu_count >= 4:
         assert cold_s["process"] * MIN_PROCESS_SPEEDUP <= cold_s["serial"], (
-            f"process pool only {cold_s['serial'] / cold_s['process']:.2f}x "
+            f"process executor only {cold_s['serial'] / cold_s['process']:.2f}x "
             f"faster than serial on {cpu_count} CPUs "
             f"(gate: {MIN_PROCESS_SPEEDUP}x)"
         )
-    assert warm_async_s <= (
-        MAX_ASYNC_WARM_RATIO * warm_serial_s + ASYNC_WARM_SLACK_S
-    ), (
-        f"async warm replay {warm_async_s * 1e3:.0f} ms vs serial "
-        f"{warm_serial_s * 1e3:.0f} ms exceeds the "
-        f"{MAX_ASYNC_WARM_RATIO:.2f}x (+{ASYNC_WARM_SLACK_S}s) gate"
-    )
 
     record = {
         "matrix": MATRIX.name,
@@ -170,7 +148,6 @@ def test_executor_cold_and_warm_timings(benchmark, tmp_path):
         "cpu_count": cpu_count,
         "cold_s": {name: round(cold_s[name], 6) for name, _ in EXECUTORS},
         "warm_serial_s": round(warm_serial_s, 6),
-        "warm_async_s": round(warm_async_s, 6),
         "speedup_process": round(cold_s["serial"] / cold_s["process"], 2),
         "process_gate_enforced": cpu_count >= 4,
     }
@@ -185,6 +162,5 @@ def test_executor_cold_and_warm_timings(benchmark, tmp_path):
         + ", ".join(
             f"{name} {cold_s[name] * 1e3:.0f} ms" for name, _ in EXECUTORS
         )
-        + f"; warm serial {warm_serial_s * 1e3:.0f} ms, "
-        f"warm async {warm_async_s * 1e3:.0f} ms"
+        + f"; warm serial {warm_serial_s * 1e3:.0f} ms"
     )

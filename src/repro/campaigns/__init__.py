@@ -5,12 +5,11 @@ execution substrate *pluggable* and the replays *incremental*: a
 :class:`ScenarioMatrix` expands a base :class:`~repro.scenarios.ScenarioSpec`
 over declared axes into deduplicated concrete specs; the
 :class:`CampaignRunner` composes the pure :class:`EvaluationKernel` with an
-:class:`Executor` strategy (serial / process pool / async in-process /
-queue-fed remote-worker simulator with crash-retry supervision); and the
-content-addressed :class:`ArtifactStore` — behind a flat or sharded
-directory :class:`~repro.campaigns.backends.StoreBackend` — persists every
-artifact on disk so re-running a campaign only computes specs whose content
-hash is new.  Every executor is pinned byte-identical to serial by the
+:class:`Executor` strategy (serial, or supervised worker processes with crash
+retry); and the content-addressed :class:`ArtifactStore` — behind a flat or
+sharded directory :class:`~repro.campaigns.backends.StoreBackend` — persists
+every artifact on disk so re-running a campaign only computes specs whose
+content hash is new.  The process executor is pinned byte-identical to serial by the
 executor-conformance suite.  The :class:`EvaluationService` keeps all of
 this resident behind an asyncio HTTP/unix-socket server with spec-hash
 request coalescing (``python -m repro serve``).  ``python -m repro``
@@ -29,11 +28,9 @@ from .backends import (
 )
 from .executors import (
     EXECUTOR_NAMES,
-    AsyncExecutor,
     ExecutionResult,
     Executor,
     ProcessExecutor,
-    QueueExecutor,
     SerialExecutor,
     WorkItem,
     make_executor,
@@ -66,7 +63,6 @@ __all__ = [
     "GOLDEN_REPRESENTATIVES",
     "STORE_VERSION",
     "ArtifactStore",
-    "AsyncExecutor",
     "CampaignPoint",
     "CampaignReport",
     "CampaignRunner",
@@ -77,7 +73,6 @@ __all__ = [
     "FlatDirBackend",
     "MatrixAxis",
     "ProcessExecutor",
-    "QueueExecutor",
     "ScenarioMatrix",
     "SerialExecutor",
     "ServiceServer",

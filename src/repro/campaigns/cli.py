@@ -4,11 +4,10 @@ Subcommands
 -----------
 ``run CAMPAIGN``
     Expand a built-in matrix and execute it (optionally against a persistent
-    ``--store``, fanned out over the ``--executor`` strategy of choice —
-    serial, process pool, async in-process or the supervised queue-worker
-    simulator — sized by ``--workers``); prints the cross-scenario summary
-    table, any per-spec failure provenance, and optionally writes the full
-    report JSON with ``--output``; ``--transient-method`` selects the
+    ``--store``, serially or over ``--workers`` supervised worker processes
+    with ``--executor process``); prints the cross-scenario summary table,
+    any per-spec failure provenance, and optionally writes the full report
+    JSON with ``--output``; ``--transient-method`` selects the
     transient integration path and ``--warm-start`` ships the store's reduced
     bases to the workers.
 ``seed-rom CAMPAIGN``
@@ -494,13 +493,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="store directory layout (default: auto-detect, flat for new stores)",
     )
     run.add_argument(
-        "--workers", type=int, default=None, help="executor worker/concurrency width"
+        "--workers",
+        type=int,
+        default=None,
+        help="worker-process count of the process executor",
     )
     run.add_argument(
         "--executor",
         default=None,
         choices=list(EXECUTOR_NAMES),
-        help="execution strategy (default: process pool when --workers > 1, else serial)",
+        help="execution strategy (default: process when --workers > 1, else serial)",
     )
     run.add_argument(
         "--on-error",
@@ -512,13 +514,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-retries",
         type=int,
         default=2,
-        help="bounded per-spec retries of the queue executor (default: 2)",
+        help="bounded per-spec retries of the process executor (default: 2)",
     )
     run.add_argument(
         "--timeout",
         type=float,
         default=None,
-        help="per-spec deadline [s] of the queue executor (hung workers are killed)",
+        help="per-spec deadline [s] of the process executor (hung workers are killed)",
     )
     run.add_argument(
         "--paths",
@@ -612,13 +614,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="store directory layout (default: auto-detect, flat for new stores)",
     )
     trace.add_argument(
-        "--workers", type=int, default=None, help="executor worker/concurrency width"
+        "--workers",
+        type=int,
+        default=None,
+        help="worker-process count of the process executor",
     )
     trace.add_argument(
         "--executor",
         default=None,
         choices=list(EXECUTOR_NAMES),
-        help="execution strategy (default: process pool when --workers > 1, else serial)",
+        help="execution strategy (default: process when --workers > 1, else serial)",
     )
     trace.add_argument(
         "--paths",

@@ -1,43 +1,33 @@
 """Execution strategies: fan a kernel over campaign work items.
 
 An :class:`Executor` turns ``(kernel, work items)`` into a stream of
-:class:`ExecutionResult` objects.  Four substrates implement the same
+:class:`ExecutionResult` objects.  Two substrates implement the same
 contract, and the executor-conformance suite asserts they are
 interchangeable byte for byte:
 
 * :class:`SerialExecutor` — in-process, in submission order; the reference
-  every other executor is compared against;
-* :class:`ProcessExecutor` — a :class:`concurrent.futures.ProcessPoolExecutor`
-  fan-out (the historical ``workers=N`` path), results yielded in submission
-  order as they complete;
-* :class:`AsyncExecutor` — an asyncio event loop dispatching kernel calls to
-  a small thread pool; the in-process shape the evaluation service will run
-  on (specs are pure and content-cached per runner, so threads cannot change
-  a byte of any artifact);
-* :class:`QueueExecutor` — a local-queue "remote worker" simulator: worker
-  *processes* fed over per-worker task queues with supervision — crashed
-  workers are detected and respawned, hung workers are killed on a deadline,
-  failed tasks are retried a bounded number of times and a spec that keeps
-  failing is quarantined with its full incident history instead of sinking
-  the campaign.
+  the process executor is compared against;
+* :class:`ProcessExecutor` — worker *processes* fed over per-worker task
+  queues with supervision — crashed workers are detected and respawned, hung
+  workers are killed on a deadline, failed tasks are retried a bounded
+  number of times and a spec that keeps failing is quarantined with its full
+  incident history instead of sinking the campaign.
 
 Executors never raise for a failing spec: every work item produces exactly
 one :class:`ExecutionResult` carrying either the artifact or the failure
 provenance (error type, message, attempts, incident list), and the
 :class:`~repro.campaigns.runner.CampaignRunner` decides whether to re-raise
 (:class:`~repro.campaigns.kernel.SpecExecutionError`) or to quarantine and
-keep going.
+keep going.  :func:`run_item` is the single place a one-attempt failure
+becomes provenance; the evaluation service calls it too.
 """
 
 from __future__ import annotations
 
-import asyncio
 import multiprocessing
 import queue as queue_module
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor as _FuturesProcessPool
-from concurrent.futures import ThreadPoolExecutor as _FuturesThreadPool
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -47,7 +37,10 @@ from ..log import get_logger
 from .kernel import EvaluationKernel
 
 #: Executor registry names, in documentation order.
-EXECUTOR_NAMES: Tuple[str, ...] = ("serial", "process", "async", "queue")
+EXECUTOR_NAMES: Tuple[str, ...] = ("serial", "process")
+
+#: How long the process supervisor waits on the result queue per step [s].
+POLL_S = 0.02
 
 logger = get_logger("executors")
 
@@ -124,6 +117,17 @@ class Executor:
         raise NotImplementedError
 
 
+def run_item(kernel: EvaluationKernel, item: WorkItem) -> ExecutionResult:
+    """One in-process kernel call, its failure captured as provenance."""
+    try:
+        artifact, stats, payload = kernel.run(item.spec_dict)
+    except Exception as error:
+        return ExecutionResult(
+            item, incidents=[_incident(1, type(error).__name__, str(error))]
+        )
+    return ExecutionResult(item, artifact, stats, payload)
+
+
 class SerialExecutor(Executor):
     """In-process, in submission order — the conformance reference."""
 
@@ -134,142 +138,14 @@ class SerialExecutor(Executor):
     ) -> Iterator[ExecutionResult]:
         for item in items:
             telemetry.count("executor.dispatches")
-            try:
-                artifact, stats, payload = kernel.run(item.spec_dict)
-            except Exception as error:
+            result = run_item(kernel, item)
+            if not result.ok:
                 telemetry.count("executor.failures")
-                yield ExecutionResult(
-                    item,
-                    incidents=[_incident(1, type(error).__name__, str(error))],
-                )
-            else:
-                yield ExecutionResult(item, artifact, stats, payload)
+            yield result
 
 
-class ProcessExecutor(Executor):
-    """Process-pool fan-out (one fresh runner per spec, one spec per task).
-
-    A worker that dies (``BrokenProcessPool``) fails the item it was
-    computing *with that item's provenance*; the pool is not retried — the
-    :class:`QueueExecutor` is the substrate with crash-recovery semantics.
-    """
-
-    name = "process"
-
-    def __init__(self, workers: int = 4) -> None:
-        if workers < 1:
-            raise ConfigurationError("process executor needs workers >= 1")
-        self.workers = workers
-
-    def execute(
-        self, kernel: EvaluationKernel, items: Sequence[WorkItem]
-    ) -> Iterator[ExecutionResult]:
-        if len(items) == 1 or self.workers == 1:
-            yield from SerialExecutor().execute(kernel, items)
-            return
-        with _FuturesProcessPool(
-            max_workers=min(self.workers, len(items))
-        ) as pool:
-            futures = [
-                pool.submit(kernel.run, item.spec_dict) for item in items
-            ]
-            telemetry.count("executor.dispatches", len(items))
-            for item, future in zip(items, futures):
-                try:
-                    artifact, stats, payload = future.result()
-                except Exception as error:
-                    telemetry.count("executor.failures")
-                    yield ExecutionResult(
-                        item,
-                        incidents=[
-                            _incident(1, type(error).__name__, str(error))
-                        ],
-                    )
-                else:
-                    yield ExecutionResult(item, artifact, stats, payload)
-
-
-class AsyncExecutor(Executor):
-    """Asyncio in-process executor (kernel calls on a small thread pool).
-
-    The shape the long-running evaluation service runs on: an event loop
-    owns the campaign, kernel calls are awaited concurrently.  Compute is
-    GIL-bound, so this buys overlap with I/O (store reads, network
-    handlers), not parallel solves — and because every kernel call builds
-    its own runner, concurrency cannot change a byte of any artifact.
-
-    Two entry points share one implementation: the synchronous
-    :meth:`execute` (the :class:`Executor` contract) spins up its own event
-    loop via :func:`asyncio.run`, while the awaitable :meth:`execute_async`
-    runs on the *caller's* loop — the path the evaluation service
-    (:mod:`repro.campaigns.service`) drives, where ``asyncio.run`` would
-    raise ``RuntimeError``.  :meth:`execute` detects a running loop and
-    fails with a clear :class:`~repro.errors.ConfigurationError` instead of
-    letting that ``RuntimeError`` escape from deep inside asyncio.
-    """
-
-    name = "async"
-
-    def __init__(self, concurrency: int = 4) -> None:
-        if concurrency < 1:
-            raise ConfigurationError("async executor needs concurrency >= 1")
-        self.concurrency = concurrency
-
-    def execute(
-        self, kernel: EvaluationKernel, items: Sequence[WorkItem]
-    ) -> Iterator[ExecutionResult]:
-        try:
-            asyncio.get_running_loop()
-        except RuntimeError:
-            return iter(asyncio.run(self.execute_async(kernel, items)))
-        raise ConfigurationError(
-            "AsyncExecutor.execute cannot be called from a running event "
-            "loop (it owns its own loop via asyncio.run); await "
-            "execute_async(kernel, items) on the host loop instead"
-        )
-
-    async def execute_async(
-        self, kernel: EvaluationKernel, items: Sequence[WorkItem]
-    ) -> List[ExecutionResult]:
-        """Awaitable form of :meth:`execute`, driven by the caller's loop.
-
-        Semantics are identical — one :class:`ExecutionResult` per item, at
-        most ``concurrency`` kernel calls in flight on the thread pool —
-        but the coroutine composes with whatever else the host loop is
-        doing (the evaluation service awaits one of these per computed
-        request, concurrently across requests).
-        """
-        loop = asyncio.get_running_loop()
-        semaphore = asyncio.Semaphore(self.concurrency)
-
-        def call(item: WorkItem) -> ExecutionResult:
-            try:
-                artifact, stats, payload = kernel.run(item.spec_dict)
-            except Exception as error:
-                return ExecutionResult(
-                    item,
-                    incidents=[_incident(1, type(error).__name__, str(error))],
-                )
-            return ExecutionResult(item, artifact, stats, payload)
-
-        with _FuturesThreadPool(max_workers=self.concurrency) as pool:
-
-            async def one(item: WorkItem) -> ExecutionResult:
-                async with semaphore:
-                    # Counted here (tasks inherit the caller's context) so
-                    # the tally lands in the campaign collector; the pool
-                    # threads do not see the coordinator's contextvars.
-                    telemetry.count("executor.dispatches")
-                    result = await loop.run_in_executor(pool, call, item)
-                    if not result.ok:
-                        telemetry.count("executor.failures")
-                    return result
-
-            return list(await asyncio.gather(*(one(item) for item in items)))
-
-
-def _queue_worker(task_queue, result_queue, kernel: EvaluationKernel) -> None:
-    """Queue-worker main loop: tasks in, ``(index, attempt, ok, payload)`` out.
+def _process_worker(task_queue, result_queue, kernel: EvaluationKernel) -> None:
+    """Worker-process main loop: tasks in, ``(index, attempt, ok, payload)`` out.
 
     Runs until the ``None`` sentinel.  Exceptions are shipped back as plain
     ``(type name, message)`` pairs — never pickled exception objects, which
@@ -294,12 +170,12 @@ def _queue_worker(task_queue, result_queue, kernel: EvaluationKernel) -> None:
 
 
 class _WorkerHandle:
-    """Supervisor-side state of one queue worker process."""
+    """Supervisor-side state of one worker process."""
 
-    def __init__(self, context, result_queue, kernel) -> None:
-        self.task_queue = context.Queue()
-        self.process = context.Process(
-            target=_queue_worker,
+    def __init__(self, result_queue, kernel) -> None:
+        self.task_queue = multiprocessing.Queue()
+        self.process = multiprocessing.Process(
+            target=_process_worker,
             args=(self.task_queue, result_queue, kernel),
             daemon=True,
         )
@@ -331,14 +207,12 @@ class _WorkerHandle:
         self.task_queue.close()
 
 
-class QueueExecutor(Executor):
-    """Local-queue "remote worker" simulator with crash/timeout/retry.
+class ProcessExecutor(Executor):
+    """Supervised worker-process fan-out with crash/timeout/retry.
 
     Worker *processes* each consume a private task queue and post results to
-    one shared result queue — the minimal shape of a distributed campaign
-    (N workers pulling specs off a broker).  The supervisor loop adds the
-    semantics a remote fleet needs and the conformance suite injects faults
-    against:
+    one shared result queue.  The supervisor loop adds the semantics the
+    conformance suite injects faults against:
 
     * **crash detection** — a worker that dies mid-task (segfault,
       ``os._exit``, OOM-kill) is noticed via ``is_alive``, the task is
@@ -361,18 +235,16 @@ class QueueExecutor(Executor):
     (pinned by the conformance suite).
     """
 
-    name = "queue"
+    name = "process"
 
     def __init__(
         self,
-        workers: int = 2,
+        workers: int = 4,
         max_retries: int = 2,
         timeout_s: Optional[float] = None,
-        poll_s: float = 0.02,
-        start_method: Optional[str] = None,
     ) -> None:
         if workers < 1:
-            raise ConfigurationError("queue executor needs workers >= 1")
+            raise ConfigurationError("process executor needs workers >= 1")
         if max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
         if timeout_s is not None and timeout_s <= 0:
@@ -380,20 +252,17 @@ class QueueExecutor(Executor):
         self.workers = workers
         self.max_retries = max_retries
         self.timeout_s = timeout_s
-        self.poll_s = poll_s
-        self.start_method = start_method
 
     def execute(
         self, kernel: EvaluationKernel, items: Sequence[WorkItem]
     ) -> Iterator[ExecutionResult]:
-        context = multiprocessing.get_context(self.start_method)
-        result_queue = context.Queue()
+        result_queue = multiprocessing.Queue()
         #: (item, attempt, incidents) not yet dispatched.
         pending = deque((item, 1, []) for item in items)
         #: index -> (attempt, incidents, item) currently on a worker.
         outstanding: Dict[int, Tuple[int, List[Dict[str, Any]], WorkItem]] = {}
         workers = [
-            _WorkerHandle(context, result_queue, kernel)
+            _WorkerHandle(result_queue, kernel)
             for _ in range(min(self.workers, len(items)))
         ]
         done = 0
@@ -414,7 +283,7 @@ class QueueExecutor(Executor):
                     done += 1
                     yield result
                 for failure in self._check_health(
-                    context, result_queue, kernel, outstanding, workers, pending
+                    result_queue, kernel, outstanding, workers, pending
                 ):
                     done += 1
                     yield failure
@@ -430,7 +299,7 @@ class QueueExecutor(Executor):
     ) -> Optional[ExecutionResult]:
         """Receive at most one result; retry or finalise its task."""
         try:
-            index, attempt, ok, payload = result_queue.get(timeout=self.poll_s)
+            index, attempt, ok, payload = result_queue.get(timeout=POLL_S)
         except queue_module.Empty:
             return None
         record = outstanding.get(index)
@@ -452,7 +321,7 @@ class QueueExecutor(Executor):
         return self._retry_or_quarantine(item, attempt, incidents, pending)
 
     def _check_health(
-        self, context, result_queue, kernel, outstanding, workers, pending
+        self, result_queue, kernel, outstanding, workers, pending
     ) -> List[ExecutionResult]:
         """Detect dead and overdue workers; respawn and fail their tasks over."""
         failures: List[ExecutionResult] = []
@@ -460,9 +329,7 @@ class QueueExecutor(Executor):
             alive = handle.process.is_alive()
             if handle.current is None:
                 if not alive:  # pragma: no cover - idle death is benign
-                    workers[position] = _WorkerHandle(
-                        context, result_queue, kernel
-                    )
+                    workers[position] = _WorkerHandle(result_queue, kernel)
                 continue
             index, attempt = handle.current
             if alive and (
@@ -485,13 +352,13 @@ class QueueExecutor(Executor):
                 )
                 telemetry.count("executor.crashes")
             logger.warning(
-                "queue worker %s on task %d (attempt %d): %s",
+                "worker %s on task %d (attempt %d): %s",
                 "hung" if alive else "crashed",
                 index,
                 attempt,
                 message,
             )
-            workers[position] = _WorkerHandle(context, result_queue, kernel)
+            workers[position] = _WorkerHandle(result_queue, kernel)
             record = outstanding.pop(index, None)
             if record is None or record[0] != attempt:
                 continue  # its result landed just before the worker died
@@ -528,29 +395,27 @@ def make_executor(
     max_retries: int = 2,
     timeout_s: Optional[float] = None,
 ) -> Executor:
-    """Resolve an executor strategy from a name, instance or legacy knobs.
+    """Resolve an executor strategy from a name, instance or ``workers``.
 
-    ``None`` keeps the historical ``workers=N`` behaviour: a process pool
-    when ``workers > 1``, serial otherwise.  A string picks a registry
-    strategy (``serial`` / ``process`` / ``async`` / ``queue``), sized by
-    ``workers`` where that applies.  An :class:`Executor` instance passes
-    through untouched.
+    ``None`` picks the process executor when ``workers > 1``, serial
+    otherwise.  A string picks a registry strategy (``serial`` /
+    ``process``); ``process`` is sized by ``workers`` and takes the
+    ``max_retries`` / ``timeout_s`` supervision knobs.  An :class:`Executor`
+    instance passes through untouched.
     """
+    if workers is not None and workers < 1:
+        raise ConfigurationError("workers must be >= 1")
     if isinstance(executor, Executor):
         return executor
     if executor is None:
-        if workers is not None and workers > 1:
-            return ProcessExecutor(workers)
-        return SerialExecutor()
+        executor = "process" if workers is not None and workers > 1 else "serial"
     if executor == "serial":
         return SerialExecutor()
     if executor == "process":
-        return ProcessExecutor(workers or 4)
-    if executor == "async":
-        return AsyncExecutor(workers or 4)
-    if executor == "queue":
-        return QueueExecutor(
-            workers or 2, max_retries=max_retries, timeout_s=timeout_s
+        return ProcessExecutor(
+            4 if workers is None else workers,
+            max_retries=max_retries,
+            timeout_s=timeout_s,
         )
     raise ConfigurationError(
         f"unknown executor {executor!r}; available: {list(EXECUTOR_NAMES)}"

@@ -8,14 +8,14 @@ plus the engine counters of the run.  It holds **no process-global state** —
 every call builds a fresh :class:`~repro.scenarios.runner.ScenarioRunner`,
 whose flow carries its own :class:`~repro.methodology.SweepEngine` — so the
 same kernel instance produces byte-identical artifacts whether it runs
-inline, on a thread of the async executor, in a process-pool worker or in a
-queue-fed worker process.  That substrate-independence is what the
+inline, on a thread of the evaluation service or in a supervised worker
+process.  That substrate-independence is what the
 executor-conformance suite (``tests/test_executor_conformance.py``) pins.
 
 :class:`SpecExecutionError` is the failure envelope of the campaign layer:
 any exception escaping a kernel call is re-raised (or quarantined) with the
-failing spec's name, ``design_hash`` and attempt count attached, so a pool
-traceback always names its spec.
+failing spec's name, ``design_hash`` and attempt count attached, so a worker
+failure always names its spec.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class EvaluationKernel:
         kernel deterministically re-enables telemetry wherever it lands.
 
     The kernel is a frozen dataclass of plain data, so it pickles cheaply
-    (process pools, queue workers) and hashes/compares by value.  Subclasses
+    (worker processes) and hashes/compares by value.  Subclasses
     used by the fault-injection tests override :meth:`run` to simulate
     crashing, hanging or transiently failing workers around the same pure
     core.

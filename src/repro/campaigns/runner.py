@@ -8,8 +8,8 @@ thin composition of three strategies:
   validated spec to a byte-deterministic artifact (no process-global state);
 * an :class:`~repro.campaigns.executors.Executor` fans the kernel over the
   specs the :class:`~repro.campaigns.store.ArtifactStore` could not serve —
-  serial, process pool, asyncio-in-process, or the queue-fed remote-worker
-  simulator with crash/timeout/retry supervision;
+  serially in-process, or over worker processes with crash/timeout/retry
+  supervision;
 * the store (behind a pluggable directory backend) serves warm specs up
   front and persists every fresh artifact the moment it exists, so a failed
   campaign resumes incrementally.
@@ -23,7 +23,7 @@ spec's name and ``design_hash``, whether the spec eventually completed
 
 Reports are byte-deterministic and executor-independent: because every spec
 runs on its own fresh :class:`~repro.scenarios.runner.ScenarioRunner`
-whatever the substrate, all four executors produce artifact JSON — and store
+whatever the substrate, both executors produce artifact JSON — and store
 contents — byte-identical to a serial run (pinned by the tier-1
 executor-conformance suite).
 """
@@ -195,16 +195,16 @@ class CampaignRunner:
     paths:
         Analysis paths every scenario runs (default: all four).
     workers:
-        Worker/concurrency width of the executor.  Kept for compatibility:
-        with no explicit ``executor``, ``workers > 1`` selects the process
-        pool and 1/None runs serially in-process.
+        Worker-process count of the process executor.  With no explicit
+        ``executor``, ``workers > 1`` selects the process executor and
+        1/None runs serially in-process.
     name:
         Report name; defaults to the matrix name (required for bare lists).
     executor:
         Execution strategy for the specs the store cannot serve: a registry
-        name (``serial`` / ``process`` / ``async`` / ``queue``), an
-        :class:`~repro.campaigns.executors.Executor` instance, or ``None``
-        for the legacy ``workers``-driven default.
+        name (``serial`` / ``process``), an :class:`~repro.campaigns.
+        executors.Executor` instance, or ``None`` for the ``workers``-driven
+        default.
     on_error:
         ``"raise"`` (default) re-raises the first failing spec as a
         :class:`~repro.campaigns.kernel.SpecExecutionError` carrying its
@@ -213,8 +213,8 @@ class CampaignRunner:
         campaign — with a store attached, a later re-run resumes from the
         completed artifacts and only retries the failed specs.
     max_retries / timeout_s:
-        Fault-tolerance knobs of the ``queue`` executor (bounded retries
-        per spec, per-task deadline); ignored by the other strategies.
+        Fault-tolerance knobs of the ``process`` executor (bounded retries
+        per spec, per-task deadline); ignored by the serial executor.
     transient_method:
         Transient integration path every scenario uses (``"lu"``, ``"rom"``
         or ``"auto"``); folded into the kernel and the store keys, so ROM
@@ -252,8 +252,6 @@ class CampaignRunner:
         kernel: Optional[EvaluationKernel] = None,
         telemetry: Optional[bool] = None,
     ) -> None:
-        if workers is not None and workers < 1:
-            raise ConfigurationError("workers must be >= 1")
         if on_error not in ("raise", "quarantine"):
             raise ConfigurationError(
                 f"on_error must be 'raise' or 'quarantine', not {on_error!r}"

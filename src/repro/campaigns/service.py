@@ -10,10 +10,8 @@ keeps the hot state resident across requests instead:
 * process-global caches (the factorization LRU, installed reduced bases)
   stay warm, so even *cold* specs of a seen geometry reuse the expensive
   symbolic work;
-* the :class:`~repro.campaigns.executors.AsyncExecutor` is driven natively
-  on the service's event loop via
-  :meth:`~repro.campaigns.executors.AsyncExecutor.execute_async` — kernel
-  calls run on a thread pool while the loop keeps accepting requests.
+* kernel calls run on the event loop's default thread pool
+  (``loop.run_in_executor``) while the loop keeps accepting requests.
 
 **Spec-hash request coalescing** is the "millions of users" lever: requests
 are keyed by the exact store address of their computation (spec content
@@ -73,7 +71,7 @@ from .. import telemetry
 from ..errors import ConfigurationError, ReproError
 from ..log import get_logger
 from ..scenarios import ALL_PATHS, ScenarioArtifact, ScenarioSpec
-from .executors import AsyncExecutor, WorkItem
+from .executors import WorkItem, run_item
 from .kernel import EvaluationKernel
 from .matrix import ScenarioMatrix, builtin_matrices
 from .store import ArtifactStore
@@ -97,7 +95,7 @@ async def _emit(on_event: Optional[EventSink], event: Dict[str, Any]) -> None:
 
 
 class EvaluationService:
-    """Resident evaluation state: kernel, executor, store, in-flight map.
+    """Resident evaluation state: kernel, store, in-flight map.
 
     Parameters
     ----------
@@ -114,13 +112,9 @@ class EvaluationService:
         CampaignRunner` for semantics).
     concurrency:
         Bound on kernel calls in flight across *all* requests (one shared
-        semaphore), and the width of the default executor's thread pool.
+        semaphore over the loop's default thread pool).
     kernel:
         Evaluation kernel override (tests, fault injection).
-    executor:
-        Executor override; must expose an awaitable ``execute_async`` —
-        anything else cannot run on the service loop and is rejected at
-        construction.
     matrices:
         Campaign-name registry for ``POST /campaign/<name>``; defaults to
         the built-in matrices.
@@ -134,7 +128,6 @@ class EvaluationService:
         warm_start: Sequence[str] = (),
         concurrency: int = 4,
         kernel: Optional[EvaluationKernel] = None,
-        executor: Optional[AsyncExecutor] = None,
         matrices: Optional[Mapping[str, ScenarioMatrix]] = None,
     ) -> None:
         if concurrency < 1:
@@ -149,14 +142,6 @@ class EvaluationService:
             else kernel
         )
         self.paths: Tuple[str, ...] = tuple(self.kernel.paths)
-        self.executor = (
-            AsyncExecutor(concurrency) if executor is None else executor
-        )
-        if not hasattr(self.executor, "execute_async"):
-            raise ConfigurationError(
-                f"the service loop needs an executor with execute_async; "
-                f"{type(self.executor).__name__} has none"
-            )
         self.store = store
         self.concurrency = concurrency
         self.matrices = None if matrices is None else dict(matrices)
@@ -256,7 +241,7 @@ class EvaluationService:
         key: str,
         on_event: Optional[EventSink],
     ) -> Dict[str, Any]:
-        """Store lookup, then one executor dispatch; returns the document."""
+        """Store lookup, then one kernel dispatch; returns the document."""
         if self.store is not None:
             artifact = self.store.load(
                 spec, self.paths, self._transient_method()
@@ -276,8 +261,14 @@ class EvaluationService:
             spec_dict=spec.to_dict(),
         )
         async with self._kernel_semaphore():
-            results = await self.executor.execute_async(self.kernel, [item])
-        result = results[0]
+            # Counted here, in the request's context: the pool thread does
+            # not see the caller's telemetry contextvars.
+            telemetry.count("executor.dispatches")
+            result = await asyncio.get_running_loop().run_in_executor(
+                None, run_item, self.kernel, item
+            )
+            if not result.ok:
+                telemetry.count("executor.failures")
         if result.telemetry is not None:
             telemetry.absorb_payload(json.loads(result.telemetry))
         if result.ok:

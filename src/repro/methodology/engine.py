@@ -17,10 +17,9 @@ shares the same machinery:
 * **batching** — cache misses on the same flow are grouped and solved
   through :meth:`~repro.methodology.flow.ThermalAwareDesignFlow.run_thermal_many`,
   which stacks their right-hand sides into one multi-RHS
-  ``splu(...).solve(B)`` call against the flow's cached LU factorisation;
-* **workers** — points spread over *independent* meshes (e.g. the three ONI
-  placement scenarios of Fig. 11) can optionally be executed by a
-  ``workers=N`` process pool, one process per mesh.
+  ``splu(...).solve(B)`` call against the flow's cached LU factorisation.
+  Flows run one after another in-process; campaign-level parallelism lives
+  in :mod:`repro.campaigns.executors`.
 
 Timing (Fig. 9-a sweep, 24-ONI / 32.4 mm bench mesh, 16 points; together
 with the separable box-overlap fast path this engine landed with): the cold
@@ -34,10 +33,9 @@ path.
 from __future__ import annotations
 
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import ceil
-from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Hashable, Iterable, List, Mapping, Tuple, Union
 
 from .. import telemetry
 from ..caching import LruCache
@@ -71,7 +69,7 @@ class EngineStats:
     """
 
     #: Canonical counter names, in declaration order.  ``points_requested``
-    #: through ``worker_batches`` cover the steady sweep path; ``snr_*`` the
+    #: through ``batches`` cover the steady sweep path; ``snr_*`` the
     #: vectorized link evaluation; ``transient_*`` / ``rom_*`` / ``basis_*``
     #: / ``factorizations_*`` the transient integrator (LU vs reduced-order,
     #: a-posteriori fallbacks, stepper-factorisation reuse).
@@ -80,7 +78,6 @@ class EngineStats:
         "cache_hits",
         "thermal_solves",
         "batches",
-        "worker_batches",
         "snr_points_requested",
         "snr_cache_hits",
         "snr_evaluations",
@@ -202,20 +199,6 @@ def evaluation_key(flow_key: str, request: ThermalRequest) -> Tuple[Hashable, ..
     )
 
 
-def _solve_batch(
-    flow: ThermalAwareDesignFlow,
-    requests: List[ThermalRequest],
-    batch_size: int,
-) -> List[ThermalEvaluation]:
-    """Worker entry point: run a flow's pending requests in batches.
-
-    Lives at module level so a process pool can pickle it; the flow arrives
-    with its solver caches dropped (see ``ThermalAwareDesignFlow.__getstate__``)
-    and rebuilds the mesh and factorisation inside the worker.
-    """
-    return flow.run_thermal_many(requests, batch_size=batch_size)
-
-
 class SweepEngine:
     """Plans, deduplicates and batch-executes sweep evaluations.
 
@@ -227,10 +210,6 @@ class SweepEngine:
     batch_size:
         Maximum number of right-hand sides stacked into one multi-RHS solve;
         bounds the ``(n_cells, batch_size)`` dense RHS/solution arrays.
-    workers:
-        Default process-pool width for :meth:`evaluate`.  Only flows with
-        pending work are parallelised (one process per flow), so ``workers``
-        has no effect on single-mesh sweeps.
     max_cache_entries:
         Evaluation-cache capacity; the least recently used entries are
         evicted beyond it.
@@ -240,7 +219,6 @@ class SweepEngine:
         self,
         flows: Union[ThermalAwareDesignFlow, Mapping[str, ThermalAwareDesignFlow]],
         batch_size: int = 16,
-        workers: Optional[int] = None,
         max_cache_entries: int = 256,
     ) -> None:
         if isinstance(flows, ThermalAwareDesignFlow):
@@ -249,13 +227,10 @@ class SweepEngine:
             raise ConfigurationError("the engine needs at least one flow")
         if batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-        if workers is not None and workers < 1:
-            raise ConfigurationError("workers must be >= 1")
         if max_cache_entries < 1:
             raise ConfigurationError("max_cache_entries must be >= 1")
         self._flows: Dict[str, ThermalAwareDesignFlow] = dict(flows)
         self._batch_size = batch_size
-        self._workers = workers
         self._cache: LruCache[ThermalEvaluation] = LruCache(max_cache_entries)
         self._snr_cache: LruCache[SnrReport] = LruCache(max_cache_entries)
         self._transient_cache: LruCache[TransientEvaluation] = LruCache(
@@ -270,8 +245,7 @@ class SweepEngine:
         Successive sweeps and optimisation runs on the same flow hit the
         same evaluation cache, so e.g. a Figure 10 comparison re-uses the
         points a Figure 9-b sweep already solved.  The engine is attached to
-        the flow (and dropped on pickling), so it lives exactly as long as
-        the flow does.
+        the flow, so it lives exactly as long as the flow does.
         """
         engine = getattr(flow, "_sweep_engine", None)
         if engine is None:
@@ -332,15 +306,13 @@ class SweepEngine:
     def evaluate(
         self,
         points: Iterable[Union[SweepPoint, ThermalRequest]],
-        workers: Optional[int] = None,
     ) -> List[ThermalEvaluation]:
         """Evaluate every point, returning results in submission order.
 
         Bare :class:`~repro.methodology.flow.ThermalRequest` items run on the
         default flow.  Duplicate points (same evaluation key) are solved
         once; cache misses are grouped per flow and executed in multi-RHS
-        batches.  When ``workers > 1`` and several flows have pending work,
-        the flow groups run concurrently in a process pool.
+        batches.
         """
         plan: List[SweepPoint] = [
             point
@@ -374,52 +346,18 @@ class SweepEngine:
             else:
                 group[key] = point.request
 
-        groups = [(flow_key, list(work.items())) for flow_key, work in pending.items()]
-        effective_workers = self._workers if workers is None else workers
-        use_pool = (
-            effective_workers is not None
-            and effective_workers > 1
-            and len(groups) > 1
-        )
-        if use_pool:
-            pool_width = min(effective_workers, len(groups))
-            points = sum(len(work) for _, work in groups)
+        for flow_key, group in pending.items():
             with telemetry.span(
-                "engine.thermal_pool", groups=len(groups), points=points
-            ), ProcessPoolExecutor(max_workers=pool_width) as pool:
-                futures = [
-                    (
-                        work,
-                        pool.submit(
-                            _solve_batch,
-                            self._flows[flow_key],
-                            [request for _, request in work],
-                            self._batch_size,
-                        ),
-                    )
-                    for flow_key, work in groups
-                ]
-                for work, future in futures:
-                    evaluations = future.result()
-                    for (key, _), evaluation in zip(work, evaluations):
-                        resolved[key] = evaluation
-                        self._cache.put(key, evaluation)
-                    self.stats.worker_batches += 1
-                    self.stats.thermal_solves += len(work)
-        else:
-            for flow_key, work in groups:
-                flow = self._flows[flow_key]
-                with telemetry.span(
-                    "engine.thermal_batch", flow=flow_key, points=len(work)
-                ):
-                    evaluations = flow.run_thermal_many(
-                        [request for _, request in work], batch_size=self._batch_size
-                    )
-                for (key, _), evaluation in zip(work, evaluations):
-                    resolved[key] = evaluation
-                    self._cache.put(key, evaluation)
-                self.stats.batches += ceil(len(work) / self._batch_size)
-                self.stats.thermal_solves += len(work)
+                "engine.thermal_batch", flow=flow_key, points=len(group)
+            ):
+                evaluations = self._flows[flow_key].run_thermal_many(
+                    list(group.values()), batch_size=self._batch_size
+                )
+            for key, evaluation in zip(group, evaluations):
+                resolved[key] = evaluation
+                self._cache.put(key, evaluation)
+            self.stats.batches += ceil(len(group) / self._batch_size)
+            self.stats.thermal_solves += len(group)
 
         return [resolved[key] for key in keys]
 
@@ -532,12 +470,11 @@ class SweepEngine:
         self,
         points: Iterable[Union[SweepPoint, ThermalRequest]],
         drive: LaserDriveConfig,
-        workers: Optional[int] = None,
     ) -> List[SnrReport]:
         """Thermal + SNR evaluation of every point, in submission order.
 
         The thermal half runs through :meth:`evaluate` (deduplicated,
-        multi-RHS batched, optionally pooled); the SNR half stacks each
+        multi-RHS batched); the SNR half stacks each
         flow's pending states into one vectorized
         :meth:`~repro.methodology.flow.ThermalAwareDesignFlow.run_snr_many`
         call on the flow's default routed network.  Reports are cached
@@ -576,11 +513,11 @@ class SweepEngine:
             else:
                 group[key] = point
 
-        # Thermal step for every miss at once (deduplicated / batched /
-        # pooled by the thermal machinery), then one batched SNR evaluation
+        # Thermal step for every miss at once (deduplicated / batched by the
+        # thermal machinery), then one batched SNR evaluation
         # per flow with pending work.
         miss_points = [point for group in pending.values() for point in group.values()]
-        evaluations = self.evaluate(miss_points, workers=workers)
+        evaluations = self.evaluate(miss_points)
         cursor = 0
         for flow_key, group in pending.items():
             flow_evaluations = evaluations[cursor : cursor + len(group)]

@@ -235,14 +235,11 @@ def snr_across_scenarios(
     drive: Optional[LaserDriveConfig] = None,
     chip_power_w: float = 25.0,
     zoom: bool = False,
-    workers: Optional[int] = None,
 ) -> List[ScenarioSnrPoint]:
     """Figure 12: SNR of each placement scenario under each activity.
 
     ``power`` defaults to the paper's operating point (PVCSEL = 3.6 mW,
     Pheater = 1.08 mW) and ``drive`` to the matching dissipated-power drive.
-    Each scenario is an independent mesh, so ``workers=N`` lets the engine
-    solve the scenarios in a process pool.
     """
     if isinstance(scenarios, dict):
         scenario_list = list(scenarios.values())
@@ -264,7 +261,7 @@ def snr_across_scenarios(
         f"{index}:{scenario.name}": ThermalAwareDesignFlow(architecture, scenario)
         for index, scenario in enumerate(scenario_list)
     }
-    engine = SweepEngine(flows, workers=workers)
+    engine = SweepEngine(flows)
     plan: List[SweepPoint] = []
     labels: List[tuple] = []
     for index, scenario in enumerate(scenario_list):
@@ -281,7 +278,7 @@ def snr_across_scenarios(
                     flow_key=flow_key,
                 )
             )
-    # The thermal half is deduplicated/batched/pooled by the engine; the SNR
+    # The thermal half is deduplicated/batched by the engine; the SNR
     # half runs per scenario as one vectorized pass over all its activities
     # (the second call's thermal work is served from the evaluation cache).
     evaluations = engine.evaluate(plan)

@@ -261,20 +261,6 @@ class ThermalAwareDesignFlow:
         self._transient_solvers = {}
         self._generation += 1
 
-    def __getstate__(self) -> dict:
-        # The cached solvers hold SuperLU factorisations, which cannot be
-        # pickled; drop every cache so the flow can cross a process boundary
-        # (the sweep engine's worker pool) and rebuild them lazily there.
-        # The attached shared sweep engine (if any) stays behind too.
-        state = dict(self.__dict__)
-        state["_mesh_cache"] = None
-        state["_solver_cache"] = None
-        state["_zoom_solver"] = None
-        state["_snr_analyzer_cache"] = None
-        state["_transient_solvers"] = {}
-        state.pop("_sweep_engine", None)
-        return state
-
     # Heat sources -----------------------------------------------------------------------
 
     def heat_sources(

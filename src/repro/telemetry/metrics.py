@@ -16,7 +16,7 @@ batch).  Each kind merges accordingly:
 Everything serialises to plain JSON (:meth:`MetricsRegistry.to_dict` /
 :meth:`MetricsRegistry.from_dict`) so worker processes ship their registry
 back inside the kernel's telemetry payload, and the campaign report embeds
-the merged result.  The registry is thread-safe (the async executor records
+the merged result.  The registry is thread-safe (the service records
 from several threads at once) but drops its lock when pickled.
 """
 

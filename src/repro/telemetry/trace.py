@@ -13,7 +13,7 @@ per store operation.  Design constraints, in order:
   and per asyncio task without any global stack;
 * **collectable across processes** — a :class:`SpanCollector` captures the
   spans finished on its context (again contextvar-scoped, so concurrent
-  kernel calls on the async executor's threads collect independently) and
+  kernel calls on the service's threads collect independently) and
   serialises them, together with a per-process metrics registry and a
   wall-clock anchor, into a plain-JSON payload the campaign coordinator can
   merge onto one global timeline.
@@ -307,7 +307,7 @@ class SpanCollector:
     Entering the collector routes every span finished on this context — and
     every :func:`count`/:func:`observe`/:func:`gauge` call — into the
     collector instead of the process-global buffers; contextvar scoping
-    keeps concurrent collectors (async executor threads) independent.
+    keeps concurrent collectors (service kernel threads) independent.
     :meth:`to_payload` serialises the capture together with a wall-clock
     anchor so a coordinator can merge payloads from many processes onto one
     timeline.

@@ -1,17 +1,16 @@
 """Executor-conformance suite: every substrate is byte-identical to serial.
 
 The acceptance pin of the execution-kernel refactor.  Part one runs the same
-campaign through all four executors (serial / process / async / queue) and
-asserts that artifacts, :class:`~repro.campaigns.CampaignReport` documents
-and store *objects* agree byte for byte with the serial reference — only the
+campaign through both executors (serial / process) and asserts that
+artifacts, :class:`~repro.campaigns.CampaignReport` documents and store
+*objects* agree byte for byte with the serial reference — only the
 ``index.json`` recency accelerator may differ, because completion order is
-genuinely substrate-dependent.  Part two injects faults into the queue
+genuinely substrate-dependent.  Part two injects faults into the process
 executor (killed workers, hung workers, transient pickling failures, poison
 specs) and asserts campaigns still complete with correct artifacts and full
 per-spec failure provenance in the report.
 """
 
-import asyncio
 import hashlib
 import json
 import os
@@ -27,16 +26,13 @@ from repro import telemetry
 from repro.errors import ConfigurationError
 from repro.campaigns import (
     ArtifactStore,
-    AsyncExecutor,
     CampaignRunner,
     EvaluationKernel,
     MatrixAxis,
     ProcessExecutor,
-    QueueExecutor,
     ScenarioMatrix,
     SerialExecutor,
     SpecExecutionError,
-    WorkItem,
     make_executor,
 )
 from repro.scenarios import (
@@ -98,11 +94,13 @@ FAULT_MATRIX = ScenarioMatrix(
 FAULT_NAMES = [point.spec.name for point in FAULT_MATRIX.points()]
 
 #: The conformance matrix of executor strategies (ids keyed for CI -k).
+#: Both process legs run the queue-supervised ``ProcessExecutor``:
+#: ``exec_process`` resolves it through the ``"process"`` registry key at the
+#: default retry budget, ``exec_queue`` constructs it directly with one retry.
 EXECUTORS = {
     "exec_serial": lambda: SerialExecutor(),
-    "exec_process": lambda: ProcessExecutor(workers=2),
-    "exec_async": lambda: AsyncExecutor(concurrency=2),
-    "exec_queue": lambda: QueueExecutor(workers=2, max_retries=1),
+    "exec_process": lambda: make_executor("process", workers=2),
+    "exec_queue": lambda: ProcessExecutor(workers=2, max_retries=1),
 }
 
 
@@ -164,7 +162,7 @@ class TestExecutorConformance:
         CampaignRunner(
             MATRIX,
             store=ArtifactStore(store_root),
-            executor=QueueExecutor(workers=2),
+            executor=ProcessExecutor(workers=2),
         ).run()
         for executor_id in sorted(EXECUTORS):
             warm = CampaignRunner(
@@ -271,8 +269,9 @@ class TestRomWarmStartConformance:
     """The reduced-order transient path must not break substrate parity.
 
     Warm-start payloads are part of the kernel value, so every worker —
-    in-process or in a pool — installs the identical bases and the reduced
-    integration stays byte-deterministic whatever the process topology.
+    in-process or in a worker process — installs the identical bases and the
+    reduced integration stays byte-deterministic whatever the process
+    topology.
     """
 
     @pytest.fixture(scope="module", autouse=True)
@@ -360,107 +359,32 @@ class TestKernel:
 
     def test_make_executor_registry(self):
         assert make_executor(None).name == "serial"
-        assert make_executor(None, workers=4).name == "process"
-        assert make_executor("async", workers=3).concurrency == 3
-        assert make_executor("queue", workers=1).workers == 1
+        default = make_executor(None, workers=4)
+        assert isinstance(default, ProcessExecutor)
+        assert (default.workers, default.max_retries) == (4, 2)
+        assert make_executor("process", workers=1).workers == 1
         passthrough = SerialExecutor()
         assert make_executor(passthrough) is passthrough
         with pytest.raises(ConfigurationError, match="unknown executor"):
             make_executor("carrier-pigeon")
+        for removed in ("async", "queue"):
+            with pytest.raises(ConfigurationError, match="unknown executor"):
+                make_executor(removed)
+        for name in ("serial", "process"):
+            with pytest.raises(ConfigurationError, match="workers must be >= 1"):
+                make_executor(name, workers=0)
         with pytest.raises(ConfigurationError, match="workers >= 1"):
             ProcessExecutor(0)
         with pytest.raises(ConfigurationError, match="max_retries"):
-            QueueExecutor(max_retries=-1)
+            ProcessExecutor(max_retries=-1)
         with pytest.raises(ConfigurationError, match="timeout_s"):
-            QueueExecutor(timeout_s=0.0)
+            ProcessExecutor(timeout_s=0.0)
 
     def test_runner_rejects_unknown_executor_and_on_error(self):
         with pytest.raises(ConfigurationError, match="unknown executor"):
             CampaignRunner(MATRIX, executor="bogus")
         with pytest.raises(ConfigurationError, match="on_error"):
             CampaignRunner(MATRIX, on_error="ignore")
-
-
-def _work_items(count=1):
-    """The first ``count`` fault-matrix points as raw work items."""
-    items = []
-    for index, point in enumerate(FAULT_MATRIX.points()[:count]):
-        items.append(
-            WorkItem(
-                index=index,
-                name=point.spec.name,
-                spec_hash=point.spec.content_hash(),
-                design_hash=point.spec.design_hash(),
-                spec_dict=point.spec.to_dict(),
-            )
-        )
-    return items
-
-
-class TestAsyncExecutorLoopContext:
-    """Satellite fix: AsyncExecutor from inside a running event loop.
-
-    The generator-based ``execute`` used to die mid-iteration with asyncio's
-    raw ``RuntimeError: asyncio.run() cannot be called from a running event
-    loop``.  The contract now: ``execute_async`` is awaitable on the host
-    loop (what ``repro serve`` does), and the sync ``execute`` fails *at
-    call time* with a :class:`ConfigurationError` naming the fix when a
-    loop is already running.
-    """
-
-    def test_execute_async_awaitable_inside_running_loop(self):
-        kernel = EvaluationKernel(("steady",))
-
-        async def main():
-            executor = AsyncExecutor(concurrency=2)
-            return await executor.execute_async(kernel, _work_items(2))
-
-        results = asyncio.run(main())
-        assert [result.ok for result in results] == [True, True]
-        assert [result.item.index for result in results] == [0, 1]
-
-    def test_sync_execute_in_running_loop_raises_configuration_error(self):
-        kernel = EvaluationKernel(("steady",))
-        executor = AsyncExecutor(concurrency=1)
-
-        async def main():
-            with pytest.raises(ConfigurationError, match="execute_async"):
-                executor.execute(kernel, _work_items())
-
-        asyncio.run(main())
-
-    def test_execute_async_matches_sync_execute(self):
-        kernel = EvaluationKernel(("steady",))
-        items = _work_items(2)
-        sync_results = list(AsyncExecutor(concurrency=2).execute(kernel, items))
-        async_results = asyncio.run(
-            AsyncExecutor(concurrency=2).execute_async(kernel, items)
-        )
-        assert [r.artifact for r in sync_results] == [
-            r.artifact for r in async_results
-        ]
-
-    def test_failures_come_back_as_results_not_exceptions(self):
-        """execute_async reports a failing spec in its ExecutionResult —
-        the service depends on the loop surviving poison specs."""
-
-        class PoisonKernel(EvaluationKernel):
-            def run(self, spec_dict):
-                raise RuntimeError("poison spec, fails on every attempt")
-
-        async def main():
-            executor = AsyncExecutor(concurrency=2)
-            return await executor.execute_async(
-                PoisonKernel(("steady",)), _work_items()
-            )
-
-        (result,) = asyncio.run(main())
-        assert not result.ok
-        assert result.error == {
-            "attempt": 1,
-            "type": "RuntimeError",
-            "message": "poison spec, fails on every attempt",
-        }
 
 
 @dataclass(frozen=True)
@@ -508,7 +432,7 @@ def fault_reference():
 
 def faulty_runner(kernel, **kwargs):
     executor = kwargs.pop(
-        "executor", QueueExecutor(workers=2, max_retries=2)
+        "executor", ProcessExecutor(workers=2, max_retries=2)
     )
     return CampaignRunner(
         FAULT_MATRIX,
@@ -520,7 +444,7 @@ def faulty_runner(kernel, **kwargs):
 
 
 class TestFaultInjection:
-    """Queue-executor fault semantics: the acceptance scenario of the issue."""
+    """Process-executor fault semantics: crash, hang, retry, quarantine."""
 
     def test_two_worker_crashes_still_complete(
         self, fault_reference, tmp_path
@@ -556,7 +480,7 @@ class TestFaultInjection:
         start = time.monotonic()
         report = faulty_runner(
             kernel,
-            executor=QueueExecutor(workers=2, max_retries=1, timeout_s=3.0),
+            executor=ProcessExecutor(workers=2, max_retries=1, timeout_s=3.0),
         ).run()
         elapsed = time.monotonic() - start
         assert report.artifacts == fault_reference.artifacts
@@ -621,7 +545,7 @@ class TestFaultInjection:
             FAULT_MATRIX,
             paths=("steady",),
             store=ArtifactStore(store_root),
-            executor=QueueExecutor(workers=2),
+            executor=ProcessExecutor(workers=2),
         ).run()
         flags = {
             entry["name"]: entry["from_store"]
@@ -653,14 +577,19 @@ class TestFaultInjection:
         assert "RuntimeError" in str(error)
 
     def test_process_pool_crash_carries_spec_provenance(self, tmp_path):
-        """A worker killed under the plain process pool still names its
-        spec: BrokenProcessPool is attributed to the item that died."""
+        """A worker killed with no retries left still names its spec: the
+        WorkerCrashed incident is attributed to the item that died."""
         kernel = FaultyKernel(
             paths=("steady",),
             crash=(FAULT_NAMES[0],),
             marker_dir=str(tmp_path),
         )
         with pytest.raises(SpecExecutionError) as excinfo:
-            faulty_runner(kernel, executor=ProcessExecutor(workers=2)).run()
+            faulty_runner(
+                kernel, executor=ProcessExecutor(workers=2, max_retries=0)
+            ).run()
         assert excinfo.value.scenario == FAULT_NAMES[0]
-        assert excinfo.value.design_hash
+        assert excinfo.value.design_hash == (
+            FAULT_MATRIX.points()[0].spec.design_hash()
+        )
+        assert excinfo.value.error_type == "WorkerCrashed"

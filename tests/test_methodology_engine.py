@@ -1,4 +1,4 @@
-"""Tests for the sweep-execution engine (cache, batching, workers).
+"""Tests for the sweep-execution engine (cache, batching).
 
 The engine is the execution substrate of every exploration helper, so these
 tests pin down its contract: results identical to the point-by-point flow,
@@ -141,8 +141,6 @@ class TestSweepEngine:
         with pytest.raises(ConfigurationError):
             SweepEngine(small_flow, batch_size=0)
         with pytest.raises(ConfigurationError):
-            SweepEngine(small_flow, workers=0)
-        with pytest.raises(ConfigurationError):
             SweepEngine(small_flow, max_cache_entries=0)
         engine = SweepEngine(small_flow)
         request = request_grid(small_flow, [1.0])[0]
@@ -150,47 +148,6 @@ class TestSweepEngine:
             engine.evaluate([SweepPoint(request=request, flow_key="missing")])
         with pytest.raises(ConfigurationError):
             engine.flow("missing")
-
-
-class TestWorkerPool:
-    def test_workers_match_serial_results(self, coarse_architecture):
-        scenarios = {
-            "short": build_oni_ring_scenario(
-                coarse_architecture, 18.0, oni_count=4, name="short"
-            ),
-            "long": build_oni_ring_scenario(
-                coarse_architecture, 46.8, oni_count=4, name="long"
-            ),
-        }
-        flows = {
-            name: ThermalAwareDesignFlow(coarse_architecture, scenario)
-            for name, scenario in scenarios.items()
-        }
-        activity = uniform_activity(coarse_architecture.floorplan, 20.0)
-        plan = [
-            SweepPoint(
-                request=ThermalRequest(activity=activity, zoom_oni=None),
-                flow_key=name,
-            )
-            for name in flows
-        ]
-        serial = SweepEngine(flows).evaluate(plan)
-        pooled_engine = SweepEngine(flows, workers=2)
-        pooled = pooled_engine.evaluate(plan)
-        assert pooled_engine.stats.worker_batches == 2
-        for serial_eval, pooled_eval in zip(serial, pooled):
-            assert np.allclose(
-                pooled_eval.thermal_map.temperatures_c,
-                serial_eval.thermal_map.temperatures_c,
-                atol=1e-9,
-            )
-
-    def test_single_flow_ignores_workers(self, small_flow):
-        engine = SweepEngine(small_flow, workers=4)
-        results = engine.evaluate(request_grid(small_flow, [1.0, 3.0]))
-        assert len(results) == 2
-        assert engine.stats.worker_batches == 0
-        assert engine.stats.batches == 1
 
 
 class TestSnrEvaluation:

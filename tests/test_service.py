@@ -23,12 +23,10 @@ import pytest
 from repro import telemetry
 from repro.campaigns import (
     ArtifactStore,
-    AsyncExecutor,
     EvaluationKernel,
     EvaluationService,
     MatrixAxis,
     ScenarioMatrix,
-    SerialExecutor,
     ServiceServer,
 )
 from repro.errors import ConfigurationError, ReproError
@@ -269,8 +267,6 @@ class TestEvaluationService:
     def test_constructor_rejects_bad_configuration(self):
         with pytest.raises(ConfigurationError, match="concurrency"):
             EvaluationService(concurrency=0)
-        with pytest.raises(ConfigurationError, match="execute_async"):
-            EvaluationService(executor=SerialExecutor())
         with pytest.raises(ConfigurationError, match="host/port"):
             ServiceServer(EvaluationService(), host=None, socket_path=None)
 

@@ -1,7 +1,7 @@
 """Small caching utilities shared across layers.
 
 The thermal solvers and the methodology sweep engine both keep bounded
-caches of expensive artefacts (LU factorisations, whole evaluations).  The
+caches of expensive artefacts (factorisations, whole evaluations).  The
 eviction policy lives here, in exactly one place.
 """
 

@@ -30,7 +30,7 @@ Subcommands
 ``stats [REPORT]``
     Deterministically sorted engine counters and telemetry metrics of a
     report JSON, or — without an argument — the live in-process telemetry
-    snapshot.
+    snapshot plus the factorisation cache's counters and bytes held.
 ``serve``
     Resident evaluation service: keeps the store and hot caches open across
     requests, coalesces concurrent requests for the same spec hash into one
@@ -56,7 +56,7 @@ from ..errors import ReproError
 from ..log import configure_logging
 from ..scenarios import ALL_PATHS, ScenarioRunner, compare_artifact_dicts
 from ..telemetry import chrome_json, profile_tree
-from ..thermal import TRANSIENT_METHODS
+from ..thermal import TRANSIENT_METHODS, factorization_cache_stats
 from .backends import BACKEND_NAMES
 from .executors import EXECUTOR_NAMES
 from .matrix import builtin_matrices, campaign_registry, get_matrix
@@ -396,7 +396,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     if args.report is None:
-        print(json.dumps(telemetry_mod.snapshot(), indent=2, sort_keys=True))
+        document = telemetry_mod.snapshot()
+        document["factorization"] = factorization_cache_stats()
+        print(json.dumps(document, indent=2, sort_keys=True))
         return 0
     document = _load_json_object(args.report)
     _print_engine_counters(document.get("engine") or {})

@@ -26,8 +26,9 @@ The wire protocol is deliberately minimal HTTP/1.1 over asyncio streams
 ``GET /health``
     Liveness document: pid, uptime, in-flight count, request totals.
 ``GET /stats``
-    The live :func:`repro.telemetry.snapshot` plus service counters and
-    store counters/hit rate — per-request worker captures are folded in via
+    The live :func:`repro.telemetry.snapshot` plus service counters, store
+    counters/hit rate and the factorisation cache's counters and bytes held
+    — per-request worker captures are folded in via
     :func:`repro.telemetry.absorb_payload`, so per-spec spans show up here.
 ``GET /scenarios``
     Registered scenario and campaign names (what ``POST`` bodies can say).
@@ -71,6 +72,7 @@ from .. import telemetry
 from ..errors import ConfigurationError, ReproError
 from ..log import get_logger
 from ..scenarios import ALL_PATHS, ScenarioArtifact, ScenarioSpec
+from ..thermal import factorization_cache_stats
 from .executors import WorkItem, run_item
 from .kernel import EvaluationKernel
 from .matrix import ScenarioMatrix, builtin_matrices
@@ -419,6 +421,7 @@ class EvaluationService:
             "uptime_s": time.perf_counter() - self._started_perf,
             "concurrency": self.concurrency,
         }
+        document["factorization"] = factorization_cache_stats()
         if self.store is None:
             document["store"] = None
         else:

@@ -17,7 +17,8 @@ shares the same machinery:
 * **batching** — cache misses on the same flow are grouped and solved
   through :meth:`~repro.methodology.flow.ThermalAwareDesignFlow.run_thermal_many`,
   which stacks their right-hand sides into one multi-RHS
-  ``splu(...).solve(B)`` call against the flow's cached LU factorisation.
+  ``factor.solve(B)`` call against the flow's cached banded-Cholesky
+  factorisation.
   Flows run one after another in-process; campaign-level parallelism lives
   in :mod:`repro.campaigns.executors`.
 
@@ -381,7 +382,7 @@ class SweepEngine:
         ONI operating point, integrator settings), so re-running a sweep —
         or an optimiser revisiting a trace — integrates each distinct trace
         once.  Cache misses run sequentially on the flow's cached
-        :class:`~repro.thermal.TransientSolver`, whose per-step-size LU
+        :class:`~repro.thermal.TransientSolver`, whose per-step-size
         factorisations are shared across every trace of the batch.
         """
         if flow_key not in self._flows:

@@ -205,7 +205,7 @@ class ThermalAwareDesignFlow:
         self._solver_cache: Optional[SteadyStateSolver] = None
         self._zoom_solver: Optional[ZoomSolver] = None
         self._snr_analyzer_cache: Optional[SnrAnalyzer] = None
-        #: Transient solvers keyed by θ; each caches LU factorisations per
+        #: Transient solvers keyed by θ; each caches factorisations per
         #: step size, shared by every trace run on this flow.
         self._transient_solvers: Dict[float, TransientSolver] = {}
         #: Bumped by :meth:`invalidate_caches`; folded into the sweep
@@ -402,7 +402,7 @@ class ThermalAwareDesignFlow:
     def transient_solver(self, theta: float = 1.0) -> TransientSolver:
         """Transient solver on the flow's mesh (cached per θ).
 
-        The solver keeps one LU factorisation per distinct step size, so
+        The solver keeps one factorisation per distinct step size, so
         every trace run through this flow — whatever its phase structure —
         reuses the factorisations of the traces before it.
         """

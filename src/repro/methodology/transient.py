@@ -34,8 +34,11 @@ from ..snr import BatchSnrReport, OniThermalState
 from ..thermal import TRANSIENT_METHODS, TransientResult
 
 #: Tie window of :meth:`SnrTimeSeries.worst_sample`, in units in the last
-#: place of the worst SNR.
-SNR_TIE_ULPS = 64
+#: place of the worst SNR.  Sized to solver round-off: samples along a
+#: temperature plateau scatter by up to ~100 ulp across backward-stable
+#: solvers (1024 ulp is ~3.6e-12 dB at 18.5 dB), while a sample that really
+#: differs sits thousands of ulp away.
+SNR_TIE_ULPS = 1024
 
 
 @dataclass(frozen=True)

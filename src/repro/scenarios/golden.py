@@ -20,7 +20,7 @@ Keys without a known suffix inherit the class of their enclosing container;
 the per-link maps keyed by communication names (``links``) are classified
 as SNR explicitly.
 
-Temperatures come out of sparse LU solves, so they are reproducible to far
+Temperatures come out of banded Cholesky solves, so they are reproducible to far
 better than 1e-5 relative on any one platform but may differ in the last few
 ulps across BLAS builds; SNR is the most derived quantity (fixed points,
 lineshapes, dB conversions) and gets the loosest band.  Strings, booleans,

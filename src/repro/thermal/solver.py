@@ -5,11 +5,11 @@ boundary conditions, assembles the finite-volume system and solves it.
 
 Design-space exploration runs many solves on the *same* mesh with different
 source powers (and, for the zoom solver, different imposed boundary
-temperatures).  The solver therefore factorises the conductance matrix once
-(sparse LU with the ``MMD_AT_PLUS_A`` ordering, which roughly halves the
-factorisation time of the default COLAMD ordering on these meshes) and reuses
-the factorisation for every subsequent right-hand side.  Very large meshes
-fall back to a conjugate-gradient solve preconditioned with an incomplete LU.
+temperatures).  The solver therefore factorises the symmetric positive
+definite conductance matrix once (banded Cholesky, see
+:mod:`repro.thermal.factorization`) and reuses the factorisation for every
+subsequent right-hand side.  Very large meshes fall back to a
+conjugate-gradient solve preconditioned with an incomplete LU.
 """
 
 from __future__ import annotations
@@ -159,8 +159,8 @@ class SteadyStateSolver:
         """Solve ``K X = B`` for a stacked right-hand-side matrix ``B``.
 
         ``rhs_matrix`` has shape ``(n_cells, n_rhs)``.  The direct path runs
-        every column through the cached LU factorisation in a single
-        ``splu(...).solve(B)`` call; the iterative path (very large meshes)
+        every column through the cached banded-Cholesky factorisation in a
+        single ``factor.solve(B)`` call; the iterative path (very large meshes)
         loops the preconditioned conjugate gradient over the columns, reusing
         the one incomplete-LU preconditioner.  Returns the solution matrix,
         the method name and whether a cached factorisation predated the call.

@@ -21,9 +21,10 @@ with backward Euler (θ = 1) as the robust default and Crank–Nicolson
 (θ = 0.5) as the second-order option.  Power is piecewise constant per
 schedule segment and steps are aligned to segment boundaries, so for a fixed
 step the iteration matrix ``A = C/dt + θK`` never changes: it is factorised
-**once** (sparse LU, same ``MMD_AT_PLUS_A`` ordering as the steady solver)
-and every step of every trace sharing the mesh reuses the factorisation —
-the transient analogue of the steady solver's multi-RHS batching.
+**once** (banded Cholesky through the same shared cache as the steady
+solver) and every step of every trace sharing the mesh reuses the
+factorisation — the transient analogue of the steady solver's multi-RHS
+batching.
 
 Temperatures of regions of interest (ONI footprints, device clusters) are
 recorded at every step through *probes* — volume-weighted box averages
@@ -244,12 +245,12 @@ class TransientDiagnostics:
     theta: float
     dt_s: float
     total_duration_s: float
-    #: Number of LU factorisations computed *during this solve* (0 when
+    #: Number of factorisations computed *during this solve* (0 when
     #: every distinct step size was already cached from earlier traces).
     factorizations_computed: int
     #: Distinct effective step sizes encountered (one factorisation each).
     distinct_steps: int
-    #: Path that produced the result: ``"lu"`` (full-space sparse LU) or
+    #: Path that produced the result: ``"lu"`` (full-space direct solve) or
     #: ``"rom"`` (reduced-order Galerkin stepping).  A requested ROM solve
     #: still reports ``"lu"`` when it built its basis on this solve or fell
     #: back after a residual breach.
@@ -436,13 +437,13 @@ class TransientSolver:
             self._capacitance = mesh.capacitance_vector()
         self._operator: Optional[AssembledOperator] = None
         self._boundary_rhs: Optional[np.ndarray] = None
-        #: dt -> (LU of A = C/dt + theta K, explicit matrix M = C/dt - (1-theta) K).
-        #: Bounded LRU: each entry holds a full LU of the mesh, so sweeps
+        #: dt -> (factor of A = C/dt + theta K, explicit M = C/dt - (1-theta) K).
+        #: Bounded LRU: each entry holds a full factor of the mesh, so sweeps
         #: varying dt must not accumulate them forever.
         self._steppers: LruCache[Tuple[object, sparse.csr_matrix]] = LruCache(
             max_entries=8
         )
-        #: Lifetime count of LU factorisations (monotone; unaffected by
+        #: Lifetime count of factorisations (monotone; unaffected by
         #: cache eviction), used for the per-solve diagnostics.
         self._factorizations_total = 0
         #: (name, box coordinates) -> compiled probe weight vector, so sweeps
@@ -482,7 +483,7 @@ class TransientSolver:
 
     @property
     def cached_factorizations(self) -> int:
-        """Number of step sizes with a cached LU factorisation."""
+        """Number of step sizes with a cached factorisation."""
         return len(self._steppers)
 
     @property
@@ -523,11 +524,11 @@ class TransientSolver:
         return digest.hexdigest()
 
     def _stepper(self, dt: float) -> Tuple[object, sparse.csr_matrix]:
-        """LU of the implicit matrix and the explicit matrix for step ``dt``.
+        """Factor of the implicit matrix and the explicit matrix for step ``dt``.
 
         Cached per distinct step size (bounded LRU), so a whole trace with
         equal segment durations — and any number of further traces on the
-        same mesh — pay for exactly one factorisation.  The LU itself is
+        same mesh — pay for exactly one factorisation.  The factor itself is
         obtained through the shared content-keyed factorisation cache, so
         other solver instances assembling the identical system (the 60+
         scenarios of a campaign sharing a mesh pattern) reuse it for free;
@@ -863,7 +864,8 @@ class TransientSolver:
             Named regions recorded at *every* step: a ``Box`` (volume
             average) or a sequence of boxes (mean of per-box averages).
         method:
-            ``"lu"`` (default) integrates in full space with sparse LU.
+            ``"lu"`` (default) integrates in full space with the direct
+            (banded Cholesky) factorisation.
             ``"rom"`` integrates in a reduced POD subspace when a basis for
             this problem is installed or was built by this instance — the
             first solve of a problem runs the LU path, harvests its

@@ -284,6 +284,9 @@ class TestTraceAndStats:
         snapshot = json.loads(out)
         assert snapshot["enabled"] is False
         assert "metrics" in snapshot
+        assert set(snapshot["factorization"]) == {
+            "built", "reused", "entries", "bytes"
+        }
 
     def test_trace_renders_report_and_writes_chrome_json(
         self, capsys, telemetry_report, tmp_path

@@ -183,6 +183,23 @@ class TestTransientSnr:
         snr[3, 0] = -np.inf
         assert series.worst_sample() == (1.5, "a", -np.inf)
 
+    def test_worst_sample_tie_window_spans_solver_round_off(self):
+        plateau = 18.49917293494968
+        ulp = np.spacing(plateau)
+        snr = np.array(
+            [
+                [30.0, plateau + 4096 * ulp],  # off the plateau: not a tie
+                [30.0, plateau + 128 * ulp],  # plateau scatter of a solve
+                [30.0, plateau + 35 * ulp],
+                [30.0, plateau],
+            ]
+        )
+        batch = SimpleNamespace(batch_size=4, snr_db=snr, link_names=("a", "b"))
+        series = SnrTimeSeries(times_s=np.arange(4) * 0.5, batch=batch)
+        assert series.worst_sample() == (0.5, "b", snr[1, 1])
+        snr[1, 1] = snr[2, 1] = plateau + 4096 * ulp
+        assert series.worst_sample() == (1.5, "b", plateau)
+
     def test_time_below_floor_accounting(self, flow, ramp_trace, power):
         evaluation = flow.run_transient(ramp_trace, power, dt_s=0.5, initial="steady")
         drive = LaserDriveConfig.from_dissipated_mw(3.6)

@@ -233,6 +233,9 @@ class TestEvaluationService:
             name.startswith("spec:") for name in stats.get("spans", {})
         )
         assert stats["metrics"]["counters"]["executor.dispatches"] == 1
+        # The request's thermal solve left its factor in the shared cache.
+        assert stats["factorization"]["entries"] >= 1
+        assert stats["factorization"]["bytes"] > 0
 
     def test_run_campaign_rides_the_coalescing_path(self, tmp_path):
         matrix = ScenarioMatrix(

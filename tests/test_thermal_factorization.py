@@ -1,9 +1,10 @@
-"""Tests for the shared content-keyed sparse LU factorisation cache."""
+"""Tests for the banded-Cholesky factoriser and its shared content-keyed cache."""
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+from repro.errors import SolverError
 from repro.thermal import (
     FactorizationCache,
     clear_factorization_cache,
@@ -11,6 +12,7 @@ from repro.thermal import (
     factorize,
     matrix_content_key,
 )
+from repro.thermal.factorization import BandedCholesky
 
 
 def spd_matrix(n=12, seed=0, scale=1.0):
@@ -20,6 +22,120 @@ def spd_matrix(n=12, seed=0, scale=1.0):
     off = -rng.random(n - 1)
     matrix = sparse.diags([off, diag, off], [-1, 0, 1], format="csc")
     return (scale * matrix).tocsc()
+
+
+def stencil_operator(shape, seed):
+    """A seeded anisotropic 7-point SPD operator on an ``(nx, ny, nz)`` grid.
+
+    Cell conductivities span six decades and each axis gets its own scale;
+    faces couple neighbours through the harmonic mean, and the top layer
+    leaks to ambient, which makes the operator positive definite.  Cells
+    are numbered like the thermal mesh (x slowest), so the natural band is
+    ``ny * nz`` wide.
+    """
+    rng = np.random.default_rng(seed)
+    n_cells = int(np.prod(shape))
+    index = np.arange(n_cells).reshape(shape)
+    conductivity = 10.0 ** rng.uniform(-3.0, 3.0, size=shape)
+    axis_scale = 10.0 ** rng.uniform(-1.0, 1.0, size=3)
+    diagonal = np.zeros(n_cells)
+    rows, cols, values = [], [], []
+    for axis in range(3):
+        low = tuple(slice(None, -1) if a == axis else slice(None) for a in range(3))
+        high = tuple(slice(1, None) if a == axis else slice(None) for a in range(3))
+        face = axis_scale[axis] * 2.0 / (
+            1.0 / conductivity[low] + 1.0 / conductivity[high]
+        )
+        left, right, face = index[low].ravel(), index[high].ravel(), face.ravel()
+        rows += [left, right]
+        cols += [right, left]
+        values += [-face, -face]
+        np.add.at(diagonal, left, face)
+        np.add.at(diagonal, right, face)
+    np.add.at(diagonal, index[:, :, -1].ravel(), conductivity[:, :, -1].ravel())
+    rows.append(np.arange(n_cells))
+    cols.append(np.arange(n_cells))
+    values.append(diagonal)
+    return sparse.coo_matrix(
+        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_cells, n_cells),
+    ).tocsr()
+
+
+class TestBandedCholesky:
+    #: ``(shape, ordering the factoriser must pick)``.
+    SHAPES = [
+        ((2, 9, 9), "rcm"),
+        ((3, 12, 10), "rcm"),
+        ((12, 3, 2), "natural"),
+        ((20, 4, 3), "natural"),
+        ((6, 7, 1), "natural"),  # a single-layer mesh
+        ((1, 1, 1), "natural"),
+    ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("shape,ordering", SHAPES)
+    def test_matches_dense_solve(self, shape, ordering, seed):
+        matrix = stencil_operator(shape, seed)
+        if matrix.shape[0] > 1:
+            diagonal = matrix.diagonal()
+            assert diagonal.max() / diagonal.min() >= 1.0e4
+        factor = BandedCholesky(matrix)
+        natural = shape[1] * shape[2] if matrix.shape[0] > 1 else 0
+        if ordering == "rcm":
+            assert factor.bandwidth < natural
+        else:
+            assert factor.bandwidth == natural
+        rng = np.random.default_rng(100 + seed)
+        rhs = rng.standard_normal((matrix.shape[0], 3))
+        expected = np.linalg.solve(matrix.toarray(), rhs)
+        solution = factor.solve(rhs)
+        assert solution.shape == rhs.shape
+        assert np.linalg.norm(solution - expected) <= 1e-12 * np.linalg.norm(expected)
+        vector = factor.solve(rhs[:, 1])
+        assert vector.shape == (matrix.shape[0],)
+        assert np.linalg.norm(vector - expected[:, 1]) <= 1e-12 * np.linalg.norm(
+            expected[:, 1]
+        )
+
+    def test_solve_leaves_the_right_hand_side_untouched(self):
+        for shape in [(2, 9, 9), (12, 3, 2)]:
+            matrix = stencil_operator(shape, 3)
+            rhs = np.arange(matrix.shape[0], dtype=np.float64)
+            before = rhs.copy()
+            BandedCholesky(matrix).solve(rhs)
+            np.testing.assert_array_equal(rhs, before)
+
+    def test_indefinite_matrix_raises_solver_error(self):
+        matrix = stencil_operator((3, 4, 5), 4)
+        with pytest.raises(SolverError, match="60x60"):
+            BandedCholesky(-matrix)
+
+    def test_singular_matrix_raises_solver_error(self):
+        matrix = sparse.lil_matrix(stencil_operator((3, 4, 5), 5))
+        # Decouple one cell and drop its diagonal: an exactly singular row.
+        matrix[7, :] = 0.0
+        matrix[:, 7] = 0.0
+        with pytest.raises(SolverError, match="not positive definite"):
+            BandedCholesky(matrix.tocsr())
+        with pytest.raises(SolverError):
+            BandedCholesky(sparse.csr_matrix((1, 1)))
+
+    @pytest.mark.parametrize("shape", [(2, 9, 9), (12, 3, 2)])
+    def test_served_factorization_solves_bit_identically_to_a_fresh_one(
+        self, shape
+    ):
+        cache = FactorizationCache()
+        matrix = stencil_operator(shape, 6)
+        cache.factorize(matrix)
+        served, _, reused = cache.factorize(stencil_operator(shape, 6))
+        assert reused
+        fresh = BandedCholesky(stencil_operator(shape, 6))
+        rhs = np.random.default_rng(7).standard_normal((matrix.shape[0], 4))
+        np.testing.assert_array_equal(served.solve(rhs), fresh.solve(rhs))
+        np.testing.assert_array_equal(
+            served.solve(rhs[:, 0]), fresh.solve(rhs[:, 0])
+        )
 
 
 class TestMatrixContentKey:
@@ -56,7 +172,12 @@ class TestFactorizationCache:
         assert reused and same_key == key and second is first
         other, other_key, reused = cache.factorize(spd_matrix(seed=5))
         assert not reused and other_key != key
-        assert cache.stats() == {"built": 2, "reused": 1, "entries": 2}
+        assert cache.stats() == {
+            "built": 2,
+            "reused": 1,
+            "entries": 2,
+            "bytes": first.nbytes + other.nbytes,
+        }
 
     def test_served_factorization_solves_identically(self):
         cache = FactorizationCache()
@@ -84,6 +205,19 @@ class TestFactorizationCache:
         _, _, reused = cache.factorize(spd_matrix(seed=8))
         assert not reused  # was evicted: rebuilt
         assert cache.stats()["built"] == 3
+
+    def test_bytes_gauge_follows_eviction(self):
+        cache = FactorizationCache(max_entries=2)
+        assert cache.stats()["bytes"] == 0
+        small, _, _ = cache.factorize(stencil_operator((12, 3, 2), 8))
+        large, _, _ = cache.factorize(stencil_operator((3, 12, 10), 8))
+        assert small.nbytes > 0 and large.nbytes > small.nbytes
+        assert cache.stats()["bytes"] == small.nbytes + large.nbytes
+        # A third factor evicts the least recently used one (``small``).
+        third, _, _ = cache.factorize(stencil_operator((6, 7, 1), 8))
+        assert cache.stats()["bytes"] == large.nbytes + third.nbytes
+        cache.clear()
+        assert cache.stats()["bytes"] == 0
 
     def test_clear_keeps_lifetime_counters(self):
         cache = FactorizationCache()

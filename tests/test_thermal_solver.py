@@ -205,13 +205,13 @@ class TestSolveMany:
 
         mesh, boundaries, _, footprint = slab_problem()
         calls = []
-        original = factorization_module.splu
+        original = factorization_module.BandedCholesky
 
-        def counting_splu(*args, **kwargs):
+        def counting_factor(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(factorization_module, "splu", counting_splu)
+        monkeypatch.setattr(factorization_module, "BandedCholesky", counting_factor)
         factorization_module.clear_factorization_cache()
         solver = SteadyStateSolver(mesh, boundaries)
         solver.solve_many(self.source_sets(footprint))

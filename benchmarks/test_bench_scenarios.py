@@ -67,7 +67,7 @@ def test_scenario_end_to_end(benchmark, name):
     assert warm_artifact.to_json() == cold_artifact.to_json()
     assert warm_s < cold_s
     stats = runner.engine().stats
-    assert stats.cache_hits > 0
+    assert stats["cache_hits"] > 0
 
     bench_id = scenario_bench_id(name)
     _RECORDS[bench_id] = {

@@ -1,4 +1,4 @@
-"""Campaigns: scenario matrices, pluggable executors, disk store backends.
+"""Campaigns: scenario matrices, pluggable executors, a disk artifact store.
 
 The campaign layer makes the scenario population *generative*, the
 execution substrate *pluggable* and the replays *incremental*: a
@@ -6,10 +6,9 @@ execution substrate *pluggable* and the replays *incremental*: a
 over declared axes into deduplicated concrete specs; the
 :class:`CampaignRunner` composes the pure :class:`EvaluationKernel` with an
 :class:`Executor` strategy (serial, or supervised worker processes with crash
-retry); and the content-addressed :class:`ArtifactStore` — behind a flat or
-sharded directory :class:`~repro.campaigns.backends.StoreBackend` — persists
-every artifact on disk so re-running a campaign only computes specs whose
-content hash is new.  The process executor is pinned byte-identical to serial by the
+retry); and the content-addressed :class:`ArtifactStore` persists every
+artifact on disk so re-running a campaign only computes specs whose content
+hash is new.  The process executor is pinned byte-identical to serial by the
 executor-conformance suite.  The :class:`EvaluationService` keeps all of
 this resident behind an asyncio HTTP/unix-socket server with spec-hash
 request coalescing (``python -m repro serve``).  ``python -m repro``
@@ -18,14 +17,6 @@ exposes the whole layer on the command line (``run --executor ...`` /
 ``docs/architecture.md`` ("Execution kernel", "Evaluation service").
 """
 
-from .backends import (
-    BACKEND_NAMES,
-    FlatDirBackend,
-    ShardedDirBackend,
-    StoreBackend,
-    detect_backend,
-    make_backend,
-)
 from .executors import (
     EXECUTOR_NAMES,
     ExecutionResult,
@@ -58,7 +49,6 @@ from .service import EvaluationService, ServiceServer
 from .store import STORE_VERSION, ArtifactStore, StoreEntry, StoreStats
 
 __all__ = [
-    "BACKEND_NAMES",
     "EXECUTOR_NAMES",
     "GOLDEN_REPRESENTATIVES",
     "STORE_VERSION",
@@ -70,25 +60,20 @@ __all__ = [
     "EvaluationService",
     "ExecutionResult",
     "Executor",
-    "FlatDirBackend",
     "MatrixAxis",
     "ProcessExecutor",
     "ScenarioMatrix",
     "SerialExecutor",
     "ServiceServer",
-    "ShardedDirBackend",
     "SpecExecutionError",
-    "StoreBackend",
     "StoreEntry",
     "StoreStats",
     "WorkItem",
     "axis_label",
     "builtin_matrices",
     "campaign_registry",
-    "detect_backend",
     "get_matrix",
     "golden_representative_specs",
-    "make_backend",
     "make_executor",
     "register_golden_representatives",
     "run_campaign",

@@ -57,7 +57,6 @@ from ..log import configure_logging
 from ..scenarios import ALL_PATHS, ScenarioRunner, compare_artifact_dicts
 from ..telemetry import chrome_json, profile_tree
 from ..thermal import TRANSIENT_METHODS, factorization_cache_stats
-from .backends import BACKEND_NAMES
 from .executors import EXECUTOR_NAMES
 from .matrix import builtin_matrices, campaign_registry, get_matrix
 from .runner import CampaignRunner
@@ -72,10 +71,8 @@ def _fmt(value: Any, precision: int = 2) -> str:
     return str(value)
 
 
-def _open_store(
-    path: Optional[str], backend: Optional[str] = None
-) -> Optional[ArtifactStore]:
-    return None if path is None else ArtifactStore(Path(path), backend=backend)
+def _open_store(path: Optional[str]) -> Optional[ArtifactStore]:
+    return None if path is None else ArtifactStore(Path(path))
 
 
 def _parse_paths(raw: Optional[str]) -> Sequence[str]:
@@ -106,7 +103,7 @@ def _load_json_object(token: str) -> Dict[str, Any]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     matrix = get_matrix(args.campaign)
-    store = _open_store(args.store, args.store_backend)
+    store = _open_store(args.store)
     warm_start: Sequence[str] = ()
     if args.warm_start:
         if store is None:
@@ -193,7 +190,7 @@ def _cmd_seed_rom(args: argparse.Namespace) -> int:
     matching transient solves replay in the reduced space.
     """
     matrix = get_matrix(args.campaign)
-    store = _open_store(args.store, args.store_backend)
+    store = _open_store(args.store)
     if store is None:
         raise ReproError("seed-rom needs a --store to persist bases into")
     keys = set()
@@ -356,7 +353,7 @@ def _trace_section(args: argparse.Namespace) -> tuple:
         name = None
     runner = CampaignRunner(
         campaign,
-        store=_open_store(args.store, args.store_backend),
+        store=_open_store(args.store),
         paths=_parse_paths(args.paths),
         name=name,
         workers=args.workers,
@@ -427,7 +424,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if not args.no_telemetry:
         telemetry_mod.enable()
-    store = _open_store(args.store, args.store_backend)
+    store = _open_store(args.store)
     warm_start: Sequence[str] = ()
     if args.warm_start:
         if store is None:
@@ -487,12 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("campaign", help="built-in campaign (matrix) name")
     run.add_argument(
         "--store", default=None, help="artifact store directory (persistent)"
-    )
-    run.add_argument(
-        "--store-backend",
-        default=None,
-        choices=list(BACKEND_NAMES) + ["auto"],
-        help="store directory layout (default: auto-detect, flat for new stores)",
     )
     run.add_argument(
         "--workers",
@@ -561,12 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     seed.add_argument(
         "--store", required=True, help="artifact store directory to persist into"
     )
-    seed.add_argument(
-        "--store-backend",
-        default=None,
-        choices=list(BACKEND_NAMES) + ["auto"],
-        help="store directory layout (default: auto-detect, flat for new stores)",
-    )
     seed.set_defaults(handler=_cmd_seed_rom)
 
     lister = commands.add_parser(
@@ -608,12 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--store", default=None, help="artifact store directory (persistent)"
-    )
-    trace.add_argument(
-        "--store-backend",
-        default=None,
-        choices=list(BACKEND_NAMES) + ["auto"],
-        help="store directory layout (default: auto-detect, flat for new stores)",
     )
     trace.add_argument(
         "--workers",
@@ -687,12 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--store",
         default=None,
         help="artifact store directory; warm specs are answered from here",
-    )
-    serve_cmd.add_argument(
-        "--store-backend",
-        default=None,
-        choices=list(BACKEND_NAMES) + ["auto"],
-        help="store directory layout (default: auto-detect, flat for new stores)",
     )
     serve_cmd.add_argument(
         "--paths",

@@ -155,7 +155,7 @@ class EvaluationKernel:
                 spec, transient_method=self.transient_method
             )
             artifact = runner.run(self.paths)
-            return artifact.to_dict(), runner.engine().stats.to_dict(), None
+            return artifact.to_dict(), dict(runner.engine().stats), None
 
         with telemetry.enabled_scope(True), telemetry.collect() as collector:
             spec = ScenarioSpec.from_dict(dict(spec_dict))
@@ -169,6 +169,6 @@ class EvaluationKernel:
                 artifact = runner.run(self.paths)
         return (
             artifact.to_dict(),
-            runner.engine().stats.to_dict(),
+            dict(runner.engine().stats),
             collector.to_json(),
         )

@@ -10,7 +10,7 @@ thin composition of three strategies:
   specs the :class:`~repro.campaigns.store.ArtifactStore` could not serve —
   serially in-process, or over worker processes with crash/timeout/retry
   supervision;
-* the store (behind a pluggable directory backend) serves warm specs up
+* the store serves warm specs up
   front and persists every fresh artifact the moment it exists, so a failed
   campaign resumes incrementally.
 
@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .. import telemetry as telemetry_mod
 from ..errors import ConfigurationError
-from ..methodology.engine import EngineStats
+from ..methodology.engine import ENGINE_COUNTERS, add_engine_counters
 from ..telemetry import MetricsRegistry, aggregate_spans, payload_spans
 from ..scenarios import (
     ALL_PATHS,
@@ -357,7 +357,7 @@ class CampaignRunner:
         artifacts: Dict[str, Optional[Dict[str, Any]]] = {}
         from_store: Dict[str, bool] = {}
         failures: Dict[str, Dict[str, Any]] = {}
-        engine_totals = EngineStats()
+        engine_totals = dict.fromkeys(sorted(ENGINE_COUNTERS), 0)
 
         pending: List[CampaignPoint] = []
         for point in self.points:
@@ -426,7 +426,7 @@ class CampaignRunner:
             scenarios=scenarios,
             artifacts=complete,
             summary=self._summary(scenarios, complete, failures),
-            engine=engine_totals.to_dict(),
+            engine=engine_totals,
             store=None if self.store is None else self.store.stats.to_dict(),
             failures=failures,
         )
@@ -437,7 +437,7 @@ class CampaignRunner:
         point: CampaignPoint,
         artifacts: Dict[str, Optional[Dict[str, Any]]],
         failures: Dict[str, Dict[str, Any]],
-        engine_totals: EngineStats,
+        engine_totals: Dict[str, int],
         payloads: Optional[List[str]] = None,
     ) -> None:
         """Fold one execution result into the campaign state.
@@ -460,7 +460,7 @@ class CampaignRunner:
             }
         if result.ok:
             artifacts[item.name] = result.artifact
-            engine_totals.merge(result.stats)
+            add_engine_counters(engine_totals, result.stats)
             if self.store is not None:
                 self.store.store(
                     point.spec,

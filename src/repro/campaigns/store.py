@@ -25,10 +25,10 @@ Design:
   are the source of truth, keyed by their own content address, so a lost or
   corrupt ``index.json`` (e.g. racing writers) degrades recency accounting
   but never correctness; it is rebuilt from the object directory on demand;
-* **pluggable directory layout** — *where* objects live is delegated to a
-  :class:`~repro.campaigns.backends.StoreBackend` (flat ``objects/<key>.json``
-  or 256-way sharded ``objects/<key[:2]>/<key>.json``); the store-backend
-  conformance suite runs every behaviour above against every backend.
+* **one flat layout** — every object lives at ``objects/<key>.json``.  A
+  store written by an older release in the sharded
+  ``objects/<key[:2]>/<key>.json`` layout is flattened when it is opened
+  (same object format and keys), so it keeps resolving.
 """
 
 from __future__ import annotations
@@ -51,14 +51,12 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 from .. import __version__ as _code_version
 from .. import telemetry
 from ..errors import ConfigurationError
 from ..log import get_logger
-from .backends import StoreBackend, make_backend
 from ..scenarios import (
     ALL_PATHS,
     SCHEMA_VERSION,
@@ -179,12 +177,6 @@ class ArtifactStore:
     code_version:
         Folded into every key; defaults to the library version, so a library
         upgrade starts a fresh keyspace instead of trusting old numerics.
-    backend:
-        Directory layout strategy (:mod:`repro.campaigns.backends`): a
-        :class:`~repro.campaigns.backends.StoreBackend` instance, ``"flat"``
-        (``objects/<key>.json``), ``"sharded"``
-        (``objects/<key[:2]>/<key>.json``), or ``None``/``"auto"`` to detect
-        the layout of an existing store (new stores default to flat).
     """
 
     def __init__(
@@ -192,12 +184,11 @@ class ArtifactStore:
         root: os.PathLike,
         max_bytes: Optional[int] = None,
         code_version: Optional[str] = None,
-        backend: Union[str, StoreBackend, None] = None,
     ) -> None:
         if max_bytes is not None and max_bytes < 1:
             raise ConfigurationError("max_bytes must be >= 1 (or None)")
         self.root = Path(root)
-        self.backend = make_backend(self.root, backend)
+        self._flatten_shards()
         self.max_bytes = max_bytes
         self.code_version = (
             f"{_code_version}/schema{SCHEMA_VERSION}/store{STORE_VERSION}"
@@ -223,8 +214,43 @@ class ArtifactStore:
     def _index_path(self) -> Path:
         return self.root / "index.json"
 
+    @property
+    def _objects_dir(self) -> Path:
+        return self.root / "objects"
+
     def _object_path(self, key: str) -> Path:
-        return self.backend.object_path(key)
+        return self._objects_dir / f"{key}.json"
+
+    def _object_paths(self) -> List[Path]:
+        """Every object file, sorted by key (deterministic rebuilds)."""
+        return sorted(self._objects_dir.glob("*.json"))
+
+    def _flatten_shards(self) -> None:
+        """Move the objects of a legacy sharded store to the flat layout.
+
+        Each ``objects/<xx>/<key>.json`` is renamed to ``objects/<key>.json``
+        (same filesystem, so atomic) and the emptied shard directories are
+        removed.  Another process opening the same store concurrently may
+        move an object, or remove a shard, first: its ``FileNotFoundError``
+        is ignored, and the objects are in place either way.
+        """
+        try:
+            with os.scandir(self._objects_dir) as entries:
+                shards = [Path(entry.path) for entry in entries if entry.is_dir()]
+        except OSError:  # no store yet
+            return
+        for shard in shards:
+            try:
+                legacy = list(shard.glob(f"{shard.name}*.json"))
+            except FileNotFoundError:
+                continue
+            for path in legacy:
+                with contextlib.suppress(FileNotFoundError):
+                    os.replace(path, self._object_path(path.stem))
+            # Fails harmlessly while a racing opener or a stray temp file
+            # still holds the directory.
+            with contextlib.suppress(OSError):
+                shard.rmdir()
 
     # Keys ------------------------------------------------------------------
 
@@ -284,7 +310,7 @@ class ArtifactStore:
     def _rebuild_index(self, known: Collection[str] = ()) -> Dict[str, Any]:
         """Index rebuilt by scanning the object directory (deterministic)."""
         entries: Dict[str, Any] = {}
-        for path in self.backend.iter_object_paths():
+        for path in self._object_paths():
             if path.stem in known:
                 continue
             record = self._read_object(path.stem, count_corrupt=False)
@@ -534,12 +560,12 @@ class ArtifactStore:
             "payload": payload,
             "payload_sha256": _payload_digest(payload),
         }
-        temp_dir = self.backend.temp_dir(key)
+        self._objects_dir.mkdir(parents=True, exist_ok=True)
         # Compact on purpose: ``indent`` would route the dump through the
         # pure-Python encoder, the campaign coordinator's largest cost after
         # the object fsync.
         text = json.dumps(record, sort_keys=True) + "\n"
-        write = (temp_dir, f".{key[:16]}", text, self._object_path(key))
+        write = (self._objects_dir, f".{key[:16]}", text, self._object_path(key))
         with telemetry.span("store.put", scenario=scenario):
             if self._writer is None:
                 _atomic_write(*write)
@@ -638,7 +664,7 @@ class ArtifactStore:
         entries = index["entries"]
         total = 0
         on_disk = set()
-        for path in self.backend.iter_object_paths():
+        for path in self._object_paths():
             key = path.stem
             if key not in entries:
                 try:
@@ -684,7 +710,9 @@ class ArtifactStore:
 
     def resolve_key(self, prefix: str) -> str:
         """Full key matching a unique prefix (raises on none/ambiguous)."""
-        matches = self.backend.find_keys(prefix)
+        matches = sorted(
+            path.stem for path in self._objects_dir.glob(f"{prefix}*.json")
+        )
         if not matches:
             raise ConfigurationError(
                 f"no stored artifact matches key prefix {prefix!r}"
@@ -705,7 +733,7 @@ class ArtifactStore:
             self._touch(index, key)
         known = index["entries"]
         result: List[StoreEntry] = []
-        for path in self.backend.iter_object_paths():
+        for path in self._object_paths():
             key = path.stem
             entry = known.get(key)
             if entry is None:
@@ -715,17 +743,11 @@ class ArtifactStore:
                 try:
                     size = path.stat().st_size
                 except OSError:
-                    # Racing eviction/unlink between iter_object_paths and
+                    # Racing eviction/unlink between the listing and
                     # stat (another process sharing the store): the entry is
                     # simply gone, not an error.
                     continue
-                entry = {
-                    "scenario": record["scenario"],
-                    "spec_hash": record["spec_hash"],
-                    "paths": list(record["paths"]),
-                    "size_bytes": size,
-                    "last_used": 0,
-                }
+                entry = self._entry_from_record(record, size)
             result.append(
                 StoreEntry(
                     key=key,
@@ -747,7 +769,7 @@ class ArtifactStore:
         of raising — the listing is advisory by design.
         """
         total = 0
-        for path in self.backend.iter_object_paths():
+        for path in self._object_paths():
             try:
                 total += path.stat().st_size
             except OSError:
@@ -755,11 +777,11 @@ class ArtifactStore:
         return total
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.backend.iter_object_paths())
+        return sum(1 for _ in self._object_paths())
 
     def clear(self) -> None:
         """Drop every object and the index."""
-        for path in self.backend.iter_object_paths():
+        for path in self._object_paths():
             try:
                 path.unlink()
             except OSError:  # pragma: no cover

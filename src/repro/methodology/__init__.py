@@ -1,6 +1,12 @@
 """Thermal-aware design methodology: flow, sweep engine, exploration, optimisation."""
 
-from .engine import EngineStats, SweepEngine, SweepPoint, evaluation_key
+from .engine import (
+    ENGINE_COUNTERS,
+    SweepEngine,
+    SweepPoint,
+    add_engine_counters,
+    evaluation_key,
+)
 from .exploration import (
     HeaterComparisonPoint,
     HeaterSweepPoint,
@@ -44,7 +50,8 @@ __all__ = [
     "DesignPointResult",
     "SweepEngine",
     "SweepPoint",
-    "EngineStats",
+    "ENGINE_COUNTERS",
+    "add_engine_counters",
     "evaluation_key",
     "TemperatureSweepPoint",
     "HeaterSweepPoint",

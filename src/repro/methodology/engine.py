@@ -36,12 +36,11 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from math import ceil
-from typing import Any, Dict, Hashable, Iterable, List, Mapping, Tuple, Union
+from typing import Dict, Hashable, Iterable, List, Mapping, Tuple, Union
 
 from .. import telemetry
 from ..caching import LruCache
 from ..errors import ConfigurationError
-from ..telemetry import MetricsRegistry
 from ..snr import LaserDriveConfig, SnrReport
 from .flow import ThermalAwareDesignFlow, ThermalEvaluation, ThermalRequest
 from .transient import TransientEvaluation, TransientRequest, transient_request_key
@@ -57,122 +56,50 @@ class SweepPoint:
     flow_key: str = DEFAULT_FLOW_KEY
 
 
-class EngineStats:
-    """Execution counters of a :class:`SweepEngine` (cumulative).
+#: Names of the :attr:`SweepEngine.stats` counters.  ``points_requested``
+#: through ``batches`` cover the steady sweep path; ``snr_*`` the vectorized
+#: link evaluation; ``transient_*`` / ``rom_*`` / ``basis_*`` /
+#: ``factorizations_*`` the transient integrator (LU vs reduced-order,
+#: a-posteriori fallbacks, stepper-factorisation reuse).
+ENGINE_COUNTERS: Tuple[str, ...] = (
+    "points_requested",
+    "cache_hits",
+    "thermal_solves",
+    "batches",
+    "snr_points_requested",
+    "snr_cache_hits",
+    "snr_evaluations",
+    "snr_batches",
+    "transient_points_requested",
+    "transient_cache_hits",
+    "transient_solves",
+    "transient_lu_solves",
+    "transient_rom_solves",
+    "rom_hits",
+    "rom_fallbacks",
+    "basis_builds",
+    "factorizations_built",
+    "factorizations_reused",
+)
 
-    Since the telemetry subsystem landed this is a thin *view* over a
-    :class:`~repro.telemetry.MetricsRegistry`: every counter attribute reads
-    and writes a registry counter of the same name, so engine counters are
-    ordinary metrics (mergeable with worker payloads, servable through the
-    health endpoint) while the historical surface — attribute access,
-    ``EngineStats(cache_hits=3)``, :meth:`to_dict`, :meth:`merge` — is
-    unchanged.
+
+def add_engine_counters(
+    total: Dict[str, int], counters: Mapping[str, int]
+) -> Dict[str, int]:
+    """Add engine counters into ``total`` in place (returns ``total``).
+
+    A campaign folds the counter dicts shipped back from every kernel run
+    this way; a name outside :data:`ENGINE_COUNTERS` is rejected loudly.
     """
-
-    #: Canonical counter names, in declaration order.  ``points_requested``
-    #: through ``batches`` cover the steady sweep path; ``snr_*`` the
-    #: vectorized link evaluation; ``transient_*`` / ``rom_*`` / ``basis_*``
-    #: / ``factorizations_*`` the transient integrator (LU vs reduced-order,
-    #: a-posteriori fallbacks, stepper-factorisation reuse).
-    COUNTER_NAMES: Tuple[str, ...] = (
-        "points_requested",
-        "cache_hits",
-        "thermal_solves",
-        "batches",
-        "snr_points_requested",
-        "snr_cache_hits",
-        "snr_evaluations",
-        "snr_batches",
-        "transient_points_requested",
-        "transient_cache_hits",
-        "transient_solves",
-        "transient_lu_solves",
-        "transient_rom_solves",
-        "rom_hits",
-        "rom_fallbacks",
-        "basis_builds",
-        "factorizations_built",
-        "factorizations_reused",
-    )
-
-    __slots__ = ("_registry",)
-
-    def __init__(self, **counters: int) -> None:
-        object.__setattr__(self, "_registry", MetricsRegistry())
-        unknown = sorted(set(counters) - set(self.COUNTER_NAMES))
-        if unknown:
-            raise ConfigurationError(
-                f"unknown engine stats counters {unknown}; "
-                f"known: {sorted(self.COUNTER_NAMES)}"
-            )
-        for name, value in counters.items():
-            self._registry.set_counter(name, int(value))
-
-    @property
-    def registry(self) -> MetricsRegistry:
-        """The backing metrics registry (counters keyed by counter name)."""
-        return self._registry
-
-    def __getattr__(self, name: str) -> int:
-        # Only reached when normal lookup fails, i.e. for counter names
-        # (everything else lives in __slots__ or on the class).
-        if name in EngineStats.COUNTER_NAMES:
-            return self._registry.counter_value(name)
-        raise AttributeError(
-            f"'EngineStats' object has no attribute {name!r}"
+    unknown = sorted(set(counters) - set(ENGINE_COUNTERS))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown engine stats counters {unknown}; "
+            f"known: {sorted(ENGINE_COUNTERS)}"
         )
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        if name in EngineStats.COUNTER_NAMES:
-            self._registry.set_counter(name, int(value))
-            return
-        raise AttributeError(
-            f"'EngineStats' object has no attribute {name!r}"
-        )
-
-    def to_dict(self) -> Dict[str, int]:
-        """Plain-dict view of every counter, in sorted (deterministic) order."""
-        return {
-            name: self._registry.counter_value(name)
-            for name in sorted(self.COUNTER_NAMES)
-        }
-
-    def merge(self, other: Union["EngineStats", Mapping[str, int]]) -> "EngineStats":
-        """Add another engine's counters into this one (returns ``self``).
-
-        Accepts either a live :class:`EngineStats` or its :meth:`to_dict`
-        form, so a campaign can fold in counters shipped back from worker
-        processes; unknown keys in a mapping are rejected loudly.
-        """
-        counters = other.to_dict() if isinstance(other, EngineStats) else dict(other)
-        known = set(self.COUNTER_NAMES)
-        unknown = sorted(set(counters) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown engine stats counters {unknown}; known: {sorted(known)}"
-            )
-        for name, value in counters.items():
-            self._registry.inc(name, int(value))
-        return self
-
-    def __getstate__(self) -> Dict[str, int]:
-        return self.to_dict()
-
-    def __setstate__(self, state: Dict[str, int]) -> None:
-        object.__setattr__(self, "_registry", MetricsRegistry())
-        for name, value in state.items():
-            self._registry.set_counter(name, int(value))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EngineStats):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-    def __repr__(self) -> str:
-        nonzero = {
-            name: value for name, value in self.to_dict().items() if value
-        }
-        return f"EngineStats({nonzero})"
+    for name, value in counters.items():
+        total[name] = total.get(name, 0) + int(value)
+    return total
 
 
 def evaluation_key(flow_key: str, request: ThermalRequest) -> Tuple[Hashable, ...]:
@@ -237,7 +164,8 @@ class SweepEngine:
         self._transient_cache: LruCache[TransientEvaluation] = LruCache(
             max_cache_entries
         )
-        self.stats = EngineStats()
+        #: Cumulative execution counters, one per :data:`ENGINE_COUNTERS`.
+        self.stats: Dict[str, int] = dict.fromkeys(ENGINE_COUNTERS, 0)
 
     @classmethod
     def shared(cls, flow: ThermalAwareDesignFlow) -> "SweepEngine":
@@ -286,16 +214,6 @@ class SweepEngine:
 
     # Execution ------------------------------------------------------------------
 
-    def _point_key(self, flow_key: str, request: ThermalRequest) -> Tuple[Hashable, ...]:
-        """Cache key of one point: content key + the flow's cache generation.
-
-        Folding in the generation means evaluations solved before a
-        ``flow.invalidate_caches()`` (resolution or scenario change) can
-        never be served afterwards.
-        """
-        generation = getattr(self._flows[flow_key], "_generation", 0)
-        return (*evaluation_key(flow_key, request), generation)
-
     def evaluate_one(
         self,
         request: ThermalRequest,
@@ -327,23 +245,23 @@ class SweepEngine:
         pending: "OrderedDict[str, OrderedDict[Tuple[Hashable, ...], ThermalRequest]]" = (
             OrderedDict()
         )
-        self.stats.points_requested += len(plan)
+        self.stats["points_requested"] += len(plan)
         for point in plan:
             if point.flow_key not in self._flows:
                 raise ConfigurationError(f"unknown flow key {point.flow_key!r}")
-            key = self._point_key(point.flow_key, point.request)
+            key = evaluation_key(point.flow_key, point.request)
             keys.append(key)
             if key in resolved:
-                self.stats.cache_hits += 1
+                self.stats["cache_hits"] += 1
                 continue
             cached = self._cache.get(key)
             if cached is not None:
                 resolved[key] = cached
-                self.stats.cache_hits += 1
+                self.stats["cache_hits"] += 1
                 continue
             group = pending.setdefault(point.flow_key, OrderedDict())
             if key in group:
-                self.stats.cache_hits += 1
+                self.stats["cache_hits"] += 1
             else:
                 group[key] = point.request
 
@@ -357,19 +275,12 @@ class SweepEngine:
             for key, evaluation in zip(group, evaluations):
                 resolved[key] = evaluation
                 self._cache.put(key, evaluation)
-            self.stats.batches += ceil(len(group) / self._batch_size)
-            self.stats.thermal_solves += len(group)
+            self.stats["batches"] += ceil(len(group) / self._batch_size)
+            self.stats["thermal_solves"] += len(group)
 
         return [resolved[key] for key in keys]
 
     # Transient execution ---------------------------------------------------------
-
-    def _transient_point_key(
-        self, flow_key: str, request: TransientRequest
-    ) -> Tuple[Hashable, ...]:
-        """Cache key of a transient point (content key + cache generation)."""
-        generation = getattr(self._flows[flow_key], "_generation", 0)
-        return (flow_key, *transient_request_key(request), generation)
 
     def evaluate_transient(
         self,
@@ -390,11 +301,11 @@ class SweepEngine:
         flow = self._flows[flow_key]
         results: List[TransientEvaluation] = []
         for request in requests:
-            self.stats.transient_points_requested += 1
-            key = self._transient_point_key(flow_key, request)
+            self.stats["transient_points_requested"] += 1
+            key = (flow_key, *transient_request_key(request))
             cached = self._transient_cache.get(key)
             if cached is not None:
-                self.stats.transient_cache_hits += 1
+                self.stats["transient_cache_hits"] += 1
                 results.append(cached)
                 continue
             with telemetry.span(
@@ -407,7 +318,7 @@ class SweepEngine:
                     rom_fallback=diagnostics.rom_fallback,
                     factorizations_computed=diagnostics.factorizations_computed,
                 )
-            self.stats.transient_solves += 1
+            self.stats["transient_solves"] += 1
             self._absorb_transient_diagnostics(evaluation)
             self._transient_cache.put(key, evaluation)
             results.append(evaluation)
@@ -426,18 +337,18 @@ class SweepEngine:
         """
         diagnostics = evaluation.result.diagnostics
         if diagnostics.solver_method == "rom":
-            self.stats.transient_rom_solves += 1
-            self.stats.rom_hits += 1
+            self.stats["transient_rom_solves"] += 1
+            self.stats["rom_hits"] += 1
         else:
-            self.stats.transient_lu_solves += 1
-            self.stats.factorizations_built += diagnostics.factorizations_computed
-            self.stats.factorizations_reused += max(
+            self.stats["transient_lu_solves"] += 1
+            self.stats["factorizations_built"] += diagnostics.factorizations_computed
+            self.stats["factorizations_reused"] += max(
                 0, diagnostics.distinct_steps - diagnostics.factorizations_computed
             )
         if diagnostics.rom_basis_built:
-            self.stats.basis_builds += 1
+            self.stats["basis_builds"] += 1
         if diagnostics.rom_fallback:
-            self.stats.rom_fallbacks += 1
+            self.stats["rom_fallbacks"] += 1
 
     def evaluate_transient_one(
         self,
@@ -448,24 +359,6 @@ class SweepEngine:
         return self.evaluate_transient([request], flow_key=flow_key)[0]
 
     # SNR execution ---------------------------------------------------------------
-
-    def _snr_point_key(
-        self, flow_key: str, request: ThermalRequest, drive: LaserDriveConfig
-    ) -> Tuple[Hashable, ...]:
-        """Cache key of one SNR point: thermal key + the laser drive policy.
-
-        The SNR of a design point is fully determined by its thermal
-        evaluation (same key as the thermal cache, including the flow's
-        cache generation), the drive, and the flow's default routed network
-        — the latter folded in through the flow's network generation, which
-        :meth:`~repro.methodology.flow.ThermalAwareDesignFlow.
-        set_default_network` bumps on every reconfiguration.
-        """
-        network_generation = getattr(
-            self._flows[flow_key], "_network_generation", 0
-        )
-        return (*self._point_key(flow_key, request), network_generation,
-                drive.current_a, drive.dissipated_power_w)
 
     def evaluate_snr(
         self,
@@ -489,7 +382,7 @@ class SweepEngine:
             else SweepPoint(request=point)
             for point in points
         ]
-        self.stats.snr_points_requested += len(plan)
+        self.stats["snr_points_requested"] += len(plan)
         keys: List[Tuple[Hashable, ...]] = []
         resolved: Dict[Tuple[Hashable, ...], SnrReport] = {}
         pending: "OrderedDict[str, OrderedDict[Tuple[Hashable, ...], SweepPoint]]" = (
@@ -498,19 +391,25 @@ class SweepEngine:
         for point in plan:
             if point.flow_key not in self._flows:
                 raise ConfigurationError(f"unknown flow key {point.flow_key!r}")
-            key = self._snr_point_key(point.flow_key, point.request, drive)
+            # The flow's default network is fixed for its lifetime, so the
+            # flow key names it: the thermal key plus the drive is complete.
+            key = (
+                *evaluation_key(point.flow_key, point.request),
+                drive.current_a,
+                drive.dissipated_power_w,
+            )
             keys.append(key)
             if key in resolved:
-                self.stats.snr_cache_hits += 1
+                self.stats["snr_cache_hits"] += 1
                 continue
             cached = self._snr_cache.get(key)
             if cached is not None:
                 resolved[key] = cached
-                self.stats.snr_cache_hits += 1
+                self.stats["snr_cache_hits"] += 1
                 continue
             group = pending.setdefault(point.flow_key, OrderedDict())
             if key in group:
-                self.stats.snr_cache_hits += 1
+                self.stats["snr_cache_hits"] += 1
             else:
                 group[key] = point
 
@@ -531,7 +430,7 @@ class SweepEngine:
                 report = batch.report(index)
                 resolved[key] = report
                 self._snr_cache.put(key, report)
-            self.stats.snr_evaluations += len(group)
-            self.stats.snr_batches += 1
+            self.stats["snr_evaluations"] += len(group)
+            self.stats["snr_batches"] += 1
 
         return [resolved[key] for key in keys]

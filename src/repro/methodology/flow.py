@@ -27,7 +27,7 @@ from ..activity import ActivityPattern, ActivityTrace
 from ..casestudy import OniRingScenario, SccArchitecture
 from ..config import SimulationSettings, TechnologyParameters
 from ..devices import VcselModel
-from ..errors import AnalysisError, ConfigurationError
+from ..errors import AnalysisError, ConfigurationError, GeometryError
 from ..oni import OniPowerConfig, OpticalNetworkInterface
 from ..onoc import Communication, OrnocNetwork, shift_traffic
 from ..snr import (
@@ -186,7 +186,15 @@ class DesignPointResult:
 
 
 class ThermalAwareDesignFlow:
-    """The paper's design methodology, as an executable object."""
+    """The paper's design methodology, as an executable object.
+
+    Every input is fixed for the flow's lifetime, including the shape of the
+    default routed network (``waveguide_count``, ``channels_per_waveguide``
+    and the ``shift_hops`` of the default shift traffic; ``None`` takes the
+    ONI layout's values and a third of the ring).  Caches on the flow and in
+    an attached :class:`~repro.methodology.engine.SweepEngine` therefore
+    never go stale: a different configuration is a different flow.
+    """
 
     def __init__(
         self,
@@ -195,12 +203,20 @@ class ThermalAwareDesignFlow:
         technology: Optional[TechnologyParameters] = None,
         vcsel: Optional[VcselModel] = None,
         settings: Optional[SimulationSettings] = None,
+        waveguide_count: Optional[int] = None,
+        channels_per_waveguide: Optional[int] = None,
+        shift_hops: Optional[int] = None,
     ) -> None:
+        if shift_hops is not None and shift_hops < 1:
+            raise ConfigurationError("shift_hops must be >= 1")
         self.architecture = architecture
         self.scenario = scenario
         self.technology = technology or TechnologyParameters()
         self.vcsel = vcsel or VcselModel()
         self.settings = settings or architecture.settings
+        self.waveguide_count = waveguide_count
+        self.channels_per_waveguide = channels_per_waveguide
+        self.shift_hops = shift_hops
         self._mesh_cache: Optional[Mesh3D] = None
         self._solver_cache: Optional[SteadyStateSolver] = None
         self._zoom_solver: Optional[ZoomSolver] = None
@@ -208,13 +224,6 @@ class ThermalAwareDesignFlow:
         #: Transient solvers keyed by θ; each caches factorisations per
         #: step size, shared by every trace run on this flow.
         self._transient_solvers: Dict[float, TransientSolver] = {}
-        #: Bumped by :meth:`invalidate_caches`; folded into the sweep
-        #: engine's cache keys so stale evaluations are never served.
-        self._generation = 0
-        #: Bumped by :meth:`set_default_network`; folded into the sweep
-        #: engine's *SNR* cache keys, so reports computed on a previous
-        #: default network are never served after a reconfiguration.
-        self._network_generation = 0
 
     # Mesh / solver infrastructure ----------------------------------------------------
 
@@ -231,7 +240,9 @@ class ThermalAwareDesignFlow:
         if self._zoom_solver is None:
             try:
                 vertical_range = self.architecture.zoom_vertical_range()
-            except Exception:
+            except GeometryError:
+                # A custom stack without the case-study layers: zoom the
+                # full stack height.
                 vertical_range = None
             self._zoom_solver = ZoomSolver(
                 self.architecture.stack,
@@ -251,15 +262,6 @@ class ThermalAwareDesignFlow:
                 rtol=self.settings.solver_rtol,
             )
         return self._solver_cache
-
-    def invalidate_caches(self) -> None:
-        """Drop the cached mesh and solvers (after changing resolutions or the scenario)."""
-        self._mesh_cache = None
-        self._solver_cache = None
-        self._zoom_solver = None
-        self._snr_analyzer_cache = None
-        self._transient_solvers = {}
-        self._generation += 1
 
     # Heat sources -----------------------------------------------------------------------
 
@@ -583,60 +585,35 @@ class ThermalAwareDesignFlow:
         """Routed ORNoC network for the scenario's ring.
 
         The default traffic is the maximal-reuse *shift* pattern: each ONI
-        sends to the ONI a third of the ring ahead, so every wavelength
+        sends to the ONI ``shift_hops`` ahead (a third of the ring unless
+        the flow was built with another hop count), so every wavelength
         channel is reused by a chain of communications around the ring.  This
         is the configuration in which the thermally-induced crosstalk of the
         paper's Section IV.C is visible; pass an explicit communication list
-        for other traffic.
+        for other traffic.  Unset network dimensions fall back to the flow's,
+        then to the ONI layout's.
         """
         if communications is not None:
             traffic = list(communications)
         else:
-            hops = max(1, len(self.scenario.ring) // 3)
+            hops = self.shift_hops or max(1, len(self.scenario.ring) // 3)
             traffic = shift_traffic(self.scenario.ring, hops)
         layout = self.scenario.onis[0].layout.parameters
         network = OrnocNetwork(
             ring=self.scenario.ring,
             communications=traffic,
             technology=self.technology,
-            waveguide_count=waveguide_count or layout.waveguide_count,
-            channels_per_waveguide=channels_per_waveguide or layout.lasers_per_waveguide,
+            waveguide_count=(
+                waveguide_count or self.waveguide_count or layout.waveguide_count
+            ),
+            channels_per_waveguide=(
+                channels_per_waveguide
+                or self.channels_per_waveguide
+                or layout.lasers_per_waveguide
+            ),
         )
         network.assign_channels()
         return network
-
-    def set_default_network(
-        self,
-        communications: Optional[Sequence[Communication]] = None,
-        waveguide_count: Optional[int] = None,
-        channels_per_waveguide: Optional[int] = None,
-        shift_hops: Optional[int] = None,
-    ) -> SnrAnalyzer:
-        """(Re)configure the flow's default routed network and cached analyzer.
-
-        Every subsequent default-traffic SNR call (``run_snr`` /
-        ``run_snr_many`` / ``run_transient_snr`` without explicit
-        communications, and the sweep engine's batched-SNR path) evaluates on
-        this network.  ``shift_hops`` rebuilds the default shift traffic with
-        a different hop count; an explicit ``communications`` list wins over
-        it.  Returns the freshly compiled analyzer.
-        """
-        if communications is None and shift_hops is not None:
-            if shift_hops < 1:
-                raise ConfigurationError("shift_hops must be >= 1")
-            communications = shift_traffic(self.scenario.ring, shift_hops)
-        network = self.build_network(
-            communications,
-            waveguide_count=waveguide_count,
-            channels_per_waveguide=channels_per_waveguide,
-        )
-        self._snr_analyzer_cache = SnrAnalyzer(
-            network, technology=self.technology, vcsel=self.vcsel
-        )
-        # SNR reports cached by an attached sweep engine were computed on
-        # the previous default network; retire them.
-        self._network_generation += 1
-        return self._snr_analyzer_cache
 
     def snr_analyzer(
         self,

@@ -254,7 +254,6 @@ class ScenarioRunner:
         self._scenario: Optional[OniRingScenario] = None
         self._flow: Optional[ThermalAwareDesignFlow] = None
         self._activity: Optional[ActivityPattern] = None
-        self._network_configured = False
 
     # Materialisation -------------------------------------------------------
 
@@ -298,10 +297,16 @@ class ScenarioRunner:
         return self._scenario
 
     def flow(self) -> ThermalAwareDesignFlow:
-        """Design flow over the scenario (cached; carries the shared engine)."""
+        """Design flow over the scenario and the spec's network shape
+        (cached; carries the shared engine)."""
         if self._flow is None:
+            network = self.spec.network
             self._flow = ThermalAwareDesignFlow(
-                self.architecture(), self.scenario()
+                self.architecture(),
+                self.scenario(),
+                waveguide_count=network.waveguide_count,
+                channels_per_waveguide=network.channels_per_waveguide,
+                shift_hops=network.shift_hops,
             )
         return self._flow
 
@@ -357,22 +362,6 @@ class ScenarioRunner:
 
     # Execution -------------------------------------------------------------
 
-    def _configure_network(self, flow: ThermalAwareDesignFlow) -> None:
-        """Point the flow's default analyzer at the spec's network shape."""
-        network = self.spec.network
-        if self._network_configured or (
-            network.shift_hops is None
-            and network.waveguide_count is None
-            and network.channels_per_waveguide is None
-        ):
-            return
-        self._network_configured = True
-        flow.set_default_network(
-            waveguide_count=network.waveguide_count,
-            channels_per_waveguide=network.channels_per_waveguide,
-            shift_hops=network.shift_hops,
-        )
-
     def _sweep_requests(self) -> List[ThermalRequest]:
         """One zoom-less thermal request per sweep scale, in spec order."""
         activity = self.activity()
@@ -414,7 +403,6 @@ class ScenarioRunner:
             )
         flow = self.flow()
         engine = self.engine()
-        self._configure_network(flow)
         results: Dict[str, Any] = {}
         timings: Dict[str, float] = {}
 

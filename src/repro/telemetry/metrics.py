@@ -159,11 +159,10 @@ class Histogram:
 class MetricsRegistry:
     """Named counters, gauges and histograms with mergeable snapshots.
 
-    The registry is the storage engine behind
-    :class:`~repro.methodology.engine.EngineStats` and the metrics half of
-    every telemetry payload.  All mutating operations take the internal
-    lock; reads used on hot paths (``counter_value``) are lock-free reads of
-    an int, which is safe under the GIL.
+    The registry is the metrics half of every telemetry payload.  All
+    mutating operations take the internal lock; reads used on hot paths
+    (``counter_value``) are lock-free reads of an int, which is safe under
+    the GIL.
     """
 
     def __init__(self) -> None:
@@ -201,11 +200,6 @@ class MetricsRegistry:
             value = self._counters.get(name, 0) + int(delta)
             self._counters[name] = value
             return value
-
-    def set_counter(self, name: str, value: int) -> None:
-        """Set counter ``name`` outright (the EngineStats attribute path)."""
-        with self._lock:
-            self._counters[name] = int(value)
 
     def counter_value(self, name: str) -> int:
         """Current value of counter ``name`` (0 when never touched)."""

@@ -9,7 +9,9 @@ temperatures).  The solver therefore factorises the symmetric positive
 definite conductance matrix once (banded Cholesky, see
 :mod:`repro.thermal.factorization`) and reuses the factorisation for every
 subsequent right-hand side.  Very large meshes fall back to a
-conjugate-gradient solve preconditioned with an incomplete LU.
+conjugate-gradient solve with a Jacobi (inverse-diagonal) preconditioner,
+which, unlike an incomplete LU, is symmetric positive definite and so a
+valid CG preconditioner.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg, spilu
+from scipy.sparse import diags
+from scipy.sparse.linalg import cg
 
 from ..errors import SolverError
 from .assembly import AssembledOperator, assemble_operator, boundary_rhs
@@ -161,9 +164,10 @@ class SteadyStateSolver:
         ``rhs_matrix`` has shape ``(n_cells, n_rhs)``.  The direct path runs
         every column through the cached banded-Cholesky factorisation in a
         single ``factor.solve(B)`` call; the iterative path (very large meshes)
-        loops the preconditioned conjugate gradient over the columns, reusing
-        the one incomplete-LU preconditioner.  Returns the solution matrix,
-        the method name and whether a cached factorisation predated the call.
+        loops the Jacobi-preconditioned conjugate gradient over the columns,
+        reusing the one inverse-diagonal preconditioner.  Returns the solution
+        matrix, the method name and whether a cached factorisation predated
+        the call.
         """
         operator = self._ensure_operator()
         n_cells = operator.n_cells
@@ -180,12 +184,7 @@ class SteadyStateSolver:
         # Iterative fallback for very large meshes.
         reused = self._factorization is not None
         if self._factorization is None:
-            self._factorization = spilu(
-                operator.matrix.tocsc(), drop_tol=1.0e-5, fill_factor=20.0
-            )
-        preconditioner = LinearOperator(
-            operator.matrix.shape, self._factorization.solve
-        )
+            self._factorization = diags(1.0 / operator.matrix.diagonal())
         solutions = np.empty_like(rhs_matrix)
         for column in range(rhs_matrix.shape[1]):
             solution, info = cg(
@@ -193,14 +192,14 @@ class SteadyStateSolver:
                 rhs_matrix[:, column],
                 rtol=self._rtol,
                 maxiter=20_000,
-                M=preconditioner,
+                M=self._factorization,
             )
             if info != 0:
                 raise SolverError(
                     f"conjugate gradient failed to converge (info = {info})"
                 )
             solutions[:, column] = solution
-        return solutions, "ilu_cg", reused
+        return solutions, "jacobi_cg", reused
 
     # Public API ----------------------------------------------------------------------
 

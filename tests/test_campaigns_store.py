@@ -1,14 +1,18 @@
 """ArtifactStore: round trips, integrity faults, eviction, concurrency.
 
-This module doubles as the **store-backend conformance suite**: every test
-class below is parametrized over both directory backends (flat
-``objects/<key>.json`` and sharded ``objects/<key[:2]>/<key>.json``) through
-the ``backend``/``store``/``make_store`` fixtures, so atomic writes,
-corruption quarantine, LRU eviction, index rebuilds and writer races are
-proven per backend, not just on the seed layout.
+The store has one on-disk layout, flat ``objects/<key>.json``.  Every
+behaviour test below runs twice through the ``layout``/``store``/
+``make_store`` fixtures: on a fresh root (``flat``) and on a root an older
+release left in its sharded layout (``sharded``: the empty
+``objects/<xx>/`` directories a cleared sharded store leaves behind), which
+opening must flatten.  ``TestLayout`` migrates legacy sharded stores that
+still hold objects.
 """
 
+import hashlib
 import json
+import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -17,14 +21,13 @@ import pytest
 
 from repro import telemetry
 from repro.errors import ConfigurationError
-from repro.campaigns import (
-    ArtifactStore,
-    FlatDirBackend,
-    ShardedDirBackend,
-    detect_backend,
-    make_backend,
+from repro.campaigns import STORE_VERSION, ArtifactStore
+from repro.scenarios import (
+    ALL_PATHS,
+    ScenarioArtifact,
+    ScenarioSpec,
+    canonical_json,
 )
-from repro.scenarios import ALL_PATHS, ScenarioArtifact, ScenarioSpec
 from repro.thermal import ReducedBasis, clear_installed_bases, install_payload
 
 
@@ -43,26 +46,67 @@ def make_artifact(spec: ScenarioSpec) -> ScenarioArtifact:
     )
 
 
+def start_root(root, layout):
+    """Prepare ``root`` in a starting layout (see the module docstring)."""
+    if layout == "sharded":
+        for shard in ("0a", "7f", "ff"):
+            (root / "objects" / shard).mkdir(parents=True, exist_ok=True)
+    return root
+
+
+def open_flat(root, layout, **kwargs):
+    """Open a store on a prepared root; no shard directory may survive."""
+    store = ArtifactStore(start_root(root, layout), **kwargs)
+    assert not [path for path in (root / "objects").glob("*") if path.is_dir()]
+    return store
+
+
 @pytest.fixture(params=["flat", "sharded"])
-def backend(request):
-    """Both directory layouts: every class below must pass on each."""
+def layout(request):
+    """Starting layout of the store roots: every class below passes on each."""
     return request.param
 
 
 @pytest.fixture
-def store(tmp_path, backend):
-    return ArtifactStore(tmp_path / "store", backend=backend)
+def store(tmp_path, layout):
+    return open_flat(tmp_path / "store", layout)
 
 
 @pytest.fixture
-def make_store(tmp_path, backend):
-    """Store factory pinning the parametrized backend (explicit roots)."""
+def make_store(tmp_path, layout):
+    """Store factory on the parametrized starting layout (explicit roots)."""
 
     def _make(name="store", **kwargs):
-        kwargs.setdefault("backend", backend)
-        return ArtifactStore(tmp_path / name, **kwargs)
+        return open_flat(tmp_path / name, layout, **kwargs)
 
     return _make
+
+
+def write_legacy_store(root, specs):
+    """Write ``specs`` as a sharded ``objects/<key[:2]>/<key>.json`` store,
+    record by record, as older releases laid it out; returns the keys."""
+    addresses = ArtifactStore(root / "unused")  # keys and code version only
+    keys = []
+    for spec in specs:
+        key = addresses.key_for(spec)
+        payload = make_artifact(spec).to_dict()
+        record = {
+            "store_version": STORE_VERSION,
+            "key": key,
+            "scenario": spec.name,
+            "spec_hash": spec.content_hash(),
+            "paths": sorted(ALL_PATHS),
+            "code_version": addresses.code_version,
+            "payload": payload,
+            "payload_sha256": hashlib.sha256(
+                canonical_json(payload).encode("utf-8")
+            ).hexdigest(),
+        }
+        shard = root / "objects" / key[:2]
+        shard.mkdir(parents=True, exist_ok=True)
+        (shard / f"{key}.json").write_text(json.dumps(record, sort_keys=True) + "\n")
+        keys.append(key)
+    return keys
 
 
 class TestRoundTrip:
@@ -265,7 +309,6 @@ class TestIntegrityFaults:
         spec, path = self.put_one(store)
         other = make_spec(1)
         target = store._object_path(store.key_for(other, ALL_PATHS))
-        target.parent.mkdir(parents=True, exist_ok=True)
         path.rename(target)
         assert store.load(other, ALL_PATHS) is None
 
@@ -343,17 +386,16 @@ class TestEviction:
         with pytest.raises(ConfigurationError, match="max_bytes"):
             ArtifactStore(tmp_path / "store", max_bytes=0)
 
-    def test_eviction_counts_objects_the_index_lost(self, tmp_path, backend):
+    def test_eviction_counts_objects_the_index_lost(self, tmp_path, layout):
         """The size bound holds against disk truth, not the index.
 
         An object orphaned from the index (e.g. a racing writer's
         last-writer-wins index replacement) must still be adopted and
         evicted — the store may not grow past max_bytes just because the
-        accelerator went stale.  (The second open uses layout auto-detect,
-        so this also proves reopen-without-a-backend-argument per layout.)
+        accelerator went stale.
         """
         root = tmp_path / "store"
-        seed = ArtifactStore(root, backend=backend)
+        seed = open_flat(root, layout)
         orphan_spec = make_spec(0)
         seed.store(orphan_spec, make_artifact(orphan_spec), ALL_PATHS)
         # Simulate the race: the object survives, the index forgot it.
@@ -371,7 +413,7 @@ class TestEviction:
         assert bounded.entries()[0].scenario == fresh_spec.name
         assert bounded.stats.evictions == 1
 
-    def test_stale_index_entries_never_act_as_victims(self, tmp_path, backend):
+    def test_stale_index_entries_never_act_as_victims(self, tmp_path, layout):
         """An index entry whose object vanished must not absorb an eviction.
 
         If the phantom were popped as the LRU victim, its bytes — never part
@@ -379,7 +421,7 @@ class TestEviction:
         the bound still violated and no file actually deleted.
         """
         root = tmp_path / "store"
-        seed = ArtifactStore(root, backend=backend)
+        seed = open_flat(root, layout)
         specs = [make_spec(index) for index in range(3)]
         keys = [
             seed.store(spec, make_artifact(spec), ALL_PATHS) for spec in specs
@@ -398,19 +440,20 @@ class TestEviction:
 
 
 class TestConcurrency:
-    def test_concurrent_writers_do_not_corrupt(self, tmp_path, backend):
+    def test_concurrent_writers_do_not_corrupt(self, tmp_path, layout):
         """Many writers racing on one root: every object stays loadable.
 
         Each writer uses its own ArtifactStore instance (same directory) so
         index read-modify-write races genuinely happen; the objects are the
-        source of truth and must all survive intact.
+        source of truth and must all survive intact.  On the sharded start
+        the writers also race to flatten the same root.
         """
-        root = tmp_path / "store"
+        root = start_root(tmp_path / "store", layout)
         specs = [make_spec(index) for index in range(16)]
         artifacts = [make_artifact(spec) for spec in specs]
 
         def write(index: int) -> str:
-            store = ArtifactStore(root, backend=backend)
+            store = ArtifactStore(root)
             return store.store(specs[index], artifacts[index], ALL_PATHS)
 
         with ThreadPoolExecutor(max_workers=8) as pool:
@@ -430,9 +473,9 @@ class TestConcurrency:
         }
         assert not list((root / "objects").rglob(".*tmp"))
 
-    def test_concurrent_readers_and_writers(self, tmp_path, backend):
+    def test_concurrent_readers_and_writers(self, tmp_path, layout):
         root = tmp_path / "store"
-        seed_store = ArtifactStore(root, backend=backend)
+        seed_store = open_flat(root, layout)
         specs = [make_spec(index) for index in range(8)]
         for spec in specs:
             seed_store.store(spec, make_artifact(spec), ALL_PATHS)
@@ -457,30 +500,30 @@ class TestConcurrency:
         for index in range(3):
             spec = make_spec(index)
             store.store(spec, make_artifact(spec), ALL_PATHS)
-        real_iter = store.backend.iter_object_paths
+        real_listing = store._object_paths
         real_size = store.total_size_bytes()
 
-        def racing_iter():
-            paths = list(real_iter())
+        def racing_listing():
+            paths = real_listing()
             # The listing saw a fourth object, but the evictor unlinked it
             # before this reader could stat it.
             ghost = paths[0].with_name("0" * 16 + paths[0].suffix)
-            return iter(paths + [ghost])
+            return paths + [ghost]
 
-        monkeypatch.setattr(store.backend, "iter_object_paths", racing_iter)
+        monkeypatch.setattr(store, "_object_paths", racing_listing)
         assert store.total_size_bytes() == real_size
         assert len(store.entries()) == 3
 
-    def test_concurrent_evictor_never_breaks_listings(self, tmp_path, backend):
+    def test_concurrent_evictor_never_breaks_listings(self, tmp_path, layout):
         """Live race: one thread unlinks every object while another keeps
         listing — the reader must finish clean, never with an OSError."""
         root = tmp_path / "store"
-        writer = ArtifactStore(root, backend=backend)
+        writer = open_flat(root, layout)
         for index in range(24):
             spec = make_spec(index)
             writer.store(spec, make_artifact(spec), ALL_PATHS)
-        reader = ArtifactStore(root, backend=backend)
-        paths = list(writer.backend.iter_object_paths())
+        reader = ArtifactStore(root)
+        paths = writer._object_paths()
 
         def evict():
             for path in paths:
@@ -501,78 +544,117 @@ class TestConcurrency:
         assert reader.total_size_bytes() == 0
 
 
-class TestBackends:
-    """Layout-specific behaviour: sharding, auto-detection, resolution."""
-
-    def test_sharded_on_disk_layout(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store", backend="sharded")
-        spec = make_spec()
-        key = store.store(spec, make_artifact(spec), ALL_PATHS)
-        path = store._object_path(key)
-        assert path == tmp_path / "store" / "objects" / key[:2] / f"{key}.json"
-        assert path.exists()
+class TestLayout:
+    """The one flat layout, and the legacy sharded layout it migrates."""
 
     def test_flat_on_disk_layout(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store", backend="flat")
+        store = ArtifactStore(tmp_path / "store")
         spec = make_spec()
         key = store.store(spec, make_artifact(spec), ALL_PATHS)
         assert store._object_path(key) == (
             tmp_path / "store" / "objects" / f"{key}.json"
         )
+        assert store._object_path(key).exists()
 
-    def test_reopen_auto_detects_layout(self, tmp_path, backend):
+    def test_foreign_files_are_not_objects(self, tmp_path):
+        # Stray files outside the layout contract (a README, a directory
+        # that is no shard of its contents) are neither moved nor adopted
+        # by rebuilds or eviction.
         root = tmp_path / "store"
         spec = make_spec()
-        ArtifactStore(root, backend=backend).store(
-            spec, make_artifact(spec), ALL_PATHS
+        ArtifactStore(root).store(spec, make_artifact(spec), ALL_PATHS)
+        (root / "objects" / "README").write_text("not an object")
+        (root / "objects" / "zz").mkdir()
+        (root / "objects" / "zz" / "mismatched.json").write_text("{}")
+        store = ArtifactStore(root)
+        assert (root / "objects" / "zz" / "mismatched.json").exists()
+        assert len(store) == 1
+        store._index_path.unlink()
+        assert len(store.entries()) == 1
+
+    def test_legacy_sharded_store_is_flattened(self, tmp_path):
+        root = tmp_path / "store"
+        specs = [make_spec(index) for index in range(4)]
+        keys = write_legacy_store(root, specs)
+        assert len({key[:2] for key in keys}) > 1  # really several shards
+
+        store = ArtifactStore(root)
+        # Flat now: every object under objects/, no shard directory left.
+        assert sorted(path.name for path in (root / "objects").iterdir()) == (
+            sorted(f"{key}.json" for key in keys)
         )
-        assert detect_backend(root) == backend
-        reopened = ArtifactStore(root)  # no backend argument
-        assert reopened.backend.name == backend
+        for spec in specs:
+            loaded = store.load(spec, ALL_PATHS)
+            assert loaded is not None
+            assert loaded.to_dict() == make_artifact(spec).to_dict()
+        assert {entry.key for entry in store.entries()} == set(keys)
+        assert store.resolve_key(keys[0][:10]) == keys[0]
+        # The index rebuilds from the flattened objects.
+        store._index_path.write_text("{ not json")
+        assert {entry.key for entry in store.entries()} == set(keys)
+        # Eviction sees every migrated object.
+        bounded = ArtifactStore(root, max_bytes=1)
+        fresh = make_spec(len(specs))
+        bounded.store(fresh, make_artifact(fresh), ALL_PATHS)
+        assert len(bounded) == 1
+        assert bounded.stats.evictions == len(specs)
+        assert bounded.load(fresh, ALL_PATHS) is not None
+
+    def test_concurrent_openers_on_one_legacy_root_lose_no_object(self, tmp_path):
+        # Openers racing to flatten the same shards (more threads than
+        # cores, frequent switches): every object must end up flat, once.
+        root = tmp_path / "store"
+        specs = [make_spec(index) for index in range(48)]
+        keys = write_legacy_store(root, specs)
+        openers = 4
+        start = threading.Barrier(openers, timeout=30)
+
+        def open_store(_):
+            start.wait()
+            return ArtifactStore(root)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=openers) as pool:
+                stores = list(pool.map(open_store, range(openers), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(os.listdir(root / "objects")) == sorted(
+            f"{key}.json" for key in keys
+        )
+        for store in stores:
+            assert len(store) == len(specs)
+            for spec in specs:
+                assert store.load(spec, ALL_PATHS) is not None
+
+
+class TestBackends:
+    """Reopening a root in either layout, and key-prefix resolution."""
+
+    def test_reopen_auto_detects_layout(self, tmp_path, layout):
+        # Reopened with no option, a root in either layout serves its
+        # object, which now lies flat.
+        root = tmp_path / "store"
+        spec = make_spec()
+        if layout == "sharded":
+            (key,) = write_legacy_store(root, [spec])
+        else:
+            key = ArtifactStore(root).store(spec, make_artifact(spec), ALL_PATHS)
+        reopened = ArtifactStore(root)
+        assert reopened._object_path(key) == root / "objects" / f"{key}.json"
+        assert reopened._object_path(key).exists()
         loaded = reopened.load(spec, ALL_PATHS)
         assert loaded is not None and loaded.scenario == spec.name
 
-    def test_empty_or_missing_store_detects_flat(self, tmp_path):
-        assert detect_backend(tmp_path / "nonexistent") == "flat"
-        store = ArtifactStore(tmp_path / "empty")
-        assert store.backend.name == "flat"
-
     def test_prefix_resolution_shorter_than_shard_width(self, tmp_path):
-        # A 1-character prefix cannot name a shard directory; resolution
-        # must fall back to the full scan and still find the unique match.
-        store = ArtifactStore(tmp_path / "store", backend="sharded")
-        spec = make_spec()
-        key = store.store(spec, make_artifact(spec), ALL_PATHS)
+        # A prefix shorter than the old two-character shard name still
+        # resolves once a legacy sharded store has been flattened.
+        root = tmp_path / "store"
+        (key,) = write_legacy_store(root, [make_spec()])
+        store = ArtifactStore(root)
         assert store.resolve_key(key[:1]) == key
         assert store.resolve_key(key[:10]) == key
-
-    def test_backend_instance_passes_through(self, tmp_path):
-        root = tmp_path / "store"
-        wide = ShardedDirBackend(root, shard_width=3)
-        store = ArtifactStore(root, backend=wide)
-        spec = make_spec()
-        key = store.store(spec, make_artifact(spec), ALL_PATHS)
-        assert store._object_path(key).parent.name == key[:3]
-        assert isinstance(make_backend(root, FlatDirBackend(root)), FlatDirBackend)
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="unknown store backend"):
-            ArtifactStore(tmp_path / "store", backend="cloud")
-        with pytest.raises(ConfigurationError, match="shard_width"):
-            ShardedDirBackend(tmp_path / "store", shard_width=0)
-
-    def test_foreign_files_are_not_objects(self, tmp_path):
-        # Stray files outside the layout contract (a README, a temp dir the
-        # wrong depth down) must not be adopted by rebuilds or eviction.
-        store = ArtifactStore(tmp_path / "store", backend="sharded")
-        spec = make_spec()
-        store.store(spec, make_artifact(spec), ALL_PATHS)
-        (store.root / "objects" / "deadbeef.json").write_text("{}")
-        (store.root / "objects" / "zz").mkdir(exist_ok=True)
-        (store.root / "objects" / "zz" / "mismatched.json").write_text("{}")
-        assert len(list(store.backend.iter_object_paths())) == 1
-        store._index_path.unlink()
-        assert len(store.entries()) == 1
 
 
 class TestRomBasisRecords:

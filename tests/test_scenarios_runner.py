@@ -224,12 +224,12 @@ class TestRunnerPaths:
         stats = engine.stats
         # The nominal steady point plus the sweep grid; the SNR path reuses
         # the sweep's thermal evaluations through the cache.
-        assert stats.points_requested > stats.thermal_solves
-        assert stats.cache_hits > 0
+        assert stats["points_requested"] > stats["thermal_solves"]
+        assert stats["cache_hits"] > 0
         # Re-running the whole scenario is served from the caches.
-        solves_before = stats.thermal_solves
+        solves_before = stats["thermal_solves"]
         runner.run(ALL_PATHS)
-        assert engine.stats.thermal_solves == solves_before
+        assert engine.stats["thermal_solves"] == solves_before
 
     def test_spec_network_overrides_reach_the_analyzer(self):
         base = default_registry().get("small_die_uniform")

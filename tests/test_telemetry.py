@@ -10,9 +10,7 @@ Pins the properties the campaign layer builds on:
   payloads fold into identical campaign totals whatever the executor's
   completion order was;
 * collector payloads round-trip through JSON onto the wall-clock axis and
-  render as valid Chrome trace events;
-* :class:`~repro.methodology.EngineStats` keeps its historical surface as a
-  thin view over a registry.
+  render as valid Chrome trace events.
 """
 
 import asyncio
@@ -25,7 +23,7 @@ import pytest
 
 from repro import telemetry
 from repro.errors import ConfigurationError
-from repro.methodology import EngineStats
+from repro.methodology import ENGINE_COUNTERS, add_engine_counters
 from repro.telemetry import (
     BUCKET_COUNT,
     Histogram,
@@ -384,43 +382,25 @@ class TestMetricsRegistry:
 
 
 class TestEngineStatsView:
-    """The historical EngineStats surface, now a view over a registry."""
-
-    def test_attribute_surface(self):
-        stats = EngineStats(points_requested=3)
-        assert stats.points_requested == 3
-        assert stats.cache_hits == 0
-        stats.cache_hits = 5
-        assert stats.cache_hits == 5
-        with pytest.raises(AttributeError):
-            stats.bogus_counter
-        with pytest.raises(AttributeError):
-            stats.bogus_counter = 1
+    """Engine stats are a plain dict of ENGINE_COUNTERS, folded by
+    ``add_engine_counters``."""
 
     def test_constructor_and_merge_reject_unknown(self):
+        # Neither building totals from nothing nor folding into seeded
+        # totals accepts a counter name outside ENGINE_COUNTERS, and a
+        # refused fold leaves the totals untouched.
         with pytest.raises(ConfigurationError, match="unknown engine stats"):
-            EngineStats(bogus=1)
+            add_engine_counters({}, {"bogus": 1})
+        seeded = dict.fromkeys(ENGINE_COUNTERS, 0)
         with pytest.raises(ConfigurationError, match="unknown engine stats"):
-            EngineStats().merge({"bogus": 1})
-
-    def test_to_dict_covers_every_counter(self):
-        stats = EngineStats()
-        assert set(stats.to_dict()) == set(EngineStats.COUNTER_NAMES)
-        assert all(value == 0 for value in stats.to_dict().values())
+            add_engine_counters(seeded, {"cache_hits": 1, "bogus": 1})
+        assert seeded == dict.fromkeys(ENGINE_COUNTERS, 0)
 
     def test_merge_and_equality(self):
-        total = EngineStats(thermal_solves=1)
-        total.merge({"thermal_solves": 2, "cache_hits": 4})
-        assert total == EngineStats(thermal_solves=3, cache_hits=4)
-        assert total != EngineStats()
-
-    def test_pickle_round_trip(self):
-        stats = EngineStats(snr_evaluations=9)
-        clone = pickle.loads(pickle.dumps(stats))
-        assert clone == stats
-        clone.snr_evaluations += 1
-        assert clone.snr_evaluations == 10
-
-    def test_registry_backing(self):
-        stats = EngineStats(batches=2)
-        assert stats.registry.counter_value("batches") == 2
+        total = dict.fromkeys(ENGINE_COUNTERS, 0)
+        add_engine_counters(total, {"thermal_solves": 1})
+        add_engine_counters(total, {"thermal_solves": 2, "cache_hits": 4})
+        expected = dict.fromkeys(ENGINE_COUNTERS, 0)
+        expected.update(thermal_solves=3, cache_hits=4)
+        assert total == expected
+        assert total != dict.fromkeys(ENGINE_COUNTERS, 0)

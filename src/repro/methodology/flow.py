@@ -13,7 +13,9 @@ The flow wires together every substrate of the library:
 
 Every step is exposed separately so the exploration helpers
 (:mod:`repro.methodology.exploration`) can sweep design parameters without
-re-doing unnecessary work (the mesh is cached across sweeps).
+re-doing unnecessary work: the mesh is built once per flow, and operators,
+factors and steppers live in the content-keyed shared cache of
+:mod:`repro.thermal.factorization`.
 """
 
 from __future__ import annotations
@@ -218,11 +220,9 @@ class ThermalAwareDesignFlow:
         self.channels_per_waveguide = channels_per_waveguide
         self.shift_hops = shift_hops
         self._mesh_cache: Optional[Mesh3D] = None
-        self._solver_cache: Optional[SteadyStateSolver] = None
-        self._zoom_solver: Optional[ZoomSolver] = None
         self._snr_analyzer_cache: Optional[SnrAnalyzer] = None
-        #: Transient solvers keyed by θ; each caches factorisations per
-        #: step size, shared by every trace run on this flow.
+        #: Transient solvers keyed by θ; each keeps the reduced bases it
+        #: built, shared by every trace run on this flow.
         self._transient_solvers: Dict[float, TransientSolver] = {}
 
     # Mesh / solver infrastructure ----------------------------------------------------
@@ -237,31 +237,27 @@ class ThermalAwareDesignFlow:
         return self._mesh_cache
 
     def _zoom(self) -> ZoomSolver:
-        if self._zoom_solver is None:
-            try:
-                vertical_range = self.architecture.zoom_vertical_range()
-            except GeometryError:
-                # A custom stack without the case-study layers: zoom the
-                # full stack height.
-                vertical_range = None
-            self._zoom_solver = ZoomSolver(
-                self.architecture.stack,
-                self.architecture.boundary_conditions(),
-                cell_size_um=self.settings.zoom_cell_size_um,
-                margin_um=300.0,
-                vertical_range=vertical_range,
-            )
-        return self._zoom_solver
+        try:
+            vertical_range = self.architecture.zoom_vertical_range()
+        except GeometryError:
+            # A custom stack without the case-study layers: zoom the full
+            # stack height.
+            vertical_range = None
+        return ZoomSolver(
+            self.architecture.stack,
+            self.architecture.boundary_conditions(),
+            cell_size_um=self.settings.zoom_cell_size_um,
+            margin_um=300.0,
+            vertical_range=vertical_range,
+        )
 
     def _solver(self) -> SteadyStateSolver:
-        if self._solver_cache is None:
-            self._solver_cache = SteadyStateSolver(
-                self._mesh(),
-                self.architecture.boundary_conditions(),
-                direct_cell_limit=self.settings.direct_solver_cell_limit,
-                rtol=self.settings.solver_rtol,
-            )
-        return self._solver_cache
+        return SteadyStateSolver(
+            self._mesh(),
+            self.architecture.boundary_conditions(),
+            direct_cell_limit=self.settings.direct_solver_cell_limit,
+            rtol=self.settings.solver_rtol,
+        )
 
     # Heat sources -----------------------------------------------------------------------
 
@@ -326,9 +322,9 @@ class ThermalAwareDesignFlow:
         request count, while ``batch_size`` bounds the dense
         ``(n_cells, batch_size)`` right-hand-side/solution arrays
         (``None`` stacks everything into one call).  Zoom solves (which
-        depend on each coarse solution) run per request afterwards, reusing
-        the zoom solver's own window cache.  The results are identical to
-        calling :meth:`run_thermal` once per request.
+        depend on each coarse solution) run per request afterwards.  The
+        results are identical to calling :meth:`run_thermal` once per
+        request.
         """
         request_list = list(requests)
         if not request_list:
@@ -404,9 +400,9 @@ class ThermalAwareDesignFlow:
     def transient_solver(self, theta: float = 1.0) -> TransientSolver:
         """Transient solver on the flow's mesh (cached per θ).
 
-        The solver keeps one factorisation per distinct step size, so
-        every trace run through this flow — whatever its phase structure —
-        reuses the factorisations of the traces before it.
+        Kept for its reduced bases; its steppers live in the shared cache,
+        so every trace run through this flow reuses the factorisations of
+        the traces before it.
         """
         solver = self._transient_solvers.get(theta)
         if solver is None:

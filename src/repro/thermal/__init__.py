@@ -2,9 +2,7 @@
 
 from .assembly import (
     AssembledOperator,
-    AssembledSystem,
     assemble_operator,
-    assemble_system,
     boundary_rhs,
     boundary_signature,
 )
@@ -46,9 +44,7 @@ from .zoom import ZoomResult, ZoomSolver, clip_sources_to_window
 
 __all__ = [
     "AssembledOperator",
-    "AssembledSystem",
     "assemble_operator",
-    "assemble_system",
     "boundary_rhs",
     "boundary_signature",
     "FACES",

@@ -11,7 +11,8 @@ one:
 
 * :func:`assemble_operator` builds the sparse conductance matrix ``K`` (which
   only depends on the mesh and on the *structure* of the boundary
-  conditions);
+  conditions, so the shared cache of :mod:`repro.thermal.factorization`
+  keeps one per mesh content and boundary signature);
 * :func:`boundary_rhs` builds the boundary contribution to the right-hand
   side (which additionally depends on the ambient / imposed temperatures and
   is cheap to recompute).
@@ -51,20 +52,6 @@ class AssembledOperator:
     def n_cells(self) -> int:
         """Number of unknown cell temperatures."""
         return self.matrix.shape[0]
-
-
-@dataclass
-class AssembledSystem:
-    """Complete linear system (kept for convenience and backwards compatibility)."""
-
-    matrix: sparse.csr_matrix
-    rhs: np.ndarray
-    shape: Tuple[int, int, int]
-
-    @property
-    def n_cells(self) -> int:
-        """Number of unknown cell temperatures."""
-        return self.rhs.size
 
 
 def boundary_signature(boundaries: BoundaryConditions) -> tuple:
@@ -273,17 +260,3 @@ def boundary_rhs(operator: AssembledOperator, boundaries: BoundaryConditions) ->
             np.add.at(rhs, cells, conductances * temperatures)
     return rhs
 
-
-def assemble_system(
-    mesh: Mesh3D,
-    power_w: np.ndarray,
-    boundaries: BoundaryConditions,
-) -> AssembledSystem:
-    """One-shot assembly of the full system ``K T = q`` (matrix + RHS)."""
-    if power_w.shape != mesh.shape:
-        raise SolverError(
-            f"power field shape {power_w.shape} does not match mesh shape {mesh.shape}"
-        )
-    operator = assemble_operator(mesh, boundaries)
-    rhs = power_w.astype(float).ravel() + boundary_rhs(operator, boundaries)
-    return AssembledSystem(matrix=operator.matrix, rhs=rhs, shape=mesh.shape)

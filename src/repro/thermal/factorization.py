@@ -1,37 +1,42 @@
-"""Shared content-keyed banded-Cholesky factorisation cache.
+"""The one owner of thermal operators, their factors and transient steppers.
 
-Both :class:`~repro.thermal.solver.SteadyStateSolver` (the conductance
-matrix ``K``) and :class:`~repro.thermal.transient.TransientSolver` (one
-implicit matrix ``C/dt + θK`` per distinct step size) factorise the same
-kind of matrix: a symmetric positive definite 7-point stencil on a
-structured grid (``K`` is symmetric by construction, and positive definite
-because every well-posed boundary set has a convective or Dirichlet face).
+The steady, zoom and transient solvers all factorise the same kind of
+matrix: a symmetric positive definite 7-point stencil on a structured grid
+(``K``, or ``C/dt + θK`` per step size; positive definite because every
+well-posed boundary set has a convective or Dirichlet face).
 :class:`BandedCholesky` factorises it with LAPACK's blocked banded Cholesky
 (``dpbtrf``), in whichever of the natural and the reverse Cuthill–McKee
 orderings gives the narrower band; on the case-study mesh that is about
 2.5x cheaper than a general sparse LU.
 
-This module is the single integration point: factorisations are keyed by a
-SHA-256 over the matrix *content* (shape, sparsity pattern, values), so
-every solver instance assembling the identical matrix — the 60+ scenarios
-of a campaign that share a mesh pattern, or the steady and transient
-solvers of one flow — pays the factorisation once per process instead of
-once per instance.
+:data:`shared_cache` is the only holder of these artefacts; the solvers
+keep none.  It serves them by content key, one LRU entry each:
 
-The cache is process-global and bounded (LRU): a factorisation of a
-paper-scale mesh holds tens of megabytes, so sweeps varying the step size
-or the mesh must not accumulate them without limit; :meth:`stats` reports
+* an **operator**, keyed by ``Mesh3D.content_key`` and the
+  ``boundary_signature``: the assembled operator, its
+  :func:`matrix_content_key` (hashed once) and, once a direct solve asks
+  for it, its factor;
+* a **stepper**, keyed by :func:`stepper_key`: the factor of ``C/dt + θK``
+  and the explicit ``C/dt − (1−θ)K``;
+* a bare :func:`factorize` of any other matrix, keyed by its content.
+
+So the scenarios of a campaign that share a mesh pattern, or the steady,
+zoom and transient solvers of one flow, assemble and factorise each
+operator once per process.  The cache is bounded: a paper-scale factor
+holds tens of megabytes, so sweeps varying the step size or the mesh must
+not accumulate them; an evicted entry is freed, and :meth:`stats` reports
 the bytes held.  Reuse is numerically invisible — the factorisation is
-deterministic in the matrix content, so a served factorisation yields
-bit-identical solves — which is what lets the executor-conformance suite
-keep pinning artifacts byte-identical whatever the process topology.
+deterministic in the matrix content — which is what lets the
+executor-conformance suite keep pinning artifacts byte-identical whatever
+the process topology.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -40,6 +45,9 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from ..caching import LruCache
 from ..errors import SolverError
+from .assembly import AssembledOperator, assemble_operator, boundary_signature
+from .boundary import BoundaryConditions
+from .mesh import Mesh3D
 
 
 class BandedCholesky:
@@ -134,11 +142,57 @@ def matrix_content_key(matrix: sparse.spmatrix) -> str:
     return digest.hexdigest()
 
 
+def stepper_key(
+    operator_key: str, theta: float, dt: float, capacitance: np.ndarray
+) -> str:
+    """Content key of the θ-method implicit matrix ``C/dt + θK``.
+
+    Derived from the operator's :func:`matrix_content_key`, θ, dt and the
+    capacitance instead of hashing the assembled matrix: the matrix is a
+    deterministic function of exactly those inputs.
+    """
+    digest = hashlib.sha256()
+    digest.update(b"transient-stepper-v1:")
+    digest.update(operator_key.encode("ascii"))
+    digest.update(np.float64(theta).tobytes())
+    digest.update(np.float64(dt).tobytes())
+    digest.update(np.ascontiguousarray(capacitance, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+@dataclass(eq=False)
+class CacheEntry:
+    """One cache entry: an operator, a stepper or a bare factor (see above)."""
+
+    key: Hashable
+    factor: Optional[BandedCholesky] = None
+    operator: Optional[AssembledOperator] = None
+    matrix_key: str = ""
+    explicit: Optional[sparse.csr_matrix] = None
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the entry's factor and sparse matrices."""
+        held = 0 if self.factor is None else self.factor.nbytes
+        matrices = [self.explicit]
+        if self.operator is not None:
+            matrices.append(self.operator.matrix)
+        for matrix in matrices:
+            if matrix is not None:
+                held += matrix.data.nbytes + matrix.indices.nbytes
+                held += matrix.indptr.nbytes
+        return held
+
+
 class FactorizationCache:
-    """Bounded, thread-safe cache of banded-Cholesky factors by content key."""
+    """Bounded, thread-safe LRU of :class:`CacheEntry` by content key.
+
+    Builds run outside the lock, so a rare concurrent build of the same
+    entry costs duplicated work, never corruption.
+    """
 
     def __init__(self, max_entries: int = 8) -> None:
-        self._entries: LruCache[BandedCholesky] = LruCache(max_entries)
+        self._entries: LruCache[CacheEntry] = LruCache(max_entries)
         self._lock = threading.Lock()
         #: Lifetime counters (monotone, unaffected by eviction).
         self.built = 0
@@ -147,28 +201,87 @@ class FactorizationCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def factorize(
-        self, matrix: sparse.spmatrix, key: Optional[str] = None
-    ) -> Tuple[BandedCholesky, str, bool]:
-        """Factorisation of ``matrix``, served from the cache when known.
+    def _entry(self, key: Hashable) -> CacheEntry:
+        """The entry under ``key``, created if absent (hold the lock)."""
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = CacheEntry(key)
+            self._entries.put(key, entry)
+        return entry
 
-        Returns ``(factorization, content key, reused)``.  Pass ``key`` when
-        the caller already knows the content key (saves the re-hash); the
-        factorisation itself runs outside the lock, so a rare concurrent
-        build of the same matrix costs duplicated work, never corruption.
+    def factorize(
+        self, matrix: sparse.spmatrix, key: Optional[Hashable] = None
+    ) -> Tuple[BandedCholesky, Hashable, bool]:
+        """Factor cached under ``key``, built from ``matrix`` when absent.
+
+        Returns ``(factorization, key, reused)``.  ``key`` defaults to the
+        :func:`matrix_content_key` of ``matrix``; the operator and stepper
+        stages pass their entry's key, so the factor joins that entry.
+        This is the only place a factor is built.
         """
         if key is None:
             key = matrix_content_key(matrix)
         with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
+            entry = self._entries.get(key)
+            if entry is not None and entry.factor is not None:
                 self.reused += 1
-                return cached, key, True
+                return entry.factor, key, True
         factorization = BandedCholesky(matrix)
         with self._lock:
-            self._entries.put(key, factorization)
+            self._entry(key).factor = factorization
             self.built += 1
         return factorization, key, False
+
+    def operator(self, mesh: Mesh3D, boundaries: BoundaryConditions) -> CacheEntry:
+        """The entry of the operator of ``mesh`` under ``boundaries``.
+
+        Keyed by the mesh content and the boundary *structure*, which fix
+        the matrix, so the operator is assembled and content-keyed on a miss
+        only.  ``factorize(entry.operator.matrix, entry.key)`` serves its
+        factor.
+        """
+        key = ("operator", mesh.content_key, boundary_signature(boundaries))
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry.operator is not None:
+                return entry
+        operator = assemble_operator(mesh, boundaries)
+        matrix_key = matrix_content_key(operator.matrix)
+        with self._lock:
+            entry = self._entry(key)
+            entry.operator, entry.matrix_key = operator, matrix_key
+        return entry
+
+    def stepper(
+        self,
+        operator_entry: CacheEntry,
+        capacitance: np.ndarray,
+        theta: float,
+        dt: float,
+    ) -> CacheEntry:
+        """The θ-method stepper entry of an operator entry for step ``dt``.
+
+        Holds the factor of ``A = C/dt + θK`` and the explicit
+        ``M = C/dt − (1−θ)K``, so one step solves ``A T' = M T + q``.
+        """
+        key = stepper_key(operator_entry.matrix_key, theta, dt, capacitance)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None and entry.explicit is not None:
+                self.reused += 1
+                return entry
+        matrix = operator_entry.operator.matrix
+        capacitance_over_dt = sparse.diags(capacitance / dt)
+        implicit = (capacitance_over_dt + theta * matrix).tocsc()
+        explicit = (capacitance_over_dt - (1.0 - theta) * matrix).tocsr()
+        # For backward Euler the K term multiplies to exact zeros that would
+        # otherwise stay stored and cost a full stencil matvec per step.
+        explicit.eliminate_zeros()
+        factorization, _, _ = self.factorize(implicit, key)
+        with self._lock:
+            entry = self._entry(key)
+            entry.factor, entry.explicit = factorization, explicit
+        return entry
 
     def stats(self) -> Dict[str, int]:
         """Lifetime counters, the current entry count and the bytes held."""
@@ -177,13 +290,11 @@ class FactorizationCache:
                 "built": self.built,
                 "reused": self.reused,
                 "entries": len(self._entries),
-                "bytes": sum(
-                    factor.nbytes for _, factor in self._entries.items()
-                ),
+                "bytes": sum(entry.nbytes for _, entry in self._entries.items()),
             }
 
     def clear(self) -> None:
-        """Drop every cached factorisation (counters are kept)."""
+        """Drop every cached operator, stepper and factor (counters are kept)."""
         with self._lock:
             self._entries.clear()
 

@@ -11,6 +11,7 @@ than by meshing the whole chip at 5 um.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -232,6 +233,32 @@ class Mesh3D:
                     "cell heat capacities must be strictly positive and finite"
                 )
         self.c_volumetric = c_volumetric
+        self._content_key: Optional[str] = None
+
+    @property
+    def content_key(self) -> str:
+        """SHA-256 over the ticks and the per-cell material arrays (hex).
+
+        Keys the operators of :mod:`repro.thermal.factorization`.  Memoised:
+        a mesh is never mutated after it is built.
+        """
+        if self._content_key is None:
+            digest = hashlib.sha256(b"mesh-v1:")
+            for array in (
+                self.x_ticks,
+                self.y_ticks,
+                self.z_ticks,
+                self.k_lateral,
+                self.k_vertical,
+                self.c_volumetric,
+            ):
+                if array is None:  # no heat capacities
+                    digest.update(b"-")
+                    continue
+                digest.update(np.asarray(array.shape, dtype=np.int64).tobytes())
+                digest.update(np.ascontiguousarray(array).tobytes())
+            self._content_key = digest.hexdigest()
+        return self._content_key
 
     @property
     def has_heat_capacity(self) -> bool:

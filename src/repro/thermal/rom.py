@@ -232,7 +232,7 @@ class ReducedModel:
     they cost microseconds, so the memo only saves allocator churn.
     """
 
-    __slots__ = ("basis", "theta", "reduced_k", "reduced_c", "_steppers")
+    __slots__ = ("basis", "theta", "reduced_k", "reduced_c", "_by_dt")
 
     def __init__(
         self,
@@ -251,17 +251,17 @@ class ReducedModel:
         self.theta = float(theta)
         self.reduced_k = v.T @ (conductance @ v)
         self.reduced_c = v.T @ (capacitance[:, None] * v)
-        self._steppers: Dict[float, Tuple[Tuple[np.ndarray, np.ndarray], np.ndarray]] = {}
+        self._by_dt: Dict[float, Tuple[Tuple[np.ndarray, np.ndarray], np.ndarray]] = {}
 
     def stepper(self, dt: float) -> Tuple[Tuple[np.ndarray, np.ndarray], np.ndarray]:
         """Dense LU of the reduced implicit matrix and the reduced explicit
         matrix for step ``dt`` (memoised per distinct step size)."""
-        cached = self._steppers.get(dt)
+        cached = self._by_dt.get(dt)
         if cached is None:
             implicit = self.reduced_c / dt + self.theta * self.reduced_k
             explicit = self.reduced_c / dt - (1.0 - self.theta) * self.reduced_k
             cached = (lu_factor(implicit), explicit)
-            self._steppers[dt] = cached
+            self._by_dt[dt] = cached
         return cached
 
     def reduce(self, field: np.ndarray) -> np.ndarray:

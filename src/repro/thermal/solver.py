@@ -5,13 +5,14 @@ boundary conditions, assembles the finite-volume system and solves it.
 
 Design-space exploration runs many solves on the *same* mesh with different
 source powers (and, for the zoom solver, different imposed boundary
-temperatures).  The solver therefore factorises the symmetric positive
-definite conductance matrix once (banded Cholesky, see
-:mod:`repro.thermal.factorization`) and reuses the factorisation for every
-subsequent right-hand side.  Very large meshes fall back to a
-conjugate-gradient solve with a Jacobi (inverse-diagonal) preconditioner,
-which, unlike an incomplete LU, is symmetric positive definite and so a
-valid CG preconditioner.
+temperatures).  The solver holds no operator or factor: the shared cache of
+:mod:`repro.thermal.factorization` serves the operator of its mesh and
+boundary structure and its banded-Cholesky factor, so every solver meeting
+the same content assembles and factorises it once per process; only the
+boundary right-hand side is recomputed per call.  Very large meshes fall
+back to a conjugate-gradient solve with a Jacobi (inverse-diagonal)
+preconditioner, which, unlike an incomplete LU, is symmetric positive
+definite and so a valid CG preconditioner; it is recomputed per call.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from scipy.sparse import diags
 from scipy.sparse.linalg import cg
 
 from ..errors import SolverError
-from .assembly import AssembledOperator, assemble_operator, boundary_rhs
-from .factorization import factorize
+from .assembly import boundary_rhs
 from .boundary import BoundaryConditions
+from .factorization import CacheEntry, shared_cache
 from .mesh import Mesh3D
 from .sources import HeatSource, power_density_field
 from .thermal_map import ThermalMap
@@ -106,9 +107,6 @@ class SteadyStateSolver:
         self._boundaries = boundaries
         self._direct_cell_limit = direct_cell_limit
         self._rtol = rtol
-        self._operator: Optional[AssembledOperator] = None
-        self._factorization = None
-        self._boundary_rhs: Optional[np.ndarray] = None
         self._last_diagnostics: Optional[SolverDiagnostics] = None
 
     # Properties -----------------------------------------------------------------
@@ -128,63 +126,29 @@ class SteadyStateSolver:
         """Diagnostics of the most recent solve, if any."""
         return self._last_diagnostics
 
-    # Boundary updates ------------------------------------------------------------
-
-    def set_boundaries(self, boundaries: BoundaryConditions) -> None:
-        """Replace the boundary conditions.
-
-        When the new conditions have the same structure (same kinds and
-        convective coefficients on every face), the cached factorisation is
-        kept and only the boundary right-hand side is recomputed; otherwise
-        everything is rebuilt on the next solve.
-        """
-        self._boundaries = boundaries
-        if self._operator is not None:
-            from .assembly import boundary_signature
-
-            if boundary_signature(boundaries) == self._operator.boundary_signature:
-                self._boundary_rhs = boundary_rhs(self._operator, boundaries)
-                return
-        self._operator = None
-        self._factorization = None
-        self._boundary_rhs = None
-
     # Internal ----------------------------------------------------------------------
 
-    def _ensure_operator(self) -> AssembledOperator:
-        if self._operator is None:
-            self._operator = assemble_operator(self._mesh, self._boundaries)
-            self._boundary_rhs = boundary_rhs(self._operator, self._boundaries)
-            self._factorization = None
-        return self._operator
-
-    def _solve_linear_many(self, rhs_matrix: np.ndarray) -> tuple[np.ndarray, str, bool]:
+    def _solve_linear_many(
+        self, entry: CacheEntry, rhs_matrix: np.ndarray
+    ) -> tuple[np.ndarray, str, bool]:
         """Solve ``K X = B`` for a stacked right-hand-side matrix ``B``.
 
         ``rhs_matrix`` has shape ``(n_cells, n_rhs)``.  The direct path runs
-        every column through the cached banded-Cholesky factorisation in a
-        single ``factor.solve(B)`` call; the iterative path (very large meshes)
-        loops the Jacobi-preconditioned conjugate gradient over the columns,
-        reusing the one inverse-diagonal preconditioner.  Returns the solution
-        matrix, the method name and whether a cached factorisation predated
-        the call.
+        every column through the factor of the operator ``entry``, served by
+        the shared cache, in a single ``factor.solve(B)`` call; the
+        iterative path (very large meshes) loops the Jacobi-preconditioned
+        conjugate gradient over the columns, sharing one inverse-diagonal
+        preconditioner.  Returns the solution matrix, the method name and
+        whether the shared cache served the factor.
         """
-        operator = self._ensure_operator()
-        n_cells = operator.n_cells
-        if n_cells <= self._direct_cell_limit:
-            reused = self._factorization is not None
-            if self._factorization is None:
-                # Shared content-keyed cache: another solver instance that
-                # assembled the identical matrix (common across a campaign's
-                # scenarios) already paid for this factorisation.  ``reused``
-                # deliberately tracks only this instance's memo so the
-                # diagnostics stay a pure function of its own call history.
-                self._factorization, _, _ = factorize(operator.matrix)
-            return self._factorization.solve(rhs_matrix), "direct", reused
+        operator = entry.operator
+        if operator.n_cells <= self._direct_cell_limit:
+            factorization, _, reused = shared_cache.factorize(
+                operator.matrix, entry.key
+            )
+            return factorization.solve(rhs_matrix), "direct", reused
         # Iterative fallback for very large meshes.
-        reused = self._factorization is not None
-        if self._factorization is None:
-            self._factorization = diags(1.0 / operator.matrix.diagonal())
+        preconditioner = diags(1.0 / operator.matrix.diagonal())
         solutions = np.empty_like(rhs_matrix)
         for column in range(rhs_matrix.shape[1]):
             solution, info = cg(
@@ -192,14 +156,14 @@ class SteadyStateSolver:
                 rhs_matrix[:, column],
                 rtol=self._rtol,
                 maxiter=20_000,
-                M=self._factorization,
+                M=preconditioner,
             )
             if info != 0:
                 raise SolverError(
                     f"conjugate gradient failed to converge (info = {info})"
                 )
             solutions[:, column] = solution
-        return solutions, "jacobi_cg", reused
+        return solutions, "jacobi_cg", False
 
     # Public API ----------------------------------------------------------------------
 
@@ -222,18 +186,18 @@ class SteadyStateSolver:
         source_lists = [list(sources) for sources in source_sets]
         if not source_lists:
             return BatchSolveResult(maps=[], diagnostics=[])
-        operator = self._ensure_operator()
-        if self._boundary_rhs is None:
-            self._boundary_rhs = boundary_rhs(operator, self._boundaries)
+        entry = shared_cache.operator(self._mesh, self._boundaries)
+        operator = entry.operator
+        boundary_load = boundary_rhs(operator, self._boundaries)
 
         powers = [
             power_density_field(self._mesh, sources) for sources in source_lists
         ]
         rhs_matrix = np.stack(
-            [power.ravel() + self._boundary_rhs for power in powers], axis=1
+            [power.ravel() + boundary_load for power in powers], axis=1
         )
 
-        solutions, method, reused = self._solve_linear_many(rhs_matrix)
+        solutions, method, reused = self._solve_linear_many(entry, rhs_matrix)
         solutions = np.asarray(solutions, dtype=float)
         if not np.all(np.isfinite(solutions)):
             raise SolverError("solver produced non-finite temperatures")
@@ -262,8 +226,8 @@ class SteadyStateSolver:
                     total_power_w=float(power.sum()),
                     min_temperature_c=float(field.min()),
                     max_temperature_c=float(field.max()),
-                    # The first column pays the factorisation unless one was
-                    # already cached; every later column reuses it by design.
+                    # The first column pays the factorisation unless the
+                    # shared cache served it; later columns reuse it.
                     factorization_reused=reused or column > 0,
                 )
             )

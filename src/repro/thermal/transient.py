@@ -21,10 +21,11 @@ with backward Euler (θ = 1) as the robust default and Crank–Nicolson
 (θ = 0.5) as the second-order option.  Power is piecewise constant per
 schedule segment and steps are aligned to segment boundaries, so for a fixed
 step the iteration matrix ``A = C/dt + θK`` never changes: it is factorised
-**once** (banded Cholesky through the same shared cache as the steady
-solver) and every step of every trace sharing the mesh reuses the
+**once** and every step of every trace sharing the mesh reuses the
 factorisation — the transient analogue of the steady solver's multi-RHS
-batching.
+batching.  The operator ``K`` (shared with the steady solver) and one
+stepper per step size (the factor of ``A`` and the explicit matrix) live in
+the shared cache of :mod:`repro.thermal.factorization`, not on the solver.
 
 Temperatures of regions of interest (ONI footprints, device clusters) are
 recorded at every step through *probes* — volume-weighted box averages
@@ -42,15 +43,14 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 import hashlib
 
 import numpy as np
-from scipy import sparse
 
 from ..caching import LruCache
 from ..errors import SolverError
 from ..geometry import Box
 from ..log import get_logger
-from .assembly import AssembledOperator, assemble_operator, boundary_rhs
+from .assembly import boundary_rhs
 from .boundary import FACES, BoundaryConditions
-from .factorization import factorize, matrix_content_key
+from .factorization import CacheEntry, shared_cache
 from .mesh import Mesh3D
 from .rom import (
     DEFAULT_CONFIG,
@@ -435,17 +435,11 @@ class TransientSolver:
             )
         else:
             self._capacitance = mesh.capacitance_vector()
-        self._operator: Optional[AssembledOperator] = None
-        self._boundary_rhs: Optional[np.ndarray] = None
-        #: dt -> (factor of A = C/dt + theta K, explicit M = C/dt - (1-theta) K).
-        #: Bounded LRU: each entry holds a full factor of the mesh, so sweeps
-        #: varying dt must not accumulate them forever.
-        self._steppers: LruCache[Tuple[object, sparse.csr_matrix]] = LruCache(
-            max_entries=8
-        )
-        #: Lifetime count of factorisations (monotone; unaffected by
-        #: cache eviction), used for the per-solve diagnostics.
-        self._factorizations_total = 0
+        #: Step sizes stepped with so far.  A new one counts as a
+        #: factorisation in the diagnostics even when the shared cache held
+        #: it, so they stay a function of this solver's own history (which
+        #: executor conformance relies on).
+        self._step_sizes: set[float] = set()
         #: (name, box coordinates) -> compiled probe weight vector, so sweeps
         #: re-running the same probes (e.g. the flow's per-ONI set) compile
         #: each exactly once.  Bounded LRU so sweeps varying probe windows
@@ -466,8 +460,6 @@ class TransientSolver:
         #: re-integrating the same trace (and traces revisiting a power
         #: state) skip the rasterisation entirely.
         self._source_loads: LruCache[np.ndarray] = LruCache(max_entries=32)
-        #: Content key of the assembled operator matrix, computed lazily.
-        self._matrix_key: Optional[str] = None
 
     # Properties -----------------------------------------------------------------
 
@@ -482,77 +474,11 @@ class TransientSolver:
         return self._theta
 
     @property
-    def cached_factorizations(self) -> int:
-        """Number of step sizes with a cached factorisation."""
-        return len(self._steppers)
-
-    @property
     def rom_config(self) -> RomConfig:
         """Tuning knobs of the reduced-order path."""
         return self._rom_config
 
     # Internal -------------------------------------------------------------------
-
-    def _ensure_operator(self) -> AssembledOperator:
-        if self._operator is None:
-            self._operator = assemble_operator(self._mesh, self._boundaries)
-            self._boundary_rhs = boundary_rhs(self._operator, self._boundaries)
-        return self._operator
-
-    def _operator_key(self) -> str:
-        """Content key of the assembled operator matrix (cached)."""
-        if self._matrix_key is None:
-            self._matrix_key = matrix_content_key(self._ensure_operator().matrix)
-        return self._matrix_key
-
-    def _stepper_key(self, dt: float) -> str:
-        """Content key of the implicit matrix ``C/dt + θK``.
-
-        Derived from the operator key, θ, capacitance and dt instead of
-        hashing the assembled matrix — the matrix is a deterministic
-        function of exactly those inputs, and the derived key spares the
-        shared cache a ~100k-entry re-hash per lookup.
-        """
-        digest = hashlib.sha256()
-        digest.update(b"transient-stepper-v1:")
-        digest.update(self._operator_key().encode("ascii"))
-        digest.update(np.float64(self._theta).tobytes())
-        digest.update(np.float64(dt).tobytes())
-        digest.update(
-            np.ascontiguousarray(self._capacitance, dtype=np.float64).tobytes()
-        )
-        return digest.hexdigest()
-
-    def _stepper(self, dt: float) -> Tuple[object, sparse.csr_matrix]:
-        """Factor of the implicit matrix and the explicit matrix for step ``dt``.
-
-        Cached per distinct step size (bounded LRU), so a whole trace with
-        equal segment durations — and any number of further traces on the
-        same mesh — pay for exactly one factorisation.  The factor itself is
-        obtained through the shared content-keyed factorisation cache, so
-        other solver instances assembling the identical system (the 60+
-        scenarios of a campaign sharing a mesh pattern) reuse it for free;
-        the instance-level count below is deliberately blind to that — the
-        per-solve diagnostics stay a pure function of this solver's own
-        history, which executor conformance relies on.
-        """
-        cached = self._steppers.get(dt)
-        if cached is not None:
-            return cached
-        operator = self._ensure_operator()
-        capacitance_over_dt = sparse.diags(self._capacitance / dt)
-        implicit = (capacitance_over_dt + self._theta * operator.matrix).tocsc()
-        explicit = (
-            capacitance_over_dt - (1.0 - self._theta) * operator.matrix
-        ).tocsr()
-        # For backward Euler the K term multiplies to exact zeros that would
-        # otherwise stay stored and cost a full stencil matvec per step.
-        explicit.eliminate_zeros()
-        factorization, _, _ = factorize(implicit, key=self._stepper_key(dt))
-        stepper = (factorization, explicit)
-        self._steppers.put(dt, stepper)
-        self._factorizations_total += 1
-        return stepper
 
     def _initial_field(
         self,
@@ -654,13 +580,15 @@ class TransientSolver:
     def _build_basis(
         self,
         key: str,
+        entry: CacheEntry,
         trajectory: np.ndarray,
         segment_loads: Sequence[np.ndarray],
     ) -> ReducedBasis:
         """POD basis of a just-computed exact trajectory (plus the
         per-segment steady states, which anchor long-time asymptotes)."""
-        operator = self._ensure_operator()
-        factorization, _, _ = factorize(operator.matrix, key=self._operator_key())
+        factorization, _, _ = shared_cache.factorize(
+            entry.operator.matrix, entry.key
+        )
         unique_loads: Dict[str, np.ndarray] = {}
         for load in segment_loads:
             unique_loads.setdefault(hashlib.sha256(load.tobytes()).hexdigest(), load)
@@ -678,6 +606,7 @@ class TransientSolver:
 
     def _integrate_full(
         self,
+        entry: CacheEntry,
         plan: Sequence[Tuple[ScheduleSegment, int, float]],
         segment_loads: Sequence[np.ndarray],
         initial: np.ndarray,
@@ -707,7 +636,11 @@ class TransientSolver:
         now = 0.0
         boundaries: List[float] = []
         for (segment, count, dt_eff), constant_rhs in zip(plan, segment_loads):
-            factorization, explicit = self._stepper(dt_eff)
+            self._step_sizes.add(dt_eff)
+            stepper = shared_cache.stepper(
+                entry, self._capacitance, self._theta, dt_eff
+            )
+            factorization, explicit = stepper.factor, stepper.explicit
             for _ in range(count):
                 rhs = explicit @ temperatures + constant_rhs
                 temperatures = factorization.solve(rhs)
@@ -740,6 +673,7 @@ class TransientSolver:
 
     def _integrate_reduced(
         self,
+        entry: CacheEntry,
         basis: ReducedBasis,
         plan: Sequence[Tuple[ScheduleSegment, int, float]],
         segment_loads: Sequence[np.ndarray],
@@ -758,20 +692,17 @@ class TransientSolver:
         evaluated — a breach (or any non-finite value) rejects the whole
         solve so the caller reruns the reference path.
         """
-        operator = self._ensure_operator()
-        if basis.n_cells != operator.n_cells:
+        matrix = entry.operator.matrix
+        if basis.n_cells != self._mesh.n_cells:
             raise SolverError(
                 f"reduced basis lifts to {basis.n_cells} cells but the mesh "
-                f"has {operator.n_cells}"
+                f"has {self._mesh.n_cells}"
             )
         model = self._rom_models.get(basis.key)
         if model is None:
-            model = ReducedModel(
-                basis, operator.matrix, self._capacitance, self._theta
-            )
+            model = ReducedModel(basis, matrix, self._capacitance, self._theta)
             self._rom_models.put(basis.key, model)
         v = basis.matrix
-        matrix = operator.matrix
         theta = self._theta
 
         coefficients = model.reduce(initial)
@@ -896,8 +827,8 @@ class TransientSolver:
                 f"[0, {total_duration!r}]"
             )
 
-        operator = self._ensure_operator()
-        assert self._boundary_rhs is not None
+        entry = shared_cache.operator(self._mesh, self._boundaries)
+        boundary_load = boundary_rhs(entry.operator, self._boundaries)
         functionals: Dict[str, _ProbeFunctional] = {}
         for name, spec in (probes or {}).items():
             cache_key = (name, _probe_cache_key(spec))
@@ -909,10 +840,10 @@ class TransientSolver:
 
         plan = self._segment_steps(schedule, dt_s)
         total_steps = sum(count for _, count, _ in plan)
-        factorizations_before = self._factorizations_total
+        factorizations_before = len(self._step_sizes)
         initial = self._initial_field(initial_temperature_c)
         segment_loads = [
-            self._source_load(segment.sources) + self._boundary_rhs
+            self._source_load(segment.sources) + boundary_load
             for segment, _, _ in plan
         ]
 
@@ -923,7 +854,7 @@ class TransientSolver:
         rom_dim = 0
         if method != "lu":
             basis_key = basis_content_key(
-                self._operator_key(),
+                entry.matrix_key,
                 self._capacitance,
                 self._theta,
                 initial,
@@ -937,6 +868,7 @@ class TransientSolver:
         if basis is not None:
             rom_dim = basis.dim
             reduced = self._integrate_reduced(
+                entry,
                 basis,
                 plan,
                 segment_loads,
@@ -974,6 +906,7 @@ class TransientSolver:
         collect = method == "rom" and basis is None
         times, probe_values, snapshots, final, boundaries, trajectory = (
             self._integrate_full(
+                entry,
                 plan,
                 segment_loads,
                 initial,
@@ -985,7 +918,7 @@ class TransientSolver:
         )
         if collect:
             assert trajectory is not None
-            built = self._build_basis(basis_key, trajectory, segment_loads)
+            built = self._build_basis(basis_key, entry, trajectory, segment_loads)
             rom_basis_built = True
             rom_dim = built.dim
         return self._assemble_result(
@@ -1022,18 +955,16 @@ class TransientSolver:
         rom_fallback: bool,
         rom_residual: float,
     ) -> TransientResult:
-        operator = self._ensure_operator()
         final_map = ThermalMap(
             self._mesh, final_field.reshape(self._mesh.shape).copy()
         )
         diagnostics = TransientDiagnostics(
-            n_cells=operator.n_cells,
+            n_cells=self._mesh.n_cells,
             steps=int(times.size - 1),
             theta=self._theta,
             dt_s=dt_s,
             total_duration_s=total_duration,
-            factorizations_computed=self._factorizations_total
-            - factorizations_before,
+            factorizations_computed=len(self._step_sizes) - factorizations_before,
             distinct_steps=len({dt_eff for _, _, dt_eff in plan}),
             solver_method=solver_method,
             rom_dim=rom_dim,

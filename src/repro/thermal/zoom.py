@@ -14,6 +14,13 @@ this module implements the classical *submodelling* technique instead:
 
 The refined map recovers intra-ONI gradients (VCSEL vs microring) that the
 coarse map smears out, at a tiny fraction of the cost of a flat fine mesh.
+
+Each solve builds its window mesh (cheap) and a fresh steady solver.  The
+window operator and its factor are served by the shared cache of
+:mod:`repro.thermal.factorization`, keyed by the window mesh content and
+the boundary structure, so repeated solves around the same ONI — whose
+imposed Dirichlet temperatures change, not their structure — factorise
+once.
 """
 
 from __future__ import annotations
@@ -117,9 +124,6 @@ class ZoomSolver:
         self._max_cells = max_cells
         self._direct_cell_limit = direct_cell_limit
         self._vertical_range = vertical_range
-        # Cache of (mesh, solver) per zoom window so repeated solves around the
-        # same ONI (design-space sweeps) reuse the matrix factorisation.
-        self._window_cache: dict = {}
 
     def _window(self, region: Rect) -> Rect:
         expanded = region.expanded(self._margin_m)
@@ -170,47 +174,26 @@ class ZoomSolver:
         VCSEL footprints) meshed even more finely than the window itself.
         """
         window = self._window(region)
-        cache_key = (
-            round(window.x_min, 9),
-            round(window.y_min, 9),
-            round(window.x_max, 9),
-            round(window.y_max, 9),
-            round(region.x_min, 9),
-            round(region.y_min, 9),
-            fine_cell_size_um,
-            tuple(sorted((round(r.x_min, 9), round(r.y_min, 9)) for r in extra_refinements))
-            if extra_refinements is not None
-            else None,
+        builder = MeshBuilder(
+            self._stack,
+            base_cell_size_um=self._cell_size_um * 4.0,
+            max_cells=self._max_cells,
+            max_sublayers=self._max_sublayers,
+            vertical_target_um=self._vertical_target_um,
+            region=window,
+            vertical_range=self._vertical_range,
         )
-        cached = self._window_cache.get(cache_key)
-        if cached is None:
-            builder = MeshBuilder(
-                self._stack,
-                base_cell_size_um=self._cell_size_um * 4.0,
-                max_cells=self._max_cells,
-                max_sublayers=self._max_sublayers,
-                vertical_target_um=self._vertical_target_um,
-                region=window,
-                vertical_range=self._vertical_range,
+        builder.add_refinement(region, self._cell_size_um)
+        if extra_refinements is not None:
+            builder.add_refinements(
+                extra_refinements, fine_cell_size_um or self._cell_size_um
             )
-            builder.add_refinement(region, self._cell_size_um)
-            if extra_refinements is not None:
-                builder.add_refinements(
-                    extra_refinements, fine_cell_size_um or self._cell_size_um
-                )
-            mesh = builder.build()
-            solver = SteadyStateSolver(
-                mesh,
-                self._boundaries(coarse_map),
-                direct_cell_limit=self._direct_cell_limit,
-            )
-            self._window_cache[cache_key] = (mesh, solver)
-        else:
-            mesh, solver = cached
-            # Same geometry, new coarse solution: only the imposed boundary
-            # temperatures change, so the factorisation is reused.
-            solver.set_boundaries(self._boundaries(coarse_map))
-
+        mesh = builder.build()
+        solver = SteadyStateSolver(
+            mesh,
+            self._boundaries(coarse_map),
+            direct_cell_limit=self._direct_cell_limit,
+        )
         window_box = Box.from_rect(window, mesh.z_ticks[0], mesh.z_ticks[-1])
         local_sources = clip_sources_to_window(sources, window_box)
         fine_map = solver.solve(local_sources)

@@ -1,5 +1,8 @@
 """Tests for the banded-Cholesky factoriser and its shared content-keyed cache."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -12,7 +15,7 @@ from repro.thermal import (
     factorize,
     matrix_content_key,
 )
-from repro.thermal.factorization import BandedCholesky
+from repro.thermal.factorization import BandedCholesky, shared_cache
 
 
 def spd_matrix(n=12, seed=0, scale=1.0):
@@ -242,3 +245,195 @@ class TestSharedCache:
         assert after["built"] == before["built"] + 1
         assert after["reused"] == before["reused"] + 1
         clear_factorization_cache()
+
+
+def mesh_stack(side_mm):
+    """A one-layer silicon stack on a square footprint."""
+    from repro.geometry import Layer, LayerStack, Rect
+    from repro.materials import SILICON
+
+    stack = LayerStack(Rect.from_size_mm(0.0, 0.0, side_mm, side_mm))
+    stack.add_layer(Layer(name="bulk", thickness=400e-6, material=SILICON))
+    return stack
+
+
+def slab(side_mm=5.0):
+    """A one-layer slab (mesh, boundaries, source); its size sets the operator."""
+    from repro.thermal import BoundaryConditions, FaceCondition, HeatSource, MeshBuilder
+
+    stack = mesh_stack(side_mm)
+    footprint = stack.footprint
+    mesh = MeshBuilder(stack, base_cell_size_um=1000.0, vertical_target_um=100.0).build()
+    boundaries = BoundaryConditions()
+    boundaries.set_face("z_max", FaceCondition.convective(25.0, 1500.0))
+    return mesh, boundaries, HeatSource.from_rect("sheet", footprint, 0.0, 10e-6, 5.0)
+
+
+class TestCacheOwnership:
+    """The shared cache is the only holder of operators, factors and steppers."""
+
+    def test_evicted_factor_is_freed(self, monkeypatch):
+        import repro.thermal.factorization as factorization_module
+        from repro.geometry import Rect
+        from repro.thermal import SteadyStateSolver, ZoomSolver
+
+        built = []
+        original = factorization_module.BandedCholesky
+
+        def recording_factor(matrix):
+            factor = original(matrix)
+            built.append(weakref.ref(factor))
+            return factor
+
+        monkeypatch.setattr(factorization_module, "BandedCholesky", recording_factor)
+        clear_factorization_cache()
+        mesh, boundaries, source = slab(6.0)
+        solver = SteadyStateSolver(mesh, boundaries)
+        coarse = solver.solve([source])
+        zoom = ZoomSolver(mesh_stack(6.0), boundaries, cell_size_um=250.0)
+        zoom.solve(coarse, Rect.from_size_mm(2.5, 2.5, 1.0, 1.0), [source])
+        held = list(built)
+        assert len(held) == 2 and all(ref() is not None for ref in held)
+
+        # More distinct operators than the LRU holds push both out, while
+        # the solvers that used them stay alive.
+        others = [slab(1.0 + 0.25 * index) for index in range(8)]
+        for other_mesh, other_boundaries, other_source in others:
+            SteadyStateSolver(other_mesh, other_boundaries).solve([other_source])
+        gc.collect()
+        assert solver is not None and zoom is not None
+        assert all(ref() is None for ref in held)
+
+        alive = [ref() for ref in built[2:]]
+        assert len(alive) == 8 and all(factor is not None for factor in alive)
+        entries = [
+            shared_cache.operator(other_mesh, other_boundaries)
+            for other_mesh, other_boundaries, _ in others
+        ]
+        assert {id(entry.factor) for entry in entries} == {id(f) for f in alive}
+        stats = factorization_cache_stats()
+        assert stats["entries"] == 8
+        assert stats["bytes"] == sum(entry.nbytes for entry in entries)
+        assert stats["bytes"] > sum(factor.nbytes for factor in alive)
+
+    def test_cleared_cache_is_cold(self, monkeypatch):
+        import repro.thermal.factorization as factorization_module
+        from repro.thermal import (
+            ScheduleSegment,
+            SourceSchedule,
+            SteadyStateSolver,
+            TransientSolver,
+        )
+
+        assembled = []
+        original = factorization_module.assemble_operator
+
+        def counting_assembly(mesh, boundaries):
+            assembled.append(1)
+            return original(mesh, boundaries)
+
+        monkeypatch.setattr(factorization_module, "assemble_operator", counting_assembly)
+        mesh, boundaries, source = slab()
+        schedule = SourceSchedule([ScheduleSegment(1.0, (source,))])
+        steady = SteadyStateSolver(mesh, boundaries)
+        transient = TransientSolver(mesh, boundaries)
+        for round_index in range(2):
+            clear_factorization_cache()
+            assert factorization_cache_stats()["entries"] == 0
+            assert factorization_cache_stats()["bytes"] == 0
+            built = factorization_cache_stats()["built"]
+            steady.solve([source])
+            transient.solve(schedule, dt_s=0.5)
+            # One operator shared by both solvers; its factor and one stepper.
+            assert len(assembled) == round_index + 1
+            assert factorization_cache_stats()["built"] == built + 2
+            assert steady.last_diagnostics.factorization_reused is False
+
+    def test_campaign_assembles_each_operator_once(self, monkeypatch):
+        import repro.thermal.factorization as factorization_module
+        from repro.campaigns import get_matrix, run_campaign
+
+        assembled = []
+        original = factorization_module.assemble_operator
+
+        def counting_assembly(mesh, boundaries):
+            assembled.append(mesh.n_cells)
+            return original(mesh, boundaries)
+
+        monkeypatch.setattr(factorization_module, "assemble_operator", counting_assembly)
+        clear_factorization_cache()
+        points = get_matrix("workload_grid").points()[:3]
+        report = run_campaign(points, name="workload_grid_slice")
+        assert not report.failures and len(report.artifacts) == 3
+        # Three specs share one mesh: one package and one zoom-window
+        # operator in total.
+        assert len(assembled) == 2
+
+    def test_concurrent_solvers_lose_no_update(self):
+        # More threads than cores, more distinct operators and steppers than
+        # the LRU holds, and a short switch interval: every solve must match
+        # the serial reference, and every factor request must be counted.
+        import sys
+        import threading
+
+        from repro.thermal import (
+            ScheduleSegment,
+            SourceSchedule,
+            SteadyStateSolver,
+            TransientSolver,
+        )
+
+        problems = [slab(1.0 + 0.5 * index) for index in range(5)]
+        schedules = [
+            SourceSchedule([ScheduleSegment(1.0, (source,))])
+            for _, _, source in problems
+        ]
+
+        def solve(index):
+            mesh, boundaries, source = problems[index]
+            steady = SteadyStateSolver(mesh, boundaries).solve([source])
+            transient = TransientSolver(mesh, boundaries).solve(
+                schedules[index], dt_s=0.5
+            )
+            return steady.temperatures_c, transient.final_map.temperatures_c
+
+        clear_factorization_cache()
+        reference = [solve(index) for index in range(len(problems))]
+        rounds, threads_count = 6, 8
+        results, errors = [], []
+        before = factorization_cache_stats()
+
+        def worker(offset):
+            try:
+                for step in range(rounds):
+                    index = (offset + step) % len(problems)
+                    results.append((index, solve(index)))
+            except Exception as error:  # reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(offset,))
+                for offset in range(threads_count)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(results) == rounds * threads_count
+        for index, (steady, final) in results:
+            np.testing.assert_array_equal(steady, reference[index][0])
+            np.testing.assert_array_equal(final, reference[index][1])
+        after = factorization_cache_stats()
+        # One steady factor and one stepper request per solve.
+        requests = 2 * len(results)
+        assert (after["built"] - before["built"]) + (
+            after["reused"] - before["reused"]
+        ) == requests
+        assert after["entries"] <= 8

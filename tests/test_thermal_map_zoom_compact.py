@@ -15,7 +15,9 @@ from repro.thermal import (
     SteadyStateSolver,
     ThermalMap,
     ZoomSolver,
+    clear_factorization_cache,
     clip_sources_to_window,
+    factorization_cache_stats,
 )
 
 
@@ -137,13 +139,20 @@ class TestZoomSolver:
         assert result.thermal_map.max_over(box) >= coarse_map.max_over(box) - 0.5
 
     def test_zoom_window_cache_reused(self):
+        # A second solve around the same window rebuilds the window mesh,
+        # and the shared cache serves its operator and factor.
         stack, boundaries, coarse_map, sources = solved_problem()
         zoom = ZoomSolver(stack, boundaries, cell_size_um=100.0, margin_um=400.0)
         region = Rect.from_size_mm(2.5, 2.5, 1.0, 1.0)
+        clear_factorization_cache()
         zoom.solve(coarse_map, region, sources)
-        assert len(zoom._window_cache) == 1
+        first = factorization_cache_stats()
+        assert first["entries"] == 1
         zoom.solve(coarse_map, region, [sources[0].scaled(0.5), sources[1]])
-        assert len(zoom._window_cache) == 1
+        second = factorization_cache_stats()
+        assert second["entries"] == 1
+        assert second["built"] == first["built"]
+        assert second["reused"] == first["reused"] + 1
 
     def test_vertical_range_zoom(self):
         stack, boundaries, coarse_map, sources = solved_problem()

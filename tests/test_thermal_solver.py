@@ -14,9 +14,10 @@ from repro.thermal import (
     MeshBuilder,
     SteadyStateSolver,
     assemble_operator,
-    assemble_system,
     boundary_rhs,
     boundary_signature,
+    clear_factorization_cache,
+    factorization_cache_stats,
     power_density_field,
 )
 from repro.thermal.validation import (
@@ -72,18 +73,14 @@ class TestAssembly:
         rhs_hot = boundary_rhs(operator, hot)
         assert rhs_hot.sum() == pytest.approx(rhs_cold.sum() * 2.0, rel=1e-9)
 
-    def test_assemble_system_shape_check(self):
-        mesh, boundaries, _, _ = slab_problem()
-        with pytest.raises(SolverError):
-            assemble_system(mesh, np.zeros((2, 2, 2)), boundaries)
-
     def test_assembled_system_solution_matches_solver(self):
         mesh, boundaries, source, _ = slab_problem()
         power = power_density_field(mesh, [source])
-        system = assemble_system(mesh, power, boundaries)
+        operator = assemble_operator(mesh, boundaries)
+        rhs = power.ravel() + boundary_rhs(operator, boundaries)
         from scipy.sparse.linalg import spsolve
 
-        direct = spsolve(system.matrix, system.rhs)
+        direct = spsolve(operator.matrix, rhs)
         solver = SteadyStateSolver(mesh, boundaries)
         thermal_map = solver.solve([source])
         assert np.allclose(direct.reshape(mesh.shape), thermal_map.temperatures_c, atol=1e-8)
@@ -137,32 +134,37 @@ class TestSteadyStateSolver:
 
     def test_factorization_is_reused_across_solves(self):
         mesh, boundaries, source, _ = slab_problem()
+        clear_factorization_cache()
         solver = SteadyStateSolver(mesh, boundaries)
         solver.solve([source])
         assert solver.last_diagnostics.factorization_reused is False
         solver.solve([source.scaled(0.5)])
         assert solver.last_diagnostics.factorization_reused is True
 
-    def test_set_boundaries_with_same_structure_keeps_factorization(self):
+    def test_same_boundary_structure_shares_factor(self):
+        # Only the ambient changes: same operator, so a second solver is
+        # served the first one's factor and solves for the new ambient.
         mesh, boundaries, source, _ = slab_problem()
-        solver = SteadyStateSolver(mesh, boundaries)
-        solver.solve([source])
+        clear_factorization_cache()
+        SteadyStateSolver(mesh, boundaries).solve([source])
         hotter = BoundaryConditions()
         hotter.set_face("z_max", FaceCondition.convective(40.0, 1500.0))
-        solver.set_boundaries(hotter)
+        solver = SteadyStateSolver(mesh, hotter)
         thermal_map = solver.solve([source])
         assert solver.last_diagnostics.factorization_reused is True
+        assert factorization_cache_stats()["entries"] == 1
         assert thermal_map.global_min() >= 40.0 - 1e-9
 
-    def test_set_boundaries_with_new_structure_rebuilds(self):
+    def test_new_boundary_structure_builds_new_factor(self):
         mesh, boundaries, source, _ = slab_problem()
-        solver = SteadyStateSolver(mesh, boundaries)
-        solver.solve([source])
+        clear_factorization_cache()
+        SteadyStateSolver(mesh, boundaries).solve([source])
         dirichlet = BoundaryConditions()
         dirichlet.set_face("z_max", FaceCondition.fixed_temperature(30.0))
-        solver.set_boundaries(dirichlet)
+        solver = SteadyStateSolver(mesh, dirichlet)
         thermal_map = solver.solve([source])
         assert solver.last_diagnostics.factorization_reused is False
+        assert factorization_cache_stats()["entries"] == 2
         assert thermal_map.global_min() >= 30.0 - 1e-6
 
     def test_diagnostics_summary(self):
@@ -223,6 +225,7 @@ class TestSolveMany:
 
     def test_diagnostics_per_column(self):
         mesh, boundaries, _, footprint = slab_problem()
+        clear_factorization_cache()
         solver = SteadyStateSolver(mesh, boundaries)
         sets = self.source_sets(footprint)
         batch = solver.solve_many(sets)
@@ -277,15 +280,20 @@ class TestSolveMany:
             iterative.temperatures_c - direct.temperatures_c
         ).max() < 1e-5
 
-    def test_iterative_preconditioner_reused_across_solves(self):
+    def test_iterative_path_builds_no_factorization(self):
+        # The Jacobi preconditioner is recomputed per call; the shared cache
+        # serves only the operator and never builds a factor for it.
         mesh, boundaries, source, _ = slab_problem()
+        clear_factorization_cache()
+        built = factorization_cache_stats()["built"]
         solver = SteadyStateSolver(mesh, boundaries, direct_cell_limit=1)
-        solver.solve([source])
-        first = solver.last_diagnostics
-        assert first.method == "jacobi_cg" and first.factorization_reused is False
-        solver.solve([source])
-        second = solver.last_diagnostics
-        assert second.method == "jacobi_cg" and second.factorization_reused is True
+        for _ in range(2):
+            solver.solve([source])
+            diagnostics = solver.last_diagnostics
+            assert diagnostics.method == "jacobi_cg"
+            assert diagnostics.factorization_reused is False
+        assert factorization_cache_stats()["built"] == built
+        assert factorization_cache_stats()["entries"] == 1
 
     def test_iterative_non_convergence_raises(self, monkeypatch):
         import repro.thermal.solver as solver_module
@@ -304,6 +312,7 @@ class TestSolveMany:
 
     def test_solve_delegates_to_batch_path(self):
         mesh, boundaries, source, _ = slab_problem()
+        clear_factorization_cache()
         solver = SteadyStateSolver(mesh, boundaries)
         thermal_map = solver.solve([source])
         assert solver.last_diagnostics.factorization_reused is False

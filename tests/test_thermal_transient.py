@@ -20,6 +20,8 @@ from repro.thermal import (
     SteadyStateSolver,
     ThermalMap,
     TransientSolver,
+    clear_factorization_cache,
+    factorization_cache_stats,
 )
 
 
@@ -221,6 +223,8 @@ class TestSteadyStateConvergence:
 class TestFactorizationReuse:
     def test_one_factorization_per_step_size(self):
         mesh, boundaries, source, _ = slab_problem()
+        clear_factorization_cache()
+        built = factorization_cache_stats()["built"]
         solver = TransientSolver(mesh, boundaries)
         schedule = SourceSchedule(
             [
@@ -234,22 +238,25 @@ class TestFactorizationReuse:
         # A second trace on the same mesh reuses the cached factorisation.
         second = solver.solve(schedule, dt_s=0.25)
         assert second.diagnostics.factorizations_computed == 0
-        assert solver.cached_factorizations == 1
+        stats = factorization_cache_stats()
+        assert stats["built"] == built + 1
+        assert stats["entries"] == 2  # the operator and one stepper
         np.testing.assert_allclose(
             first.final_map.temperatures_c, second.final_map.temperatures_c
         )
 
     def test_stepper_cache_is_bounded(self):
-        # Each cached stepper holds a full LU; sweeps varying dt must not
-        # accumulate them without limit.
+        # Each cached stepper holds a full factor; sweeps varying dt must not
+        # accumulate them without limit.  The shared cache holds 8 entries.
         mesh, boundaries, source, _ = slab_problem()
+        clear_factorization_cache()
         solver = TransientSolver(mesh, boundaries)
-        capacity = solver._steppers.max_entries
+        capacity = 8
         for index in range(capacity + 3):
             schedule = SourceSchedule([ScheduleSegment(1.0, (source,))])
             result = solver.solve(schedule, dt_s=1.0 / (index + 1))
             assert result.diagnostics.factorizations_computed == 1
-        assert solver.cached_factorizations == capacity
+        assert factorization_cache_stats()["entries"] == capacity
 
     def test_unequal_segments_get_aligned_steps(self):
         mesh, boundaries, source, _ = slab_problem()

@@ -10,6 +10,8 @@ shape-level claims of the paper (orderings, slopes, optima locations).
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.activity import standard_activities, uniform_activity
@@ -20,6 +22,34 @@ from repro.casestudy import (
 )
 from repro.config import SimulationSettings
 from repro.methodology import ThermalAwareDesignFlow
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--bench-record",
+        action="store_true",
+        default=False,
+        help=(
+            "write the BENCH_*.json records at the repository root; without "
+            "it a benchmark run leaves the working tree as it found it"
+        ),
+    )
+
+
+@pytest.fixture
+def bench_record(request):
+    """``write(path, record, sort_keys=False)``: dump ``record`` as JSON to
+    ``path``, but only when pytest runs with ``--bench-record``."""
+    enabled = request.config.getoption("--bench-record", default=False)
+
+    def write(path, record, sort_keys=False):
+        if enabled:
+            path.write_text(
+                json.dumps(record, indent=2, sort_keys=sort_keys) + "\n",
+                encoding="utf-8",
+            )
+
+    return write
+
 
 #: Mesh resolutions used by the benchmarks: fine enough to resolve per-ONI
 #: temperatures and device-level gradients, coarse enough to run the whole

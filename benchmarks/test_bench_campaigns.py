@@ -21,7 +21,6 @@ the matrix restarts the timing series.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from pathlib import Path
 
@@ -46,7 +45,7 @@ def campaign_bench_id(name: str) -> str:
     return f"{name}@{digest[:8]}"
 
 
-def test_campaign_cold_warm_parallel(benchmark, tmp_path):
+def test_campaign_cold_warm_parallel(benchmark, tmp_path, bench_record):
     matrix = get_matrix(BENCH_CAMPAIGN)
     store_dir = tmp_path / "store"
 
@@ -93,10 +92,7 @@ def test_campaign_cold_warm_parallel(benchmark, tmp_path):
         "speedup_warm": round(cold_s / warm_s, 2),
         "store": warm_store.stats.to_dict(),
     }
-    BENCH_RECORD_PATH.write_text(
-        json.dumps({bench_id: record}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    bench_record(BENCH_RECORD_PATH, {bench_id: record}, sort_keys=True)
 
     print()
     print(

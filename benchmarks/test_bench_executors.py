@@ -19,7 +19,6 @@ report byte for byte.  Records land in ``BENCH_executors.json`` keyed by
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from pathlib import Path
@@ -102,7 +101,7 @@ def timed_run(store: ArtifactStore, **kwargs):
     return report, time.perf_counter() - start
 
 
-def test_executor_cold_and_warm_timings(benchmark, tmp_path):
+def test_executor_cold_and_warm_timings(benchmark, tmp_path, bench_record):
     scenario_count = len(MATRIX.points())
     assert scenario_count == 60
 
@@ -151,10 +150,7 @@ def test_executor_cold_and_warm_timings(benchmark, tmp_path):
         "speedup_process": round(cold_s["serial"] / cold_s["process"], 2),
         "process_gate_enforced": cpu_count >= 4,
     }
-    BENCH_RECORD_PATH.write_text(
-        json.dumps({bench_id(): record}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    bench_record(BENCH_RECORD_PATH, {bench_id(): record}, sort_keys=True)
 
     print()
     print(

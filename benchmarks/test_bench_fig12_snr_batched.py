@@ -20,7 +20,6 @@ control.  The acceptance gate of the batched engine is asserted here: the
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -79,7 +78,7 @@ def fig12_style_states(network: OrnocNetwork, count: int):
     return batch
 
 
-def test_fig12_snr_batched_vs_scalar(benchmark):
+def test_fig12_snr_batched_vs_scalar(benchmark, bench_record):
     network = build_reference_network()
     states_batch = fig12_style_states(network, STATE_COUNT)
 
@@ -154,7 +153,7 @@ def test_fig12_snr_batched_vs_scalar(benchmark):
         "speedup_warm": round(scalar_s / warm_s, 2),
         "max_abs_snr_diff_db": float(max_snr_diff_db),
     }
-    BENCH_RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    bench_record(BENCH_RECORD_PATH, record)
 
     print()
     print(

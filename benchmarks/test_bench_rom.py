@@ -26,7 +26,6 @@ basis-cached re-solve at least 20x — are asserted here.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -73,7 +72,7 @@ def rom_flow():
 
 
 @pytest.mark.slow
-def test_rom_replay_vs_full_lu(benchmark, rom_flow):
+def test_rom_replay_vs_full_lu(benchmark, rom_flow, bench_record):
     flow = rom_flow
     mesh = flow._mesh()
     boundaries = flow.architecture.boundary_conditions()
@@ -169,7 +168,7 @@ def test_rom_replay_vs_full_lu(benchmark, rom_flow):
         "speedup_cold": round(lu_cold_s / rom_cold_s, 2),
         "speedup_warm": round(lu_cold_s / rom_warm_s, 2),
     }
-    BENCH_RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    bench_record(BENCH_RECORD_PATH, record)
 
     print()
     print(

@@ -12,7 +12,6 @@ the key and restarts the series.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -41,14 +40,8 @@ BENCH_SCENARIOS = ["small_die_uniform", "scc_uniform_18mm", "scc_case_study"]
 _RECORDS: dict = {}
 
 
-def _write_records() -> None:
-    BENCH_RECORD_PATH.write_text(
-        json.dumps(_RECORDS, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
 @pytest.mark.parametrize("name", BENCH_SCENARIOS, ids=scenario_bench_id)
-def test_scenario_end_to_end(benchmark, name):
+def test_scenario_end_to_end(benchmark, name, bench_record):
     spec = default_registry().get(name)
     runner = ScenarioRunner(spec)
 
@@ -80,7 +73,7 @@ def test_scenario_end_to_end(benchmark, name):
         "warm_s": round(warm_s, 6),
         "speedup_warm": round(cold_s / warm_s, 2),
     }
-    _write_records()
+    bench_record(BENCH_RECORD_PATH, _RECORDS, sort_keys=True)
 
     print()
     print(

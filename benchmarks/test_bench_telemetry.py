@@ -115,7 +115,7 @@ def noop_span_cost_s() -> float:
     return (time.perf_counter() - start) / NOOP_LOOP
 
 
-def test_telemetry_overhead_and_trace_acceptance(tmp_path, capsys):
+def test_telemetry_overhead_and_trace_acceptance(tmp_path, capsys, bench_record):
     scenario_count = len(MATRIX.points())
     assert scenario_count == 60
     store = ArtifactStore(tmp_path / "store")
@@ -196,10 +196,7 @@ def test_telemetry_overhead_and_trace_acceptance(tmp_path, capsys):
         "disabled_overhead_gate": MAX_DISABLED_OVERHEAD_SHARE,
         "spec_span_coverage": round(coverage, 4),
     }
-    BENCH_RECORD_PATH.write_text(
-        json.dumps({bench_id(): record}, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    bench_record(BENCH_RECORD_PATH, {bench_id(): record}, sort_keys=True)
 
     print()
     print(

@@ -25,7 +25,6 @@ here.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
@@ -94,7 +93,7 @@ def naive_per_step_solve(flow, schedule, dt_s):
 
 
 @pytest.mark.slow
-def test_transient_factorize_once_vs_naive(benchmark, transient_flow):
+def test_transient_factorize_once_vs_naive(benchmark, transient_flow, bench_record):
     flow = transient_flow
     generator = SyntheticTraceGenerator(flow.architecture.floorplan, seed=4)
     trace = generator.migration_trace(
@@ -167,7 +166,7 @@ def test_transient_factorize_once_vs_naive(benchmark, transient_flow):
         "snr_time_series_s": round(snr_s, 6),
         "snr_states": int(series.times_s.size),
     }
-    BENCH_RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    bench_record(BENCH_RECORD_PATH, record)
 
     print()
     print(

@@ -13,9 +13,12 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from ..errors import ConfigurationError
 from ..geometry import Floorplan, FloorplanInstance
-from ..thermal import HeatSource
+from ..geometry.box import extrude_rects
+from ..thermal import HeatSource, SourceBatch
 
 
 @dataclass
@@ -56,6 +59,26 @@ class ActivityPattern:
             tile_powers_w={tile: power * factor for tile, power in self.tile_powers_w.items()},
         )
 
+    def source_batch(
+        self,
+        floorplan: Floorplan,
+        z_min: float,
+        z_max: float,
+        group: str = "chip",
+    ) -> SourceBatch:
+        """Source rows of the pattern in the given z-range (BEOL layer): one
+        per powered tile, named ``"<pattern>:<tile>"``."""
+        rows = [(t, p, floorplan.get(t).rect) for t, p in self.tile_powers_w.items()]
+        rows = [row for row in rows if not row[1] <= 0.0]
+        rects = [(r.x_min, r.y_min, r.x_max, r.y_max) for _, _, r in rows]
+        return SourceBatch(
+            extrude_rects(np.array(rects, dtype=float).reshape(-1, 4), z_min, z_max),
+            [power for _, power, _ in rows],
+            [group] * len(rows),
+            [self.name] * len(rows),
+            [tile for tile, _, _ in rows],
+        )
+
     def heat_sources(
         self,
         floorplan: Floorplan,
@@ -64,17 +87,7 @@ class ActivityPattern:
         group: str = "chip",
     ) -> List[HeatSource]:
         """Heat sources of the pattern placed in the given z-range (BEOL layer)."""
-        sources: List[HeatSource] = []
-        for tile_name, power in self.tile_powers_w.items():
-            instance = floorplan.get(tile_name)
-            if power <= 0.0:
-                continue
-            sources.append(
-                HeatSource.from_rect(
-                    f"{self.name}:{tile_name}", instance.rect, z_min, z_max, power, group=group
-                )
-            )
-        return sources
+        return self.source_batch(floorplan, z_min, z_max, group).heat_sources()
 
     def imbalance(self) -> float:
         """Max-to-mean power ratio (1.0 for a perfectly uniform pattern)."""

@@ -14,11 +14,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from ..errors import ConfigurationError
 from ..geometry import Floorplan
-from ..thermal import HeatSource, SourceSchedule
+from ..thermal import HeatSource, SourceBatch, SourceSchedule
 from ..thermal.transient import piecewise_segment_index
 from .patterns import ActivityPattern, from_mapping, uniform_activity
 
@@ -110,7 +110,7 @@ class ActivityTrace:
         floorplan: Floorplan,
         z_min: float,
         z_max: float,
-        static_sources: Sequence[HeatSource] = (),
+        static_sources: Union[SourceBatch, Sequence[HeatSource]] = (),
         group: str = "chip",
     ) -> SourceSchedule:
         """Piecewise-constant :class:`~repro.thermal.SourceSchedule` of the trace.
@@ -123,14 +123,14 @@ class ActivityTrace:
         """
         if not self.phases:
             raise ConfigurationError("the trace has no phases")
-        static = list(static_sources)
+        static = SourceBatch.of(static_sources)
         schedule = SourceSchedule()
         for phase in self.phases:
-            sources = phase.activity.heat_sources(
-                floorplan, z_min, z_max, group=group
-            )
+            sources = phase.activity.source_batch(floorplan, z_min, z_max, group=group)
             schedule.add_segment(
-                phase.duration_s, sources + static, label=phase.activity.name
+                phase.duration_s,
+                SourceBatch.concatenate([sources, static]),
+                label=phase.activity.name,
             )
         return schedule
 

@@ -158,17 +158,14 @@ class EvaluationKernel:
             return artifact.to_dict(), dict(runner.engine().stats), None
 
         with telemetry.enabled_scope(True), telemetry.collect() as collector:
-            spec = ScenarioSpec.from_dict(dict(spec_dict))
-            with telemetry.span(
-                f"spec:{spec.name}", design_hash=spec.design_hash()[:8]
-            ):
+            # Parsing the spec and serialising its artifact are work for
+            # this spec too, so they run inside its span.
+            with telemetry.span(f"spec:{spec_dict.get('name')}") as spec_span:
+                spec = ScenarioSpec.from_dict(dict(spec_dict))
+                spec_span.set(design_hash=spec.design_hash()[:8])
                 self._install_warm_start()
                 runner = ScenarioRunner(
                     spec, transient_method=self.transient_method
                 )
-                artifact = runner.run(self.paths)
-        return (
-            artifact.to_dict(),
-            dict(runner.engine().stats),
-            collector.to_json(),
-        )
+                artifact = runner.run(self.paths).to_dict()
+        return artifact, dict(runner.engine().stats), collector.to_json()

@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
-from scipy import optimize
 
 from .. import constants
 from ..errors import DeviceError
@@ -300,7 +299,10 @@ class VcselModel:
                 f"requested optical power {optical_power_w * 1e3:.3f} mW is not "
                 "reachable below the maximum drive current (thermal roll-over)"
             )
-        return float(optimize.brentq(objective, 0.0, maximum, xtol=1.0e-9))
+        # Imported here: scipy.optimize costs a large share of ``import repro``.
+        from scipy.optimize import brentq
+
+        return float(brentq(objective, 0.0, maximum, xtol=1.0e-9))
 
     def optical_power_from_dissipated(
         self, dissipated_power_w: float, base_temperature_c: float

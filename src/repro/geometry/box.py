@@ -7,7 +7,9 @@ micrometres / millimetres so callers can use the units of the paper directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Iterator, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..errors import GeometryError
 from ..units import mm_to_m, um_to_m
@@ -246,3 +248,22 @@ class Box:
         if self.volume == 0.0:
             return 0.0
         return self.overlap_volume(other) / self.volume
+
+
+
+def box_bounds(boxes: Union[Sequence[Box], np.ndarray]) -> np.ndarray:
+    """Bounds ``(n, 6)`` of boxes, columns in :class:`Box` field order (an
+    array of bounds passes through)."""
+    if isinstance(boxes, np.ndarray):
+        return np.asarray(boxes, dtype=float).reshape(-1, 6)
+    fields = [(b.x_min, b.y_min, b.z_min, b.x_max, b.y_max, b.z_max) for b in boxes]
+    return np.array(fields, dtype=float).reshape(-1, 6)
+
+
+def extrude_rects(rects: np.ndarray, z_min: float, z_max: float) -> np.ndarray:
+    """Bounds ``(n, 6)`` of rects ``(n, 4)`` between two z planes: the array
+    twin of :meth:`Box.from_rect`, with the same check."""
+    if len(rects) and z_max < z_min:
+        raise GeometryError("z_max must be >= z_min")
+    z = np.broadcast_to([z_min, z_max], (len(rects), 2))
+    return np.column_stack([rects[:, :2], z[:, :1], rects[:, 2:], z[:, 1:]])

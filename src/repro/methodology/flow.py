@@ -42,12 +42,14 @@ from ..snr import (
 from ..thermal import (
     HeatSource,
     Mesh3D,
+    SourceBatch,
     SourceSchedule,
     SteadyStateSolver,
     ThermalMap,
     TransientSolver,
     ZoomSolver,
 )
+from ..thermal.mesh import BoxOverlaps
 from .transient import (
     OniTemperatureSeries,
     SnrTimeSeries,
@@ -220,6 +222,11 @@ class ThermalAwareDesignFlow:
         self.channels_per_waveguide = channels_per_waveguide
         self.shift_hops = shift_hops
         self._mesh_cache: Optional[Mesh3D] = None
+        #: Every ONI device as source rows (so their overlaps with the mesh
+        #: are computed once) with each row's kind (0 VCSEL, 1 heater,
+        #: 2 driver), and the ONI query (see :meth:`_oni_queries`).
+        self._device_cache: Optional[Tuple[SourceBatch, np.ndarray]] = None
+        self._query_cache: Optional[tuple] = None
         self._snr_analyzer_cache: Optional[SnrAnalyzer] = None
         #: Transient solvers keyed by θ; each keeps the reduced bases it
         #: built, shared by every trace run on this flow.
@@ -261,21 +268,42 @@ class ThermalAwareDesignFlow:
 
     # Heat sources -----------------------------------------------------------------------
 
+    def _device_batch(self, power: Optional[OniPowerConfig]) -> SourceBatch:
+        """Every powered device of every ONI (``power`` overrides the ONIs'
+        own), cut from the flow's compiled device rows: it reuses their
+        overlaps with the mesh."""
+        if self._device_cache is None:
+            optical_z = self.architecture.optical_z_range()
+            electrical_z = self.architecture.electrical_z_range()
+            devices = SourceBatch.concatenate(
+                [oni.device_sources(optical_z, electrical_z) for oni in self.scenario.onis]
+            )
+            kinds = np.array([("vcsel", "heater", "driver").index(g) for g in devices.groups])
+            self._device_cache = (devices, kinds)
+        devices, kinds = self._device_cache
+        powers = devices.powers
+        if power is not None:
+            powers = np.array(
+                [power.vcsel_power_w, power.heater_power_w, power.effective_driver_power_w]
+            )[kinds]
+        powered = np.flatnonzero(powers > 0.0)
+        return devices.take(powered, powers[powered])
+
+    def source_batch(
+        self, activity: ActivityPattern, power: Optional[OniPowerConfig] = None
+    ) -> SourceBatch:
+        """All heat sources of a design point: the chip activity, then every
+        powered ONI device."""
+        chip = activity.source_batch(
+            self.architecture.floorplan, *self.architecture.electrical_z_range()
+        )
+        return SourceBatch.concatenate([chip, self._device_batch(power)])
+
     def heat_sources(
         self, activity: ActivityPattern, power: Optional[OniPowerConfig] = None
     ) -> List[HeatSource]:
         """All heat sources of a design point (chip activity + every ONI)."""
-        electrical_z = self.architecture.electrical_z_range()
-        optical_z = self.architecture.optical_z_range()
-        sources = activity.heat_sources(
-            self.architecture.floorplan, electrical_z[0], electrical_z[1]
-        )
-        for oni in self.scenario.onis:
-            configured = oni if power is None else oni.with_power(power)
-            sources.extend(
-                configured.heat_sources(optical_z, driver_z_range=electrical_z)
-            )
-        return sources
+        return self.source_batch(activity, power).heat_sources()
 
     # Thermal step -------------------------------------------------------------------------
 
@@ -335,55 +363,67 @@ class ThermalAwareDesignFlow:
         evaluations: List[ThermalEvaluation] = []
         for start in range(0, len(request_list), chunk_size):
             chunk = request_list[start : start + chunk_size]
-            source_lists = [
-                self.heat_sources(request.activity, request.power)
+            source_sets = [
+                self.source_batch(request.activity, request.power)
                 for request in chunk
             ]
-            batch = self._solver().solve_many(source_lists)
+            batch = self._solver().solve_many(source_sets)
             evaluations.extend(
                 self._finish_thermal(request, sources, thermal_map)
                 for request, sources, thermal_map in zip(
-                    chunk, source_lists, batch.maps
+                    chunk, source_sets, batch.maps
                 )
             )
         return evaluations
 
+    def _oni_queries(
+        self, thermal_map: ThermalMap
+    ) -> Tuple[BoxOverlaps, List[slice], List[slice]]:
+        """Overlaps of every ONI's query rows with the map's mesh (computed
+        once per mesh), the query blocks and each ONI's rows."""
+        if self._query_cache is None or self._query_cache[0] is not thermal_map.mesh:
+            bounds, blocks, rows = [], [], []
+            for oni in self.scenario.onis:
+                offset = sum(map(len, bounds))
+                bounds.append(oni.query_bounds(self.architecture.optical_z_range()))
+                blocks += oni.query_blocks(offset)
+                rows.append(slice(offset, offset + len(bounds[-1])))
+            overlaps = thermal_map.overlaps(np.concatenate(bounds))
+            self._query_cache = (thermal_map.mesh, overlaps, blocks, rows)
+        return self._query_cache[1:]
+
     def _finish_thermal(
         self,
         request: ThermalRequest,
-        sources: List[HeatSource],
+        sources: SourceBatch,
         thermal_map: ThermalMap,
     ) -> ThermalEvaluation:
-        """ONI summaries + optional zoom solve on top of a coarse solution."""
+        """ONI summaries + optional zoom solve on top of a coarse solution.
+
+        One weighted sum over the map gives every ONI's footprint, VCSEL
+        and microring averages; each summary reads its slice of them.
+        """
         activity, power, zoom_oni = request.activity, request.power, request.zoom_oni
-        optical_z = self.architecture.optical_z_range()
+        overlaps, blocks, oni_rows = self._oni_queries(thermal_map)
+        averages = thermal_map.averages_over(overlaps, blocks).tolist()
         summaries: Dict[str, OniThermalSummary] = {}
-        for oni in self.scenario.onis:
-            configured = oni if power is None else oni.with_power(power)
-            summaries[oni.name] = OniThermalSummary(
-                name=oni.name,
-                average_c=configured.average_temperature_c(thermal_map, optical_z),
-                laser_c=configured.laser_temperature_c(thermal_map, optical_z),
-                microring_c=configured.microring_temperature_c(thermal_map, optical_z),
-            )
+        for oni, rows in zip(self.scenario.onis, oni_rows):
+            figures = oni.query_temperatures(averages[rows])[:3]
+            summaries[oni.name] = OniThermalSummary(oni.name, *figures)
 
         zoom_map: Optional[ThermalMap] = None
         zoom_name: Optional[str] = None
         if zoom_oni is not None:
             zoom_name = self.default_zoom_oni() if zoom_oni == "auto" else zoom_oni
             target = self.scenario.oni_by_name(zoom_name)
-            configured = target if power is None else target.with_power(power)
-            zoom_result = self._zoom().solve(
-                thermal_map, configured.footprint, sources
-            )
+            zoom_result = self._zoom().solve(thermal_map, target.footprint, sources)
             zoom_map = zoom_result.thermal_map
-            summaries[zoom_name] = OniThermalSummary(
-                name=zoom_name,
-                average_c=configured.average_temperature_c(zoom_map, optical_z),
-                laser_c=configured.laser_temperature_c(zoom_map, optical_z),
-                microring_c=configured.microring_temperature_c(zoom_map, optical_z),
-                gradient_c=configured.gradient_temperature_c(zoom_map, optical_z),
+            zoomed = zoom_map.averages_over(
+                target.query_bounds(self.architecture.optical_z_range()),
+                target.query_blocks(),
             )
+            figures = target.query_temperatures(zoomed.tolist())
+            summaries[zoom_name] = OniThermalSummary(zoom_name, *figures)
 
         effective_power = power or self.scenario.onis[0].power
         return ThermalEvaluation(
@@ -430,29 +470,20 @@ class ThermalAwareDesignFlow:
         """Piecewise-constant source schedule of a trace.
 
         Each phase contributes one segment: the phase's chip activity plus
-        the (constant) ONI heat sources, aligned to the phase boundaries.
-        The ONI sources are built once and repeated per segment by
+        the (constant) ONI devices, aligned to the phase boundaries.  The
+        device rows are cut once and repeated per segment by
         :meth:`~repro.activity.ActivityTrace.to_schedule`.
         """
         if len(trace) == 0:
             raise ConfigurationError(f"trace {trace.name!r} has no phases")
-        electrical_z = self.architecture.electrical_z_range()
-        optical_z = self.architecture.optical_z_range()
-        oni_sources: List[HeatSource] = []
-        for oni in self.scenario.onis:
-            configured = oni if power is None else oni.with_power(power)
-            oni_sources.extend(
-                configured.heat_sources(optical_z, driver_z_range=electrical_z)
-            )
         return trace.to_schedule(
             self.architecture.floorplan,
-            electrical_z[0],
-            electrical_z[1],
-            static_sources=oni_sources,
+            *self.architecture.electrical_z_range(),
+            static_sources=self._device_batch(power),
         )
 
-    def oni_probes(self) -> Dict[str, object]:
-        """Per-ONI probe boxes for the transient solver.
+    def oni_probes(self) -> Dict[str, np.ndarray]:
+        """Per-ONI probe bounds ``(n, 6)`` for the transient solver.
 
         Three probes per ONI: ``<name>:avg`` (footprint average on the
         optical layer), ``<name>:laser`` (mean over the VCSEL cluster) and
@@ -460,15 +491,13 @@ class ThermalAwareDesignFlow:
         the SNR analysis consumes.  ONIs without devices of a kind fall back
         to the footprint box.
         """
-        optical_z = self.architecture.optical_z_range()
-        probes: Dict[str, object] = {}
+        probes: Dict[str, np.ndarray] = {}
         for oni in self.scenario.onis:
-            region = oni.region_box(optical_z)
+            rows = oni.query_bounds(self.architecture.optical_z_range())
+            region, lasers, rings = (rows[block] for block in oni.query_blocks())
             probes[f"{oni.name}:avg"] = region
-            vcsels = oni.device_boxes("vcsel", optical_z)
-            microrings = oni.device_boxes("microring", optical_z)
-            probes[f"{oni.name}:laser"] = vcsels or region
-            probes[f"{oni.name}:mr"] = microrings or region
+            probes[f"{oni.name}:laser"] = lasers if len(lasers) else region
+            probes[f"{oni.name}:mr"] = rings if len(rings) else region
         return probes
 
     def run_transient(

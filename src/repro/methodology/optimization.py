@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from scipy import optimize
-
 from ..activity import ActivityPattern
 from ..errors import AnalysisError, ConfigurationError
 from ..oni import OniPowerConfig
@@ -80,7 +78,9 @@ def find_optimal_heater_ratio(
         evaluations.append((float(ratio), gradient))
         return gradient
 
-    result = optimize.minimize_scalar(
+    from scipy.optimize import minimize_scalar  # slow to import; needed here only
+
+    result = minimize_scalar(
         objective,
         bounds=(low, high),
         method="bounded",

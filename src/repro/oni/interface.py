@@ -3,8 +3,13 @@
 An :class:`OpticalNetworkInterface` is an ONI layout placed at an absolute
 position on the optical layer, together with its electrical operating point
 (per-VCSEL dissipated power, per-microring heater power, per-driver power).
-It exports the heat sources consumed by the thermal solver and the boxes used
-to query average / gradient temperatures from a thermal map.
+Its geometry is array-native: the layout's compiled ``(devices, 4)`` rects
+plus the origin give every device box (:meth:`device_bounds`), from which
+come the source rows consumed by the thermal solver
+(:meth:`device_sources`) and the query rows of average / gradient
+temperatures (:meth:`query_bounds`).  ``heat_sources``, ``device_boxes``
+and the per-quantity temperature methods are the object edge, built from
+those arrays.
 """
 
 from __future__ import annotations
@@ -12,10 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..errors import ConfigurationError, GeometryError
 from ..geometry import Box, Rect
-from ..thermal import HeatSource, ThermalMap
-from .layout import DevicePlacement, OniLayout, OniLayoutParameters, generate_chessboard_layout
+from ..geometry.box import box_bounds, extrude_rects
+from ..thermal import HeatSource, SourceBatch, ThermalMap
+from .layout import OniLayout, OniLayoutParameters, generate_chessboard_layout
 
 
 @dataclass(frozen=True)
@@ -86,13 +94,15 @@ class OpticalNetworkInterface:
         """Centre of the ONI footprint."""
         return self.footprint.center
 
-    def device_rect(self, placement: DevicePlacement) -> Rect:
-        """Absolute footprint of one device placement."""
-        return placement.rect.translated(self.origin[0], self.origin[1])
+    def device_bounds(self, kind: str, z_range: Tuple[float, float]) -> np.ndarray:
+        """Bounds ``(n, 6)`` of every device of a kind over a z-range.
 
-    def device_rects_of_kind(self, kind: str) -> List[Rect]:
-        """Absolute footprints of every device of the given kind."""
-        return [self.device_rect(p) for p in self.layout.devices_of_kind(kind)]
+        The footprints are the layout's rects plus the origin: the float
+        operations of :meth:`Rect.translated`.
+        """
+        x, y = self.origin
+        rects = self.layout.rects[self.layout.indices_of_kind(kind)] + np.array([x, y, x, y])
+        return extrude_rects(rects, z_range[0], z_range[1])
 
     def vcsel_count(self) -> int:
         """Number of VCSELs in the ONI."""
@@ -127,6 +137,30 @@ class OpticalNetworkInterface:
 
     # Heat sources -----------------------------------------------------------
 
+    def device_sources(
+        self,
+        optical_z_range: Tuple[float, float],
+        driver_z_range: Optional[Tuple[float, float]] = None,
+    ) -> SourceBatch:
+        """Every VCSEL, then heater, then driver (with a ``driver_z_range``)
+        of the ONI as source rows at the ONI's powers, zero included."""
+        kinds = [
+            ("vcsel", optical_z_range, self.power.vcsel_power_w),
+            ("heater", optical_z_range, self.power.heater_power_w),
+        ]
+        if driver_z_range is not None:
+            kinds.append(("driver", driver_z_range, self.power.effective_driver_power_w))
+        bounds, powers, groups, labels = [], [], [], []
+        for kind, z_range, power in kinds:
+            placements = self.layout.devices_of_kind(kind)
+            bounds.append(self.device_bounds(kind, z_range))
+            powers += [power] * len(placements)
+            groups += [kind] * len(placements)
+            labels += [placement.name for placement in placements]
+        return SourceBatch(
+            np.concatenate(bounds), powers, groups, [self.name] * len(labels), labels
+        )
+
     def heat_sources(
         self,
         optical_z_range: Tuple[float, float],
@@ -137,48 +171,10 @@ class OpticalNetworkInterface:
         ``optical_z_range`` is the (z_min, z_max) of the optical layer and
         ``driver_z_range`` of the electrical (BEOL) layer; when the latter is
         omitted the driver power is not modelled (e.g. when it is already part
-        of the chip activity map).
+        of the chip activity map).  Devices without power are left out.
         """
-        z_min, z_max = optical_z_range
-        sources: List[HeatSource] = []
-        for placement in self.layout.devices_of_kind("vcsel"):
-            if self.power.vcsel_power_w > 0.0:
-                sources.append(
-                    HeatSource.from_rect(
-                        f"{self.name}:{placement.name}",
-                        self.device_rect(placement),
-                        z_min,
-                        z_max,
-                        self.power.vcsel_power_w,
-                        group="vcsel",
-                    )
-                )
-        for placement in self.layout.devices_of_kind("heater"):
-            if self.power.heater_power_w > 0.0:
-                sources.append(
-                    HeatSource.from_rect(
-                        f"{self.name}:{placement.name}",
-                        self.device_rect(placement),
-                        z_min,
-                        z_max,
-                        self.power.heater_power_w,
-                        group="heater",
-                    )
-                )
-        if driver_z_range is not None and self.power.effective_driver_power_w > 0.0:
-            driver_z_min, driver_z_max = driver_z_range
-            for placement in self.layout.devices_of_kind("driver"):
-                sources.append(
-                    HeatSource.from_rect(
-                        f"{self.name}:{placement.name}",
-                        self.device_rect(placement),
-                        driver_z_min,
-                        driver_z_max,
-                        self.power.effective_driver_power_w,
-                        group="driver",
-                    )
-                )
-        return sources
+        sources = self.device_sources(optical_z_range, driver_z_range)
+        return sources.take(np.flatnonzero(sources.powers > 0.0)).heat_sources()
 
     # Thermal queries ---------------------------------------------------------
 
@@ -188,10 +184,31 @@ class OpticalNetworkInterface:
 
     def device_boxes(self, kind: str, z_range: Tuple[float, float]) -> List[Box]:
         """Boxes of every device of a kind over a z-range."""
-        return [
-            Box.from_rect(rect, z_range[0], z_range[1])
-            for rect in self.device_rects_of_kind(kind)
-        ]
+        return [Box(*row) for row in self.device_bounds(kind, z_range).tolist()]
+
+    def query_bounds(self, z_range: Tuple[float, float]) -> np.ndarray:
+        """Bounds of the footprint, the VCSELs and the microrings, in turn."""
+        return np.concatenate(
+            [box_bounds([self.region_box(z_range)])]
+            + [self.device_bounds(kind, z_range) for kind in ("vcsel", "microring")]
+        )
+
+    def query_blocks(self, offset: int = 0) -> List[slice]:
+        """Rows of the footprint, the VCSELs and the microrings in
+        :meth:`query_bounds` (shifted by ``offset``): the blocks that the
+        per-quantity methods below query alone."""
+        vcsels = offset + 1 + self.vcsel_count()
+        rings = vcsels + self.microring_count()
+        return [slice(offset, offset + 1), slice(offset + 1, vcsels), slice(vcsels, rings)]
+
+    def query_temperatures(self, averages: List[float]) -> Tuple[float, float, float, float]:
+        """``(average, laser, microring, gradient)`` from the averages over the
+        :meth:`query_bounds` rows, with the per-quantity methods' arithmetic."""
+        _, laser_rows, ring_rows = self.query_blocks()
+        lasers, rings = averages[laser_rows], averages[ring_rows]
+        laser_c = self._mean(lasers, "VCSELs")
+        ring_c = self._mean(rings, "microrings")
+        return averages[0], laser_c, ring_c, max(lasers + rings) - min(lasers + rings)
 
     def average_temperature_c(
         self, thermal_map: ThermalMap, z_range: Tuple[float, float]
@@ -203,7 +220,7 @@ class OpticalNetworkInterface:
         self, thermal_map: ThermalMap, kind: str, z_range: Tuple[float, float]
     ) -> List[float]:
         """Average temperature of each device of the given kind."""
-        return thermal_map.averages_over(self.device_boxes(kind, z_range)).tolist()
+        return thermal_map.averages_over(self.device_bounds(kind, z_range)).tolist()
 
     def gradient_temperature_c(
         self, thermal_map: ThermalMap, z_range: Tuple[float, float]
@@ -225,18 +242,21 @@ class OpticalNetworkInterface:
         self, thermal_map: ThermalMap, z_range: Tuple[float, float]
     ) -> float:
         """Average temperature of the ONI's VCSELs."""
-        temperatures = self.device_temperatures_c(thermal_map, "vcsel", z_range)
-        if not temperatures:
-            raise GeometryError(f"ONI {self.name!r} has no VCSELs")
-        return sum(temperatures) / len(temperatures)
+        return self._mean(
+            self.device_temperatures_c(thermal_map, "vcsel", z_range), "VCSELs"
+        )
 
     def microring_temperature_c(
         self, thermal_map: ThermalMap, z_range: Tuple[float, float]
     ) -> float:
         """Average temperature of the ONI's microrings."""
-        temperatures = self.device_temperatures_c(thermal_map, "microring", z_range)
+        return self._mean(
+            self.device_temperatures_c(thermal_map, "microring", z_range), "microrings"
+        )
+
+    def _mean(self, temperatures: List[float], devices: str) -> float:
         if not temperatures:
-            raise GeometryError(f"ONI {self.name!r} has no microrings")
+            raise GeometryError(f"ONI {self.name!r} has no {devices}")
         return sum(temperatures) / len(temperatures)
 
     def summary(self) -> Dict[str, float]:

@@ -8,13 +8,18 @@ generated by the VCSELs is spread as evenly as possible among the microrings.
 
 The generator produces device placements relative to the ONI origin (its
 lower-left corner); :class:`~repro.oni.interface.OpticalNetworkInterface`
-instantiates them at an absolute position on the die.
+instantiates them at an absolute position on the die.  A layout is
+immutable and compiles once into arrays: the relative rects of its devices
+and their kind codes, which every placement of the layout shares.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from .. import constants
 from ..errors import GeometryError
@@ -92,12 +97,42 @@ class OniLayoutParameters:
         return 2.0 * self.margin_um + self.waveguide_count * self.waveguide_pitch_um
 
 
-@dataclass
+@dataclass(frozen=True)
 class OniLayout:
-    """Concrete set of device placements of one ONI (relative coordinates)."""
+    """Concrete set of device placements of one ONI (relative coordinates).
+
+    Immutable, so the arrays compiled from it (:attr:`rects`,
+    :attr:`kind_codes`) are computed once and never go stale.
+    """
 
     parameters: OniLayoutParameters
-    placements: List[DevicePlacement] = field(default_factory=list)
+    placements: Tuple[DevicePlacement, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "placements", tuple(self.placements))
+
+    @cached_property
+    def rects(self) -> np.ndarray:
+        """Relative footprints ``(devices, 4)``: ``x_min, y_min, x_max, y_max``."""
+        rects = [p.rect for p in self.placements]
+        return np.array(
+            [(r.x_min, r.y_min, r.x_max, r.y_max) for r in rects], dtype=float
+        ).reshape(-1, 4)
+
+    @cached_property
+    def kind_codes(self) -> np.ndarray:
+        """Kind of every placement, as an index into :data:`DEVICE_KINDS`."""
+        return np.array([DEVICE_KINDS.index(p.kind) for p in self.placements], dtype=np.intp)
+
+    @cached_property
+    def _kind_indices(self) -> Dict[str, np.ndarray]:
+        return {k: np.flatnonzero(self.kind_codes == c) for c, k in enumerate(DEVICE_KINDS)}
+
+    def indices_of_kind(self, kind: str) -> np.ndarray:
+        """Placement indices of the given kind, in layout order (do not mutate)."""
+        if kind not in DEVICE_KINDS:
+            raise GeometryError(f"unknown device kind {kind!r}")
+        return self._kind_indices[kind]
 
     @property
     def footprint(self) -> Rect:
@@ -108,25 +143,15 @@ class OniLayout:
 
     def devices_of_kind(self, kind: str) -> List[DevicePlacement]:
         """All placements of the given kind."""
-        if kind not in DEVICE_KINDS:
-            raise GeometryError(f"unknown device kind {kind!r}")
-        return [placement for placement in self.placements if placement.kind == kind]
+        return [self.placements[index] for index in self.indices_of_kind(kind)]
 
     def count_of_kind(self, kind: str) -> int:
         """Number of devices of the given kind."""
-        return len(self.devices_of_kind(kind))
+        return int(self.indices_of_kind(kind).size)
 
     def by_name(self) -> Dict[str, DevicePlacement]:
         """Mapping from placement name to placement."""
         return {placement.name: placement for placement in self.placements}
-
-    def transmitters(self) -> List[DevicePlacement]:
-        """All VCSEL placements."""
-        return self.devices_of_kind("vcsel")
-
-    def receivers(self) -> List[DevicePlacement]:
-        """All microring placements."""
-        return self.devices_of_kind("microring")
 
 
 def _centered_rect(center_x_um: float, center_y_um: float, width_um: float, height_um: float) -> Rect:
@@ -147,88 +172,32 @@ def generate_chessboard_layout(
     heat as evenly as possible.
     """
     params = parameters or OniLayoutParameters()
-    layout = OniLayout(parameters=params)
-
+    placements: List[DevicePlacement] = []
     for waveguide in range(params.waveguide_count):
         row_center_y = (
             params.margin_um + (waveguide + 0.5) * params.waveguide_pitch_um
         )
-        tx_index = 0
-        rx_index = 0
+        indices = {"tx": 0, "rx": 0}
         for site in range(params.sites_per_waveguide):
             site_center_x = params.margin_um + (site + 0.5) * params.site_pitch_um
             # Shift the alternation on odd waveguides (chessboard pattern).
-            is_transmitter = (site + waveguide) % 2 == 0
-            if is_transmitter:
-                vcsel_rect = _centered_rect(
-                    site_center_x,
-                    row_center_y,
-                    params.vcsel_footprint_um[0],
-                    params.vcsel_footprint_um[1],
-                )
-                layout.placements.append(
-                    DevicePlacement(
-                        name=f"vcsel_w{waveguide}_t{tx_index}",
-                        kind="vcsel",
-                        rect=vcsel_rect,
-                        waveguide_index=waveguide,
-                        site_index=tx_index,
-                        role="tx",
-                    )
-                )
-                layout.placements.append(
-                    DevicePlacement(
-                        name=f"driver_w{waveguide}_t{tx_index}",
-                        kind="driver",
-                        rect=vcsel_rect,
-                        waveguide_index=waveguide,
-                        site_index=tx_index,
-                        role="tx",
-                    )
-                )
-                tx_index += 1
+            if (site + waveguide) % 2 == 0:
+                role, letter, vcsel = "tx", "t", params.vcsel_footprint_um
+                devices = [("vcsel", "vcsel", vcsel, 0.0), ("driver", "driver", vcsel, 0.0)]
             else:
-                mr_rect = _centered_rect(
-                    site_center_x,
-                    row_center_y,
-                    params.mr_diameter_um,
-                    params.mr_diameter_um,
+                role, letter = "rx", "r"
+                ring = (params.mr_diameter_um, params.mr_diameter_um)
+                devices = [
+                    ("mr", "microring", ring, 0.0),
+                    ("heater", "heater", ring, 0.0),
+                    # The photodetector sits one ring diameter below its ring.
+                    ("pd", "photodetector", params.photodetector_footprint_um, ring[0]),
+                ]
+            for prefix, kind, (width_um, height_um), y_shift in devices:
+                rect = _centered_rect(site_center_x, row_center_y - y_shift, width_um, height_um)
+                name = f"{prefix}_w{waveguide}_{letter}{indices[role]}"
+                placements.append(
+                    DevicePlacement(name, kind, rect, waveguide, indices[role], role)
                 )
-                layout.placements.append(
-                    DevicePlacement(
-                        name=f"mr_w{waveguide}_r{rx_index}",
-                        kind="microring",
-                        rect=mr_rect,
-                        waveguide_index=waveguide,
-                        site_index=rx_index,
-                        role="rx",
-                    )
-                )
-                layout.placements.append(
-                    DevicePlacement(
-                        name=f"heater_w{waveguide}_r{rx_index}",
-                        kind="heater",
-                        rect=mr_rect,
-                        waveguide_index=waveguide,
-                        site_index=rx_index,
-                        role="rx",
-                    )
-                )
-                pd_rect = _centered_rect(
-                    site_center_x,
-                    row_center_y - params.mr_diameter_um,
-                    params.photodetector_footprint_um[0],
-                    params.photodetector_footprint_um[1],
-                )
-                layout.placements.append(
-                    DevicePlacement(
-                        name=f"pd_w{waveguide}_r{rx_index}",
-                        kind="photodetector",
-                        rect=pd_rect,
-                        waveguide_index=waveguide,
-                        site_index=rx_index,
-                        role="rx",
-                    )
-                )
-                rx_index += 1
-    return layout
+            indices[role] += 1
+    return OniLayout(parameters=params, placements=tuple(placements))

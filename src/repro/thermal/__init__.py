@@ -29,7 +29,7 @@ from .rom import (
     installed_basis,
 )
 from .solver import BatchSolveResult, SolverDiagnostics, SteadyStateSolver
-from .sources import HeatSource, HeatSourceSet, power_density_field
+from .sources import HeatSource, SourceBatch, power_density_field
 from .thermal_map import ThermalMap
 from .transient import (
     ProbeSeries,
@@ -76,7 +76,7 @@ __all__ = [
     "SolverDiagnostics",
     "SteadyStateSolver",
     "HeatSource",
-    "HeatSourceSet",
+    "SourceBatch",
     "power_density_field",
     "ThermalMap",
     "ProbeSeries",

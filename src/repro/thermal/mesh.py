@@ -14,12 +14,14 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import MeshError
 from ..geometry import Box, LayerStack, Rect
+from ..geometry.box import box_bounds
 from ..materials import AIR, Material
 from ..units import um_to_m
 
@@ -47,28 +49,63 @@ def _nonzero_slice(lengths: np.ndarray) -> slice:
     return slice(int(nonzero[0]), int(nonzero[-1]) + 1)
 
 
+#: The per-box fields of :class:`BoxOverlaps`, in constructor order.
+_ROW_FIELDS = ("x_lengths", "y_lengths", "z_lengths", "z_extents", "volumes")
+
+
 @dataclass(frozen=True)
 class BoxOverlaps:
     """Separable overlaps of N boxes with a tensor mesh.
 
     The overlap volume of box ``b`` with cell ``(i, j, k)`` factors into
-    ``x_lengths[b, i] * y_lengths[b, j] * z_lengths(b)[k]``.  Boxes sharing a
+    ``x_lengths[b, i] * y_lengths[b, j] * z_lengths[b, k]``.  Boxes sharing a
     z-extent share their z profile, so they form one group: depositing into
     or contracting with a field is then one small matmul per group instead
-    of one array operation per box.
+    of one array operation per box.  Rows are independent of each other, so
+    overlaps computed once serve any subset (:meth:`take`) or concatenation
+    (:meth:`concatenate`) of their boxes, grouped afresh in row order.
     """
 
     #: Per-box overlap lengths along x, shape ``(N, nx)`` [m].
     x_lengths: np.ndarray
     #: Per-box overlap lengths along y, shape ``(N, ny)`` [m].
     y_lengths: np.ndarray
-    #: One ``(members, z_slice, z_lengths)`` per distinct z-extent: the box
-    #: indices, the z-cells they overlap and the overlap lengths there.
-    z_groups: Tuple[Tuple[np.ndarray, slice, np.ndarray], ...]
+    #: Per-box overlap lengths along z, shape ``(N, nz)`` [m].
+    z_lengths: np.ndarray
+    #: Per-box ``(z_min, z_max)``, shape ``(N, 2)``: the grouping key.
+    z_extents: np.ndarray
     #: Total overlap volume per box, shape ``(N,)`` [m^3].
     volumes: np.ndarray
     #: Mesh shape ``(nx, ny, nz)``.
     shape: Tuple[int, int, int]
+
+    @cached_property
+    def z_groups(self) -> Tuple[Tuple[np.ndarray, slice, np.ndarray], ...]:
+        """One ``(members, z_slice, z_lengths)`` per distinct z-extent, in
+        order of first appearance: the box indices, the z-cells they
+        overlap and the overlap lengths there."""
+        groups = []
+        ungrouped = np.ones(self.volumes.size, dtype=bool)
+        while ungrouped.any():
+            first = int(np.argmax(ungrouped))
+            same = (self.z_extents == self.z_extents[first]).all(axis=1)
+            same[first] = True  # a NaN extent is a group of its own
+            members = np.flatnonzero(ungrouped & same)
+            ungrouped[members] = False
+            profile = self.z_lengths[first]
+            z_slice = _nonzero_slice(profile)
+            groups.append((members, z_slice, profile[z_slice]))
+        return tuple(groups)
+
+    def take(self, rows: np.ndarray) -> "BoxOverlaps":
+        """Overlaps of the boxes ``rows`` (an index array), in that order."""
+        return BoxOverlaps(*(getattr(self, name)[rows] for name in _ROW_FIELDS), self.shape)
+
+    @staticmethod
+    def concatenate(parts: Sequence["BoxOverlaps"]) -> "BoxOverlaps":
+        """Overlaps of the boxes of every part, part after part."""
+        columns = (np.concatenate([getattr(p, name) for p in parts]) for name in _ROW_FIELDS)
+        return BoxOverlaps(*columns, parts[0].shape)
 
     def deposit(self, weights: np.ndarray) -> np.ndarray:
         """Field ``sum_b weights[b] * overlap_volume_b``, shape ``(nx, ny, nz)``."""
@@ -79,14 +116,23 @@ class BoxOverlaps:
             field[:, :, z_slice] += plane[:, :, None] * z_lengths
         return field
 
-    def weighted_sums(self, field: np.ndarray) -> np.ndarray:
-        """Overlap-volume-weighted sum of ``field`` over each box, shape ``(N,)``."""
+    def weighted_sums(
+        self, field: np.ndarray, blocks: Optional[Sequence[slice]] = None
+    ) -> np.ndarray:
+        """Overlap-volume-weighted sum of ``field`` over each box, shape ``(N,)``.
+
+        With ``blocks`` (row ranges covering every row) each range is
+        contracted in a product of its own, so a sum equals the one of a
+        query of its block alone (a one-row product rounds differently).
+        """
         sums = np.zeros(self.volumes.size, dtype=float)
         for members, z_slice, z_lengths in self.z_groups:
             plane = field[:, :, z_slice] @ z_lengths
-            sums[members] = np.einsum(
-                "bi,bi->b", self.x_lengths[members] @ plane, self.y_lengths[members]
-            )
+            for block in blocks or [slice(0, self.volumes.size)]:
+                rows = members[(members >= block.start) & (members < block.stop)]
+                sums[rows] = np.einsum(
+                    "bi,bi->b", self.x_lengths[rows] @ plane, self.y_lengths[rows]
+                )
         return sums
 
     def first_empty(self) -> Optional[int]:
@@ -96,14 +142,11 @@ class BoxOverlaps:
 
     def cell_slices(self, index: int) -> Tuple[slice, slice, slice]:
         """Index ranges of the cells box ``index`` overlaps (may be empty)."""
-        for members, z_slice, _ in self.z_groups:
-            if index in members:
-                return (
-                    _nonzero_slice(self.x_lengths[index]),
-                    _nonzero_slice(self.y_lengths[index]),
-                    z_slice,
-                )
-        raise IndexError(index)
+        return (
+            _nonzero_slice(self.x_lengths[index]),
+            _nonzero_slice(self.y_lengths[index]),
+            _nonzero_slice(self.z_lengths[index]),
+        )
 
 
 @dataclass(frozen=True)
@@ -408,35 +451,22 @@ class Mesh3D:
 
     # Overlap helpers ---------------------------------------------------------
 
-    def box_overlaps(self, boxes: Sequence[Box]) -> BoxOverlaps:
+    def box_overlaps(self, boxes: Union[Sequence[Box], np.ndarray]) -> BoxOverlaps:
         """Separable overlaps of ``boxes`` with the mesh, in one batch.
 
-        Each axis is one broadcast over all boxes; the boxes are grouped
-        by z-extent (see :class:`BoxOverlaps`).  A box outside the mesh gets
-        a zero volume; callers decide whether that is an error.
+        ``boxes`` is a box list or its ``(N, 6)`` bounds array
+        (:func:`~repro.geometry.box.box_bounds`).  Each axis is one
+        broadcast over all boxes; the boxes are grouped by z-extent (see
+        :class:`BoxOverlaps`).  A box outside the mesh gets a zero volume;
+        callers decide whether that is an error.
         """
-        coords = np.array(
-            [(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes], dtype=float
-        ).reshape(-1, 4)
-        x_lengths = _axis_overlap_lengths(self.x_ticks, coords[:, 0:1], coords[:, 2:3])
-        y_lengths = _axis_overlap_lengths(self.y_ticks, coords[:, 1:2], coords[:, 3:4])
-        members_by_extent: Dict[Tuple[float, float], List[int]] = {}
-        for index, box in enumerate(boxes):
-            members_by_extent.setdefault((box.z_min, box.z_max), []).append(index)
-        groups = []
-        z_totals = np.empty(len(coords), dtype=float)
-        for (z_lower, z_upper), members in members_by_extent.items():
-            z_lengths = _axis_overlap_lengths(self.z_ticks, z_lower, z_upper)
-            z_slice = _nonzero_slice(z_lengths)
-            z_totals[members] = z_lengths.sum()
-            groups.append((np.array(members), z_slice, z_lengths[z_slice]))
-        volumes = x_lengths.sum(axis=1) * y_lengths.sum(axis=1) * z_totals
+        bounds = box_bounds(boxes)
+        x_lengths = _axis_overlap_lengths(self.x_ticks, bounds[:, 0:1], bounds[:, 3:4])
+        y_lengths = _axis_overlap_lengths(self.y_ticks, bounds[:, 1:2], bounds[:, 4:5])
+        z_lengths = _axis_overlap_lengths(self.z_ticks, bounds[:, 2:3], bounds[:, 5:6])
+        volumes = x_lengths.sum(axis=1) * y_lengths.sum(axis=1) * z_lengths.sum(axis=1)
         return BoxOverlaps(
-            x_lengths=x_lengths,
-            y_lengths=y_lengths,
-            z_groups=tuple(groups),
-            volumes=volumes,
-            shape=self.shape,
+            x_lengths, y_lengths, z_lengths, bounds[:, [2, 5]], volumes, self.shape
         )
 
     def box_overlap_volumes(self, box: Box) -> np.ndarray:

@@ -18,7 +18,7 @@ definite and so a valid CG preconditioner; it is recomputed per call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 from scipy.sparse import diags
@@ -29,7 +29,7 @@ from .assembly import boundary_rhs
 from .boundary import BoundaryConditions
 from .factorization import CacheEntry, shared_cache
 from .mesh import Mesh3D
-from .sources import HeatSource, power_density_field
+from .sources import HeatSource, SourceBatch, power_density_field
 from .thermal_map import ThermalMap
 
 
@@ -167,12 +167,12 @@ class SteadyStateSolver:
 
     # Public API ----------------------------------------------------------------------
 
-    def solve(self, sources: Iterable[HeatSource]) -> ThermalMap:
+    def solve(self, sources: Union[SourceBatch, Iterable[HeatSource]]) -> ThermalMap:
         """Solve for the steady-state temperature field of the given sources."""
         return self.solve_many([sources]).maps[0]
 
     def solve_many(
-        self, source_sets: Sequence[Iterable[HeatSource]]
+        self, source_sets: Sequence[Union[SourceBatch, Iterable[HeatSource]]]
     ) -> BatchSolveResult:
         """Solve one steady-state problem per source set, sharing one factorisation.
 
@@ -183,16 +183,14 @@ class SteadyStateSolver:
         ``maps[i]`` / ``diagnostics[i]``; the results are identical to
         calling :meth:`solve` once per source set.
         """
-        source_lists = [list(sources) for sources in source_sets]
-        if not source_lists:
+        batches = [SourceBatch.of(sources) for sources in source_sets]
+        if not batches:
             return BatchSolveResult(maps=[], diagnostics=[])
         entry = shared_cache.operator(self._mesh, self._boundaries)
         operator = entry.operator
         boundary_load = boundary_rhs(operator, self._boundaries)
 
-        powers = [
-            power_density_field(self._mesh, sources) for sources in source_lists
-        ]
+        powers = [power_density_field(self._mesh, batch) for batch in batches]
         rhs_matrix = np.stack(
             [power.ravel() + boundary_load for power in powers], axis=1
         )

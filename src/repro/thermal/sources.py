@@ -1,22 +1,32 @@
 """Heat sources and their projection onto the thermal mesh.
 
 A heat source is a box (footprint x z-range) dissipating a given power.  The
-power is distributed over the mesh cells proportionally to the overlap volume
-so that total power is conserved regardless of the mesh resolution — the same
-scheme used by finite-volume simulators such as IcTherm when the source
-geometry does not line up with the mesh.
+power is distributed over the mesh cells proportionally to the overlap
+volume so that total power is conserved regardless of the mesh resolution —
+the same scheme used by finite-volume simulators such as IcTherm when the
+source geometry does not line up with the mesh.
+
+The thermal layer works on :class:`SourceBatch`, sources as arrays: box
+bounds ``(n, 6)``, powers ``(n,)``, group tags and names.  A batch keeps the
+overlaps of its boxes with the last mesh it was deposited on, and the
+batches derived from it (:meth:`SourceBatch.take`,
+:meth:`SourceBatch.concatenate`) slice those overlaps instead of recomputing
+them, so geometry compiled once (e.g. every ONI device of a design flow)
+serves every request that only changes powers.  :class:`HeatSource` is the
+object view of one row, accepted and returned at the API edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import GeometryError, SolverError
 from ..geometry import Box, Rect
-from .mesh import Mesh3D
+from ..geometry.box import box_bounds
+from .mesh import BoxOverlaps, Mesh3D
 
 
 @dataclass(frozen=True)
@@ -77,97 +87,134 @@ class HeatSource:
         return replace(self, power_w=self.power_w * factor)
 
 
-class HeatSourceSet:
-    """A named collection of heat sources with group-level operations."""
+class SourceBatch:
+    """Heat sources as arrays: the collection type of the thermal layer.
 
-    def __init__(self, sources: Iterable[HeatSource] = ()) -> None:
-        self._sources: List[HeatSource] = []
-        self._names: set[str] = set()
-        for source in sources:
-            self.add(source)
+    Row ``i`` dissipates ``powers[i]`` W over the box ``bounds[i]`` (columns
+    in :class:`~repro.geometry.Box` field order), tagged ``groups[i]`` and
+    named ``"<owners[i]>:<labels[i]>"`` (``labels[i]`` for an empty owner),
+    joined only when a message or a :class:`HeatSource` needs the name.
+    The checks of :class:`HeatSource` run where rows are deposited
+    (:meth:`validate`), so compiled geometry may hold rows no request powers.
+    """
 
-    def add(self, source: HeatSource) -> HeatSource:
-        """Add a source; names must be unique within the set."""
-        if source.name in self._names:
-            raise GeometryError(f"duplicate heat source name {source.name!r}")
-        self._names.add(source.name)
-        self._sources.append(source)
-        return source
+    def __init__(self, bounds, powers, groups, owners, labels) -> None:
+        self.bounds = np.asarray(bounds, dtype=float).reshape(-1, 6)
+        self.powers = np.asarray(powers, dtype=float).reshape(-1)
+        self.groups, self.owners, self.labels = (
+            np.array(column, dtype=object).reshape(-1)
+            for column in (groups, owners, labels)
+        )
+        #: Derives the overlaps with a mesh from the batches this one was
+        #: cut from; ``None`` computes them from the bounds.
+        self._derive: Optional[Callable[[Mesh3D], BoxOverlaps]] = None
+        self._memo: Optional[Tuple[Mesh3D, BoxOverlaps]] = None
 
-    def extend(self, sources: Iterable[HeatSource]) -> None:
-        """Add several sources."""
-        for source in sources:
-            self.add(source)
+    @classmethod
+    def of(cls, sources: Union["SourceBatch", Iterable[HeatSource]]) -> "SourceBatch":
+        """``sources`` as a batch: a batch passes through, objects convert."""
+        if isinstance(sources, SourceBatch):
+            return sources
+        listed = list(sources)
+        return cls(
+            box_bounds([source.box for source in listed]),
+            [source.power_w for source in listed],
+            [source.group for source in listed],
+            [""] * len(listed),
+            [source.name for source in listed],
+        )
 
     def __len__(self) -> int:
-        return len(self._sources)
+        return self.powers.size
 
-    def __iter__(self):
-        return iter(self._sources)
+    def __iter__(self) -> Iterator[HeatSource]:
+        return iter(self.heat_sources())
 
-    def sources(self) -> List[HeatSource]:
-        """All sources, in insertion order."""
-        return list(self._sources)
+    def name(self, index: int) -> str:
+        """Name of row ``index``."""
+        owner, label = self.owners[index], self.labels[index]
+        return f"{owner}:{label}" if owner else label
 
-    def total_power_w(self, group: Optional[str] = None) -> float:
-        """Total power of all sources, optionally restricted to a group."""
-        return sum(
-            source.power_w
-            for source in self._sources
-            if group is None or source.group == group
-        )
+    def heat_sources(self) -> List[HeatSource]:
+        """The rows as :class:`HeatSource` objects (checked on construction)."""
+        rows = zip(self.bounds.tolist(), self.powers.tolist(), self.groups)
+        return [
+            HeatSource(self.name(index), Box(*bounds), power, group)
+            for index, (bounds, power, group) in enumerate(rows)
+        ]
 
-    def groups(self) -> List[str]:
-        """Sorted list of distinct group tags present in the set."""
-        return sorted({source.group for source in self._sources})
+    @property
+    def volumes(self) -> np.ndarray:
+        """Box volumes ``(n,)``, with the arithmetic of :attr:`Box.volume`."""
+        b = self.bounds
+        return (b[:, 3] - b[:, 0]) * (b[:, 4] - b[:, 1]) * (b[:, 5] - b[:, 2])
 
-    def by_group(self) -> Dict[str, List[HeatSource]]:
-        """Sources split by group tag."""
-        grouped: Dict[str, List[HeatSource]] = {}
-        for source in self._sources:
-            grouped.setdefault(source.group, []).append(source)
-        return grouped
-
-    def scaled_group(self, group: str, factor: float) -> "HeatSourceSet":
-        """New set with the power of every source in ``group`` scaled."""
-        return HeatSourceSet(
-            source.scaled(factor) if source.group == group else source
-            for source in self._sources
-        )
-
-    def with_group_power(self, group: str, total_power_w: float) -> "HeatSourceSet":
-        """New set where the group's total power is rescaled to ``total_power_w``.
-
-        The relative distribution among the group's sources is preserved.
-        """
-        current = self.total_power_w(group)
-        if current <= 0.0:
-            raise SolverError(
-                f"cannot rescale group {group!r}: its current total power is zero"
+    def validate(self) -> None:
+        """Raise :class:`GeometryError` at the first row a :class:`HeatSource`
+        would reject: a negative power, then a box without volume."""
+        bad = np.flatnonzero((self.powers < 0.0) | (self.volumes <= 0.0))
+        if bad.size:
+            name, power = self.name(bad[0]), float(self.powers[bad[0]])
+            raise GeometryError(
+                f"heat source {name!r}: power must be >= 0, got {power!r}"
+                if power < 0.0
+                else f"heat source {name!r}: the source box must have a positive volume"
             )
-        return self.scaled_group(group, total_power_w / current)
 
-    def merged_with(self, other: "HeatSourceSet") -> "HeatSourceSet":
-        """New set combining this set and ``other``."""
-        merged = HeatSourceSet(self._sources)
-        merged.extend(other.sources())
-        return merged
+    def overlaps(self, mesh: Mesh3D) -> BoxOverlaps:
+        """Overlaps of the source boxes with ``mesh`` (kept for the last mesh)."""
+        if self._memo is None or self._memo[0] is not mesh:
+            derive = self._derive or (lambda mesh: mesh.box_overlaps(self.bounds))
+            self._memo = (mesh, derive(mesh))
+        return self._memo[1]
+
+    def take(self, rows: np.ndarray, powers: Optional[np.ndarray] = None) -> "SourceBatch":
+        """Rows ``rows`` of the batch, with new ``powers`` (one per row) if
+        given; their overlaps are cut from this batch's."""
+        batch = SourceBatch(
+            self.bounds[rows],
+            self.powers[rows] if powers is None else powers,
+            *(column[rows] for column in (self.groups, self.owners, self.labels)),
+        )
+        batch._derive = lambda mesh: self.overlaps(mesh).take(rows)
+        return batch
+
+    @staticmethod
+    def concatenate(batches: Sequence["SourceBatch"]) -> "SourceBatch":
+        """The rows of every batch in turn; when one of them has overlaps to
+        reuse, the result's are joined from theirs."""
+        names = ("bounds", "powers", "groups", "owners", "labels")
+        batch = SourceBatch(
+            *(np.concatenate([getattr(part, name) for part in batches]) for name in names)
+        )
+        if any(part._derive or part._memo for part in batches):
+            batch._derive = lambda mesh: BoxOverlaps.concatenate(
+                [part.overlaps(mesh) for part in batches]
+            )
+        return batch
 
 
-def power_density_field(mesh: Mesh3D, sources: Iterable[HeatSource]) -> np.ndarray:
+def power_density_field(
+    mesh: Mesh3D, sources: Union[SourceBatch, Iterable[HeatSource]]
+) -> np.ndarray:
     """Per-cell dissipated power [W], shape ``(nx, ny, nz)``.
 
     Power of each source is split over cells proportionally to the overlap
-    volume, all sources in one batched deposit (:meth:`Mesh3D.box_overlaps`);
-    a source entirely outside the mesh raises :class:`SolverError` because
+    volume, all sources in one batched deposit (:meth:`Mesh3D.box_overlaps`,
+    served by :meth:`SourceBatch.overlaps`); zero-power rows are skipped.
+    A source entirely outside the mesh raises :class:`SolverError` because
     silently dropping power would corrupt the energy balance.
     """
-    powered = [source for source in sources if source.power_w != 0.0]
-    overlaps = mesh.box_overlaps([source.box for source in powered])
+    batch = SourceBatch.of(sources)
+    batch.validate()
+    powered = np.flatnonzero(batch.powers != 0.0)
+    overlaps = batch.overlaps(mesh)
+    if powered.size < len(batch):
+        overlaps = overlaps.take(powered)
     outside = overlaps.first_empty()
     if outside is not None:
         raise SolverError(
-            f"heat source {powered[outside].name!r} does not overlap the thermal mesh"
+            f"heat source {batch.name(int(powered[outside]))!r} does not overlap "
+            "the thermal mesh"
         )
-    powers = np.array([source.power_w for source in powered], dtype=float)
-    return overlaps.deposit(powers / overlaps.volumes)
+    return overlaps.deposit(batch.powers[powered] / overlaps.volumes)

@@ -10,7 +10,7 @@ queries over arbitrary boxes or footprints.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -66,20 +66,31 @@ class ThermalMap:
 
     # Box queries ---------------------------------------------------------------
 
-    def _overlaps(self, boxes: Sequence[Box]) -> BoxOverlaps:
+    def overlaps(self, boxes: Union[Sequence[Box], np.ndarray]) -> BoxOverlaps:
+        """Overlaps of boxes (or their ``(N, 6)`` bounds) with the mesh, to
+        query repeatedly; :class:`AnalysisError` names a box outside it."""
         overlaps = self._mesh.box_overlaps(boxes)
         outside = overlaps.first_empty()
         if outside is not None:
+            box = boxes[outside]
             raise AnalysisError(
                 "query box does not overlap the thermal map domain: "
-                f"{boxes[outside]!r}"
+                f"{Box(*box.tolist()) if isinstance(box, np.ndarray) else box!r}"
             )
         return overlaps
 
-    def averages_over(self, boxes: Sequence[Box]) -> np.ndarray:
-        """Volume-weighted average temperature over each box, shape ``(N,)``."""
-        overlaps = self._overlaps(boxes)
-        return overlaps.weighted_sums(self._temperatures) / overlaps.volumes
+    def averages_over(
+        self,
+        boxes: Union[Sequence[Box], np.ndarray, BoxOverlaps],
+        blocks: Optional[Sequence[slice]] = None,
+    ) -> np.ndarray:
+        """Volume-weighted average temperature over each box, shape ``(N,)``.
+
+        ``boxes`` may be :meth:`overlaps`; ``blocks`` as in
+        :meth:`BoxOverlaps.weighted_sums`.
+        """
+        overlaps = boxes if isinstance(boxes, BoxOverlaps) else self.overlaps(boxes)
+        return overlaps.weighted_sums(self._temperatures, blocks) / overlaps.volumes
 
     def average_over(self, box: Box) -> float:
         """Volume-weighted average temperature over ``box``."""
@@ -87,16 +98,12 @@ class ThermalMap:
 
     def extrema_over(self, box: Box) -> Tuple[float, float]:
         """Minimum and maximum cell temperature among cells overlapping ``box``."""
-        values = self._temperatures[self._overlaps([box]).cell_slices(0)]
+        values = self._temperatures[self.overlaps([box]).cell_slices(0)]
         return float(values.min()), float(values.max())
 
     def max_over(self, box: Box) -> float:
         """Maximum cell temperature among cells overlapping ``box``."""
         return self.extrema_over(box)[1]
-
-    def min_over(self, box: Box) -> float:
-        """Minimum cell temperature among cells overlapping ``box``."""
-        return self.extrema_over(box)[0]
 
     def gradient_within(self, box: Box) -> float:
         """Maximum temperature difference between any two cells of ``box``."""
@@ -106,16 +113,6 @@ class ThermalMap:
     def gradient_between(self, first: Box, second: Box) -> float:
         """Absolute difference of the average temperatures of two boxes."""
         return abs(self.average_over(first) - self.average_over(second))
-
-    # Footprint (rect + z-range) queries -----------------------------------------
-
-    def average_over_rect(self, rect: Rect, z_min: float, z_max: float) -> float:
-        """Volume-weighted average over a footprint and z-range."""
-        return self.average_over(Box.from_rect(rect, z_min, z_max))
-
-    def gradient_within_rect(self, rect: Rect, z_min: float, z_max: float) -> float:
-        """Gradient temperature over a footprint and z-range."""
-        return self.gradient_within(Box.from_rect(rect, z_min, z_max))
 
     # Slices and summaries ---------------------------------------------------------
 

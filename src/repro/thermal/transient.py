@@ -47,11 +47,12 @@ import numpy as np
 from ..caching import LruCache
 from ..errors import SolverError
 from ..geometry import Box
+from ..geometry.box import box_bounds
 from ..log import get_logger
 from .assembly import boundary_rhs
 from .boundary import FACES, BoundaryConditions
 from .factorization import CacheEntry, shared_cache
-from .mesh import Mesh3D
+from .mesh import BoxOverlaps, Mesh3D
 from .rom import (
     DEFAULT_CONFIG,
     ReducedBasis,
@@ -62,14 +63,15 @@ from .rom import (
     build_basis,
     installed_basis,
 )
-from .sources import HeatSource, power_density_field
+from .sources import HeatSource, SourceBatch, power_density_field
 from .thermal_map import ThermalMap
 
 logger = get_logger("thermal.transient")
 
 #: A probe is one box (volume-weighted average) or several boxes (mean of
-#: the per-box averages, e.g. "all VCSELs of one ONI").
-ProbeSpec = Union[Box, Sequence[Box]]
+#: the per-box averages, e.g. "all VCSELs of one ONI"), given as boxes or
+#: as their ``(n, 6)`` bounds array.
+ProbeSpec = Union[Box, Sequence[Box], np.ndarray]
 
 
 def piecewise_segment_index(durations: Sequence[float], t: float) -> int:
@@ -99,13 +101,18 @@ def piecewise_segment_index(durations: Sequence[float], t: float) -> int:
 
 @dataclass(frozen=True)
 class ScheduleSegment:
-    """One segment of a power schedule: sources held for a duration."""
+    """One segment of a power schedule: sources held for a duration.
+
+    ``sources`` may be given as :class:`HeatSource` objects; the segment
+    keeps them as a :class:`~repro.thermal.sources.SourceBatch`.
+    """
 
     duration_s: float
-    sources: Tuple[HeatSource, ...]
+    sources: SourceBatch
     label: str = ""
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "sources", SourceBatch.of(self.sources))
         if not math.isfinite(self.duration_s) or self.duration_s <= 0.0:
             raise SolverError(
                 f"schedule segment duration must be a positive finite number, "
@@ -128,14 +135,12 @@ class SourceSchedule:
     def add_segment(
         self,
         duration_s: float,
-        sources: Iterable[HeatSource],
+        sources: Union[SourceBatch, Iterable[HeatSource]],
         label: str = "",
     ) -> None:
         """Append a segment holding ``sources`` for ``duration_s`` seconds."""
         self._segments.append(
-            ScheduleSegment(
-                duration_s=duration_s, sources=tuple(sources), label=label
-            )
+            ScheduleSegment(duration_s=duration_s, sources=sources, label=label)
         )
 
     def __len__(self) -> int:
@@ -318,13 +323,13 @@ class TransientResult:
         return max(series.max_c for series in self.probes.values())
 
 
-def _probe_cache_key(spec: ProbeSpec) -> tuple:
-    """Value-based key of a probe spec (boxes are compared by coordinates)."""
-    boxes = [spec] if isinstance(spec, Box) else list(spec)
-    return tuple(
-        (box.x_min, box.y_min, box.z_min, box.x_max, box.y_max, box.z_max)
-        for box in boxes
-    )
+def _probe_bounds(spec: ProbeSpec) -> np.ndarray:
+    return box_bounds([spec] if isinstance(spec, Box) else spec)
+
+
+def _probe_cache_key(spec: ProbeSpec) -> bytes:
+    """Value-based key of a probe spec: the bytes of its box bounds."""
+    return _probe_bounds(spec).tobytes()
 
 
 class _ProbeFunctional:
@@ -332,24 +337,37 @@ class _ProbeFunctional:
 
     __slots__ = ("indices", "weights")
 
-    def __init__(self, mesh: Mesh3D, name: str, spec: ProbeSpec) -> None:
-        boxes = [spec] if isinstance(spec, Box) else list(spec)
-        if not boxes:
-            raise SolverError(f"probe {name!r} has no boxes")
-        overlaps = mesh.box_overlaps(boxes)
-        outside = overlaps.first_empty()
-        if outside is not None:
-            raise SolverError(
-                f"probe {name!r}: box {boxes[outside]!r} does not overlap the mesh"
-            )
+    def __init__(self, overlaps: BoxOverlaps) -> None:
         # Mean of per-box averages: each box contributes weights that sum to
         # 1/len(boxes); cells shared by several boxes add up in the deposit.
-        weights = overlaps.deposit(1.0 / (overlaps.volumes * len(boxes))).ravel()
+        volumes = overlaps.volumes
+        weights = overlaps.deposit(1.0 / (volumes * volumes.size)).ravel()
         self.indices = np.flatnonzero(weights)
         self.weights = weights[self.indices]
 
     def value(self, flat_temperatures: np.ndarray) -> float:
         return float(self.weights @ flat_temperatures[self.indices])
+
+
+def _compile_probes(
+    mesh: Mesh3D, specs: Mapping[str, ProbeSpec]
+) -> Dict[str, _ProbeFunctional]:
+    """Compile probes, in order, from one overlap set of all their boxes."""
+    bounds = {name: _probe_bounds(spec) for name, spec in specs.items()}
+    overlaps = mesh.box_overlaps(np.concatenate([np.empty((0, 6)), *bounds.values()]))
+    functionals: Dict[str, _ProbeFunctional] = {}
+    stop = 0
+    for name, rows in bounds.items():
+        part = overlaps.take(np.arange(stop, stop + len(rows)))
+        stop += len(rows)
+        outside = part.first_empty()
+        if len(rows) == 0:
+            raise SolverError(f"probe {name!r} has no boxes")
+        if outside is not None:
+            box = Box(*rows[outside].tolist())
+            raise SolverError(f"probe {name!r}: box {box!r} does not overlap the mesh")
+        functionals[name] = _ProbeFunctional(part)
+    return functionals
 
 
 class _SnapshotRecorder:
@@ -533,27 +551,16 @@ class TransientSolver:
             plan.append((segment, count, segment.duration_s / count))
         return plan
 
-    def _source_load(self, sources: Sequence[HeatSource]) -> np.ndarray:
+    def _source_load(self, sources: SourceBatch) -> np.ndarray:
         """Flattened rasterised power load of a source set [W per cell].
 
-        Memoised on the sources' field-relevant content (box and power, in
-        order — the accumulation order fixes the floating-point rounding),
-        so re-integrating a trace or revisiting a power state never
-        re-projects the geometry.  Callers must not mutate the returned
-        array (`solve` always adds the boundary load, which copies).
+        Memoised on the bytes of the box bounds and powers, in order — the
+        accumulation order fixes the floating-point rounding — so
+        re-integrating a trace or revisiting a power state never re-projects
+        the geometry.  Callers must not mutate the returned array (`solve`
+        always adds the boundary load, which copies).
         """
-        key = tuple(
-            (
-                source.power_w,
-                source.box.x_min,
-                source.box.x_max,
-                source.box.y_min,
-                source.box.y_max,
-                source.box.z_min,
-                source.box.z_max,
-            )
-            for source in sources
-        )
+        key = sources.bounds.tobytes() + sources.powers.tobytes()
         load = self._source_loads.get(key)
         if load is None:
             load = power_density_field(self._mesh, sources).ravel()
@@ -793,7 +800,9 @@ class TransientSolver:
             available as :attr:`TransientResult.final_map`.
         probes:
             Named regions recorded at *every* step: a ``Box`` (volume
-            average) or a sequence of boxes (mean of per-box averages).
+            average) or a sequence of boxes or ``(n, 6)`` bounds array
+            (mean of per-box averages).  Probes not compiled before are
+            compiled together, from one overlap set.
         method:
             ``"lu"`` (default) integrates in full space with the direct
             (banded Cholesky) factorisation.
@@ -829,13 +838,12 @@ class TransientSolver:
 
         entry = shared_cache.operator(self._mesh, self._boundaries)
         boundary_load = boundary_rhs(entry.operator, self._boundaries)
-        functionals: Dict[str, _ProbeFunctional] = {}
-        for name, spec in (probes or {}).items():
-            cache_key = (name, _probe_cache_key(spec))
-            functional = self._probe_functionals.get(cache_key)
-            if functional is None:
-                functional = _ProbeFunctional(self._mesh, name, spec)
-                self._probe_functionals.put(cache_key, functional)
+        specs = dict(probes or {})
+        keys = {name: (name, _probe_cache_key(spec)) for name, spec in specs.items()}
+        functionals = {name: self._probe_functionals.get(key) for name, key in keys.items()}
+        missing = {name: specs[name] for name, found in functionals.items() if found is None}
+        for name, functional in _compile_probes(self._mesh, missing).items():
+            self._probe_functionals.put(keys[name], functional)
             functionals[name] = functional
 
         plan = self._segment_steps(schedule, dt_s)

@@ -26,14 +26,16 @@ once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, Optional, Union
+
+import numpy as np
 
 from ..errors import SolverError
 from ..geometry import Box, LayerStack, Rect
 from .boundary import BoundaryConditions, FaceCondition
 from .mesh import MeshBuilder
 from .solver import SteadyStateSolver
-from .sources import HeatSource
+from .sources import HeatSource, SourceBatch
 from .thermal_map import ThermalMap
 
 
@@ -47,30 +49,27 @@ class ZoomResult:
 
 
 def clip_sources_to_window(
-    sources: Iterable[HeatSource], window: Box
-) -> List[HeatSource]:
+    sources: Union[SourceBatch, Iterable[HeatSource]], window: Box
+) -> SourceBatch:
     """Clip heat sources to a window, scaling powers by the overlap fraction.
 
     Sources entirely outside the window are dropped — their effect on the
     window is carried by the Dirichlet boundary taken from the coarse solve.
+    The arithmetic is that of :meth:`Box.intersection` and
+    :meth:`Box.overlap_fraction`, row by row.
     """
-    clipped: List[HeatSource] = []
-    for source in sources:
-        intersection = source.box.intersection(window)
-        if intersection is None:
-            continue
-        fraction = source.box.overlap_fraction(window)
-        if fraction <= 0.0:
-            continue
-        clipped.append(
-            HeatSource(
-                name=source.name,
-                box=intersection,
-                power_w=source.power_w * fraction,
-                group=source.group,
-            )
-        )
-    return clipped
+    batch = SourceBatch.of(sources)
+    batch.validate()
+    lower = np.maximum(batch.bounds[:, :3], [window.x_min, window.y_min, window.z_min])
+    upper = np.minimum(batch.bounds[:, 3:], [window.x_max, window.y_max, window.z_max])
+    extent = upper - lower
+    fraction = extent[:, 0] * extent[:, 1] * extent[:, 2] / batch.volumes
+    kept = np.flatnonzero(np.all(extent > 0.0, axis=1) & (fraction > 0.0))
+    return SourceBatch(
+        np.hstack([lower, upper])[kept],
+        batch.powers[kept] * fraction[kept],
+        *(column[kept] for column in (batch.groups, batch.owners, batch.labels)),
+    )
 
 
 class ZoomSolver:
@@ -164,7 +163,7 @@ class ZoomSolver:
         self,
         coarse_map: ThermalMap,
         region: Rect,
-        sources: Iterable[HeatSource],
+        sources: Union[SourceBatch, Iterable[HeatSource]],
         extra_refinements: Optional[Iterable[Rect]] = None,
         fine_cell_size_um: Optional[float] = None,
     ) -> ZoomResult:

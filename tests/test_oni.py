@@ -1,5 +1,7 @@
 """Tests for the ONI layout generator and the instantiated interface."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ConfigurationError, GeometryError
@@ -83,6 +85,17 @@ class TestOniLayout:
             OniLayoutParameters(site_pitch_um=5.0)  # smaller than the VCSEL
         with pytest.raises(GeometryError):
             generate_chessboard_layout().devices_of_kind("transistor")
+
+    def test_layout_is_immutable(self):
+        # The compiled rect and kind arrays are cached on the layout, so it
+        # must not change after they are built.
+        layout = generate_chessboard_layout()
+        assert isinstance(layout.placements, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            layout.placements = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            layout.parameters = OniLayoutParameters()
+        assert layout.rects.shape == (len(layout.placements), 4)
 
 
 class TestOniPowerConfig:

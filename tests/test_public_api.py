@@ -4,6 +4,10 @@ These tests guard the names re-exported from ``repro`` (the documented entry
 points of the library) and the README quickstart flow on a tiny configuration.
 """
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -37,6 +41,23 @@ class TestPublicApi:
             "format_table",
         ):
             assert name in repro.__all__
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        # scipy.optimize takes a large share of the import time; the two
+        # functions needing it import it when called.
+        code = (
+            "import sys, repro; "
+            "print(any(m.split('.')[:2] == ['scipy', 'optimize'] for m in sys.modules))"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert result.stdout.strip() == "False"
 
     def test_exceptions_derive_from_repro_error(self):
         from repro.errors import (

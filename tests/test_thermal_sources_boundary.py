@@ -11,7 +11,6 @@ from repro.thermal import (
     BoundaryConditions,
     FaceCondition,
     HeatSource,
-    HeatSourceSet,
     MeshBuilder,
     power_density_field,
 )
@@ -47,60 +46,6 @@ class TestHeatSource:
         assert source.scaled(0.5).power_w == 1.0
         with pytest.raises(GeometryError):
             source.scaled(-1.0)
-
-
-class TestHeatSourceSet:
-    def _set(self):
-        rect = Rect.from_size_mm(0.0, 0.0, 1.0, 1.0)
-        return HeatSourceSet(
-            [
-                HeatSource.from_rect("chip", rect, 0.0, 1e-6, 10.0, group="chip"),
-                HeatSource.from_rect("vcsel_0", rect, 0.0, 1e-6, 0.004, group="vcsel"),
-                HeatSource.from_rect("vcsel_1", rect, 0.0, 1e-6, 0.006, group="vcsel"),
-            ]
-        )
-
-    def test_totals_and_groups(self):
-        sources = self._set()
-        assert sources.total_power_w() == pytest.approx(10.01)
-        assert sources.total_power_w("vcsel") == pytest.approx(0.01)
-        assert sources.groups() == ["chip", "vcsel"]
-        assert len(sources.by_group()["vcsel"]) == 2
-
-    def test_duplicate_names_rejected(self):
-        sources = self._set()
-        with pytest.raises(GeometryError):
-            sources.add(
-                HeatSource.from_rect(
-                    "chip", Rect.from_size_mm(0.0, 0.0, 1.0, 1.0), 0.0, 1e-6, 1.0
-                )
-            )
-
-    def test_scaled_group_preserves_other_groups(self):
-        sources = self._set().scaled_group("vcsel", 2.0)
-        assert sources.total_power_w("vcsel") == pytest.approx(0.02)
-        assert sources.total_power_w("chip") == pytest.approx(10.0)
-
-    def test_with_group_power(self):
-        sources = self._set().with_group_power("vcsel", 0.1)
-        assert sources.total_power_w("vcsel") == pytest.approx(0.1)
-        # Relative split preserved (0.4 / 0.6).
-        powers = sorted(s.power_w for s in sources.by_group()["vcsel"])
-        assert powers[0] == pytest.approx(0.04)
-        assert powers[1] == pytest.approx(0.06)
-
-    def test_with_group_power_zero_group_rejected(self):
-        sources = HeatSourceSet()
-        with pytest.raises(SolverError):
-            sources.with_group_power("vcsel", 1.0)
-
-    def test_merged_with(self):
-        first = self._set()
-        second = HeatSourceSet(
-            [HeatSource.from_rect("extra", Rect.from_size_mm(0.0, 0.0, 1.0, 1.0), 0.0, 1e-6, 1.0)]
-        )
-        merged = first.merged_with(second)
-        assert len(merged) == 4
 
 
 class TestPowerDensityField:

@@ -10,9 +10,17 @@ shape-level claims of the paper (orderings, slopes, optima locations).
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import json
+import os
+import platform
+import subprocess
+from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 
 from repro.activity import standard_activities, uniform_activity
 from repro.casestudy import (
@@ -35,16 +43,61 @@ def pytest_addoption(parser):
     )
 
 
+def blas_threads() -> dict:
+    """Thread count of every OpenBLAS bundled with numpy and scipy."""
+    threads = {}
+    for package in (numpy, scipy):
+        libs = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
+        for path in glob.glob(str(libs / "*openblas*")):
+            library = ctypes.CDLL(path)
+            for symbol in (
+                "scipy_openblas_get_num_threads64_",
+                "openblas_get_num_threads64_",
+                "openblas_get_num_threads",
+            ):
+                getter = getattr(library, symbol, None)
+                if getter is not None:
+                    threads[package.__name__] = getter()
+                    break
+    return threads
+
+
+def bench_environment() -> dict:
+    """Where a record's timings were taken: CPU count, interpreter and
+    library versions, BLAS threads and the source revision."""
+    try:
+        sha = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=True,
+            cwd=Path(__file__).resolve().parent,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        sha = None
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "blas_threads": blas_threads() or os.environ.get("OPENBLAS_NUM_THREADS"),
+        "git_sha": sha,
+    }
+
+
 @pytest.fixture
 def bench_record(request):
     """``write(path, record, sort_keys=False)``: dump ``record`` as JSON to
-    ``path``, but only when pytest runs with ``--bench-record``."""
+    ``path`` with its ``environment`` (:func:`bench_environment`), but only
+    when pytest runs with ``--bench-record``."""
     enabled = request.config.getoption("--bench-record", default=False)
 
     def write(path, record, sort_keys=False):
         if enabled:
+            stamped = {**record, "environment": bench_environment()}
             path.write_text(
-                json.dumps(record, indent=2, sort_keys=sort_keys) + "\n",
+                json.dumps(stamped, indent=2, sort_keys=sort_keys) + "\n",
                 encoding="utf-8",
             )
 

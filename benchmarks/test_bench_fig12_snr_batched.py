@@ -5,8 +5,8 @@ the full thermal + SNR flow; this companion isolates the SNR half at the
 same scale (24 ONIs on the 32.4 mm reference ring, Fig. 12-style per-ONI
 temperature spreads) and times three executions of a 16-state sweep:
 
-* **scalar** — 16 sequential :meth:`SnrAnalyzer.analyze_scalar` calls, the
-  original pure-Python ONI-by-ONI walk;
+* **scalar** — 16 sequential ``analyze_scalar`` calls, the original
+  pure-Python ONI-by-ONI walk (the parity oracle in ``tests/snr_reference.py``);
 * **cold**   — one :meth:`SnrAnalyzer.analyze_many` call on a fresh
   analyzer, paying the one-off network compilation;
 * **warm**   — a second ``analyze_many`` on the compiled engine, the
@@ -20,6 +20,7 @@ control.  The acceptance gate of the batched engine is asserted here: the
 
 from __future__ import annotations
 
+import sys
 import time
 from pathlib import Path
 
@@ -28,6 +29,9 @@ import pytest
 
 from repro.onoc import OrnocNetwork, RingTopology, shift_traffic
 from repro.snr import LaserDriveConfig, OniThermalState, SnrAnalyzer
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from snr_reference import analyze_scalar  # noqa: E402
 
 ONI_COUNT = 24
 RING_LENGTH_MM = 32.4
@@ -88,7 +92,7 @@ def test_fig12_snr_batched_vs_scalar(benchmark, bench_record):
     scalar_analyzer = SnrAnalyzer(network)
     start = time.perf_counter()
     scalar_reports = [
-        scalar_analyzer.analyze_scalar(states, PAPER_DRIVE)
+        analyze_scalar(scalar_analyzer, states, PAPER_DRIVE)
         for states in states_batch
     ]
     scalar_s = time.perf_counter() - start
@@ -177,7 +181,7 @@ def test_fig12_snr_batched_lineshape_model(benchmark):
         analyzer.analyze_many, args=(states_batch, PAPER_DRIVE), rounds=1, iterations=1
     )
     for index, states in enumerate(states_batch):
-        reference = analyzer.analyze_scalar(states, PAPER_DRIVE)
+        reference = analyze_scalar(analyzer, states, PAPER_DRIVE)
         for s, link in enumerate(reference.links):
             np.testing.assert_allclose(
                 batch.signal_power_w[index, s], link.signal_power_w, rtol=1e-6

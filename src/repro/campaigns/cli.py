@@ -198,7 +198,7 @@ def _cmd_seed_rom(args: argparse.Namespace) -> int:
     for point in points:
         runner = ScenarioRunner(point.spec, transient_method="rom")
         runner.run(("transient",))
-        for payload in runner.flow().rom_basis_payloads():
+        for payload in runner.engine().rom_basis_payloads():
             keys.add(store.store_rom_basis(payload))
     print(
         f"campaign {matrix.name}: {len(keys)} reduced bases persisted "

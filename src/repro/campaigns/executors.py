@@ -69,7 +69,7 @@ class ExecutionResult:
     "message"}``) even when a later retry succeeded, so the campaign report
     can show that a spec crashed twice before completing.
 
-    ``telemetry`` is the kernel's serialised span/metrics payload (see
+    ``telemetry`` is the kernel's plain-data span/metrics payload (see
     :meth:`~repro.campaigns.kernel.EvaluationKernel.run`), ``None`` while
     telemetry is off — executors ship it back verbatim and the campaign
     runner merges the payloads onto one timeline.
@@ -78,7 +78,7 @@ class ExecutionResult:
     item: WorkItem
     artifact: Optional[Dict[str, Any]] = None
     stats: Optional[Dict[str, int]] = None
-    telemetry: Optional[str] = None
+    telemetry: Optional[Dict[str, Any]] = None
     attempts: int = 1
     incidents: List[Dict[str, Any]] = field(default_factory=list)
 
@@ -311,9 +311,9 @@ class ProcessExecutor(Executor):
             if handle.current == (index, attempt):
                 handle.current = None
         if ok:
-            artifact, stats, telemetry_json = payload
+            artifact, stats, telemetry_payload = payload
             return ExecutionResult(
-                item, artifact, stats, telemetry_json, attempt, incidents
+                item, artifact, stats, telemetry_payload, attempt, incidents
             )
         error_type, message = payload
         incidents.append(_incident(attempt, error_type, message))

@@ -5,9 +5,10 @@ shares: a picklable value object mapping a validated
 :class:`~repro.scenarios.spec.ScenarioSpec` (shipped as its plain-dict form)
 to a byte-deterministic :class:`~repro.scenarios.runner.ScenarioArtifact`
 plus the engine counters of the run.  It holds **no process-global state** —
-every call builds a fresh :class:`~repro.scenarios.runner.ScenarioRunner`,
-whose flow carries its own :class:`~repro.methodology.SweepEngine` — so the
-same kernel instance produces byte-identical artifacts whether it runs
+every call builds a fresh :class:`~repro.scenarios.runner.ScenarioRunner`
+with its own :class:`~repro.methodology.SweepEngine`, and the design flow it
+shares with other specs keeps no history — so the same kernel instance
+produces byte-identical artifacts whether it runs
 inline, on a thread of the evaluation service or in a supervised worker
 process.  That substrate-independence is what the
 executor-conformance suite (``tests/test_executor_conformance.py``) pins.
@@ -131,7 +132,7 @@ class EvaluationKernel:
 
     def run(
         self, spec_dict: Mapping[str, Any]
-    ) -> Tuple[Dict[str, Any], Dict[str, int], Optional[str]]:
+    ) -> Tuple[Dict[str, Any], Dict[str, int], Optional[Dict[str, Any]]]:
         """Worker entry point: plain data in, plain data out.
 
         Ships the spec as its validated dict form and returns ``(artifact
@@ -141,8 +142,8 @@ class EvaluationKernel:
         ``telemetry`` provenance subdict, present only when telemetry is
         on).
 
-        The telemetry payload is the serialised
-        :class:`~repro.telemetry.SpanCollector` capture of this one
+        The telemetry payload is the plain-data
+        (:meth:`~repro.telemetry.SpanCollector.to_payload`) capture of this one
         evaluation — every span nested under a ``spec:<name>`` root, plus
         the per-call metrics registry and a wall-clock anchor — or ``None``
         while telemetry is off.
@@ -168,4 +169,4 @@ class EvaluationKernel:
                     spec, transient_method=self.transient_method
                 )
                 artifact = runner.run(self.paths).to_dict()
-        return artifact, dict(runner.engine().stats), collector.to_json()
+        return artifact, dict(runner.engine().stats), collector.to_payload()

@@ -344,7 +344,7 @@ class CampaignRunner:
         if not self.telemetry:
             return self._run(None)
         with telemetry_mod.enabled_scope(True), telemetry_mod.collect() as collector:
-            payloads: List[str] = []
+            payloads: List[Dict[str, Any]] = []
             with telemetry_mod.span(
                 f"campaign:{self.name}", scenarios=len(self.points)
             ):
@@ -352,7 +352,7 @@ class CampaignRunner:
         report.telemetry = self._telemetry_section(collector, payloads)
         return report
 
-    def _run(self, payloads: Optional[List[str]]) -> CampaignReport:
+    def _run(self, payloads: Optional[List[Dict[str, Any]]]) -> CampaignReport:
         """The store-then-execute core of :meth:`run`."""
         artifacts: Dict[str, Optional[Dict[str, Any]]] = {}
         from_store: Dict[str, bool] = {}
@@ -438,7 +438,7 @@ class CampaignRunner:
         artifacts: Dict[str, Optional[Dict[str, Any]]],
         failures: Dict[str, Dict[str, Any]],
         engine_totals: Dict[str, int],
-        payloads: Optional[List[str]] = None,
+        payloads: Optional[List[Dict[str, Any]]] = None,
     ) -> None:
         """Fold one execution result into the campaign state.
 
@@ -480,7 +480,9 @@ class CampaignRunner:
             )
 
     def _telemetry_section(
-        self, collector: "telemetry_mod.SpanCollector", payloads: List[str]
+        self,
+        collector: "telemetry_mod.SpanCollector",
+        payloads: List[Dict[str, Any]],
     ) -> Dict[str, Any]:
         """Merge the coordinator capture and worker payloads into one view.
 
@@ -492,8 +494,7 @@ class CampaignRunner:
         own = collector.to_payload()
         spans = payload_spans(own)
         metrics = MetricsRegistry.from_dict(own["metrics"])
-        for text in payloads:
-            payload = json.loads(text)
+        for payload in payloads:
             spans.extend(payload_spans(payload))
             metrics.merge(payload.get("metrics", {}))
         aggregates = aggregate_spans(spans)

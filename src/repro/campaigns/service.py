@@ -272,7 +272,7 @@ class EvaluationService:
             if not result.ok:
                 telemetry.count("executor.failures")
         if result.telemetry is not None:
-            telemetry.absorb_payload(json.loads(result.telemetry))
+            telemetry.absorb_payload(result.telemetry)
         if result.ok:
             self._count("service.computed")
             if self.store is not None:

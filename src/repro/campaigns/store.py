@@ -108,7 +108,11 @@ def _atomic_write(directory: Path, prefix: str, text: str, target: Path) -> None
     hold across power loss, not just process crash — a rename that lands
     before its data would leave a complete-looking file of garbage bytes.
     """
-    handle, tmp_name = tempfile.mkstemp(prefix=f"{prefix}.", suffix=".tmp", dir=directory)
+    try:
+        handle, tmp_name = tempfile.mkstemp(prefix=f"{prefix}.", suffix=".tmp", dir=directory)
+    except FileNotFoundError:  # the first write into a new directory
+        directory.mkdir(parents=True, exist_ok=True)
+        handle, tmp_name = tempfile.mkstemp(prefix=f"{prefix}.", suffix=".tmp", dir=directory)
     try:
         with os.fdopen(handle, "w", encoding="utf-8") as stream:
             stream.write(text)
@@ -550,21 +554,23 @@ class ArtifactStore:
     ) -> str:
         """Write one record envelope atomically (in the background inside a
         :meth:`deferred_index` block) and queue its index entry."""
-        record = {
-            "store_version": STORE_VERSION,
-            "key": key,
-            "scenario": scenario,
-            "spec_hash": spec_hash,
-            "paths": paths,
-            "code_version": self.code_version,
-            "payload": payload,
-            "payload_sha256": _payload_digest(payload),
-        }
-        self._objects_dir.mkdir(parents=True, exist_ok=True)
-        # Compact on purpose: ``indent`` would route the dump through the
-        # pure-Python encoder, the campaign coordinator's largest cost after
-        # the object fsync.
-        text = json.dumps(record, sort_keys=True) + "\n"
+        # The payload is serialised once, for its digest and the record
+        # both: its canonical text is appended to the envelope's.
+        payload_text = canonical_json(payload)
+        envelope = canonical_json(
+            {
+                "store_version": STORE_VERSION,
+                "key": key,
+                "scenario": scenario,
+                "spec_hash": spec_hash,
+                "paths": paths,
+                "code_version": self.code_version,
+                "payload_sha256": hashlib.sha256(
+                    payload_text.encode("utf-8")
+                ).hexdigest(),
+            }
+        )
+        text = f'{envelope[:-1]},"payload":{payload_text}}}\n'
         write = (self._objects_dir, f".{key[:16]}", text, self._object_path(key))
         with telemetry.span("store.put", scenario=scenario):
             if self._writer is None:
@@ -593,7 +599,7 @@ class ArtifactStore:
 
         ``payload_json`` is the deterministic JSON document produced by
         :meth:`repro.thermal.TransientSolver.rom_payloads` /
-        :meth:`repro.methodology.ThermalAwareDesignFlow.rom_basis_payloads`.
+        :meth:`repro.methodology.SweepEngine.rom_basis_payloads`.
         Basis records live in the same object space as artifacts (same
         envelope, integrity re-hash, LRU eviction) under the reserved path
         tag ``"rom_basis"``; the record's ``spec_hash`` carries the basis

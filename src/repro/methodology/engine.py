@@ -33,6 +33,7 @@ path.
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from math import ceil
@@ -42,6 +43,7 @@ from .. import telemetry
 from ..caching import LruCache
 from ..errors import ConfigurationError
 from ..snr import LaserDriveConfig, SnrReport
+from ..thermal import TransientSolver
 from .flow import ThermalAwareDesignFlow, ThermalEvaluation, ThermalRequest
 from .transient import TransientEvaluation, TransientRequest, transient_request_key
 
@@ -127,8 +129,19 @@ def evaluation_key(flow_key: str, request: ThermalRequest) -> Tuple[Hashable, ..
     )
 
 
+#: The :meth:`SweepEngine.shared` engine of every live flow.
+_shared_engines: "weakref.WeakKeyDictionary[ThermalAwareDesignFlow, SweepEngine]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 class SweepEngine:
     """Plans, deduplicates and batch-executes sweep evaluations.
+
+    The engine holds the history of its evaluations: its caches, its
+    :attr:`stats` and one transient solver per flow and θ (the step sizes
+    and reduced bases of its own solves).  The flows it runs on hold none,
+    so several engines may share a flow without seeing each other's work.
 
     Parameters
     ----------
@@ -164,6 +177,7 @@ class SweepEngine:
         self._transient_cache: LruCache[TransientEvaluation] = LruCache(
             max_cache_entries
         )
+        self._transient_solvers: Dict[Tuple[str, float], TransientSolver] = {}
         #: Cumulative execution counters, one per :data:`ENGINE_COUNTERS`.
         self.stats: Dict[str, int] = dict.fromkeys(ENGINE_COUNTERS, 0)
 
@@ -173,13 +187,18 @@ class SweepEngine:
 
         Successive sweeps and optimisation runs on the same flow hit the
         same evaluation cache, so e.g. a Figure 10 comparison re-uses the
-        points a Figure 9-b sweep already solved.  The engine is attached to
-        the flow, so it lives exactly as long as the flow does.
+        points a Figure 9-b sweep already solved.  The engine is kept beside
+        the flow, not on it, and holds the flow weakly, so it lives exactly
+        as long as the flow does.  A caller whose history must stay its own
+        on a flow other callers share (a scenario runner) builds its own
+        engine instead.
         """
-        engine = getattr(flow, "_sweep_engine", None)
+        engine = _shared_engines.get(flow)
         if engine is None:
             engine = cls(flow)
-            flow._sweep_engine = engine
+            # A strong reference from the engine would keep its key alive.
+            engine._flows = weakref.WeakValueDictionary(engine._flows)
+            _shared_engines[flow] = engine
         return engine
 
     # Introspection --------------------------------------------------------------
@@ -205,6 +224,28 @@ class SweepEngine:
     def transient_cache_size(self) -> int:
         """Number of transient evaluations currently cached."""
         return len(self._transient_cache)
+
+    def transient_solver(
+        self, theta: float = 1.0, flow_key: str = DEFAULT_FLOW_KEY
+    ) -> TransientSolver:
+        """The engine's transient solver on a flow, one per θ."""
+        key = (flow_key, theta)
+        solver = self._transient_solvers.get(key)
+        if solver is None:
+            solver = self.flow(flow_key).transient_solver(theta)
+            self._transient_solvers[key] = solver
+        return solver
+
+    def rom_basis_payloads(self) -> List[str]:
+        """Serialised reduced bases built by the engine's transient solves
+        (deterministic JSON documents; persist through the store or ship as
+        an :class:`~repro.campaigns.kernel.EvaluationKernel` warm-start
+        payload)."""
+        return [
+            payload
+            for solver in self._transient_solvers.values()
+            for payload in solver.rom_payloads()
+        ]
 
     def clear_cache(self) -> None:
         """Drop every cached thermal, SNR and transient evaluation."""
@@ -292,8 +333,8 @@ class SweepEngine:
         Evaluations are cached behind a content-derived key (trace phases,
         ONI operating point, integrator settings), so re-running a sweep —
         or an optimiser revisiting a trace — integrates each distinct trace
-        once.  Cache misses run sequentially on the flow's cached
-        :class:`~repro.thermal.TransientSolver`, whose per-step-size
+        once.  Cache misses run sequentially on the engine's
+        :meth:`transient_solver` of the flow; the per-step-size
         factorisations are shared across every trace of the batch.
         """
         if flow_key not in self._flows:
@@ -311,7 +352,9 @@ class SweepEngine:
             with telemetry.span(
                 "engine.transient_solve", flow=flow_key
             ) as solve_span:
-                evaluation = flow.run_transient(request)
+                evaluation = flow.run_transient(
+                    request, solver=self.transient_solver(request.theta, flow_key)
+                )
                 diagnostics = evaluation.result.diagnostics
                 solve_span.set(
                     method=diagnostics.solver_method,
@@ -331,9 +374,9 @@ class SweepEngine:
 
         Everything here derives from the per-solve
         :class:`~repro.thermal.TransientDiagnostics` — a pure function of
-        the request and the solver's own history — never from process-global
-        cache state, so merged campaign stats are byte-identical whatever
-        the executor topology.
+        the request and this engine's solver history — never from
+        process-global cache state or a shared flow, so merged campaign
+        stats are byte-identical whatever the executor topology.
         """
         diagnostics = evaluation.result.diagnostics
         if diagnostics.solver_method == "rom":
@@ -434,3 +477,4 @@ class SweepEngine:
             self.stats["snr_batches"] += 1
 
         return [resolved[key] for key in keys]
+

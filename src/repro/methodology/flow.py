@@ -13,13 +13,15 @@ The flow wires together every substrate of the library:
 
 Every step is exposed separately so the exploration helpers
 (:mod:`repro.methodology.exploration`) can sweep design parameters without
-re-doing unnecessary work: the mesh is built once per flow, and operators,
-factors and steppers live in the content-keyed shared cache of
-:mod:`repro.thermal.factorization`.
+re-doing unnecessary work: the mesh, the zoom window, the compiled ONI
+geometry and transient probes and the SNR engine are built once per flow,
+and operators, factors and steppers live in the content-keyed shared cache
+of :mod:`repro.thermal.factorization`.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -40,6 +42,7 @@ from ..snr import (
     SnrReport,
 )
 from ..thermal import (
+    CompiledProbes,
     HeatSource,
     Mesh3D,
     SourceBatch,
@@ -48,6 +51,7 @@ from ..thermal import (
     ThermalMap,
     TransientSolver,
     ZoomSolver,
+    compile_probes,
 )
 from ..thermal.mesh import BoxOverlaps
 from .transient import (
@@ -195,9 +199,14 @@ class ThermalAwareDesignFlow:
     Every input is fixed for the flow's lifetime, including the shape of the
     default routed network (``waveguide_count``, ``channels_per_waveguide``
     and the ``shift_hops`` of the default shift traffic; ``None`` takes the
-    ONI layout's values and a third of the ring).  Caches on the flow and in
-    an attached :class:`~repro.methodology.engine.SweepEngine` therefore
-    never go stale: a different configuration is a different flow.
+    ONI layout's values and a third of the ring).  The flow's memos are pure
+    functions of those inputs, so they never go stale and the flow may be
+    shared by every caller evaluating that design.  It keeps no history of
+    the evaluations run on it: evaluation caches, counters and transient
+    step and reduced-basis history belong to the caller (a
+    :class:`~repro.methodology.engine.SweepEngine`, or the
+    :class:`~repro.thermal.TransientSolver` passed to
+    :meth:`run_transient`).
     """
 
     def __init__(
@@ -222,41 +231,52 @@ class ThermalAwareDesignFlow:
         self.channels_per_waveguide = channels_per_waveguide
         self.shift_hops = shift_hops
         self._mesh_cache: Optional[Mesh3D] = None
+        self._mesh_lock = threading.Lock()
         #: Every ONI device as source rows (so their overlaps with the mesh
         #: are computed once) with each row's kind (0 VCSEL, 1 heater,
         #: 2 driver), and the ONI query (see :meth:`_oni_queries`).
         self._device_cache: Optional[Tuple[SourceBatch, np.ndarray]] = None
         self._query_cache: Optional[tuple] = None
         self._snr_analyzer_cache: Optional[SnrAnalyzer] = None
-        #: Transient solvers keyed by θ; each keeps the reduced bases it
-        #: built, shared by every trace run on this flow.
-        self._transient_solvers: Dict[float, TransientSolver] = {}
+        self._zoom_cache: Optional[ZoomSolver] = None
+        #: The ONI probes compiled on the mesh of the last transient solve.
+        self._probe_cache: Optional[CompiledProbes] = None
 
     # Mesh / solver infrastructure ----------------------------------------------------
 
     def _mesh(self) -> Mesh3D:
-        if self._mesh_cache is None:
-            self._mesh_cache = self.architecture.build_mesh(
-                oni_footprints=self.scenario.oni_footprints,
-                base_cell_size_um=self.settings.die_cell_size_um,
-                oni_cell_size_um=self.settings.oni_cell_size_um,
-            )
-        return self._mesh_cache
+        """The flow's one mesh: built under a lock, so threads sharing the
+        flow never hold two meshes (and memos compiled on each)."""
+        mesh = self._mesh_cache
+        if mesh is None:
+            with self._mesh_lock:
+                if self._mesh_cache is None:
+                    self._mesh_cache = self.architecture.build_mesh(
+                        oni_footprints=self.scenario.oni_footprints,
+                        base_cell_size_um=self.settings.die_cell_size_um,
+                        oni_cell_size_um=self.settings.oni_cell_size_um,
+                    )
+                mesh = self._mesh_cache
+        return mesh
 
     def _zoom(self) -> ZoomSolver:
-        try:
-            vertical_range = self.architecture.zoom_vertical_range()
-        except GeometryError:
-            # A custom stack without the case-study layers: zoom the full
-            # stack height.
-            vertical_range = None
-        return ZoomSolver(
-            self.architecture.stack,
-            self.architecture.boundary_conditions(),
-            cell_size_um=self.settings.zoom_cell_size_um,
-            margin_um=300.0,
-            vertical_range=vertical_range,
-        )
+        """The flow's zoom solver, which keeps the window mesh of every ONI
+        it refines."""
+        if self._zoom_cache is None:
+            try:
+                vertical_range = self.architecture.zoom_vertical_range()
+            except GeometryError:
+                # A custom stack without the case-study layers: zoom the full
+                # stack height.
+                vertical_range = None
+            self._zoom_cache = ZoomSolver(
+                self.architecture.stack,
+                self.architecture.boundary_conditions(),
+                cell_size_um=self.settings.zoom_cell_size_um,
+                margin_um=300.0,
+                vertical_range=vertical_range,
+            )
+        return self._zoom_cache
 
     def _solver(self) -> SteadyStateSolver:
         return SteadyStateSolver(
@@ -381,7 +401,8 @@ class ThermalAwareDesignFlow:
     ) -> Tuple[BoxOverlaps, List[slice], List[slice]]:
         """Overlaps of every ONI's query rows with the map's mesh (computed
         once per mesh), the query blocks and each ONI's rows."""
-        if self._query_cache is None or self._query_cache[0] is not thermal_map.mesh:
+        queries = self._query_cache
+        if queries is None or queries[0] is not thermal_map.mesh:
             bounds, blocks, rows = [], [], []
             for oni in self.scenario.onis:
                 offset = sum(map(len, bounds))
@@ -389,8 +410,8 @@ class ThermalAwareDesignFlow:
                 blocks += oni.query_blocks(offset)
                 rows.append(slice(offset, offset + len(bounds[-1])))
             overlaps = thermal_map.overlaps(np.concatenate(bounds))
-            self._query_cache = (thermal_map.mesh, overlaps, blocks, rows)
-        return self._query_cache[1:]
+            queries = self._query_cache = (thermal_map.mesh, overlaps, blocks, rows)
+        return queries[1:]
 
     def _finish_thermal(
         self,
@@ -438,31 +459,17 @@ class ThermalAwareDesignFlow:
     # Transient step ---------------------------------------------------------------------------
 
     def transient_solver(self, theta: float = 1.0) -> TransientSolver:
-        """Transient solver on the flow's mesh (cached per θ).
+        """A new transient solver on the flow's mesh.
 
-        Kept for its reduced bases; its steppers live in the shared cache,
-        so every trace run through this flow reuses the factorisations of
-        the traces before it.
+        The solver keeps the history of its own solves: the step sizes
+        behind ``factorizations_computed`` and the reduced bases it builds
+        (:meth:`~repro.thermal.TransientSolver.rom_payloads`).  Its steppers
+        live in the shared cache, so every solver on this mesh reuses the
+        factorisations of the traces before it.
         """
-        solver = self._transient_solvers.get(theta)
-        if solver is None:
-            solver = TransientSolver(
-                self._mesh(),
-                self.architecture.boundary_conditions(),
-                theta=theta,
-            )
-            self._transient_solvers[theta] = solver
-        return solver
-
-    def rom_basis_payloads(self) -> List[str]:
-        """Serialised reduced-basis payloads built by this flow's transient
-        solvers (deterministic JSON documents; persist through the store or
-        ship as an :class:`~repro.campaigns.kernel.EvaluationKernel`
-        warm-start payload)."""
-        payloads: List[str] = []
-        for solver in self._transient_solvers.values():
-            payloads.extend(solver.rom_payloads())
-        return payloads
+        return TransientSolver(
+            self._mesh(), self.architecture.boundary_conditions(), theta=theta
+        )
 
     def build_schedule(
         self, trace: ActivityTrace, power: Optional[OniPowerConfig] = None
@@ -481,6 +488,13 @@ class ThermalAwareDesignFlow:
             *self.architecture.electrical_z_range(),
             static_sources=self._device_batch(power),
         )
+
+    def _compiled_probes(self, mesh: Mesh3D) -> CompiledProbes:
+        """:meth:`oni_probes` compiled on ``mesh`` (kept for the last mesh)."""
+        probes = self._probe_cache
+        if probes is None or probes.mesh is not mesh:
+            probes = self._probe_cache = compile_probes(mesh, self.oni_probes())
+        return probes
 
     def oni_probes(self) -> Dict[str, np.ndarray]:
         """Per-ONI probe bounds ``(n, 6)`` for the transient solver.
@@ -509,6 +523,7 @@ class ThermalAwareDesignFlow:
         initial: Union[str, float] = "ambient",
         snapshot_times_s: Sequence[float] = (),
         method: str = "lu",
+        solver: Optional[TransientSolver] = None,
     ) -> TransientEvaluation:
         """Transient thermal analysis of one design point over a trace.
 
@@ -520,7 +535,11 @@ class ThermalAwareDesignFlow:
         (``"lu"``, ``"rom"``, ``"auto"``; see
         :meth:`repro.thermal.TransientSolver.solve`).  A
         :class:`TransientRequest` may be passed in place of the trace, in
-        which case the remaining arguments are ignored.
+        which case the remaining arguments but ``solver`` are ignored.
+
+        ``solver`` is the :meth:`transient_solver` to integrate with (its θ
+        must be the request's); it carries the step-size and reduced-basis
+        history of its earlier solves.  By default a new one is used.
         """
         if isinstance(trace, TransientRequest):
             request = trace
@@ -535,7 +554,13 @@ class ThermalAwareDesignFlow:
                 method=method,
             )
         schedule = self.build_schedule(request.trace, request.power)
-        solver = self.transient_solver(request.theta)
+        if solver is None:
+            solver = self.transient_solver(request.theta)
+        elif solver.theta != request.theta:
+            raise ConfigurationError(
+                f"the solver integrates with theta {solver.theta}, the request "
+                f"asks for {request.theta}"
+            )
         if request.initial == "steady":
             first_sources = schedule.segments[0].sources
             initial_field = self._solver().solve(first_sources)
@@ -548,7 +573,7 @@ class ThermalAwareDesignFlow:
             dt_s=request.dt_s,
             initial_temperature_c=initial_field,
             snapshot_times_s=request.snapshot_times_s,
-            probes=self.oni_probes(),
+            probes=self._compiled_probes(solver.mesh),
             method=request.method,
         )
         series: Dict[str, OniTemperatureSeries] = {}

@@ -3,12 +3,13 @@
 The :class:`ScenarioRunner` materialises a
 :class:`~repro.scenarios.spec.ScenarioSpec` into the concrete objects of the
 repository (architecture, placement scenario, design flow) and replays it
-through the four analysis paths:
+through the four analysis paths (specs of one design share the flow; see
+:class:`ScenarioRunner`):
 
 * ``steady`` — one zoomed steady-state evaluation at the nominal operating
   point (:meth:`~repro.methodology.SweepEngine.evaluate_one`);
 * ``sweep`` — a PVCSEL sweep over ``spec.sweep_scales``, deduplicated and
-  multi-RHS-batched by the shared :class:`~repro.methodology.SweepEngine`;
+  multi-RHS-batched by the runner's :class:`~repro.methodology.SweepEngine`;
 * ``snr`` — the batched-SNR evaluation of the same sweep points (thermal
   results served from the engine cache, SNR in one vectorized pass);
 * ``transient`` — the spec's activity trace integrated by the transient
@@ -62,6 +63,7 @@ from ..methodology import (
 from ..oni import OniPowerConfig
 from ..snr import LaserDriveConfig
 from ..thermal import TRANSIENT_METHODS
+from ..thermal.factorization import shared_cache
 from .spec import SCHEMA_VERSION, ScenarioSpec, TraceSpec, WorkloadSpec
 
 #: Analysis paths a runner can execute, in canonical order.
@@ -232,10 +234,14 @@ def build_trace(
 class ScenarioRunner:
     """Builds and executes one declarative scenario end to end.
 
-    Construction is lazy and cached: the architecture, placement scenario,
-    flow and shared sweep engine are materialised on first use and reused by
-    every path, so the thermal mesh is built and factorised exactly once per
-    runner regardless of how many paths run.
+    Construction is lazy and cached: the flow (with its architecture and
+    placement scenario) and the sweep engine are materialised on first use
+    and reused by every path.  The flow comes from the shared cache, keyed
+    by :meth:`~repro.scenarios.spec.ScenarioSpec.flow_hash`, so the thermal
+    mesh, zoom window, compiled ONI geometry and SNR engine are built once
+    per design per process, whatever the number of specs or paths.  The
+    engine is the runner's own: its caches, counters and transient solvers
+    see this runner's work only.
 
     ``transient_method`` selects the transient integration path (``"lu"``,
     ``"rom"`` or ``"auto"``; see :meth:`repro.thermal.TransientSolver.solve`)
@@ -250,69 +256,69 @@ class ScenarioRunner:
             )
         self.spec = spec
         self.transient_method = transient_method
-        self._architecture: Optional[SccArchitecture] = None
-        self._scenario: Optional[OniRingScenario] = None
         self._flow: Optional[ThermalAwareDesignFlow] = None
+        self._engine: Optional[SweepEngine] = None
         self._activity: Optional[ActivityPattern] = None
 
     # Materialisation -------------------------------------------------------
 
     def architecture(self) -> SccArchitecture:
-        """Case-study architecture of the spec (cached)."""
-        if self._architecture is None:
-            chip = self.spec.chip
-            parameters = SccPackageParameters.from_dict(
-                {
-                    "die_width_mm": chip.die_width_mm,
-                    "die_height_mm": chip.die_height_mm,
-                    "tile_columns": chip.tile_columns,
-                    "tile_rows": chip.tile_rows,
-                    "include_infrastructure": chip.include_infrastructure,
-                    **chip.package_overrides,
-                }
-            )
-            mesh = self.spec.mesh
-            settings = SimulationSettings(
-                oni_cell_size_um=mesh.oni_cell_size_um,
-                die_cell_size_um=mesh.die_cell_size_um,
-                zoom_cell_size_um=mesh.zoom_cell_size_um,
-                ambient_temperature_c=mesh.ambient_c,
-            )
-            self._architecture = build_scc_architecture(
-                parameters=parameters, settings=settings
-            )
-        return self._architecture
+        """Case-study architecture of the spec (the flow's)."""
+        return self.flow().architecture
 
     def scenario(self) -> OniRingScenario:
-        """ONI placement scenario of the spec (cached)."""
-        if self._scenario is None:
-            network = self.spec.network
-            self._scenario = build_oni_ring_scenario(
-                self.architecture(),
-                ring_length_mm=network.ring_length_mm,
-                oni_count=network.oni_count,
-                name=self.spec.name,
-                power=self.power_config(),
-            )
-        return self._scenario
+        """ONI placement scenario of the spec (the flow's)."""
+        return self.flow().scenario
 
     def flow(self) -> ThermalAwareDesignFlow:
-        """Design flow over the scenario and the spec's network shape
-        (cached; carries the shared engine)."""
+        """Design flow of the spec's design, shared with every spec of equal
+        chip, mesh, network and power sections (cached)."""
         if self._flow is None:
-            network = self.spec.network
-            self._flow = ThermalAwareDesignFlow(
-                self.architecture(),
-                self.scenario(),
-                waveguide_count=network.waveguide_count,
-                channels_per_waveguide=network.channels_per_waveguide,
-                shift_hops=network.shift_hops,
-            )
+            self._flow = shared_cache.flow(self.spec.flow_hash(), self._build_flow)
         return self._flow
 
+    def _build_flow(self) -> ThermalAwareDesignFlow:
+        """The flow over the spec's chip, mesh, network and power sections;
+        nothing else of the spec (not even its name) may reach it."""
+        chip, mesh, network = self.spec.chip, self.spec.mesh, self.spec.network
+        parameters = SccPackageParameters.from_dict(
+            {
+                "die_width_mm": chip.die_width_mm,
+                "die_height_mm": chip.die_height_mm,
+                "tile_columns": chip.tile_columns,
+                "tile_rows": chip.tile_rows,
+                "include_infrastructure": chip.include_infrastructure,
+                **chip.package_overrides,
+            }
+        )
+        settings = SimulationSettings(
+            oni_cell_size_um=mesh.oni_cell_size_um,
+            die_cell_size_um=mesh.die_cell_size_um,
+            zoom_cell_size_um=mesh.zoom_cell_size_um,
+            ambient_temperature_c=mesh.ambient_c,
+        )
+        architecture = build_scc_architecture(
+            parameters=parameters, settings=settings
+        )
+        scenario = build_oni_ring_scenario(
+            architecture,
+            ring_length_mm=network.ring_length_mm,
+            oni_count=network.oni_count,
+            power=self.power_config(),
+        )
+        return ThermalAwareDesignFlow(
+            architecture,
+            scenario,
+            waveguide_count=network.waveguide_count,
+            channels_per_waveguide=network.channels_per_waveguide,
+            shift_hops=network.shift_hops,
+        )
+
     def engine(self) -> SweepEngine:
-        """Sweep engine shared by every path of this runner."""
-        return SweepEngine.shared(self.flow())
+        """Sweep engine of this runner, shared by all its paths (cached)."""
+        if self._engine is None:
+            self._engine = SweepEngine(self.flow())
+        return self._engine
 
     def power_config(self) -> OniPowerConfig:
         """Nominal ONI operating point of the spec."""

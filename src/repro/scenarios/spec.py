@@ -459,6 +459,10 @@ class TraceSpec:
 # --------------------------------------------------------------------------
 
 
+#: Sections of a :class:`ScenarioSpec` its design flow is built from.
+FLOW_SECTIONS: Tuple[str, ...] = ("chip", "mesh", "network", "power")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One fully declarative end-to-end scenario."""
@@ -615,6 +619,18 @@ class ScenarioSpec:
         campaign matrix expansion deduplicates on this hash.
         """
         return self._memoised_hash("_design_hash", self._design_dict)
+
+    def flow_hash(self) -> str:
+        """SHA-256 over the sections a design flow is built from (hex digest).
+
+        Covers :data:`FLOW_SECTIONS` only, so specs that differ in their
+        name, description, workload, trace or sweep share one flow (see
+        :meth:`repro.scenarios.ScenarioRunner.flow`).
+        """
+        return self._memoised_hash(
+            "_flow_hash",
+            lambda: {name: _section_dict(getattr(self, name)) for name in FLOW_SECTIONS},
+        )
 
     def _design_dict(self) -> Dict[str, Any]:
         data = self.to_dict()

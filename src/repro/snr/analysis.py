@@ -15,13 +15,12 @@ Evaluation runs on the vectorized :class:`~repro.snr.engine.OpticalLinkEngine`:
 the routed network is compiled into NumPy arrays once, then
 :meth:`SnrAnalyzer.analyze_many` evaluates a whole batch of thermal states in
 one array pass and :meth:`SnrAnalyzer.analyze` is the batch of one (so the
-two always agree exactly).  :meth:`SnrAnalyzer.analyze_scalar` keeps the
-original pure-Python walk as a validation reference.
+two always agree exactly).  The original pure-Python walk survives in the
+test suite as the parity oracle of the engine.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -38,7 +37,7 @@ from ..errors import AnalysisError
 from ..onoc import Communication, OrnocNetwork
 from ..units import safe_mw_to_dbm, w_to_mw
 from .engine import OpticalLinkEngine, PropagationBatch, ThermalStateBatch
-from .state import LaserDriveConfig, OniThermalState, states_by_name
+from .state import LaserDriveConfig, OniThermalState
 from .transmission import PropagationTrace, WaveguidePropagator
 
 
@@ -323,46 +322,14 @@ class SnrAnalyzer:
             )
         return self._engine
 
-    # Laser output ------------------------------------------------------------------
-
-    def injected_power_w(
-        self, communication: Communication, state: OniThermalState, drive: LaserDriveConfig
-    ) -> float:
-        """Optical power injected into the waveguide by a communication (OPnet)."""
-        temperature = state.laser_c
-        if drive.current_a is not None:
-            operating_point = self._vcsel.operating_point(drive.current_a, temperature)
-            optical = operating_point.optical_power_w
-        else:
-            optical = self._vcsel.optical_power_from_dissipated(
-                drive.dissipated_power_w, temperature
-            )
-        return optical * self._technology.taper_coupling_efficiency
-
-    def injected_powers_w(
-        self,
-        states: Dict[str, OniThermalState],
-        drive: LaserDriveConfig,
-    ) -> Dict[str, float]:
-        """Injected power of every routed communication, keyed by name."""
-        powers: Dict[str, float] = {}
-        for communication in self._network.assigned_communications():
-            state = states.get(communication.source)
-            if state is None:
-                raise AnalysisError(
-                    f"no thermal state provided for ONI {communication.source!r}"
-                )
-            powers[communication.name] = self.injected_power_w(communication, state, drive)
-        return powers
+    # Analysis ------------------------------------------------------------------------
 
     def _injected_powers_many(
         self, laser_c: np.ndarray, drive: LaserDriveConfig
     ) -> np.ndarray:
-        """Injected power of every signal of every state [W], ``(B, S)``.
-
-        Vectorized counterpart of :meth:`injected_powers_w`: the VCSEL
-        operating points of all (state, signal) pairs are solved in one
-        batched call.
+        """Injected power (OPnet) of every signal of every state [W],
+        ``(B, S)``: the VCSEL operating points of all (state, signal) pairs
+        are solved in one batched call, times the taper coupling efficiency.
         """
         if drive.current_a is not None:
             optical = self._vcsel.operating_points(
@@ -373,8 +340,6 @@ class SnrAnalyzer:
                 drive.dissipated_power_w, laser_c
             )
         return optical * self._technology.taper_coupling_efficiency
-
-    # Analysis ------------------------------------------------------------------------
 
     def analyze_many(
         self,
@@ -430,73 +395,3 @@ class SnrAnalyzer:
         batched paths always agree exactly.
         """
         return self.analyze_many([states], drive).report(0)
-
-    def analyze_scalar(
-        self,
-        states: Dict[str, OniThermalState] | List[OniThermalState],
-        drive: LaserDriveConfig,
-    ) -> SnrReport:
-        """Pure-Python reference implementation of :meth:`analyze`.
-
-        Kept for validation and benchmarking: it walks the ring ONI-by-ONI
-        through :class:`~repro.snr.transmission.WaveguidePropagator` exactly
-        as the original model did.  It matches :meth:`analyze` to ~1e-6
-        relative (the scalar VCSEL inversion uses a looser root-finder
-        tolerance); everything else about the physics is identical.  One
-        trace-bookkeeping difference: when a signal is fully extinguished
-        mid-loop, this walk stops early (fewer ``rings_crossed``, no
-        zero-power crosstalk keys) while the engine records every
-        interaction event with a zero dropped power — all *powers* still
-        agree.
-        """
-        state_map = states_by_name(states)
-        injected = self.injected_powers_w(state_map, drive)
-
-        links: List[LinkResult] = []
-        traces: List[PropagationTrace] = []
-        waveguides = {
-            c.waveguide_index for c in self._network.assigned_communications()
-        }
-        for waveguide_index in sorted(waveguides):
-            signal, crosstalk, wg_traces = self._propagator.propagate_waveguide(
-                waveguide_index, injected, state_map
-            )
-            traces.extend(wg_traces)
-            for communication in self._network.communications_on_waveguide(waveguide_index):
-                name = communication.name
-                signal_power = signal.get(name, 0.0)
-                crosstalk_power = crosstalk.get(name, 0.0)
-                state = state_map[communication.source]
-                links.append(
-                    LinkResult(
-                        communication=communication,
-                        injected_power_w=injected[name],
-                        signal_power_w=signal_power,
-                        crosstalk_power_w=crosstalk_power,
-                        snr_db=_snr_db(
-                            signal_power, crosstalk_power + self._noise_floor_w
-                        ),
-                        detected=self._photodetector.detects(signal_power),
-                        laser_temperature_c=state.laser_c,
-                        path_length_m=self._network.ring.path_length_m(
-                            communication.source,
-                            communication.destination,
-                            communication.direction,
-                        ),
-                    )
-                )
-        return SnrReport(links=links, traces=traces)
-
-
-def _snr_db(signal_power_w: float, noise_power_w: float) -> float:
-    """SNR in dB with uniform edge handling.
-
-    A non-positive signal yields ``-inf`` (nothing received) and a positive
-    signal over zero noise yields ``+inf`` — neither raises, so one bad link
-    cannot abort a whole report.
-    """
-    if signal_power_w <= 0.0:
-        return float("-inf")
-    if noise_power_w <= 0.0:
-        return float("inf")
-    return 10.0 * math.log10(signal_power_w / noise_power_w)

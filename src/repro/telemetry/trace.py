@@ -14,8 +14,8 @@ per store operation.  Design constraints, in order:
 * **collectable across processes** — a :class:`SpanCollector` captures the
   spans finished on its context (again contextvar-scoped, so concurrent
   kernel calls on the service's threads collect independently) and
-  serialises them, together with a per-process metrics registry and a
-  wall-clock anchor, into a plain-JSON payload the campaign coordinator can
+  returns them, together with a per-process metrics registry and a
+  wall-clock anchor, as a plain-data payload the campaign coordinator can
   merge onto one global timeline.
 
 Timestamps are ``time.perf_counter_ns()`` (monotonic); every payload carries
@@ -29,7 +29,6 @@ from __future__ import annotations
 import contextvars
 import functools
 import itertools
-import json
 import os
 import threading
 import time
@@ -308,7 +307,7 @@ class SpanCollector:
     every :func:`count`/:func:`observe`/:func:`gauge` call — into the
     collector instead of the process-global buffers; contextvar scoping
     keeps concurrent collectors (service kernel threads) independent.
-    :meth:`to_payload` serialises the capture together with a wall-clock
+    :meth:`to_payload` returns the capture together with a wall-clock
     anchor so a coordinator can merge payloads from many processes onto one
     timeline.
     """
@@ -348,10 +347,6 @@ class SpanCollector:
             "spans": [record.to_dict() for record in self.spans],
             "metrics": self.registry.to_dict(),
         }
-
-    def to_json(self) -> str:
-        """Serialised payload (what a kernel ships back to the coordinator)."""
-        return json.dumps(self.to_payload(), sort_keys=True)
 
 
 def collect() -> SpanCollector:

@@ -32,6 +32,7 @@ from .solver import BatchSolveResult, SolverDiagnostics, SteadyStateSolver
 from .sources import HeatSource, SourceBatch, power_density_field
 from .thermal_map import ThermalMap
 from .transient import (
+    CompiledProbes,
     ProbeSeries,
     ScheduleSegment,
     SourceSchedule,
@@ -39,6 +40,7 @@ from .transient import (
     TransientResult,
     TransientSnapshot,
     TransientSolver,
+    compile_probes,
 )
 from .zoom import ZoomResult, ZoomSolver, clip_sources_to_window
 
@@ -79,6 +81,7 @@ __all__ = [
     "SourceBatch",
     "power_density_field",
     "ThermalMap",
+    "CompiledProbes",
     "ProbeSeries",
     "ScheduleSegment",
     "SourceSchedule",
@@ -86,6 +89,7 @@ __all__ = [
     "TransientResult",
     "TransientSnapshot",
     "TransientSolver",
+    "compile_probes",
     "ZoomResult",
     "ZoomSolver",
     "clip_sources_to_window",

@@ -18,14 +18,19 @@ keep none.  It serves them by content key, one LRU entry each:
   for it, its factor;
 * a **stepper**, keyed by :func:`stepper_key`: the factor of ``C/dt + θK``
   and the explicit ``C/dt − (1−θ)K``;
-* a bare :func:`factorize` of any other matrix, keyed by its content.
+* a bare :func:`factorize` of any other matrix, keyed by its content;
+* a **flow**, keyed by its design content (see :meth:`FactorizationCache.flow`):
+  a design flow with its mesh, compiled ONI geometry and SNR engine.
 
-So the scenarios of a campaign that share a mesh pattern, or the steady,
-zoom and transient solvers of one flow, assemble and factorise each
-operator once per process.  The cache is bounded: a paper-scale factor
-holds tens of megabytes, so sweeps varying the step size or the mesh must
-not accumulate them; an evicted entry is freed, and :meth:`stats` reports
-the bytes held.  Reuse is numerically invisible — the factorisation is
+So the scenarios of a campaign that share a design, or the steady, zoom
+and transient solvers of one flow, build each flow and assemble and
+factorise each operator once per process.  The cache is bounded: a
+paper-scale factor holds tens of megabytes, so sweeps varying the step size
+or the mesh must not accumulate them; an evicted entry is freed, and
+:meth:`stats` reports the bytes held by factors and sparse matrices.  A
+flow is counted as an entry but not in those bytes: its mesh, compiled
+geometry and window meshes are small next to the factors of its operators,
+which it does not hold (they are entries of their own).  Reuse is numerically invisible — the factorisation is
 deterministic in the matrix content — which is what lets the
 executor-conformance suite keep pinning artifacts byte-identical whatever
 the process topology.
@@ -36,7 +41,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -160,15 +165,30 @@ def stepper_key(
     return digest.hexdigest()
 
 
+#: Kinds of cache entry, as counted by :meth:`FactorizationCache.stats`.
+ENTRY_KINDS: Tuple[str, ...] = ("operator", "stepper", "factor", "flow")
+
+
 @dataclass(eq=False)
 class CacheEntry:
-    """One cache entry: an operator, a stepper or a bare factor (see above)."""
+    """One cache entry: an operator, a stepper, a bare factor or a flow
+    (see above)."""
 
     key: Hashable
     factor: Optional[BandedCholesky] = None
     operator: Optional[AssembledOperator] = None
     matrix_key: str = ""
     explicit: Optional[sparse.csr_matrix] = None
+    flow: Any = None
+
+    @property
+    def kind(self) -> str:
+        """Which of :data:`ENTRY_KINDS` the entry is."""
+        if self.flow is not None:
+            return "flow"
+        if self.operator is not None:
+            return "operator"
+        return "factor" if self.explicit is None else "stepper"
 
     @property
     def nbytes(self) -> int:
@@ -283,18 +303,42 @@ class FactorizationCache:
             entry.factor, entry.explicit = factorization, explicit
         return entry
 
-    def stats(self) -> Dict[str, int]:
-        """Lifetime counters, the current entry count and the bytes held."""
+    def flow(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """The design flow under ``key`` (a hash of the design content it is
+        built from), built by ``build()`` when absent.  Every scenario of the
+        design shares it, so it must hold no per-scenario state.  Threads
+        building one flow at once all get the one cached first."""
+        key = ("flow", key)
         with self._lock:
-            return {
-                "built": self.built,
-                "reused": self.reused,
-                "entries": len(self._entries),
-                "bytes": sum(entry.nbytes for _, entry in self._entries.items()),
-            }
+            entry = self._entries.get(key)
+            if entry is not None:
+                return entry.flow
+        flow = build()
+        with self._lock:
+            entry = self._entry(key)
+            if entry.flow is None:
+                entry.flow = flow
+            return entry.flow
+
+    def stats(self) -> Dict[str, Any]:
+        """Lifetime counters, the current entry count, the entries of each
+        kind and the bytes held (flows are not counted in the bytes)."""
+        with self._lock:
+            entries = [entry for _, entry in self._entries.items()]
+        kinds = dict.fromkeys(ENTRY_KINDS, 0)
+        for entry in entries:
+            kinds[entry.kind] += 1
+        return {
+            "built": self.built,
+            "reused": self.reused,
+            "entries": len(entries),
+            "kinds": kinds,
+            "bytes": sum(entry.nbytes for entry in entries),
+        }
 
     def clear(self) -> None:
-        """Drop every cached operator, stepper and factor (counters are kept)."""
+        """Drop every cached operator, stepper, factor and flow (counters are
+        kept)."""
         with self._lock:
             self._entries.clear()
 
@@ -311,7 +355,7 @@ def factorize(
     return shared_cache.factorize(matrix, key)
 
 
-def factorization_cache_stats() -> Dict[str, int]:
+def factorization_cache_stats() -> Dict[str, Any]:
     """Counters of the process-global cache."""
     return shared_cache.stats()
 

@@ -327,11 +327,6 @@ def _probe_bounds(spec: ProbeSpec) -> np.ndarray:
     return box_bounds([spec] if isinstance(spec, Box) else spec)
 
 
-def _probe_cache_key(spec: ProbeSpec) -> bytes:
-    """Value-based key of a probe spec: the bytes of its box bounds."""
-    return _probe_bounds(spec).tobytes()
-
-
 class _ProbeFunctional:
     """A probe compiled into flat cell indices and normalised weights."""
 
@@ -349,9 +344,19 @@ class _ProbeFunctional:
         return float(self.weights @ flat_temperatures[self.indices])
 
 
-def _compile_probes(
-    mesh: Mesh3D, specs: Mapping[str, ProbeSpec]
-) -> Dict[str, _ProbeFunctional]:
+@dataclass(frozen=True)
+class CompiledProbes:
+    """Named probes compiled against one mesh (see :func:`compile_probes`).
+
+    Pass it to :meth:`TransientSolver.solve` in place of the probe specs to
+    reuse the compilation across solves and solvers on that mesh.
+    """
+
+    mesh: Mesh3D
+    functionals: Dict[str, _ProbeFunctional]
+
+
+def compile_probes(mesh: Mesh3D, specs: Mapping[str, ProbeSpec]) -> CompiledProbes:
     """Compile probes, in order, from one overlap set of all their boxes."""
     bounds = {name: _probe_bounds(spec) for name, spec in specs.items()}
     overlaps = mesh.box_overlaps(np.concatenate([np.empty((0, 6)), *bounds.values()]))
@@ -367,7 +372,7 @@ def _compile_probes(
             box = Box(*rows[outside].tolist())
             raise SolverError(f"probe {name!r}: box {box!r} does not overlap the mesh")
         functionals[name] = _ProbeFunctional(part)
-    return functionals
+    return CompiledProbes(mesh, functionals)
 
 
 class _SnapshotRecorder:
@@ -458,13 +463,6 @@ class TransientSolver:
         #: it, so they stay a function of this solver's own history (which
         #: executor conformance relies on).
         self._step_sizes: set[float] = set()
-        #: (name, box coordinates) -> compiled probe weight vector, so sweeps
-        #: re-running the same probes (e.g. the flow's per-ONI set) compile
-        #: each exactly once.  Bounded LRU so sweeps varying probe windows
-        #: cannot accumulate weight vectors without limit.
-        self._probe_functionals: LruCache[_ProbeFunctional] = LruCache(
-            max_entries=512
-        )
         self._rom_config = rom_config
         #: Reduced bases built by this instance, by content key.  Kept
         #: per-instance (not process-global) so a solve's outcome is a pure
@@ -778,7 +776,7 @@ class TransientSolver:
         dt_s: float,
         initial_temperature_c: Union[float, np.ndarray, ThermalMap, None] = None,
         snapshot_times_s: Sequence[float] = (),
-        probes: Optional[Mapping[str, ProbeSpec]] = None,
+        probes: Union[Mapping[str, ProbeSpec], CompiledProbes, None] = None,
         method: str = "lu",
     ) -> TransientResult:
         """Integrate the schedule and record probes / snapshots.
@@ -801,8 +799,9 @@ class TransientSolver:
         probes:
             Named regions recorded at *every* step: a ``Box`` (volume
             average) or a sequence of boxes or ``(n, 6)`` bounds array
-            (mean of per-box averages).  Probes not compiled before are
-            compiled together, from one overlap set.
+            (mean of per-box averages), compiled together from one
+            overlap set; or probes already compiled on this solver's mesh
+            by :func:`compile_probes`.
         method:
             ``"lu"`` (default) integrates in full space with the direct
             (banded Cholesky) factorisation.
@@ -838,13 +837,11 @@ class TransientSolver:
 
         entry = shared_cache.operator(self._mesh, self._boundaries)
         boundary_load = boundary_rhs(entry.operator, self._boundaries)
-        specs = dict(probes or {})
-        keys = {name: (name, _probe_cache_key(spec)) for name, spec in specs.items()}
-        functionals = {name: self._probe_functionals.get(key) for name, key in keys.items()}
-        missing = {name: specs[name] for name, found in functionals.items() if found is None}
-        for name, functional in _compile_probes(self._mesh, missing).items():
-            self._probe_functionals.put(keys[name], functional)
-            functionals[name] = functional
+        if not isinstance(probes, CompiledProbes):
+            probes = compile_probes(self._mesh, probes or {})
+        elif probes.mesh is not self._mesh:
+            raise SolverError("the probes were compiled on another mesh")
+        functionals = probes.functionals
 
         plan = self._segment_steps(schedule, dt_s)
         total_steps = sum(count for _, count, _ in plan)

@@ -15,25 +15,25 @@ this module implements the classical *submodelling* technique instead:
 The refined map recovers intra-ONI gradients (VCSEL vs microring) that the
 coarse map smears out, at a tiny fraction of the cost of a flat fine mesh.
 
-Each solve builds its window mesh (cheap) and a fresh steady solver.  The
-window operator and its factor are served by the shared cache of
-:mod:`repro.thermal.factorization`, keyed by the window mesh content and
-the boundary structure, so repeated solves around the same ONI — whose
-imposed Dirichlet temperatures change, not their structure — factorise
-once.
+A zoom solver builds the window mesh of each region it refines once and
+keeps it.  The window operator and its factor are served by the shared
+cache of :mod:`repro.thermal.factorization`, keyed by the window mesh
+content and the boundary structure, so repeated solves around the same
+ONI — whose imposed Dirichlet temperatures change, not their structure —
+mesh and factorise once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
 from ..errors import SolverError
 from ..geometry import Box, LayerStack, Rect
 from .boundary import BoundaryConditions, FaceCondition
-from .mesh import MeshBuilder
+from .mesh import Mesh3D, MeshBuilder
 from .solver import SteadyStateSolver
 from .sources import HeatSource, SourceBatch
 from .thermal_map import ThermalMap
@@ -123,6 +123,8 @@ class ZoomSolver:
         self._max_cells = max_cells
         self._direct_cell_limit = direct_cell_limit
         self._vertical_range = vertical_range
+        #: Window and mesh of every region refined so far.
+        self._meshes: Dict[Rect, Tuple[Rect, Mesh3D]] = {}
 
     def _window(self, region: Rect) -> Rect:
         expanded = region.expanded(self._margin_m)
@@ -159,35 +161,32 @@ class ZoomSolver:
             boundaries.set_face("z_max", self._coarse_boundaries.face("z_max"))
         return boundaries
 
+    def _window_mesh(self, region: Rect) -> Tuple[Rect, Mesh3D]:
+        """Window and mesh around ``region``, built on its first solve."""
+        memo = self._meshes.get(region)
+        if memo is None:
+            window = self._window(region)
+            builder = MeshBuilder(
+                self._stack,
+                base_cell_size_um=self._cell_size_um * 4.0,
+                max_cells=self._max_cells,
+                max_sublayers=self._max_sublayers,
+                vertical_target_um=self._vertical_target_um,
+                region=window,
+                vertical_range=self._vertical_range,
+            )
+            builder.add_refinement(region, self._cell_size_um)
+            memo = self._meshes[region] = (window, builder.build())
+        return memo
+
     def solve(
         self,
         coarse_map: ThermalMap,
         region: Rect,
         sources: Union[SourceBatch, Iterable[HeatSource]],
-        extra_refinements: Optional[Iterable[Rect]] = None,
-        fine_cell_size_um: Optional[float] = None,
     ) -> ZoomResult:
-        """Refine the coarse solution inside ``region``.
-
-        ``extra_refinements`` optionally lists sub-regions (e.g. individual
-        VCSEL footprints) meshed even more finely than the window itself.
-        """
-        window = self._window(region)
-        builder = MeshBuilder(
-            self._stack,
-            base_cell_size_um=self._cell_size_um * 4.0,
-            max_cells=self._max_cells,
-            max_sublayers=self._max_sublayers,
-            vertical_target_um=self._vertical_target_um,
-            region=window,
-            vertical_range=self._vertical_range,
-        )
-        builder.add_refinement(region, self._cell_size_um)
-        if extra_refinements is not None:
-            builder.add_refinements(
-                extra_refinements, fine_cell_size_um or self._cell_size_um
-            )
-        mesh = builder.build()
+        """Refine the coarse solution inside ``region``."""
+        window, mesh = self._window_mesh(region)
         solver = SteadyStateSolver(
             mesh,
             self._boundaries(coarse_map),

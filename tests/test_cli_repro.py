@@ -285,7 +285,7 @@ class TestTraceAndStats:
         assert snapshot["enabled"] is False
         assert "metrics" in snapshot
         assert set(snapshot["factorization"]) == {
-            "built", "reused", "entries", "bytes"
+            "built", "reused", "entries", "kinds", "bytes"
         }
 
     def test_trace_renders_report_and_writes_chrome_json(

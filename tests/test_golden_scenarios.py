@@ -103,7 +103,7 @@ def test_rom_replay_stays_inside_golden_bands(name):
     builder = ScenarioRunner(spec, transient_method="rom")
     builder.run(("transient",))
     try:
-        for payload in builder.flow().rom_basis_payloads():
+        for payload in builder.engine().rom_basis_payloads():
             install_payload(payload)
         replayed = ScenarioRunner(spec, transient_method="auto").run(
             ("transient",)

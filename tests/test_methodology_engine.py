@@ -6,7 +6,9 @@ deduplication behind the content-derived evaluation key, batch chunking, and
 the optional process pool across independent meshes.
 """
 
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -119,6 +121,20 @@ class TestSweepEngine:
         )
         other_flow = ThermalAwareDesignFlow(coarse_architecture, other_scenario)
         assert SweepEngine.shared(other_flow) is not SweepEngine.shared(small_flow)
+
+    def test_shared_engine_lives_as_long_as_its_flow(self, coarse_architecture):
+        scenario = build_oni_ring_scenario(
+            coarse_architecture, ring_length_mm=18.0, oni_count=4, name="brief"
+        )
+        flow = ThermalAwareDesignFlow(coarse_architecture, scenario)
+        sweep_average_temperature(flow, [12.5], [0.0], fast=True)
+        engine = weakref.ref(SweepEngine.shared(flow))
+        assert not hasattr(flow, "_sweep_engine")
+        flow_ref = weakref.ref(flow)
+        del flow
+        gc.collect()
+        assert flow_ref() is None
+        assert engine() is None
 
     def test_validation(self, small_flow):
         with pytest.raises(ConfigurationError):

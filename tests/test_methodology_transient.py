@@ -139,11 +139,16 @@ class TestRunTransient:
         hash(transient_request_key(request))
 
     def test_factorizations_shared_across_traces(self, flow, ramp_trace, power):
-        first = flow.run_transient(ramp_trace, power, dt_s=0.5)
+        solver = flow.transient_solver()
+        first = flow.run_transient(ramp_trace, power, dt_s=0.5, solver=solver)
         second = flow.run_transient(
-            ramp_trace, power.with_heater_ratio(0.1), dt_s=0.5
+            ramp_trace, power.with_heater_ratio(0.1), dt_s=0.5, solver=solver
         )
         assert second.result.diagnostics.factorizations_computed == 0
+        # A new solver has no history: the cached stepper counts as its own.
+        third = flow.run_transient(ramp_trace, power, dt_s=0.5)
+        diagnostics = third.result.diagnostics
+        assert diagnostics.factorizations_computed == diagnostics.distinct_steps
         assert first.result.diagnostics.steps == second.result.diagnostics.steps
 
 
@@ -306,8 +311,10 @@ class TestRomProvenance:
         assert engine.stats["rom_fallbacks"] == 0
         assert engine.stats["basis_builds"] == 1
 
-        # The flow exposes the harvested basis for persistence / warm-start.
-        assert len(flow.rom_basis_payloads()) >= 1
+        # The engine exposes the harvested basis for persistence /
+        # warm-start; the flow keeps none, so a new engine has none.
+        assert len(engine.rom_basis_payloads()) >= 1
+        assert SweepEngine(flow).rom_basis_payloads() == []
 
     def test_run_transient_accepts_method_argument(self, flow, ramp_trace, power):
         evaluation = flow.run_transient(ramp_trace, power, dt_s=0.5, method="auto")

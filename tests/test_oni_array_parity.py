@@ -23,7 +23,7 @@ from repro.methodology.flow import ThermalRequest
 from repro.oni import OniLayoutParameters, OniPowerConfig, place_onis
 from repro.thermal import HeatSource, ThermalMap, power_density_field
 from repro.thermal.mesh import Mesh3D
-from repro.thermal.transient import _compile_probes
+from repro.thermal import compile_probes
 
 DIE = Rect(0.0, 0.0, 2.0e-3, 2.0e-3)
 ELECTRICAL_Z = (2.0e-5, 3.0e-5)
@@ -199,8 +199,8 @@ def test_sources_devices_and_probes_match_the_object_path(case):
         object_probes[f"{oni.name}:avg"] = region
         object_probes[f"{oni.name}:laser"] = device_boxes(oni, "vcsel", case.optical_z)
         object_probes[f"{oni.name}:mr"] = device_boxes(oni, "microring", case.optical_z)
-    compiled = _compile_probes(mesh, flow.oni_probes())
-    reference = _compile_probes(mesh, object_probes)
+    compiled = compile_probes(mesh, flow.oni_probes()).functionals
+    reference = compile_probes(mesh, object_probes).functionals
     field = thermal_map.temperatures_c.ravel()
     assert list(compiled) == list(reference)
     for name, functional in compiled.items():

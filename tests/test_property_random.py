@@ -27,6 +27,7 @@ from repro.scenarios import ScenarioSpec, canonical_json
 from repro.geometry import Layer, LayerStack, Rect, grid_floorplan
 from repro.materials import BEOL, COPPER, EPOXY, SILICON, THERMAL_INTERFACE
 from repro.snr import LaserDriveConfig, OniThermalState
+from snr_reference import analyze_scalar
 from repro.thermal import (
     BoundaryConditions,
     HeatSource,
@@ -397,7 +398,7 @@ class TestRandomSnrParity:
             if rng.random() < 0.5
             else LaserDriveConfig.from_current_ma(rng.uniform(0.5, 2.0))
         )
-        scalar = analyzer.analyze_scalar(states, drive)
+        scalar = analyze_scalar(analyzer, states, drive)
         batch = analyzer.analyze_many([states], drive).report(0)
         assert len(scalar.links) == len(batch.links)
         for scalar_link, batch_link in zip(scalar.links, batch.links):

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.methodology import SweepEngine, ThermalRequest
 from repro.scenarios import (
     ALL_PATHS,
     ScenarioArtifact,
@@ -220,7 +219,7 @@ class TestRunnerPaths:
         runner = ScenarioRunner(small_spec)
         runner.run(ALL_PATHS)
         engine = runner.engine()
-        assert engine is SweepEngine.shared(runner.flow())
+        assert engine is runner.engine() and engine.flow() is runner.flow()
         stats = engine.stats
         # The nominal steady point plus the sweep grid; the SNR path reuses
         # the sweep's thermal evaluations through the cache.

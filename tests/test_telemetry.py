@@ -178,7 +178,7 @@ class TestCollector:
             with telemetry.span("a"):
                 with telemetry.span("b"):
                     pass
-        payload = json.loads(collector.to_json())
+        payload = json.loads(json.dumps(collector.to_payload()))
         spans = payload_spans(payload)
         assert {record["name"] for record in spans} == {"a", "b"}
         for record in spans:

@@ -13,7 +13,7 @@ from repro.errors import AnalysisError, SolverError
 from repro.geometry import Box
 from repro.thermal import HeatSource, ThermalMap, power_density_field
 from repro.thermal.mesh import Mesh3D
-from repro.thermal.transient import _compile_probes
+from repro.thermal import compile_probes
 
 SEEDS = range(12)
 
@@ -132,7 +132,7 @@ def test_probe_functional_is_the_mean_of_box_averages(seed):
     mesh = random_mesh(rng)
     boxes = overlapping(mesh, random_boxes(rng, mesh, 8))
     temperatures = rng.uniform(20.0, 90.0, size=mesh.shape)
-    functional = _compile_probes(mesh, {"probe": boxes})["probe"]
+    functional = compile_probes(mesh, {"probe": boxes}).functionals["probe"]
     assert np.all(np.diff(functional.indices) > 0)
     assert functional.weights.sum() == pytest.approx(1.0, rel=1.0e-12)
     reference = np.mean(
@@ -161,7 +161,7 @@ def test_box_outside_the_mesh_is_named():
     # A zero-power source outside the mesh injects nothing and is skipped.
     assert power_density_field(mesh, sources[:2]).sum() == pytest.approx(1.0)
     with pytest.raises(SolverError, match="probe 'p'"):
-        _compile_probes(mesh, {"p": [inside, outside]})
+        compile_probes(mesh, {"p": [inside, outside]})
     with pytest.raises(AnalysisError, match="does not overlap"):
         ThermalMap(mesh, np.zeros(mesh.shape)).averages_over([inside, outside])
 

@@ -21,6 +21,7 @@ from repro.thermal import (
     ThermalMap,
     TransientSolver,
     clear_factorization_cache,
+    compile_probes,
     factorization_cache_stats,
 )
 
@@ -383,23 +384,26 @@ class TestProbesAndSnapshots:
 
     def test_probe_functionals_compiled_once_per_spec(self):
         mesh, boundaries, source, _ = slab_problem()
-        solver = TransientSolver(mesh, boundaries)
         schedule = SourceSchedule([ScheduleSegment(1.0, (source,))])
-        from repro.thermal.transient import _probe_cache_key
-
-        box = mesh.bounding_box()
-        solver.solve(schedule, dt_s=0.5, probes={"whole": box})
-        assert len(solver._probe_functionals) == 1
-        cached = solver._probe_functionals.get(("whole", _probe_cache_key(box)))
-        assert cached is not None
-        # A second solve with an equal (but distinct) box reuses the vector.
-        other = mesh.bounding_box()
-        solver.solve(schedule, dt_s=0.5, probes={"whole": other})
-        assert len(solver._probe_functionals) == 1
-        assert (
-            solver._probe_functionals.get(("whole", _probe_cache_key(other)))
-            is cached
+        compiled = compile_probes(mesh, {"whole": mesh.bounding_box()})
+        # Compiled probes serve every solve and solver on their mesh and
+        # record what the specs they were compiled from record.
+        reference = TransientSolver(mesh, boundaries).solve(
+            schedule, dt_s=0.5, probes={"whole": mesh.bounding_box()}
         )
+        for _ in range(2):
+            result = TransientSolver(mesh, boundaries).solve(
+                schedule, dt_s=0.5, probes=compiled
+            )
+            np.testing.assert_array_equal(
+                result.probe("whole").temperatures_c,
+                reference.probe("whole").temperatures_c,
+            )
+        other_mesh, other_boundaries, _, _ = slab_problem()
+        with pytest.raises(SolverError, match="another mesh"):
+            TransientSolver(other_mesh, other_boundaries).solve(
+                schedule, dt_s=0.5, probes=compiled
+            )
 
     def test_diagnostics_summary_names_method(self):
         mesh, boundaries, source, _ = slab_problem()

@@ -76,6 +76,28 @@ def _payload_digest(payload: Mapping[str, Any]) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
+def _write_record(
+    directory: Path,
+    prefix: str,
+    fields: Mapping[str, Any],
+    payload: Mapping[str, Any],
+    target: Path,
+) -> int:
+    """Write one object document atomically: the envelope ``fields``, the
+    payload's digest and the payload.  Returns its size in bytes.
+
+    The payload is serialised once, for its digest and the record both:
+    its canonical text is appended to the envelope's (``payload`` sorts
+    last).
+    """
+    payload_text = canonical_json(payload)
+    digest = hashlib.sha256(payload_text.encode("utf-8")).hexdigest()
+    envelope = canonical_json({**fields, "payload_sha256": digest})
+    text = f'{envelope[:-1]},"payload":{payload_text}}}\n'
+    _atomic_write(directory, prefix, text, target)
+    return len(text.encode("utf-8"))
+
+
 def _fsync_directory(directory: Path) -> None:
     """Best-effort fsync of a directory (persists a completed rename).
 
@@ -210,7 +232,7 @@ class ArtifactStore:
         #: Object writer thread of the open :meth:`deferred_index` block.
         self._writer: Optional[ThreadPoolExecutor] = None
         #: ``(key, write future)`` of every object handed to the writer.
-        self._writes: List[Tuple[str, "Future[None]"]] = []
+        self._writes: List[Tuple[str, "Future[int]"]] = []
 
     # Paths -----------------------------------------------------------------
 
@@ -374,11 +396,11 @@ class ArtifactStore:
     def deferred_index(self) -> Iterator["ArtifactStore"]:
         """Publish objects in the background and refresh the index once.
 
-        Inside the block, :meth:`store` serialises each record and hands
-        its write (temp file, fsync, atomic replace, directory fsync, as
-        always) to one writer thread, so the disk latency overlaps the
-        caller's next computation (the ``store.put`` span then times the
-        hand-off).  The index read-modify-write, and the
+        Inside the block, :meth:`store` hands each record to one writer
+        thread, which serialises and writes it (temp file, fsync, atomic
+        replace, directory fsync, as always), so the encoding and the disk
+        latency overlap the caller's next computation (the ``store.put``
+        span then times the hand-off).  The index read-modify-write, and the
         eviction it drives, run once when the block exits, error or not,
         after every write has landed; the first failed write is re-raised
         there.  A crash inside the block loses recency only: the objects are
@@ -402,6 +424,8 @@ class ArtifactStore:
                 if error is not None:
                     self._pending_entries.pop(key, None)
                     failure = failure or error
+                elif key in self._pending_entries:
+                    self._pending_entries[key]["size_bytes"] = write.result()
             self._writes.clear()
             if self._pending_entries:
                 self._refresh_index()
@@ -552,41 +576,38 @@ class ArtifactStore:
         paths: List[str],
         payload: Dict[str, Any],
     ) -> str:
-        """Write one record envelope atomically (in the background inside a
-        :meth:`deferred_index` block) and queue its index entry."""
-        # The payload is serialised once, for its digest and the record
-        # both: its canonical text is appended to the envelope's.
-        payload_text = canonical_json(payload)
-        envelope = canonical_json(
-            {
-                "store_version": STORE_VERSION,
-                "key": key,
+        """Write one record envelope atomically and queue its index entry.
+
+        Inside a :meth:`deferred_index` block the writer thread serialises
+        the record too; the entry's size is filled in when the block exits.
+        """
+        fields = {
+            "store_version": STORE_VERSION,
+            "key": key,
+            "scenario": scenario,
+            "spec_hash": spec_hash,
+            "paths": paths,
+            "code_version": self.code_version,
+        }
+        write = (
+            self._objects_dir, f".{key[:16]}", fields, payload, self._object_path(key)
+        )
+        with telemetry.span("store.put", scenario=scenario):
+            entry = {
                 "scenario": scenario,
                 "spec_hash": spec_hash,
                 "paths": paths,
-                "code_version": self.code_version,
-                "payload_sha256": hashlib.sha256(
-                    payload_text.encode("utf-8")
-                ).hexdigest(),
+                "size_bytes": 0,
+                "last_used": 0,
             }
-        )
-        text = f'{envelope[:-1]},"payload":{payload_text}}}\n'
-        write = (self._objects_dir, f".{key[:16]}", text, self._object_path(key))
-        with telemetry.span("store.put", scenario=scenario):
             if self._writer is None:
-                _atomic_write(*write)
+                entry["size_bytes"] = _write_record(*write)
             else:
-                self._writes.append((key, self._writer.submit(_atomic_write, *write)))
+                self._writes.append((key, self._writer.submit(_write_record, *write)))
             self.stats.writes += 1
             telemetry.count("store.writes")
 
-            self._pending_entries[key] = {
-                "scenario": scenario,
-                "spec_hash": spec_hash,
-                "paths": paths,
-                "size_bytes": len(text.encode("utf-8")),
-                "last_used": 0,
-            }
+            self._pending_entries[key] = entry
             self._pending_touches.append(key)
             if self._writer is None:
                 self._refresh_index()

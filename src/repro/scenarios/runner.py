@@ -24,7 +24,9 @@ regression harness in ``tests/golden/`` relies on.
 
 from __future__ import annotations
 
+import contextvars
 import json
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -54,6 +56,7 @@ from ..casestudy import (
 )
 from ..config import SimulationSettings
 from ..errors import ConfigurationError
+from ..log import get_logger
 from ..methodology import (
     SweepEngine,
     ThermalAwareDesignFlow,
@@ -62,9 +65,11 @@ from ..methodology import (
 )
 from ..oni import OniPowerConfig
 from ..snr import LaserDriveConfig
-from ..thermal import TRANSIENT_METHODS
+from ..thermal import TRANSIENT_METHODS, TransientSolver
 from ..thermal.factorization import shared_cache
 from .spec import SCHEMA_VERSION, ScenarioSpec, TraceSpec, WorkloadSpec
+
+logger = get_logger("scenarios.runner")
 
 #: Analysis paths a runner can execute, in canonical order.
 ALL_PATHS: Tuple[str, ...] = ("steady", "sweep", "snr", "transient")
@@ -395,6 +400,10 @@ class ScenarioRunner:
     def run(self, paths: Sequence[str] = ALL_PATHS) -> ScenarioArtifact:
         """Execute the requested analysis paths and assemble the artifact.
 
+        When the transient path will step with steppers the shared cache
+        lacks, one daemon thread builds them while the other paths run; it
+        is joined before this returns or raises.
+
         While telemetry is enabled the artifact gains a ``telemetry``
         provenance subdict (per-path wall times); the golden comparator
         skips it via ``PROVENANCE_SUFFIXES``, and with telemetry disabled
@@ -407,6 +416,57 @@ class ScenarioRunner:
             raise ConfigurationError(
                 f"unknown analysis paths {unknown}; available: {list(ALL_PATHS)}"
             )
+        transient = (
+            self._transient_request() if "transient" in requested else None
+        )
+        prefetch = self._prefetch_steppers(transient)
+        try:
+            return self._run_paths(requested, transient)
+        finally:
+            if prefetch is not None:
+                prefetch.join()
+
+    def _transient_request(self) -> Optional[TransientRequest]:
+        """The transient path's request, or ``None`` when the spec has no
+        trace."""
+        trace_spec = self.spec.trace
+        if trace_spec is None:
+            return None
+        return TransientRequest(
+            trace=self.trace(),
+            power=self.power_config(),
+            dt_s=trace_spec.dt_s,
+            initial=trace_spec.initial,
+            method=self.transient_method,
+        )
+
+    def _prefetch_steppers(
+        self, request: Optional[TransientRequest]
+    ) -> Optional[threading.Thread]:
+        """Start building the steppers ``request`` will step with, on a
+        daemon thread, while the other paths run; ``None`` when none is
+        missing or the request may not step with them (only ``"lu"`` is
+        sure to).  The thread runs in a copy of the caller's context, so
+        its span joins the caller's telemetry."""
+        if request is None or request.method != "lu":
+            return None
+        solver = self.engine().transient_solver(request.theta)
+        steps = solver.missing_steps(request.trace, request.dt_s)
+        if not steps:
+            return None
+        thread = threading.Thread(
+            target=contextvars.copy_context().run,
+            args=(_prefetch, solver, steps),
+            name=f"prefetch:{self.spec.name}",
+            daemon=True,
+        )
+        thread.start()
+        return thread
+
+    def _run_paths(
+        self, requested: Sequence[str], transient: Optional[TransientRequest]
+    ) -> ScenarioArtifact:
+        """The artifact of the ``requested`` paths (see :meth:`run`)."""
         flow = self.flow()
         engine = self.engine()
         results: Dict[str, Any] = {}
@@ -474,19 +534,11 @@ class ScenarioRunner:
                 }
 
         if "transient" in requested:
-            trace_spec = self.spec.trace
-            if trace_spec is None:
+            if transient is None:
                 results["transient"] = None
             else:
-                request = TransientRequest(
-                    trace=self.trace(),
-                    power=self.power_config(),
-                    dt_s=trace_spec.dt_s,
-                    initial=trace_spec.initial,
-                    method=self.transient_method,
-                )
                 with self._timed_path("transient", timings):
-                    evaluation = engine.evaluate_transient_one(request)
+                    evaluation = engine.evaluate_transient_one(transient)
                     series = flow.run_transient_snr(evaluation, self.drive())
                 diagnostics = evaluation.result.diagnostics
                 per_oni_settling = {
@@ -534,6 +586,16 @@ class ScenarioRunner:
             schema_version=SCHEMA_VERSION,
             results=results,
         )
+
+
+def _prefetch(solver: TransientSolver, steps: Sequence[float]) -> None:
+    """Body of a prefetch thread (see :meth:`ScenarioRunner._prefetch_steppers`)."""
+    try:
+        solver.prefetch_steppers(steps)
+    except Exception:
+        # The transient path asks for the same steppers: it receives this
+        # build's error, or builds again and raises it there.
+        logger.debug("stepper prefetch failed", exc_info=True)
 
 
 def run_scenario(

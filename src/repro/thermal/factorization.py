@@ -7,7 +7,9 @@ well-posed boundary set has a convective or Dirichlet face).
 :class:`BandedCholesky` factorises it with LAPACK's blocked banded Cholesky
 (``dpbtrf``), in whichever of the natural and the reverse Cuthill–McKee
 orderings gives the narrower band; on the case-study mesh that is about
-2.5x cheaper than a general sparse LU.
+2.5x cheaper than a general sparse LU.  It calls ``dpbtrf`` and ``dpbtrs``
+through ctypes, which releases the GIL, so a factorisation on one thread
+runs in parallel with the work of another.
 
 :data:`shared_cache` is the only holder of these artefacts; the solvers
 keep none.  It serves them by content key, one LRU entry each:
@@ -24,28 +26,33 @@ keep none.  It serves them by content key, one LRU entry each:
 
 So the scenarios of a campaign that share a design, or the steady, zoom
 and transient solvers of one flow, build each flow and assemble and
-factorise each operator once per process.  The cache is bounded: a
-paper-scale factor holds tens of megabytes, so sweeps varying the step size
-or the mesh must not accumulate them; an evicted entry is freed, and
-:meth:`stats` reports the bytes held by factors and sparse matrices.  A
-flow is counted as an entry but not in those bytes: its mesh, compiled
-geometry and window meshes are small next to the factors of its operators,
-which it does not hold (they are entries of their own).  Reuse is numerically invisible — the factorisation is
-deterministic in the matrix content — which is what lets the
+factorise each operator once per process.  Builds are single-flight: a
+thread asking for an entry another thread is building waits for that
+build, so concurrent callers never build one entry twice.  The cache is
+bounded: a paper-scale factor holds tens of megabytes, so sweeps varying
+the step size or the mesh must not accumulate them; an evicted entry is
+freed, and :meth:`stats` reports the bytes held by factors and sparse
+matrices.  A flow is counted as an entry but not in those bytes: its mesh,
+compiled geometry and window meshes are small next to the factors of its
+operators, which it does not hold (they are entries of their own).  Reuse is
+numerically invisible — the factorisation is deterministic in the matrix
+content, whichever thread builds it — which is what lets the
 executor-conformance suite keep pinning artifacts byte-identical whatever
 the process topology.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import threading
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg import cython_lapack
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from ..caching import LruCache
@@ -53,6 +60,45 @@ from ..errors import SolverError
 from .assembly import AssembledOperator, assemble_operator, boundary_signature
 from .boundary import BoundaryConditions
 from .mesh import Mesh3D
+
+
+def lapack_routine(name: str, *argtypes: Any) -> Callable[..., None]:
+    """The ``scipy.linalg.cython_lapack`` routine ``name`` as a ctypes function.
+
+    It is the LAPACK of scipy's bundled OpenBLAS, the one its Python
+    wrappers call, but a ctypes call releases the GIL, so threads factorise
+    and solve in parallel.  Raises :class:`ImportError` naming the routine
+    when scipy does not export it.
+    """
+    try:
+        capsule = cython_lapack.__pyx_capi__[name]
+    except (AttributeError, KeyError):
+        raise ImportError(
+            f"scipy.linalg.cython_lapack exports no {name!r} routine"
+        ) from None
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi)
+    )
+    capsule_pointer = ctypes.PYFUNCTYPE(
+        ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p
+    )(("PyCapsule_GetPointer", ctypes.pythonapi))
+    address = capsule_pointer(capsule, capsule_name(capsule))
+    return ctypes.CFUNCTYPE(None, *argtypes)(address)
+
+
+_INT = ctypes.POINTER(ctypes.c_int)
+_DOUBLES = ctypes.c_void_p
+#: ``dpbtrf(uplo, n, kd, ab, ldab, info)``: banded Cholesky, in place.
+_DPBTRF = lapack_routine("dpbtrf", ctypes.c_char_p, _INT, _INT, _DOUBLES, _INT, _INT)
+#: ``dpbtrs(uplo, n, kd, nrhs, ab, ldab, b, ldb, info)``: solve, in place.
+_DPBTRS = lapack_routine(
+    "dpbtrs", ctypes.c_char_p, _INT, _INT, _INT, _DOUBLES, _INT, _DOUBLES, _INT, _INT
+)
+
+
+def _int(value: int) -> Any:
+    """A LAPACK integer argument (by reference)."""
+    return ctypes.byref(ctypes.c_int(value))
 
 
 class BandedCholesky:
@@ -63,7 +109,7 @@ class BandedCholesky:
     Cuthill–McKee permutation when it narrows the band, else the identity.
     :meth:`solve` accepts one right-hand side or a stacked
     ``(n, n_rhs)`` matrix, which is how the steady, transient and ROM
-    solvers call it.
+    solvers call it.  Both call LAPACK without holding the GIL.
 
     Raises :class:`~repro.errors.SolverError` when the matrix is not
     positive definite (a singular or indefinite operator).
@@ -88,20 +134,23 @@ class BandedCholesky:
             self._permutation = None
         bandwidth = min(natural, permuted)
         upper = rows <= cols
-        # Fortran order lets LAPACK factorise in place; a C-ordered band
-        # would be copied whole, doubling the peak memory of the build.
+        # LAPACK factorises the Fortran-ordered band in place.
         band = np.zeros((bandwidth + 1, n), dtype=np.float64, order="F")
         band[bandwidth + rows[upper] - cols[upper], cols[upper]] = coo.data[upper]
-        try:
-            self._factor = cholesky_banded(
-                band, overwrite_ab=True, lower=False, check_finite=False
-            )
-        except LinAlgError as error:
+        info = ctypes.c_int(0)
+        _DPBTRF(
+            b"U", _int(n), _int(bandwidth), band.ctypes.data, _int(bandwidth + 1),
+            ctypes.byref(info),
+        )
+        if info.value > 0:
             raise SolverError(
                 f"the {n}x{n} thermal operator is not positive definite "
-                f"({error}); its boundary conditions or materials are "
-                "ill-posed"
-            ) from None
+                f"(dpbtrf: leading minor {info.value} is not); its boundary "
+                "conditions or materials are ill-posed"
+            )
+        if info.value < 0:
+            raise SolverError(f"dpbtrf rejected its argument {-info.value}")
+        self._factor = band
         #: Half-bandwidth of the factor, in the ordering chosen.
         self.bandwidth = bandwidth
 
@@ -112,16 +161,34 @@ class BandedCholesky:
         return self._factor.nbytes + extra
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``A x = rhs`` for a vector or stacked ``(n, n_rhs)`` matrix."""
+        """Solve ``A x = rhs`` for a vector or stacked ``(n, n_rhs)`` matrix.
+
+        ``rhs`` is left untouched; the solution has its shape.
+        """
+        rhs = np.asarray(rhs)
+        n = self._factor.shape[1]
+        if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
+            raise ValueError(
+                f"right-hand side of shape {rhs.shape} does not fit the "
+                f"{n}x{n} factor"
+            )
         permutation = self._permutation
+        # LAPACK overwrites a Fortran-ordered float64 copy with the solution.
         if permutation is None:
-            return cho_solve_banded((self._factor, False), rhs, check_finite=False)
-        solution = cho_solve_banded(
-            (self._factor, False),
-            np.asarray(rhs)[permutation],
-            overwrite_b=True,
-            check_finite=False,
+            solution = np.array(rhs, dtype=np.float64, order="F")
+        else:
+            solution = np.asarray(rhs[permutation], dtype=np.float64, order="F")
+        kd = self._factor.shape[0] - 1
+        n_rhs = solution.shape[1] if solution.ndim == 2 else 1
+        info = ctypes.c_int(0)
+        _DPBTRS(
+            b"U", _int(n), _int(kd), _int(n_rhs), self._factor.ctypes.data,
+            _int(kd + 1), solution.ctypes.data, _int(max(n, 1)), ctypes.byref(info),
         )
+        if info.value != 0:
+            raise SolverError(f"dpbtrs rejected its argument {-info.value}")
+        if permutation is None:
+            return solution
         result = np.empty_like(solution)
         result[permutation] = solution
         return result
@@ -163,6 +230,11 @@ def stepper_key(
     digest.update(np.float64(dt).tobytes())
     digest.update(np.ascontiguousarray(capacitance, dtype=np.float64).tobytes())
     return digest.hexdigest()
+
+
+def operator_cache_key(mesh: Mesh3D, boundaries: BoundaryConditions) -> Hashable:
+    """Cache key of the operator of ``mesh`` under ``boundaries``."""
+    return ("operator", mesh.content_key, boundary_signature(boundaries))
 
 
 #: Kinds of cache entry, as counted by :meth:`FactorizationCache.stats`.
@@ -207,13 +279,18 @@ class CacheEntry:
 class FactorizationCache:
     """Bounded, thread-safe LRU of :class:`CacheEntry` by content key.
 
-    Builds run outside the lock, so a rare concurrent build of the same
-    entry costs duplicated work, never corruption.
+    Builds are single-flight.  A build runs outside the lock while a
+    :class:`~concurrent.futures.Future` marks it in flight; a caller asking
+    for the same operator, stepper, factor or flow meanwhile waits on that
+    future instead of building again.  A failed build hands its exception
+    to every waiter and installs nothing.
     """
 
     def __init__(self, max_entries: int = 8) -> None:
         self._entries: LruCache[CacheEntry] = LruCache(max_entries)
         self._lock = threading.Lock()
+        #: Builds in flight, by (kind, key).
+        self._building: Dict[Tuple[str, Hashable], "Future[Any]"] = {}
         #: Lifetime counters (monotone, unaffected by eviction).
         self.built = 0
         self.reused = 0
@@ -229,6 +306,50 @@ class FactorizationCache:
             self._entries.put(key, entry)
         return entry
 
+    def _single_flight(
+        self,
+        kind: str,
+        key: Hashable,
+        served: Callable[[CacheEntry], Any],
+        build: Callable[[], Dict[str, Any]],
+        count_reuse: bool = False,
+    ) -> Tuple[Any, bool]:
+        """``served(entry)`` of the entry under ``key`` when it is not
+        ``None``.  Otherwise one caller sets the fields ``build()`` returns on
+        the entry, and it and every concurrent caller get ``served(entry)``.
+        Also returns whether this caller ran the build; the others count as
+        reuses when ``count_reuse``."""
+        slot = (kind, key)
+        with self._lock:
+            entry = self._entries.get(key)
+            result = None if entry is None else served(entry)
+            future = None if result is not None else self._building.get(slot)
+            building = result is None and future is None
+            if building:
+                future = self._building[slot] = Future()
+        if not building:
+            if result is None:
+                result = future.result()
+            if count_reuse:
+                with self._lock:
+                    self.reused += 1
+            return result, False
+        try:
+            fields = build()
+        except BaseException as error:
+            with self._lock:
+                del self._building[slot]
+            future.set_exception(error)
+            raise
+        with self._lock:
+            entry = self._entry(key)
+            for name, value in fields.items():
+                setattr(entry, name, value)
+            result = served(entry)
+            del self._building[slot]
+        future.set_result(result)
+        return result, True
+
     def factorize(
         self, matrix: sparse.spmatrix, key: Optional[Hashable] = None
     ) -> Tuple[BandedCholesky, Hashable, bool]:
@@ -241,16 +362,17 @@ class FactorizationCache:
         """
         if key is None:
             key = matrix_content_key(matrix)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry.factor is not None:
-                self.reused += 1
-                return entry.factor, key, True
-        factorization = BandedCholesky(matrix)
-        with self._lock:
-            self._entry(key).factor = factorization
-            self.built += 1
-        return factorization, key, False
+        factorization, built = self._single_flight(
+            "factor",
+            key,
+            lambda entry: entry.factor,
+            lambda: {"factor": BandedCholesky(matrix)},
+            count_reuse=True,
+        )
+        if built:
+            with self._lock:
+                self.built += 1
+        return factorization, key, not built
 
     def operator(self, mesh: Mesh3D, boundaries: BoundaryConditions) -> CacheEntry:
         """The entry of the operator of ``mesh`` under ``boundaries``.
@@ -260,16 +382,18 @@ class FactorizationCache:
         only.  ``factorize(entry.operator.matrix, entry.key)`` serves its
         factor.
         """
-        key = ("operator", mesh.content_key, boundary_signature(boundaries))
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry.operator is not None:
-                return entry
-        operator = assemble_operator(mesh, boundaries)
-        matrix_key = matrix_content_key(operator.matrix)
-        with self._lock:
-            entry = self._entry(key)
-            entry.operator, entry.matrix_key = operator, matrix_key
+
+        def build() -> Dict[str, Any]:
+            operator = assemble_operator(mesh, boundaries)
+            matrix_key = matrix_content_key(operator.matrix)
+            return {"operator": operator, "matrix_key": matrix_key}
+
+        entry, _ = self._single_flight(
+            "operator",
+            operator_cache_key(mesh, boundaries),
+            lambda entry: entry if entry.operator is not None else None,
+            build,
+        )
         return entry
 
     def stepper(
@@ -285,40 +409,42 @@ class FactorizationCache:
         ``M = C/dt − (1−θ)K``, so one step solves ``A T' = M T + q``.
         """
         key = stepper_key(operator_entry.matrix_key, theta, dt, capacitance)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry.explicit is not None:
-                self.reused += 1
-                return entry
-        matrix = operator_entry.operator.matrix
-        capacitance_over_dt = sparse.diags(capacitance / dt)
-        implicit = (capacitance_over_dt + theta * matrix).tocsc()
-        explicit = (capacitance_over_dt - (1.0 - theta) * matrix).tocsr()
-        # For backward Euler the K term multiplies to exact zeros that would
-        # otherwise stay stored and cost a full stencil matvec per step.
-        explicit.eliminate_zeros()
-        factorization, _, _ = self.factorize(implicit, key)
-        with self._lock:
-            entry = self._entry(key)
-            entry.factor, entry.explicit = factorization, explicit
+
+        def build() -> Dict[str, Any]:
+            matrix = operator_entry.operator.matrix
+            capacitance_over_dt = sparse.diags(capacitance / dt)
+            implicit = (capacitance_over_dt + theta * matrix).tocsc()
+            explicit = (capacitance_over_dt - (1.0 - theta) * matrix).tocsr()
+            # For backward Euler the K term multiplies to exact zeros that
+            # would otherwise stay stored and cost a full stencil matvec per
+            # step.
+            explicit.eliminate_zeros()
+            factorization, _, _ = self.factorize(implicit, key)
+            return {"factor": factorization, "explicit": explicit}
+
+        entry, _ = self._single_flight(
+            "stepper",
+            key,
+            lambda entry: entry if entry.explicit is not None else None,
+            build,
+            count_reuse=True,
+        )
         return entry
 
     def flow(self, key: Hashable, build: Callable[[], Any]) -> Any:
         """The design flow under ``key`` (a hash of the design content it is
         built from), built by ``build()`` when absent.  Every scenario of the
-        design shares it, so it must hold no per-scenario state.  Threads
-        building one flow at once all get the one cached first."""
-        key = ("flow", key)
+        design shares it, so it must hold no per-scenario state."""
+        flow, _ = self._single_flight(
+            "flow", ("flow", key), lambda entry: entry.flow, lambda: {"flow": build()}
+        )
+        return flow
+
+    def peek(self, key: Hashable) -> Optional[CacheEntry]:
+        """The entry under ``key``, or ``None``: no build, no counter, no
+        recency change."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                return entry.flow
-        flow = build()
-        with self._lock:
-            entry = self._entry(key)
-            if entry.flow is None:
-                entry.flow = flow
-            return entry.flow
+            return self._entries.peek(key)
 
     def stats(self) -> Dict[str, Any]:
         """Lifetime counters, the current entry count, the entries of each

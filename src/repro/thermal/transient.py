@@ -44,6 +44,7 @@ import hashlib
 
 import numpy as np
 
+from .. import telemetry
 from ..caching import LruCache
 from ..errors import SolverError
 from ..geometry import Box
@@ -51,7 +52,7 @@ from ..geometry.box import box_bounds
 from ..log import get_logger
 from .assembly import boundary_rhs
 from .boundary import FACES, BoundaryConditions
-from .factorization import CacheEntry, shared_cache
+from .factorization import CacheEntry, operator_cache_key, shared_cache, stepper_key
 from .mesh import BoxOverlaps, Mesh3D
 from .rom import (
     DEFAULT_CONFIG,
@@ -532,7 +533,7 @@ class TransientSolver:
             )
         return sum(ambients) / len(ambients)
 
-    def _segment_steps(self, schedule: SourceSchedule, dt_s: float) -> List[
+    def _segment_steps(self, schedule: Iterable, dt_s: float) -> List[
         Tuple[ScheduleSegment, int, float]
     ]:
         """Per-segment (segment, step count, effective dt) plan.
@@ -541,7 +542,8 @@ class TransientSolver:
         smallest number of equal steps not exceeding it, so steps align with
         segment boundaries and the piecewise-constant power is exact.
         Segments of equal duration share the same effective dt — and hence
-        the same cached factorisation.
+        the same cached factorisation.  Only the segments' ``duration_s`` is
+        read, so an activity trace plans like the schedule built from it.
         """
         plan = []
         for segment in schedule:
@@ -564,6 +566,36 @@ class TransientSolver:
             load = power_density_field(self._mesh, sources).ravel()
             self._source_loads.put(key, load)
         return load
+
+    # Stepper prefetch -------------------------------------------------------------
+
+    def missing_steps(self, schedule: Iterable, dt_s: float) -> List[float]:
+        """Distinct effective steps of the plan of ``schedule`` at ``dt_s``
+        (see :meth:`_segment_steps`) whose stepper the shared cache does not
+        hold, in plan order.  Builds nothing."""
+        plan = self._segment_steps(schedule, dt_s)
+        steps = list(dict.fromkeys(dt_eff for _, _, dt_eff in plan))
+        entry = shared_cache.peek(operator_cache_key(self._mesh, self._boundaries))
+        if entry is None or entry.operator is None:
+            return steps
+        missing = []
+        for dt in steps:
+            key = stepper_key(entry.matrix_key, self._theta, dt, self._capacitance)
+            stepper = shared_cache.peek(key)
+            if stepper is None or stepper.explicit is None:
+                missing.append(dt)
+        return missing
+
+    def prefetch_steppers(self, steps: Sequence[float]) -> None:
+        """Build the operator and the steppers of ``steps`` in the shared
+        cache, so a later :meth:`solve` finds them there or waits for their
+        build.  Meant for a second thread while the caller does other work;
+        the solver's own history (step sizes, reduced bases) is left alone,
+        so its diagnostics do not change."""
+        with telemetry.span("transient.prefetch_steppers", steps=len(steps)):
+            entry = shared_cache.operator(self._mesh, self._boundaries)
+            for dt in steps:
+                shared_cache.stepper(entry, self._capacitance, self._theta, dt)
 
     # Reduced-order plumbing -------------------------------------------------------
 

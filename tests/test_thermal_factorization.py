@@ -1,6 +1,9 @@
 """Tests for the banded-Cholesky factoriser and its shared content-keyed cache."""
 
 import gc
+import threading
+import time
+import types
 import weakref
 
 import numpy as np
@@ -15,7 +18,12 @@ from repro.thermal import (
     factorize,
     matrix_content_key,
 )
-from repro.thermal.factorization import BandedCholesky, shared_cache
+from repro.thermal.factorization import (
+    BandedCholesky,
+    CacheEntry,
+    lapack_routine,
+    shared_cache,
+)
 
 
 def spd_matrix(n=12, seed=0, scale=1.0):
@@ -139,6 +147,58 @@ class TestBandedCholesky:
         np.testing.assert_array_equal(
             served.solve(rhs[:, 0]), fresh.solve(rhs[:, 0])
         )
+
+
+class TestLapackParity:
+    """:class:`BandedCholesky` calls ``dpbtrf``/``dpbtrs`` itself; scipy's
+    wrappers of the same routines are the oracle."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("shape,ordering", TestBandedCholesky.SHAPES)
+    def test_factor_and_solves_match_scipy_bit_for_bit(self, shape, ordering, seed):
+        from scipy.linalg import cho_solve_banded, cholesky_banded
+
+        matrix = stencil_operator(shape, seed)
+        n = matrix.shape[0]
+        factor = BandedCholesky(matrix)
+        permutation = factor._permutation
+        assert (permutation is not None) == (ordering == "rcm")
+        # scipy factorises the upper band of the matrix in the chosen order.
+        ordered = matrix if permutation is None else matrix[permutation][:, permutation]
+        upper = sparse.triu(ordered).tocoo()
+        kd = factor.bandwidth
+        band = np.zeros((kd + 1, n))
+        band[kd + upper.row - upper.col, upper.col] = upper.data
+        expected = cholesky_banded(band, lower=False, check_finite=False)
+        np.testing.assert_array_equal(factor._factor, expected)
+
+        rng = np.random.default_rng(200 + seed)
+        for rhs in (
+            rng.standard_normal(n),
+            rng.standard_normal((n, 1)),
+            rng.standard_normal((n, 3)),
+        ):
+            before = rhs.copy()
+            ordered_rhs = rhs if permutation is None else rhs[permutation]
+            oracle = cho_solve_banded((expected, False), ordered_rhs, check_finite=False)
+            if permutation is not None:
+                unpermuted = np.empty_like(oracle)
+                unpermuted[permutation] = oracle
+                oracle = unpermuted
+            solution = factor.solve(rhs)
+            assert solution.shape == rhs.shape
+            np.testing.assert_array_equal(solution, oracle)
+            np.testing.assert_array_equal(rhs, before)
+
+    def test_a_missing_routine_is_named(self):
+        with pytest.raises(ImportError, match="dpbtrf_nonexistent"):
+            lapack_routine("dpbtrf_nonexistent")
+
+    def test_a_right_hand_side_of_another_size_is_rejected(self):
+        factor = BandedCholesky(stencil_operator((2, 9, 9), 0))
+        for shape in [(161,), (161, 2), (162, 2, 2)]:
+            with pytest.raises(ValueError, match="does not fit"):
+                factor.solve(np.ones(shape))
 
 
 class TestMatrixContentKey:
@@ -438,3 +498,109 @@ class TestCacheOwnership:
             after["reused"] - before["reused"]
         ) == requests
         assert after["entries"] <= 8
+
+
+@pytest.fixture
+def slow_factorizations(monkeypatch):
+    """Spy on :class:`BandedCholesky`: the threads that construct one, and
+    an event set when the first construction starts (which then takes
+    long enough for a second thread to arrive while it is in flight)."""
+    import repro.thermal.factorization as factorization_module
+
+    original = factorization_module.BandedCholesky
+    builders, started = [], threading.Event()
+
+    def slow_factor(matrix):
+        builders.append(threading.current_thread())
+        started.set()
+        time.sleep(0.2)
+        return original(matrix)
+
+    monkeypatch.setattr(factorization_module, "BandedCholesky", slow_factor)
+    return builders, started
+
+
+def race(request, started):
+    """``request()`` on two threads, the second started once the first is
+    factorising; each thread's result, or the exception it raised."""
+    outcomes = [None, None]
+
+    def call(index):
+        try:
+            outcomes[index] = request()
+        except Exception as error:  # compared below
+            outcomes[index] = error
+
+    first = threading.Thread(target=call, args=(0,))
+    first.start()
+    assert started.wait(timeout=30)
+    second = threading.Thread(target=call, args=(1,))
+    second.start()
+    for thread in (first, second):
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    return outcomes
+
+
+class TestSingleFlight:
+    """Threads asking for one entry at once share one build."""
+
+    def test_one_operator_factor(self, slow_factorizations):
+        builders, started = slow_factorizations
+        cache = FactorizationCache()
+        mesh, boundaries, _ = slab()
+        entry = cache.operator(mesh, boundaries)
+        outcomes = race(
+            lambda: cache.factorize(entry.operator.matrix, entry.key), started
+        )
+        assert len(builders) == 1
+        assert cache.built == 1 and cache.reused == 1
+        (first, _, first_reused), (second, _, second_reused) = outcomes
+        assert first is second is entry.factor
+        assert sorted([first_reused, second_reused]) == [False, True]
+
+    def test_one_stepper(self, slow_factorizations):
+        builders, started = slow_factorizations
+        cache = FactorizationCache()
+        mesh, boundaries, _ = slab()
+        entry = cache.operator(mesh, boundaries)
+        capacitance = mesh.capacitance_vector()
+        outcomes = race(
+            lambda: cache.stepper(entry, capacitance, 1.0, 0.5), started
+        )
+        assert len(builders) == 1
+        assert cache.built == 1 and cache.reused == 1
+        assert outcomes[0] is outcomes[1]
+        assert outcomes[0].factor is not None and outcomes[0].explicit is not None
+        assert cache.stats()["kinds"]["stepper"] == 1
+
+    def test_a_failed_factor_reaches_every_waiter_and_leaves_no_entry(
+        self, slow_factorizations
+    ):
+        builders, started = slow_factorizations
+        cache = FactorizationCache()
+        indefinite = -stencil_operator((3, 4, 5), 4)
+        outcomes = race(lambda: cache.factorize(indefinite), started)
+        assert all(isinstance(outcome, SolverError) for outcome in outcomes)
+        assert len(builders) == 1
+        assert cache.built == 0 and len(cache) == 0
+        # Nothing is left in flight either: the next caller builds again.
+        with pytest.raises(SolverError, match="not positive definite"):
+            cache.factorize(indefinite)
+        assert len(builders) == 2
+
+    def test_a_failed_stepper_reaches_every_waiter_and_leaves_no_entry(
+        self, slow_factorizations
+    ):
+        builders, started = slow_factorizations
+        cache = FactorizationCache()
+        # C/dt + K with a negative definite K and a negligible C.
+        operator = types.SimpleNamespace(matrix=-stencil_operator((3, 4, 5), 4))
+        entry = CacheEntry("indefinite", operator=operator, matrix_key="indefinite")
+        capacitance = np.full(60, 1.0e-9)
+        outcomes = race(
+            lambda: cache.stepper(entry, capacitance, 1.0, 1.0), started
+        )
+        assert all(isinstance(outcome, SolverError) for outcome in outcomes)
+        assert len(builders) == 1
+        assert cache.built == 0 and cache.reused == 0 and len(cache) == 0

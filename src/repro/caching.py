@@ -42,10 +42,6 @@ class LruCache(Generic[V]):
             self._entries.move_to_end(key)
         return value
 
-    def peek(self, key: Hashable) -> Optional[V]:
-        """Value cached under ``key`` (recency untouched), or ``None``."""
-        return self._entries.get(key)
-
     def put(self, key: Hashable, value: V) -> None:
         """Cache ``value`` under ``key``, evicting the least recent beyond capacity."""
         self._entries[key] = value

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -562,8 +563,9 @@ class ThermalAwareDesignFlow:
                 f"asks for {request.theta}"
             )
         if request.initial == "steady":
-            first_sources = schedule.segments[0].sources
-            initial_field = self._solver().solve(first_sources)
+            # Deferred: the solver prepares its steppers first, so they
+            # overlap another thread's build of the factor this solve needs.
+            initial_field = partial(self._solver().solve, schedule.segments[0].sources)
         elif request.initial == "ambient":
             initial_field = None
         else:

@@ -28,9 +28,11 @@ import contextvars
 import json
 import threading
 import time
+from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..activity import (
@@ -56,7 +58,6 @@ from ..casestudy import (
 )
 from ..config import SimulationSettings
 from ..errors import ConfigurationError
-from ..log import get_logger
 from ..methodology import (
     SweepEngine,
     ThermalAwareDesignFlow,
@@ -65,11 +66,9 @@ from ..methodology import (
 )
 from ..oni import OniPowerConfig
 from ..snr import LaserDriveConfig
-from ..thermal import TRANSIENT_METHODS, TransientSolver
+from ..thermal import TRANSIENT_METHODS
 from ..thermal.factorization import shared_cache
 from .spec import SCHEMA_VERSION, ScenarioSpec, TraceSpec, WorkloadSpec
-
-logger = get_logger("scenarios.runner")
 
 #: Analysis paths a runner can execute, in canonical order.
 ALL_PATHS: Tuple[str, ...] = ("steady", "sweep", "snr", "transient")
@@ -400,15 +399,20 @@ class ScenarioRunner:
     def run(self, paths: Sequence[str] = ALL_PATHS) -> ScenarioArtifact:
         """Execute the requested analysis paths and assemble the artifact.
 
-        When the transient path will step with steppers the shared cache
-        lacks, one daemon thread builds them while the other paths run; it
-        is joined before this returns or raises.
+        The transient path (with its time-resolved SNR) runs as one task on
+        a daemon thread while the steady, sweep and SNR paths run on the
+        calling thread; the two meet only at the package factor, which the
+        shared cache builds once for both.  The task runs in a copy of the
+        caller's context, so its spans join the caller's telemetry, and is
+        joined before this returns or raises.  An error of either side
+        propagates; when both fail, the calling thread's wins.
 
         While telemetry is enabled the artifact gains a ``telemetry``
-        provenance subdict (per-path wall times); the golden comparator
-        skips it via ``PROVENANCE_SUFFIXES``, and with telemetry disabled
-        (the default) it is absent entirely so artifacts stay byte-identical
-        to the pre-telemetry ones.
+        provenance subdict (per-path wall times and the wall time of the
+        whole run); the golden comparator skips it via
+        ``PROVENANCE_SUFFIXES``, and with telemetry disabled (the default)
+        it is absent entirely so artifacts stay byte-identical to the
+        pre-telemetry ones.
         """
         requested = list(paths)
         unknown = sorted(set(requested) - set(ALL_PATHS))
@@ -416,15 +420,47 @@ class ScenarioRunner:
             raise ConfigurationError(
                 f"unknown analysis paths {unknown}; available: {list(ALL_PATHS)}"
             )
+        start = time.perf_counter()
+        timings: Dict[str, float] = {}
+        # Materialised here, so the task shares this runner's one engine.
+        engine = self.engine()
         transient = (
             self._transient_request() if "transient" in requested else None
         )
-        prefetch = self._prefetch_steppers(transient)
+        outcome: "Future[Dict[str, Any]]" = Future()
+        task = None
+        if transient is not None:
+            section = partial(self._transient_section, engine, transient, timings)
+            task = threading.Thread(
+                target=contextvars.copy_context().run,
+                args=(_settle, outcome, section),
+                name=f"transient:{self.spec.name}",
+                daemon=True,
+            )
+            task.start()
         try:
-            return self._run_paths(requested, transient)
+            results = self._steady_sections(engine, requested, timings)
         finally:
-            if prefetch is not None:
-                prefetch.join()
+            if task is not None:
+                task.join()
+        if "transient" in requested:
+            results["transient"] = None if task is None else outcome.result()
+
+        if telemetry.is_enabled():
+            # Timing provenance, skipped by the golden comparator (the
+            # "results.telemetry" entry of PROVENANCE_SUFFIXES) and absent
+            # with telemetry off, so artifacts stay byte-identical.
+            results["telemetry"] = {
+                "paths_s": {name: timings[name] for name in sorted(timings)},
+                "total_s": time.perf_counter() - start,
+            }
+
+        return ScenarioArtifact(
+            scenario=self.spec.name,
+            spec_hash=self.spec.content_hash(),
+            schema_version=SCHEMA_VERSION,
+            results=results,
+        )
 
     def _transient_request(self) -> Optional[TransientRequest]:
         """The transient path's request, or ``None`` when the spec has no
@@ -440,37 +476,11 @@ class ScenarioRunner:
             method=self.transient_method,
         )
 
-    def _prefetch_steppers(
-        self, request: Optional[TransientRequest]
-    ) -> Optional[threading.Thread]:
-        """Start building the steppers ``request`` will step with, on a
-        daemon thread, while the other paths run; ``None`` when none is
-        missing or the request may not step with them (only ``"lu"`` is
-        sure to).  The thread runs in a copy of the caller's context, so
-        its span joins the caller's telemetry."""
-        if request is None or request.method != "lu":
-            return None
-        solver = self.engine().transient_solver(request.theta)
-        steps = solver.missing_steps(request.trace, request.dt_s)
-        if not steps:
-            return None
-        thread = threading.Thread(
-            target=contextvars.copy_context().run,
-            args=(_prefetch, solver, steps),
-            name=f"prefetch:{self.spec.name}",
-            daemon=True,
-        )
-        thread.start()
-        return thread
-
-    def _run_paths(
-        self, requested: Sequence[str], transient: Optional[TransientRequest]
-    ) -> ScenarioArtifact:
-        """The artifact of the ``requested`` paths (see :meth:`run`)."""
-        flow = self.flow()
-        engine = self.engine()
+    def _steady_sections(
+        self, engine: SweepEngine, requested: Sequence[str], timings: Dict[str, float]
+    ) -> Dict[str, Any]:
+        """The ``steady``, ``sweep`` and ``snr`` sections of ``requested``."""
         results: Dict[str, Any] = {}
-        timings: Dict[str, float] = {}
 
         if "steady" in requested:
             with self._timed_path("steady", timings):
@@ -533,69 +543,53 @@ class ScenarioRunner:
                     "nominal": reports[-1].summary_dict(),
                 }
 
-        if "transient" in requested:
-            if transient is None:
-                results["transient"] = None
-            else:
-                with self._timed_path("transient", timings):
-                    evaluation = engine.evaluate_transient_one(transient)
-                    series = flow.run_transient_snr(evaluation, self.drive())
-                diagnostics = evaluation.result.diagnostics
-                per_oni_settling = {
-                    name: evaluation.settling_time_s(name, SETTLING_TOLERANCE_C)
-                    for name in evaluation.oni_series
-                }
-                settled = [
-                    value
-                    for value in per_oni_settling.values()
-                    if value is not None
-                ]
-                results["transient"] = {
-                    **evaluation.summary_dict(),
-                    "settling": {
-                        "tolerance_c": SETTLING_TOLERANCE_C,
-                        "per_oni_s": per_oni_settling,
-                        "max_settling_s": max(settled) if settled else None,
-                    },
-                    "snr": series.summary_dict(self.spec.snr_floor_db),
-                    # Solver provenance: which numerical path produced the
-                    # numbers above.  The raw residual is deliberately left
-                    # out — it sits near the comparison atol and would make
-                    # artifacts BLAS-sensitive.
-                    "solver": {
-                        "method_requested": self.transient_method,
-                        "method": diagnostics.solver_method,
-                        "rom_dim": diagnostics.rom_dim,
-                        "rom_basis_built": diagnostics.rom_basis_built,
-                        "rom_fallback": diagnostics.rom_fallback,
-                    },
-                }
+        return results
 
-        if telemetry.is_enabled():
-            # Timing provenance, skipped by the golden comparator (the
-            # "results.telemetry" entry of PROVENANCE_SUFFIXES) and absent
-            # with telemetry off, so artifacts stay byte-identical.
-            results["telemetry"] = {
-                "paths_s": {name: timings[name] for name in sorted(timings)},
-                "total_s": sum(timings.values()),
-            }
-
-        return ScenarioArtifact(
-            scenario=self.spec.name,
-            spec_hash=self.spec.content_hash(),
-            schema_version=SCHEMA_VERSION,
-            results=results,
-        )
+    def _transient_section(
+        self,
+        engine: SweepEngine,
+        request: TransientRequest,
+        timings: Dict[str, float],
+    ) -> Dict[str, Any]:
+        """The ``transient`` section: the trace integrated by ``engine``
+        and chained into the time-resolved SNR (the body of the task of
+        :meth:`run`)."""
+        with self._timed_path("transient", timings):
+            evaluation = engine.evaluate_transient_one(request)
+            series = self.flow().run_transient_snr(evaluation, self.drive())
+        diagnostics = evaluation.result.diagnostics
+        per_oni_settling = {
+            name: evaluation.settling_time_s(name, SETTLING_TOLERANCE_C)
+            for name in evaluation.oni_series
+        }
+        settled = [value for value in per_oni_settling.values() if value is not None]
+        return {
+            **evaluation.summary_dict(),
+            "settling": {
+                "tolerance_c": SETTLING_TOLERANCE_C,
+                "per_oni_s": per_oni_settling,
+                "max_settling_s": max(settled) if settled else None,
+            },
+            "snr": series.summary_dict(self.spec.snr_floor_db),
+            # Solver provenance: which numerical path produced the numbers
+            # above.  The raw residual is deliberately left out — it sits near
+            # the comparison atol and would make artifacts BLAS-sensitive.
+            "solver": {
+                "method_requested": self.transient_method,
+                "method": diagnostics.solver_method,
+                "rom_dim": diagnostics.rom_dim,
+                "rom_basis_built": diagnostics.rom_basis_built,
+                "rom_fallback": diagnostics.rom_fallback,
+            },
+        }
 
 
-def _prefetch(solver: TransientSolver, steps: Sequence[float]) -> None:
-    """Body of a prefetch thread (see :meth:`ScenarioRunner._prefetch_steppers`)."""
+def _settle(outcome: "Future[Any]", task: Callable[[], Any]) -> None:
+    """Settle ``outcome`` with ``task()``: its value or its error."""
     try:
-        solver.prefetch_steppers(steps)
-    except Exception:
-        # The transient path asks for the same steppers: it receives this
-        # build's error, or builds again and raises it there.
-        logger.debug("stepper prefetch failed", exc_info=True)
+        outcome.set_result(task())
+    except BaseException as error:
+        outcome.set_exception(error)
 
 
 def run_scenario(

@@ -440,12 +440,6 @@ class FactorizationCache:
         )
         return flow
 
-    def peek(self, key: Hashable) -> Optional[CacheEntry]:
-        """The entry under ``key``, or ``None``: no build, no counter, no
-        recency change."""
-        with self._lock:
-            return self._entries.peek(key)
-
     def stats(self) -> Dict[str, Any]:
         """Lifetime counters, the current entry count, the entries of each
         kind and the bytes held (flows are not counted in the bytes)."""

@@ -38,7 +38,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import hashlib
 
@@ -52,7 +62,7 @@ from ..geometry.box import box_bounds
 from ..log import get_logger
 from .assembly import boundary_rhs
 from .boundary import FACES, BoundaryConditions
-from .factorization import CacheEntry, operator_cache_key, shared_cache, stepper_key
+from .factorization import CacheEntry, shared_cache
 from .mesh import BoxOverlaps, Mesh3D
 from .rom import (
     DEFAULT_CONFIG,
@@ -73,6 +83,11 @@ logger = get_logger("thermal.transient")
 #: the per-box averages, e.g. "all VCSELs of one ONI"), given as boxes or
 #: as their ``(n, 6)`` bounds array.
 ProbeSpec = Union[Box, Sequence[Box], np.ndarray]
+
+#: A starting field (see :meth:`TransientSolver.solve`), or a callable
+#: returning one.
+_Field = Union[float, np.ndarray, ThermalMap, None]
+InitialField = Union[_Field, Callable[[], _Field]]
 
 
 def piecewise_segment_index(durations: Sequence[float], t: float) -> int:
@@ -497,10 +512,9 @@ class TransientSolver:
 
     # Internal -------------------------------------------------------------------
 
-    def _initial_field(
-        self,
-        initial_temperature_c: Union[float, np.ndarray, ThermalMap, None],
-    ) -> np.ndarray:
+    def _initial_field(self, initial_temperature_c: InitialField) -> np.ndarray:
+        if callable(initial_temperature_c):
+            initial_temperature_c = initial_temperature_c()
         if initial_temperature_c is None:
             ambient = self._ambient_reference_c()
             return np.full(self._mesh.n_cells, ambient, dtype=float)
@@ -567,35 +581,20 @@ class TransientSolver:
             self._source_loads.put(key, load)
         return load
 
-    # Stepper prefetch -------------------------------------------------------------
-
-    def missing_steps(self, schedule: Iterable, dt_s: float) -> List[float]:
-        """Distinct effective steps of the plan of ``schedule`` at ``dt_s``
-        (see :meth:`_segment_steps`) whose stepper the shared cache does not
-        hold, in plan order.  Builds nothing."""
-        plan = self._segment_steps(schedule, dt_s)
-        steps = list(dict.fromkeys(dt_eff for _, _, dt_eff in plan))
-        entry = shared_cache.peek(operator_cache_key(self._mesh, self._boundaries))
-        if entry is None or entry.operator is None:
-            return steps
-        missing = []
-        for dt in steps:
-            key = stepper_key(entry.matrix_key, self._theta, dt, self._capacitance)
-            stepper = shared_cache.peek(key)
-            if stepper is None or stepper.explicit is None:
-                missing.append(dt)
-        return missing
-
-    def prefetch_steppers(self, steps: Sequence[float]) -> None:
-        """Build the operator and the steppers of ``steps`` in the shared
-        cache, so a later :meth:`solve` finds them there or waits for their
-        build.  Meant for a second thread while the caller does other work;
-        the solver's own history (step sizes, reduced bases) is left alone,
-        so its diagnostics do not change."""
-        with telemetry.span("transient.prefetch_steppers", steps=len(steps)):
-            entry = shared_cache.operator(self._mesh, self._boundaries)
-            for dt in steps:
-                shared_cache.stepper(entry, self._capacitance, self._theta, dt)
+    def _steppers(
+        self, entry: CacheEntry, plan: Sequence[Tuple[ScheduleSegment, int, float]]
+    ) -> List[CacheEntry]:
+        """The stepper of each segment of ``plan``, from the shared cache
+        (built there, or awaited, on a miss); each step size joins this
+        solver's history."""
+        steppers = []
+        with telemetry.span("transient.steppers", segments=len(plan)):
+            for _, _, dt_eff in plan:
+                self._step_sizes.add(dt_eff)
+                steppers.append(
+                    shared_cache.stepper(entry, self._capacitance, self._theta, dt_eff)
+                )
+        return steppers
 
     # Reduced-order plumbing -------------------------------------------------------
 
@@ -643,7 +642,7 @@ class TransientSolver:
 
     def _integrate_full(
         self,
-        entry: CacheEntry,
+        steppers: Sequence[CacheEntry],
         plan: Sequence[Tuple[ScheduleSegment, int, float]],
         segment_loads: Sequence[np.ndarray],
         initial: np.ndarray,
@@ -652,7 +651,8 @@ class TransientSolver:
         total_steps: int,
         collect_trajectory: bool = False,
     ):
-        """Full-space LU integration (the reference path).
+        """Full-space LU integration (the reference path) with the
+        :meth:`_steppers` of ``plan``.
 
         With ``collect_trajectory`` every state including the initial field
         is kept as a column for POD basis construction.
@@ -672,11 +672,9 @@ class TransientSolver:
         step_index = 0
         now = 0.0
         boundaries: List[float] = []
-        for (segment, count, dt_eff), constant_rhs in zip(plan, segment_loads):
-            self._step_sizes.add(dt_eff)
-            stepper = shared_cache.stepper(
-                entry, self._capacitance, self._theta, dt_eff
-            )
+        for (segment, count, dt_eff), constant_rhs, stepper in zip(
+            plan, segment_loads, steppers
+        ):
             factorization, explicit = stepper.factor, stepper.explicit
             for _ in range(count):
                 rhs = explicit @ temperatures + constant_rhs
@@ -806,7 +804,7 @@ class TransientSolver:
         self,
         schedule: SourceSchedule,
         dt_s: float,
-        initial_temperature_c: Union[float, np.ndarray, ThermalMap, None] = None,
+        initial_temperature_c: InitialField = None,
         snapshot_times_s: Sequence[float] = (),
         probes: Union[Mapping[str, ProbeSpec], CompiledProbes, None] = None,
         method: str = "lu",
@@ -822,8 +820,12 @@ class TransientSolver:
             Maximum time step [s]; segments are subdivided into equal steps
             no longer than this, aligned to segment boundaries.
         initial_temperature_c:
-            Starting field: a uniform value, a full array / ThermalMap, or
-            ``None`` for the mean convective ambient.
+            Starting field: a uniform value, a full array / ThermalMap,
+            ``None`` for the mean convective ambient, or a callable returning
+            one of those.  A callable is called once the work that needs no
+            initial field is done (probes, plan, loads and, for ``"lu"``,
+            the steppers), so a steady initial state waiting on a
+            factorisation another thread is building holds none of it up.
         snapshot_times_s:
             Times at which the full field is kept; each is snapped to the
             end of the first step at or after it.  The final field is always
@@ -878,11 +880,12 @@ class TransientSolver:
         plan = self._segment_steps(schedule, dt_s)
         total_steps = sum(count for _, count, _ in plan)
         factorizations_before = len(self._step_sizes)
-        initial = self._initial_field(initial_temperature_c)
         segment_loads = [
             self._source_load(segment.sources) + boundary_load
             for segment, _, _ in plan
         ]
+        steppers = self._steppers(entry, plan) if method == "lu" else None
+        initial = self._initial_field(initial_temperature_c)
 
         basis: Optional[ReducedBasis] = None
         basis_key = ""
@@ -943,7 +946,7 @@ class TransientSolver:
         collect = method == "rom" and basis is None
         times, probe_values, snapshots, final, boundaries, trajectory = (
             self._integrate_full(
-                entry,
+                steppers or self._steppers(entry, plan),
                 plan,
                 segment_loads,
                 initial,

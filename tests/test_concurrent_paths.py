@@ -1,0 +1,346 @@
+"""The concurrent transient path of ``ScenarioRunner.run``.
+
+``run`` runs the transient path (integration, time-resolved SNR and its
+artifact section) as one task on a daemon thread while the steady, sweep
+and SNR paths run on the calling thread.  These tests pin its lifecycle
+(one thread exactly when there is a transient path to run, joined whether
+the run returns or raises, errors reaching the caller), that it changes no
+artifact byte, engine counter or factorisation build against the task run
+inline, and that its span and wall times join the spec's telemetry.
+"""
+
+import json
+import sys
+import threading
+import time
+from types import SimpleNamespace
+
+import pytest
+
+from repro import telemetry
+from repro.campaigns import EvaluationKernel
+from repro.errors import SolverError
+from repro.methodology import SweepEngine
+from repro.scenarios import ScenarioRunner, default_registry
+from repro.scenarios import runner as runner_module
+from repro.thermal import (
+    FactorizationCache,
+    SteadyStateSolver,
+    clear_factorization_cache,
+    factorization_cache_stats,
+)
+
+SPEC = default_registry().get("small_die_uniform")
+METHODS = ("lu", "rom", "auto")
+
+#: Engine counters fed by the transient solver's diagnostics.
+TRANSIENT_COUNTERS = (
+    "transient_solves",
+    "transient_lu_solves",
+    "factorizations_built",
+    "factorizations_reused",
+)
+
+
+@pytest.fixture(autouse=True)
+def cold_cache():
+    clear_factorization_cache()
+    yield
+    clear_factorization_cache()
+
+
+@pytest.fixture
+def threads(monkeypatch):
+    """Every thread the runner starts."""
+    started = []
+
+    class Recording(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(runner_module, "threading", SimpleNamespace(Thread=Recording))
+    return started
+
+
+class _InlineThread:
+    """Stands in for ``threading.Thread`` in the runner: ``start`` runs the
+    task on the calling thread, so the transient path runs before the others."""
+
+    def __init__(self, target, args, name, daemon):
+        self._target, self._args = target, args
+
+    def start(self):
+        self._target(*self._args)
+
+    def join(self):
+        pass
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads every 10 µs, so unsynchronised state shows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    yield
+    sys.setswitchinterval(interval)
+
+
+def _failing(error):
+    def fail(*args, **kwargs):
+        raise error
+
+    return fail
+
+
+class TestLifecycle:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_daemon_thread_joined_when_the_run_returns(self, threads, method):
+        ScenarioRunner(SPEC, transient_method=method).run()
+        assert len(threads) == 1
+        thread = threads[0]
+        assert thread is not threading.main_thread() and thread.daemon
+        assert not thread.is_alive()
+
+    def test_one_thread_per_spec_with_cached_steppers_too(self, threads):
+        ScenarioRunner(SPEC).run()
+        ScenarioRunner(SPEC.with_overrides({"name": "twin"})).run()
+        assert [thread.name for thread in threads] == [
+            f"transient:{SPEC.name}",
+            "transient:twin",
+        ]
+
+    def test_no_thread_without_a_trace(self, threads):
+        artifact = ScenarioRunner(SPEC.with_overrides({"trace": None})).run()
+        assert artifact.section("transient") is None
+        assert threads == []
+
+    def test_no_thread_without_the_transient_path(self, threads):
+        artifact = ScenarioRunner(SPEC).run(("steady", "sweep", "snr"))
+        assert "transient" not in artifact.results
+        assert threads == []
+
+    def test_thread_joined_when_the_steady_path_raises(self, threads, monkeypatch):
+        monkeypatch.setattr(
+            SweepEngine, "evaluate_one", _failing(RuntimeError("steady path failed"))
+        )
+        with pytest.raises(RuntimeError, match="steady path failed"):
+            ScenarioRunner(SPEC).run()
+        assert len(threads) == 1
+        assert not threads[0].is_alive()
+
+    def test_a_transient_error_reaches_the_caller(self, threads, monkeypatch):
+        monkeypatch.setattr(
+            FactorizationCache, "stepper", _failing(SolverError("stepper build failed"))
+        )
+        with pytest.raises(SolverError, match="stepper build failed"):
+            ScenarioRunner(SPEC).run()
+        assert len(threads) == 1
+        assert not threads[0].is_alive()
+
+    def test_the_calling_threads_error_wins_when_both_fail(self, threads, monkeypatch):
+        failed = []
+
+        def failing_stepper(*args):
+            failed.append(threading.current_thread())
+            raise SolverError("stepper build failed")
+
+        monkeypatch.setattr(FactorizationCache, "stepper", failing_stepper)
+        monkeypatch.setattr(
+            SweepEngine, "evaluate_one", _failing(RuntimeError("steady path failed"))
+        )
+        with pytest.raises(RuntimeError, match="steady path failed"):
+            ScenarioRunner(SPEC).run()
+        assert failed == threads and not threads[0].is_alive()
+
+
+def _run(method):
+    """Artifact bytes, engine counters and cache builds of one cold run."""
+    clear_factorization_cache()
+    before = factorization_cache_stats()["built"]
+    runner = ScenarioRunner(SPEC, transient_method=method)
+    artifact = runner.run().to_json()
+    built = factorization_cache_stats()["built"] - before
+    return artifact, dict(runner.engine().stats), built
+
+
+class TestParity:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_concurrent_run_matches_the_task_run_inline(
+        self, method, monkeypatch, fast_switching
+    ):
+        concurrent = _run(method)
+        monkeypatch.setattr(
+            runner_module, "threading", SimpleNamespace(Thread=_InlineThread)
+        )
+        assert _run(method) == concurrent
+
+    def test_both_paths_share_the_runners_one_engine(self, monkeypatch):
+        built = []
+        original = SweepEngine.__init__
+
+        def slow(self, *args, **kwargs):
+            built.append(self)
+            time.sleep(0.05)  # wide enough for a second thread to build one too
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(SweepEngine, "__init__", slow)
+        runner = ScenarioRunner(SPEC)
+        runner.run()
+        assert built == [runner.engine()]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_the_paths_write_disjoint_engine_counters(self, method, fast_switching):
+        """The two threads share the engine's ``stats`` dict; each counter is
+        written by one of them only, and a store to a key the dict already
+        holds never resizes it, so their ``stats[x] += 1`` cannot race."""
+        writes = {}
+
+        class Recording(dict):
+            def __setitem__(self, key, value):
+                writes.setdefault(threading.current_thread().name, set()).add(key)
+                super().__setitem__(key, value)
+
+        runner = ScenarioRunner(SPEC, transient_method=method)
+        engine = runner.engine()
+        engine.stats = Recording(engine.stats)
+        runner.run()
+        runner.run()  # served from the engine's caches: the hit counters
+        calling = writes.pop(threading.current_thread().name)
+        transient = writes.pop(f"transient:{SPEC.name}")
+        assert writes == {}
+        assert calling and transient and not calling & transient
+
+    def test_runners_sharing_a_design_on_threads_match_serial_runs(
+        self, fast_switching
+    ):
+        """Four specs of one design on four threads, each with its transient
+        thread (eight threads sharing one flow and one cache), give the
+        artifacts and engine counters of running them one by one."""
+        specs = [
+            SPEC.with_overrides(
+                {"name": f"mate{index}", "workload.total_power_w": 6.0 + index}
+            )
+            for index in range(4)
+        ]
+        runs = list(zip(specs, METHODS + ("lu",)))
+
+        def outcome(spec, method, into):
+            runner = ScenarioRunner(spec, transient_method=method)
+            into[spec.name] = (runner.run().to_json(), dict(runner.engine().stats))
+
+        serial = {}
+        for spec, method in runs:
+            outcome(spec, method, serial)
+        clear_factorization_cache()
+        concurrent = {}
+        threads = [
+            threading.Thread(target=outcome, args=(*run, concurrent)) for run in runs
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert concurrent == serial
+
+    def test_transient_alone_matches_all_paths(self):
+        alone = ScenarioRunner(SPEC)
+        alone_section = alone.run(("transient",)).section("transient")
+        clear_factorization_cache()
+        full = ScenarioRunner(SPEC)
+        full_section = full.run().section("transient")
+        assert json.dumps(alone_section, sort_keys=True) == json.dumps(
+            full_section, sort_keys=True
+        )
+        for counter in TRANSIENT_COUNTERS:
+            assert alone.engine().stats[counter] == full.engine().stats[counter]
+        assert full.engine().stats["factorizations_built"] == 1
+
+
+def _recording(events, name, original):
+    """``original``, appending ``name`` to ``events`` on every call."""
+
+    def call(*args, **kwargs):
+        events.append(name)
+        return original(*args, **kwargs)
+
+    return call
+
+
+class TestOrdering:
+    """The transient task does its K-independent work before its steady
+    initial state waits on the package factor."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_lu_resolves_its_steppers_before_calling_the_initial_field(
+        self, method, monkeypatch
+    ):
+        events = []
+        monkeypatch.setattr(
+            FactorizationCache,
+            "stepper",
+            _recording(events, "stepper", FactorizationCache.stepper),
+        )
+        runner = ScenarioRunner(SPEC)
+        flow = runner.flow()
+        schedule = flow.build_schedule(runner.trace(), runner.power_config())
+
+        def final_field(initial):
+            result = flow.transient_solver().solve(
+                schedule, SPEC.trace.dt_s, initial_temperature_c=initial, method=method
+            )
+            return result.final_map.temperatures_c.tobytes()
+
+        deferred = final_field(_recording(events, "initial", lambda: 40.0))
+        assert events.count("initial") == 1
+        assert events.index("initial") == (len(schedule) if method == "lu" else 0)
+        assert deferred == final_field(40.0)
+
+    def test_the_steady_initial_state_is_solved_after_the_steppers(
+        self, monkeypatch
+    ):
+        events = []
+        monkeypatch.setattr(
+            FactorizationCache,
+            "stepper",
+            _recording(events, "stepper", FactorizationCache.stepper),
+        )
+        monkeypatch.setattr(
+            SteadyStateSolver,
+            "solve_many",
+            _recording(events, "steady", SteadyStateSolver.solve_many),
+        )
+        assert SPEC.trace.initial == "steady"
+        ScenarioRunner(SPEC).run(("transient",))
+        assert events.index("steady") == events.count("stepper") > 0
+
+
+class TestTelemetry:
+    def test_transient_span_sits_under_the_spec_on_another_thread(self):
+        _, _, payload = EvaluationKernel(telemetry=True).run(SPEC.to_dict())
+        spans = payload["spans"]
+        by_id = {span["span_id"]: span for span in spans}
+        by_name = {span["name"]: span for span in spans}
+        transient = by_name["path.transient"]
+        root = transient
+        while root["parent_id"] is not None:
+            root = by_id[root["parent_id"]]
+        assert root["name"] == f"spec:{SPEC.name}"
+        assert transient["parent_id"] == root["span_id"]
+        assert transient["tid"] != root["tid"]
+        assert by_name["path.steady"]["tid"] == root["tid"]
+        # The stepper build shows on the task's thread.
+        assert by_name["transient.steppers"]["tid"] == transient["tid"]
+
+    def test_total_is_the_wall_time_of_the_run(self):
+        with telemetry.enabled_scope(True):
+            start = time.perf_counter()
+            artifact = ScenarioRunner(SPEC).run()
+            elapsed = time.perf_counter() - start
+        timing = artifact.results["telemetry"]
+        paths = timing["paths_s"]
+        assert sorted(paths) == ["snr", "steady", "sweep", "transient"]
+        assert max(paths.values()) <= timing["total_s"] <= elapsed
+        # The paths overlap, so their sum overstates the run.
+        assert timing["total_s"] < sum(paths.values())

@@ -1,0 +1,112 @@
+"""Service store hits: where one warm ``/evaluate`` spends its time.
+
+A store-served request does four things before its bytes reach the socket:
+
+* **parse** — the POST body into a validated :class:`ScenarioSpec`;
+* **key** — the request's store address (spec content hash × paths);
+* **store_load** — read the object, verify its digest against the stored
+  payload text, rebuild the artifact;
+* **encode** — the response line, with the verified artifact text spliced
+  in rather than re-encoded.
+
+Each stage is timed per hit over :data:`REPEATS` passes of the
+``campaign_smoke`` specs, warm, and reported as median and interquartile
+range in microseconds.  ``encode_reencoded`` times the same line built from
+the plain dict, which is what the splice saves.  The bench checks that the
+spliced line is byte-identical to that re-encoding and faster than it.
+Records land in ``BENCH_service.json`` keyed by ``<campaign>@<hash
+prefix>`` over the spec hashes, only under ``--bench-record``.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import hashlib
+import json
+import statistics
+import time
+from pathlib import Path
+
+from repro.campaigns import ArtifactStore, CampaignRunner, EvaluationService, get_matrix
+from repro.campaigns.service import _json_line
+from repro.scenarios import ScenarioSpec
+
+BENCH_RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
+
+BENCH_CAMPAIGN = "campaign_smoke"
+
+#: Timed passes over the campaign's specs (each pass hits every spec once).
+REPEATS = 100
+
+STAGES = ("parse", "key", "store_load", "encode", "encode_reencoded")
+
+
+def _summary_us(samples_ns):
+    """Median and interquartile range of ``samples_ns``, in microseconds."""
+    quartiles = statistics.quantiles(samples_ns, n=4)
+    return {
+        "median_us": round(statistics.median(samples_ns) / 1e3, 2),
+        "iqr_us": round((quartiles[2] - quartiles[0]) / 1e3, 2),
+    }
+
+
+def test_store_hit_split(tmp_path, bench_record):
+    matrix = get_matrix(BENCH_CAMPAIGN)
+    store = ArtifactStore(tmp_path / "store")
+    cold = CampaignRunner(matrix, store=store).run()
+    assert not cold.failures
+    service = EvaluationService(store=store, paths=cold.paths)
+    bodies = [point.spec.to_json().encode("utf-8") for point in matrix.points()]
+
+    async def warm_documents():
+        return [await service.evaluate(json.loads(body)) for body in bodies]
+
+    documents = asyncio.run(warm_documents())
+    assert all(document["source"] == "store" for document in documents)
+
+    samples = {stage: [] for stage in STAGES}
+    clock = time.perf_counter_ns
+    for _ in range(REPEATS):
+        for body, document in zip(bodies, documents):
+            start = clock()
+            spec = ScenarioSpec.from_dict(json.loads(body))
+            parsed = clock()
+            service.request_key(spec)
+            keyed = clock()
+            artifact = store.load(spec, service.paths)
+            loaded = clock()
+            line = _json_line(document)
+            encoded = clock()
+            plain = _json_line({**document, "artifact": artifact.to_dict()})
+            reencoded = clock()
+            assert line == plain
+            for stage, begin, end in (
+                ("parse", start, parsed),
+                ("key", parsed, keyed),
+                ("store_load", keyed, loaded),
+                ("encode", loaded, encoded),
+                ("encode_reencoded", encoded, reencoded),
+            ):
+                samples[stage].append(end - begin)
+
+    split = {stage: _summary_us(samples[stage]) for stage in STAGES}
+    assert split["encode"]["median_us"] < split["encode_reencoded"]["median_us"]
+    assert store.stats.corrupt == 0
+
+    record = {
+        "campaign": BENCH_CAMPAIGN,
+        "scenarios": len(bodies),
+        "paths": list(cold.paths),
+        "repeats": REPEATS,
+        "response_bytes": round(statistics.mean(len(_json_line(d)) for d in documents)),
+        "split": split,
+    }
+    spec_hashes = "".join(point.spec.content_hash() for point in matrix.points())
+    bench_id = f"{BENCH_CAMPAIGN}@{hashlib.sha256(spec_hashes.encode()).hexdigest()[:8]}"
+    bench_record(BENCH_RECORD_PATH, {bench_id: record}, sort_keys=True)
+
+    print()
+    print(
+        "store hit split (median us): "
+        + ", ".join(f"{stage} {split[stage]['median_us']:.1f}" for stage in STAGES)
+    )

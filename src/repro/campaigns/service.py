@@ -71,7 +71,7 @@ from urllib.parse import parse_qs, urlsplit
 from .. import telemetry
 from ..errors import ConfigurationError, ReproError
 from ..log import get_logger
-from ..scenarios import ALL_PATHS, ScenarioArtifact, ScenarioSpec
+from ..scenarios import ALL_PATHS, ScenarioArtifact, ScenarioSpec, canonical_json
 from ..thermal import factorization_cache_stats
 from .executors import WorkItem, run_item
 from .kernel import EvaluationKernel
@@ -94,6 +94,21 @@ EventSink = Callable[[Dict[str, Any]], Awaitable[None]]
 async def _emit(on_event: Optional[EventSink], event: Dict[str, Any]) -> None:
     if on_event is not None:
         await on_event(event)
+
+
+class _EncodedArtifact(dict):
+    """An artifact's document that carries its canonical JSON ``text``.
+
+    Equal to the plain dict; :func:`_json_line` splices ``text`` (the
+    artifact's ``canonical_text``, ``None`` when unknown) into a response
+    instead of encoding the dict again.  Never mutated after construction.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, artifact: ScenarioArtifact) -> None:
+        super().__init__(artifact.to_dict())
+        self.text = artifact.canonical_text
 
 
 class EvaluationService:
@@ -183,8 +198,6 @@ class EvaluationService:
             )
         import hashlib
 
-        from ..scenarios import canonical_json
-
         document = {
             "spec_hash": spec.content_hash(),
             "paths": sorted(set(self.paths)),
@@ -209,33 +222,37 @@ class EvaluationService:
         those to a 400.
         """
         self._count("service.requests")
-        spec = ScenarioSpec.from_dict(dict(spec_dict))
-        key = self.request_key(spec)
-        await _emit(
-            on_event, {"event": "accepted", "scenario": spec.name, "key": key}
-        )
-        future = self._inflight.get(key)
-        if future is not None:
-            # Coalesce: ride the in-flight computation.  shield() keeps one
-            # cancelled follower (client disconnect) from cancelling the
-            # shared future under everyone else.
-            self._count("service.coalesced")
-            await _emit(on_event, {"event": "coalesced", "key": key})
-            return await asyncio.shield(future)
-        future = asyncio.get_running_loop().create_future()
-        self._inflight[key] = future
-        try:
-            document = await self._resolve(spec, key, on_event)
-            future.set_result(document)
-            return document
-        except BaseException:
-            # Only cancellation (or a genuine bug) escapes _resolve; wake
-            # the followers with the same fate instead of hanging them.
-            if not future.done():
-                future.cancel()
-            raise
-        finally:
-            self._inflight.pop(key, None)
+        with telemetry.span("service.request") as request_span:
+            spec = ScenarioSpec.from_dict(dict(spec_dict))
+            key = self.request_key(spec)
+            request_span.set(scenario=spec.name)
+            await _emit(
+                on_event, {"event": "accepted", "scenario": spec.name, "key": key}
+            )
+            future = self._inflight.get(key)
+            if future is not None:
+                # Coalesce: ride the in-flight computation.  shield() keeps
+                # one cancelled follower (client disconnect) from cancelling
+                # the shared future under everyone else.
+                self._count("service.coalesced")
+                request_span.set(source="coalesced")
+                await _emit(on_event, {"event": "coalesced", "key": key})
+                return await asyncio.shield(future)
+            future = asyncio.get_running_loop().create_future()
+            self._inflight[key] = future
+            try:
+                document = await self._resolve(spec, key, on_event)
+                future.set_result(document)
+                request_span.set(source=document["source"])
+                return document
+            except BaseException:
+                # Only cancellation (or a genuine bug) escapes _resolve; wake
+                # the followers with the same fate instead of hanging them.
+                if not future.done():
+                    future.cancel()
+                raise
+            finally:
+                self._inflight.pop(key, None)
 
     async def _resolve(
         self,
@@ -252,7 +269,7 @@ class EvaluationService:
                 self._count("service.store_served")
                 await _emit(on_event, {"event": "store_hit", "key": key})
                 return self._document(
-                    spec, key, "store", artifact=artifact.to_dict()
+                    spec, key, "store", artifact=_EncodedArtifact(artifact)
                 )
         await _emit(on_event, {"event": "computing", "key": key})
         item = WorkItem(
@@ -504,7 +521,21 @@ _REASONS = {
 
 
 def _json_line(document: Mapping[str, Any]) -> bytes:
-    return (json.dumps(document, sort_keys=True) + "\n").encode("utf-8")
+    """One response line: the canonical compact JSON of ``document``.
+
+    Every body and ndjson event goes through here.  An artifact loaded from
+    the store (:class:`_EncodedArtifact`) is spliced in as its verified
+    canonical text, at its sorted place; the line is byte-identical to
+    encoding the plain dict.
+    """
+    text = getattr(document.get("artifact"), "text", None)
+    if text is None:
+        return (canonical_json(document) + "\n").encode("utf-8")
+    before = {name: value for name, value in document.items() if name < "artifact"}
+    after = {name: value for name, value in document.items() if name > "artifact"}
+    members = [canonical_json(part)[1:-1] for part in (before, after)]
+    members.insert(1, f'"artifact":{text}')
+    return ("{" + ",".join(part for part in members if part) + "}\n").encode("utf-8")
 
 
 async def _read_request(reader: asyncio.StreamReader) -> Optional[_Request]:

@@ -17,7 +17,10 @@ Design:
   observe complete documents and concurrent writers cannot interleave bytes;
 * **integrity re-hash on read** — every object embeds the SHA-256 of its
   canonical payload; a truncated or bit-flipped file fails the re-hash, is
-  counted, quarantined (unlinked) and reported as a miss, never served;
+  counted, quarantined (unlinked) and reported as a miss, never served.  A
+  record in the current layout ends with the payload's canonical text, so a
+  hit hashes those stored bytes instead of re-encoding the parsed payload,
+  and the loaded artifact carries the verified text on to its consumers;
 * **bounded size with LRU eviction** — an index records byte sizes and a
   monotonic access sequence; when the store exceeds ``max_bytes`` the least
   recently used objects are evicted (the newest entry always survives);
@@ -71,9 +74,28 @@ STORE_VERSION = 1
 logger = get_logger("store")
 
 
-def _payload_digest(payload: Mapping[str, Any]) -> str:
-    """SHA-256 over the canonical JSON of an artifact payload."""
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+#: What precedes the payload text in a record :func:`_write_record` wrote.
+_PAYLOAD_MEMBER = ',"payload":'
+
+
+def _text_digest(text: str) -> str:
+    """SHA-256 of one JSON text (the ``payload_sha256`` of its payload)."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _stored_payload_text(raw: str) -> Optional[str]:
+    """The payload text of a record in the current layout, else ``None``.
+
+    :func:`_write_record` appends the payload's canonical text after the
+    canonical envelope, so it is the slice after the first ``,"payload":``
+    up to the closing ``}\n``.  A quote inside a JSON string is escaped, so
+    that separator cannot occur inside one.  Records written with default
+    separators (older layouts) never contain it.
+    """
+    start = raw.find(_PAYLOAD_MEMBER)
+    if start < 0 or not raw.endswith("}\n"):
+        return None
+    return raw[start + len(_PAYLOAD_MEMBER) : -2]
 
 
 def _write_record(
@@ -87,13 +109,13 @@ def _write_record(
     payload's digest and the payload.  Returns its size in bytes.
 
     The payload is serialised once, for its digest and the record both:
-    its canonical text is appended to the envelope's (``payload`` sorts
-    last).
+    its canonical text is appended to the envelope's as the last member,
+    where :func:`_stored_payload_text` finds it on a read.
     """
     payload_text = canonical_json(payload)
-    digest = hashlib.sha256(payload_text.encode("utf-8")).hexdigest()
+    digest = _text_digest(payload_text)
     envelope = canonical_json({**fields, "payload_sha256": digest})
-    text = f'{envelope[:-1]},"payload":{payload_text}}}\n'
+    text = f"{envelope[:-1]}{_PAYLOAD_MEMBER}{payload_text}}}\n"
     _atomic_write(directory, prefix, text, target)
     return len(text.encode("utf-8"))
 
@@ -222,12 +244,15 @@ class ArtifactStore:
             else code_version
         )
         self.stats = StoreStats()
-        #: Recency bumps (hits and writes, in order) since the last index
-        #: write.  The index is a pure accelerator, so hits never pay an index
-        #: read-modify-write of their own; pending touches are folded in by
-        #: the next index refresh (or, in memory only, by :meth:`entries`).
-        self._pending_touches: List[str] = []
-        #: Index entries of objects written since the last index write.
+        #: Keys bumped by hits and writes since the last index write, least
+        #: recently touched first; a key keeps only its last touch, so a
+        #: hit-only store holds one per object.  The index is a pure
+        #: accelerator, so hits never pay an index read-modify-write of their
+        #: own; pending touches are folded in by the next index refresh (or,
+        #: in memory only, by :meth:`entries`).
+        self._pending_touches: Dict[str, None] = {}
+        #: Index entries of objects written since the last index write, in
+        #: write order (a rewrite moves its key last).
         self._pending_entries: Dict[str, Dict[str, Any]] = {}
         #: Object writer thread of the open :meth:`deferred_index` block.
         self._writer: Optional[ThreadPoolExecutor] = None
@@ -373,20 +398,24 @@ class ArtifactStore:
             entry = index["entries"][key] = self._entry_from_record(record, size)
         entry["last_used"] = index["sequence"]
 
+    def _note_touch(self, key: str) -> None:
+        """Queue a recency bump of ``key``, replacing its earlier one."""
+        self._pending_touches.pop(key, None)
+        self._pending_touches[key] = None
+
     def _refresh_index(self) -> None:
         """Fold the pending writes and touches into the index, evict, persist.
 
-        Touches replay in the order they happened, a written object's entry
-        joining the index at its write; the last object written is protected
-        from eviction.
+        Touches replay in the order of each key's last one, a written
+        object's entry joining the index at its touch; the last object
+        written is protected from eviction.
         """
         index = self._load_index(known=self._pending_entries)
-        protect = None
+        protect = next(reversed(self._pending_entries), None)
         for key in self._pending_touches:
             entry = self._pending_entries.pop(key, None)
             if entry is not None:
                 index["entries"][key] = entry
-                protect = key
             self._touch(index, key)
         self._pending_touches.clear()
         self._evict(index, protect=protect)
@@ -440,7 +469,24 @@ class ArtifactStore:
         count_corrupt: bool = True,
         quarantine: bool = True,
     ) -> Optional[Dict[str, Any]]:
-        """Parse and integrity-check one object file (None on any defect).
+        """The record of one intact object file (None on any defect)."""
+        verified = self._read_verified(key, count_corrupt, quarantine)
+        return None if verified is None else verified[0]
+
+    def _read_verified(
+        self,
+        key: str,
+        count_corrupt: bool = True,
+        quarantine: bool = True,
+    ) -> Optional[Tuple[Dict[str, Any], str]]:
+        """Parse and integrity-check one object file: its record and the
+        payload's canonical text, or ``None`` on any defect.
+
+        The digest is checked against the stored payload text first (see
+        :func:`_stored_payload_text`); the parsed payload is re-encoded only
+        when that fails, so records of older layouts still verify, and
+        damage fails both.  Every writer hashed canonical text, so a stored
+        text matching the digest is the parsed payload's canonical text.
 
         A missing file is a plain miss; an unparseable or hash-mismatched
         file is counted as corruption and — unless ``quarantine`` is off
@@ -471,10 +517,13 @@ class ArtifactStore:
         except (ValueError, KeyError, TypeError):
             self._quarantine(path, count_corrupt, quarantine)
             return None
-        if _payload_digest(payload) != declared:
-            self._quarantine(path, count_corrupt, quarantine)
-            return None
-        return record
+        text = _stored_payload_text(raw)
+        if text is None or _text_digest(text) != declared:
+            text = canonical_json(payload)
+            if _text_digest(text) != declared:
+                self._quarantine(path, count_corrupt, quarantine)
+                return None
+        return record, text
 
     def _quarantine(self, path: Path, count: bool, unlink: bool) -> None:
         if count:
@@ -519,15 +568,15 @@ class ArtifactStore:
         quarantined.  The payload's spec hash is additionally cross-checked
         against ``spec`` — a hash-valid object answering for the wrong spec
         (key collision, external rename) is a plain miss: it is intact, just
-        not the requested content, so it stays on disk.
+        not the requested content, so it stays on disk.  The artifact
+        carries the verified payload text as its ``canonical_text`` when
+        that text is exactly the artifact's document.
         """
         key = self.key_for(spec, paths, transient_method)
         with telemetry.span("store.load", scenario=spec.name) as load_span:
-            record = self._read_object(key)
-            if (
-                record is None
-                or record["payload"].get("spec_hash") != spec.content_hash()
-            ):
+            verified = self._read_verified(key)
+            payload = None if verified is None else verified[0]["payload"]
+            if payload is None or payload.get("spec_hash") != spec.content_hash():
                 self.stats.misses += 1
                 telemetry.count("store.misses")
                 load_span.set(hit=False)
@@ -535,8 +584,11 @@ class ArtifactStore:
             self.stats.hits += 1
             telemetry.count("store.hits")
             load_span.set(hit=True)
-            self._pending_touches.append(key)
-            return ScenarioArtifact.from_dict(record["payload"])
+            self._note_touch(key)
+            artifact = ScenarioArtifact.from_dict(payload)
+            if artifact.to_dict() == payload:
+                artifact.canonical_text = verified[1]
+            return artifact
 
     def store(
         self,
@@ -607,8 +659,9 @@ class ArtifactStore:
             self.stats.writes += 1
             telemetry.count("store.writes")
 
+            self._pending_entries.pop(key, None)
             self._pending_entries[key] = entry
-            self._pending_touches.append(key)
+            self._note_touch(key)
             if self._writer is None:
                 self._refresh_index()
         return key
@@ -661,7 +714,7 @@ class ArtifactStore:
             self.stats.hits += 1
             telemetry.count("store.hits")
             load_span.set(hit=True)
-            self._pending_touches.append(record["key"])
+            self._note_touch(record["key"])
             return json.dumps(record["payload"], sort_keys=True)
 
     def rom_basis_payloads(self) -> List[str]:

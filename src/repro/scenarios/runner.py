@@ -30,7 +30,7 @@ import threading
 import time
 from concurrent.futures import Future
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -85,6 +85,10 @@ class ScenarioArtifact:
     spec_hash: str
     schema_version: int
     results: Dict[str, Any]
+    #: Canonical JSON of :meth:`to_dict`, when known without encoding it: an
+    #: artifact loaded from the store carries its verified stored text.
+    #: Stale once the artifact is mutated; never compared.
+    canonical_text: Optional[str] = field(default=None, compare=False, repr=False)
 
     def section(self, path: str) -> Any:
         """Result section of one analysis path (raises on unknown path)."""

@@ -310,7 +310,11 @@ class TestIntegrityFaults:
         other = make_spec(1)
         target = store._object_path(store.key_for(other, ALL_PATHS))
         path.rename(target)
-        assert store.load(other, ALL_PATHS) is None
+        # A plain miss, as re-encoding the payload judged it: the object
+        # stays on disk and is not counted as corrupt.
+        assert reference_outcome(target.read_text(), other) == "miss"
+        assert load_outcome(store, other) == "miss"
+        assert store.stats.corrupt == 0
 
     def test_corrupt_envelope_is_quarantined_not_crashed(self, store):
         # Damage outside the payload (here: the scenario field the index
@@ -349,6 +353,185 @@ class TestIntegrityFaults:
         assert store.load(spec, ALL_PATHS) is None
         store.store(spec, make_artifact(spec), ALL_PATHS)
         assert store.load(spec, ALL_PATHS) is not None
+
+
+def reference_outcome(raw, spec):
+    """The verdict of re-encoding the parsed payload to check its digest
+    (the rule a store applied to every record before it hashed the stored
+    payload text): ``"hit"``, ``"miss"`` or ``"quarantined"``."""
+    try:
+        record = json.loads(raw)
+        payload, declared = record["payload"], record["payload_sha256"]
+        if not isinstance(payload, dict) or not isinstance(declared, str):
+            raise ValueError("malformed object record")
+        for field, kind in (("scenario", str), ("spec_hash", str), ("paths", list)):
+            if not isinstance(record[field], kind):
+                raise ValueError(f"malformed {field} field")
+    except (ValueError, KeyError, TypeError):
+        return "quarantined"
+    digest = hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    if digest != declared:
+        return "quarantined"
+    return "hit" if payload.get("spec_hash") == spec.content_hash() else "miss"
+
+
+def load_outcome(store, spec):
+    """What ``store.load(spec)`` made of the object at the spec's address."""
+    path = store._object_path(store.key_for(spec, ALL_PATHS))
+    corrupt = store.stats.corrupt
+    if store.load(spec, ALL_PATHS) is not None:
+        return "hit"
+    if store.stats.corrupt == corrupt + 1 and not path.exists():
+        return "quarantined"
+    assert store.stats.corrupt == corrupt and path.exists()
+    return "miss"
+
+
+def spaced_payload(raw):
+    """Valid record, same digest, payload text not in canonical spacing."""
+    return raw.replace('"results":{', '"results": {')
+
+
+def edited_payload(raw):
+    """The payload text edited inside its slice (digest left stale)."""
+    assert '"max_oni_temperature_c":50.0' in raw
+    return raw.replace('"max_oni_temperature_c":50.0', '"max_oni_temperature_c":51.0')
+
+
+def damaged_envelope(raw):
+    """The scenario field a number; the payload text and digest intact."""
+    record = json.loads(raw)
+    return raw.replace(
+        f'"scenario":"{record["scenario"]}"', '"scenario":1234', 1
+    )
+
+
+def flipped_digest(raw):
+    digest = json.loads(raw)["payload_sha256"]
+    flipped = ("0" if digest[0] != "0" else "1") + digest[1:]
+    return raw.replace(digest, flipped)
+
+
+#: Rewrites of a current-layout record, with the verdict each must get.
+RECORD_VARIANTS = {
+    "current layout": (lambda raw: raw, "hit"),
+    "sorted default separators": (
+        lambda raw: json.dumps(json.loads(raw), sort_keys=True) + "\n",
+        "hit",
+    ),
+    "json.dumps(record)": (lambda raw: json.dumps(json.loads(raw)), "hit"),
+    "no final newline": (lambda raw: raw[:-1], "hit"),
+    "non-canonical payload spacing": (spaced_payload, "hit"),
+    "payload edited inside the slice": (edited_payload, "quarantined"),
+    "truncated": (lambda raw: raw[: len(raw) // 2], "quarantined"),
+    "damaged envelope": (damaged_envelope, "quarantined"),
+    "flipped digest": (flipped_digest, "quarantined"),
+    "trailing bytes": (lambda raw: raw + "x", "quarantined"),
+}
+
+
+class TestVerificationParity:
+    """A hit hashes the stored payload text and falls back to re-encoding
+    the parsed payload; the verdicts stay those of re-encoding alone."""
+
+    @staticmethod
+    def spy_canonical_json(monkeypatch):
+        """Record every document the store module encodes canonically."""
+        import repro.campaigns.store as store_module
+
+        calls = []
+        real = store_module.canonical_json
+
+        def spy(document):
+            calls.append(document)
+            return real(document)
+
+        monkeypatch.setattr(store_module, "canonical_json", spy)
+        return calls
+
+    @staticmethod
+    def payload_encodings(calls):
+        """The spied calls that encoded something other than a store key."""
+        return [document for document in calls if "code_version" not in document]
+
+    @pytest.mark.parametrize("variant", sorted(RECORD_VARIANTS))
+    def test_verdict_equals_re_encoding(self, store, variant):
+        rewrite, expected = RECORD_VARIANTS[variant]
+        spec = make_spec()
+        path = store._object_path(store.store(spec, make_artifact(spec), ALL_PATHS))
+        raw = rewrite(path.read_text(encoding="utf-8"))
+        path.write_text(raw, encoding="utf-8")
+        assert reference_outcome(raw, spec) == expected
+        assert load_outcome(store, spec) == expected
+
+    def test_current_layout_hit_encodes_nothing(self, store, monkeypatch):
+        spec = make_spec()
+        artifact = make_artifact(spec)
+        store.store(spec, artifact, ALL_PATHS)
+        calls = self.spy_canonical_json(monkeypatch)
+        loaded = store.load(spec, ALL_PATHS)
+        assert loaded == artifact
+        assert self.payload_encodings(calls) == []
+        # The artifact carries the stored, verified canonical text.
+        assert loaded.canonical_text == canonical_json(artifact.to_dict())
+
+    def test_older_layouts_load_through_the_fallback(self, tmp_path, monkeypatch):
+        root = tmp_path / "store"
+        specs = [make_spec(index) for index in range(2)]
+        write_legacy_store(root, specs)
+        store = ArtifactStore(root)
+        rewritten = store._object_path(store.key_for(specs[1], ALL_PATHS))
+        rewritten.write_text(json.dumps(json.loads(rewritten.read_text())))
+        calls = self.spy_canonical_json(monkeypatch)
+        for spec in specs:
+            loaded = store.load(spec, ALL_PATHS)
+            assert loaded == make_artifact(spec)
+            assert loaded.canonical_text == canonical_json(loaded.to_dict())
+        assert len(self.payload_encodings(calls)) == len(specs)
+        assert store.stats.corrupt == 0
+
+    def test_text_is_not_carried_when_the_payload_has_extra_members(self, store):
+        # The artifact keeps four members of its payload; a stored text with
+        # more would not be the artifact's document.
+        spec = make_spec()
+        key = store.key_for(spec, ALL_PATHS)
+        store._store_record(
+            key=key,
+            scenario=spec.name,
+            spec_hash=spec.content_hash(),
+            paths=sorted(ALL_PATHS),
+            payload={**make_artifact(spec).to_dict(), "extra": 1},
+        )
+        loaded = store.load(spec, ALL_PATHS)
+        assert loaded == make_artifact(spec)
+        assert loaded.canonical_text is None
+
+
+class TestHitRecency:
+    def test_hits_keep_one_pending_touch_per_key(self, store):
+        specs = [make_spec(index) for index in range(3)]
+        keys = [
+            store.store(spec, make_artifact(spec), ALL_PATHS) for spec in specs
+        ]
+        order = [(index * 7919) % 3 for index in range(10_000)] + [2, 0, 1]
+        for index in order:
+            assert store.load(specs[index], ALL_PATHS) is not None
+        assert len(store._pending_touches) <= 3
+        # Replaying every hit, one touch each, orders the objects the same.
+        index_document = store._load_index()
+        for position in order:
+            store._touch(index_document, keys[position])
+        entries = index_document["entries"]
+        replayed = sorted(keys, key=lambda key: (entries[key]["last_used"], key))
+        assert [entry.key for entry in store.entries()] == replayed
+        assert replayed == [keys[2], keys[0], keys[1]]
+        # The next write persists that order, the written object last.
+        fourth = make_spec(3)
+        store.store(fourth, make_artifact(fourth), ALL_PATHS)
+        assert not store._pending_touches
+        assert [entry.key for entry in store.entries()] == replayed + [
+            store.key_for(fourth, ALL_PATHS)
+        ]
 
 
 class TestEviction:

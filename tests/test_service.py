@@ -7,6 +7,9 @@ The service contract this module pins:
   client receives the byte-identical response document;
 * a warm spec is answered from the resident store without dispatching, and
   fast (the end-to-end HTTP round trip, not just the lookup);
+* responses are canonical compact JSON, and a store-served body splices the
+  artifact text the store verified: it is byte-identical to the computed
+  body except for ``source``;
 * a failing spec produces a structured failure-provenance document — and
   the server loop survives to serve the next request;
 * progress streams as line-delimited JSON events over plain HTTP/1.1, on
@@ -30,7 +33,7 @@ from repro.campaigns import (
     ServiceServer,
 )
 from repro.errors import ConfigurationError, ReproError
-from repro.scenarios import ScenarioSpec
+from repro.scenarios import ScenarioSpec, canonical_json
 
 
 @pytest.fixture(autouse=True)
@@ -285,8 +288,8 @@ async def start_server(service, **kwargs):
     return server
 
 
-async def http_request(server, method, path, body=None, socket_path=None):
-    """One ``Connection: close`` request; returns (status, [json lines])."""
+async def http_exchange(server, method, path, body=None, socket_path=None):
+    """One ``Connection: close`` request; returns (status, raw body bytes)."""
     if socket_path is not None:
         reader, writer = await asyncio.open_unix_connection(socket_path)
     else:
@@ -303,13 +306,23 @@ async def http_request(server, method, path, body=None, socket_path=None):
     writer.close()
     await writer.wait_closed()
     header, _, content = raw.partition(b"\r\n\r\n")
-    status = int(header.split(b" ")[1])
+    return int(header.split(b" ")[1]), content
+
+
+async def http_request(server, method, path, body=None, socket_path=None):
+    """One ``Connection: close`` request; returns (status, [json lines])."""
+    status, content = await http_exchange(server, method, path, body, socket_path)
     lines = [
         json.loads(line)
         for line in content.decode("utf-8").splitlines()
         if line.strip()
     ]
     return status, lines
+
+
+def is_canonical_line(line):
+    """Whether ``line`` is one canonical compact JSON document plus newline."""
+    return line == (canonical_json(json.loads(line)) + "\n").encode("utf-8")
 
 
 class TestServiceServer:
@@ -572,3 +585,121 @@ class TestServiceServer:
         assert failed["status"] == "failed"
         assert failed["failure"]["incidents"][-1]["type"] == "RuntimeError"
         assert ok_status == 200 and ok["status"] == "ok"
+
+
+class TestResponseBytes:
+    """Store hits answer with the stored artifact text, spliced verbatim."""
+
+    def test_store_served_body_equals_the_computed_one(self, tmp_path):
+        service = make_service(tmp_path)
+
+        async def main():
+            server = await start_server(service)
+            try:
+                cold = await http_exchange(server, "POST", "/evaluate", spec_dict())
+                warm = await http_exchange(server, "POST", "/evaluate", spec_dict())
+                return cold, warm
+            finally:
+                await server.stop()
+
+        (cold_status, cold), (warm_status, warm) = asyncio.run(main())
+        assert cold_status == warm_status == 200
+        assert b'"source":"computed"' in cold and b'"source":"store"' in warm
+        assert cold.replace(b'"source":"computed"', b'"source":"store"') == warm
+        assert is_canonical_line(cold) and is_canonical_line(warm)
+        spec = ScenarioSpec.from_dict(spec_dict())
+        text = service.store.load(spec, service.paths).canonical_text
+        assert b'"artifact":' + text.encode("utf-8") + b"," in warm
+
+    def test_stream_result_carries_the_stored_artifact_bytes(self, tmp_path):
+        service = make_service(tmp_path)
+        asyncio.run(service.evaluate(spec_dict()))
+
+        async def main():
+            server = await start_server(service)
+            try:
+                return await http_exchange(
+                    server, "POST", "/evaluate?stream=1", spec_dict()
+                )
+            finally:
+                await server.stop()
+
+        status, content = asyncio.run(main())
+        assert status == 200
+        lines = content.splitlines(keepends=True)
+        assert all(is_canonical_line(line) for line in lines)
+        events = [json.loads(line) for line in lines]
+        assert [event["event"] for event in events] == [
+            "accepted",
+            "store_hit",
+            "result",
+        ]
+        spec = ScenarioSpec.from_dict(spec_dict())
+        text = service.store.load(spec, service.paths).canonical_text
+        assert b'"artifact":' + text.encode("utf-8") + b"," in lines[-1]
+
+    def test_in_process_documents_hold_plain_equal_artifacts(self, tmp_path):
+        service = make_service(tmp_path)
+
+        async def main():
+            leader, follower = await asyncio.gather(
+                service.evaluate(spec_dict()), service.evaluate(spec_dict())
+            )
+            served = await service.evaluate(spec_dict())
+            return leader, follower, served
+
+        leader, follower, served = asyncio.run(main())
+        assert service.counters["service.coalesced"] == 1
+        # Coalesced followers share the leader's document.
+        assert follower is leader
+        assert served["source"] == "store"
+        plain = json.loads(json.dumps(leader["artifact"]))
+        assert served["artifact"] == plain
+        assert plain == served["artifact"]
+        assert dict(served["artifact"]) == plain
+        assert json.loads(json.dumps(served)) == {**leader, "source": "store"}
+
+    def test_request_spans_tag_their_source(self, tmp_path):
+        telemetry.enable()
+        service = make_service(tmp_path)
+
+        async def main():
+            await asyncio.gather(
+                service.evaluate(spec_dict()), service.evaluate(spec_dict())
+            )
+            await service.evaluate(spec_dict())
+
+        asyncio.run(main())
+        spans = [
+            record
+            for record in telemetry.global_spans()
+            if record.name == "service.request"
+        ]
+        assert sorted(record.attrs["source"] for record in spans) == [
+            "coalesced",
+            "computed",
+            "store",
+        ]
+        assert {record.attrs["scenario"] for record in spans} == {"svc_spec"}
+        stats = service.stats_document()
+        assert stats["spans"]["service.request"]["count"] == 3
+
+    def test_store_hit_artifact_is_spliced_not_encoded(self, tmp_path, monkeypatch):
+        import repro.campaigns.service as service_module
+
+        service = make_service(tmp_path)
+        asyncio.run(service.evaluate(spec_dict()))
+        served = asyncio.run(service.evaluate(spec_dict()))
+        assert served["source"] == "store"
+        encoded = []
+        real = service_module.canonical_json
+
+        def spy(document):
+            encoded.append(document)
+            return real(document)
+
+        monkeypatch.setattr(service_module, "canonical_json", spy)
+        line = service_module._json_line(served)
+        assert encoded and not [doc for doc in encoded if "artifact" in doc]
+        plain = json.loads(json.dumps(served))
+        assert line == (real(plain) + "\n").encode("utf-8")

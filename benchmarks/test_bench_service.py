@@ -1,19 +1,25 @@
 """Service store hits: where one warm ``/evaluate`` spends its time.
 
-A store-served request does four things before its bytes reach the socket:
+A store-served request does these things before its bytes reach the socket:
 
-* **parse** — the POST body into a validated :class:`ScenarioSpec`;
-* **key** — the request's store address (spec content hash × paths);
-* **store_load** — read the object, verify its digest against the stored
-  payload text, rebuild the artifact;
+* **parse** — on a body's first sighting, into a validated
+  :class:`ScenarioSpec`;
+* **key** — on a first sighting, the request's store address (spec content
+  hash × paths);
+* **repeat** — instead of both, for a body seen before: the service's spec
+  memo, body to spec and key;
+* **store_load** — read the object, parse its envelope and verify the
+  stored payload text against its digest (``ArtifactStore.load`` with
+  ``as_text``, as the service reads it);
 * **encode** — the response line, with the verified artifact text spliced
   in rather than re-encoded.
 
 Each stage is timed per hit over :data:`REPEATS` passes of the
 ``campaign_smoke`` specs, warm, and reported as median and interquartile
 range in microseconds.  ``encode_reencoded`` times the same line built from
-the plain dict, which is what the splice saves.  The bench checks that the
-spliced line is byte-identical to that re-encoding and faster than it.
+the plain dict of an artifact loaded through :class:`ScenarioArtifact`,
+which is what the splice saves.  The bench checks that the spliced line is
+byte-identical to that independent re-encoding and faster than it.
 Records land in ``BENCH_service.json`` keyed by ``<campaign>@<hash
 prefix>`` over the spec hashes, only under ``--bench-record``.
 """
@@ -38,7 +44,7 @@ BENCH_CAMPAIGN = "campaign_smoke"
 #: Timed passes over the campaign's specs (each pass hits every spec once).
 REPEATS = 100
 
-STAGES = ("parse", "key", "store_load", "encode", "encode_reencoded")
+STAGES = ("parse", "key", "repeat", "store_load", "encode", "encode_reencoded")
 
 
 def _summary_us(samples_ns):
@@ -56,34 +62,43 @@ def test_store_hit_split(tmp_path, bench_record):
     cold = CampaignRunner(matrix, store=store).run()
     assert not cold.failures
     service = EvaluationService(store=store, paths=cold.paths)
-    bodies = [point.spec.to_json().encode("utf-8") for point in matrix.points()]
+    specs = [point.spec for point in matrix.points()]
+    bodies = [spec.to_json().encode("utf-8") for spec in specs]
 
     async def warm_documents():
-        return [await service.evaluate(json.loads(body)) for body in bodies]
+        return [await service.evaluate(body) for body in bodies]
 
     documents = asyncio.run(warm_documents())
     assert all(document["source"] == "store" for document in documents)
+    plain_documents = [
+        {**document, "artifact": store.load(spec, service.paths).to_dict()}
+        for spec, document in zip(specs, documents)
+    ]
 
     samples = {stage: [] for stage in STAGES}
     clock = time.perf_counter_ns
     for _ in range(REPEATS):
-        for body, document in zip(bodies, documents):
+        for body, document, plain in zip(bodies, documents, plain_documents):
             start = clock()
             spec = ScenarioSpec.from_dict(json.loads(body))
             parsed = clock()
             service.request_key(spec)
             keyed = clock()
-            artifact = store.load(spec, service.paths)
+            memoised, key = service.spec_for_body(body)
+            repeated = clock()
+            text = store.load(memoised, service.paths, key=key, as_text=True)
             loaded = clock()
             line = _json_line(document)
             encoded = clock()
-            plain = _json_line({**document, "artifact": artifact.to_dict()})
+            reencoded_line = _json_line(plain)
             reencoded = clock()
-            assert line == plain
+            assert text == document["artifact"].text
+            assert line == reencoded_line
             for stage, begin, end in (
                 ("parse", start, parsed),
                 ("key", parsed, keyed),
-                ("store_load", keyed, loaded),
+                ("repeat", keyed, repeated),
+                ("store_load", repeated, loaded),
                 ("encode", loaded, encoded),
                 ("encode_reencoded", encoded, reencoded),
             ):

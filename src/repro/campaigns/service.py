@@ -51,6 +51,7 @@ record), and protocol or validation errors map to 4xx/5xx JSON bodies.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import os
 import time
@@ -87,6 +88,16 @@ DEFAULT_PORT = 8732
 #: Largest request body the server will read (specs are a few KiB).
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: Bytes the spec memo may charge, at most: some hundreds of distinct
+#: design points.
+SPEC_MEMO_BYTES = 2 * 1024 * 1024
+
+#: What one memo entry is charged beside its body's length: a generous
+#: estimate of a memoised spec's resident size (~1.7 KiB measured for a
+#: minimal ``{"name": ...}`` body, ~2.5 KiB for a campaign spec), so a
+#: flood of tiny bodies cannot hold many more specs than the bound implies.
+SPEC_MEMO_ENTRY_BYTES = 4096
+
 #: An async event sink: receives one JSON-ready dict per progress event.
 EventSink = Callable[[Dict[str, Any]], Awaitable[None]]
 
@@ -96,19 +107,37 @@ async def _emit(on_event: Optional[EventSink], event: Dict[str, Any]) -> None:
         await on_event(event)
 
 
-class _EncodedArtifact(dict):
-    """An artifact's document that carries its canonical JSON ``text``.
+class _StoredText:
+    """A store hit's artifact as the store's verified canonical text,
+    unparsed: what :meth:`EvaluationService.evaluate` answers a request
+    body with.  Only :func:`_json_line` reads it, splicing ``text`` in."""
 
-    Equal to the plain dict; :func:`_json_line` splices ``text`` (the
-    artifact's ``canonical_text``, ``None`` when unknown) into a response
-    instead of encoding the dict again.  Never mutated after construction.
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
+class _EncodedArtifact(dict):
+    """A store hit's artifact document for in-process callers: the parsed
+    ``text``, so equal to the plain dict, and :func:`_json_line` splices
+    ``text`` in instead of encoding the dict again.  Never mutated after
+    construction.
     """
 
     __slots__ = ("text",)
 
-    def __init__(self, artifact: ScenarioArtifact) -> None:
-        super().__init__(artifact.to_dict())
-        self.text = artifact.canonical_text
+    def __init__(self, text: str) -> None:
+        super().__init__(json.loads(text))
+        self.text = text
+
+
+def _in_process(document: Dict[str, Any]) -> Dict[str, Any]:
+    """``document`` with a :class:`_StoredText` artifact parsed (else as is)."""
+    artifact = document.get("artifact")
+    if not isinstance(artifact, _StoredText):
+        return document
+    return {**document, "artifact": _EncodedArtifact(artifact.text)}
 
 
 class EvaluationService:
@@ -167,6 +196,12 @@ class EvaluationService:
         self._semaphore: Optional[asyncio.Semaphore] = None
         self.counters: Dict[str, int] = {}
         self._started_perf = time.perf_counter()
+        #: SHA-256 of a request body -> (its validated spec, request key,
+        #: bytes charged), least recently used first; bounded by
+        #: :data:`SPEC_MEMO_BYTES` charged.
+        self._spec_memo: Dict[bytes, Tuple[ScenarioSpec, str, int]] = {}
+        self._spec_memo_bytes = 0
+        self._spec_memo_hits = 0
 
     # Bookkeeping ------------------------------------------------------------
 
@@ -196,8 +231,6 @@ class EvaluationService:
             return self.store.key_for(
                 spec, self.paths, self._transient_method()
             )
-        import hashlib
-
         document = {
             "spec_hash": spec.content_hash(),
             "paths": sorted(set(self.paths)),
@@ -207,14 +240,54 @@ class EvaluationService:
             canonical_json(document).encode("utf-8")
         ).hexdigest()
 
+    def spec_for_body(self, body: bytes) -> Tuple[ScenarioSpec, str]:
+        """Validated spec and request key of one JSON request body.
+
+        Memoised by the body's SHA-256, so a body seen before is neither
+        parsed nor hashed again.  Each entry is charged its body's length
+        plus :data:`SPEC_MEMO_ENTRY_BYTES`; the least recently used entries
+        leave the memo beyond :data:`SPEC_MEMO_BYTES`.  An invalid body
+        raises :class:`~repro.errors.ConfigurationError` and is never
+        memoised.
+        """
+        digest = hashlib.sha256(body).digest()
+        memo = self._spec_memo
+        entry = memo.pop(digest, None)
+        if entry is not None:
+            memo[digest] = entry
+            self._spec_memo_hits += 1
+            return entry[0], entry[1]
+        try:
+            document = json.loads(body.decode("utf-8"))
+        except (UnicodeDecodeError, ValueError) as error:
+            raise ConfigurationError(f"request body is not JSON: {error}") from None
+        if not isinstance(document, dict):
+            raise ConfigurationError("request body must be a JSON object")
+        spec = ScenarioSpec.from_dict(document)
+        key = self.request_key(spec)
+        charge = len(body) + SPEC_MEMO_ENTRY_BYTES
+        if charge <= SPEC_MEMO_BYTES:
+            memo[digest] = (spec, key, charge)
+            self._spec_memo_bytes += charge
+            while self._spec_memo_bytes > SPEC_MEMO_BYTES:
+                oldest = next(iter(memo))
+                self._spec_memo_bytes -= memo.pop(oldest)[2]
+        return spec, key
+
     # Evaluation -------------------------------------------------------------
 
     async def evaluate(
         self,
-        spec_dict: Mapping[str, Any],
+        request: Union[bytes, Mapping[str, Any]],
         on_event: Optional[EventSink] = None,
     ) -> Dict[str, Any]:
         """Serve one spec: validate, coalesce, store-or-compute, persist.
+
+        ``request`` is a spec document, or the raw JSON body of one (the
+        HTTP transport's): a body goes through :meth:`spec_for_body`, and a
+        store hit answers it with the stored artifact text unparsed, which
+        only :func:`_json_line` can write.  A spec document gets an artifact
+        equal to the plain dict.
 
         Returns the response document; never raises for a *failing* spec
         (the document carries the failure provenance instead).  Invalid
@@ -223,8 +296,11 @@ class EvaluationService:
         """
         self._count("service.requests")
         with telemetry.span("service.request") as request_span:
-            spec = ScenarioSpec.from_dict(dict(spec_dict))
-            key = self.request_key(spec)
+            if isinstance(request, bytes):
+                spec, key = self.spec_for_body(request)
+            else:
+                spec = ScenarioSpec.from_dict(dict(request))
+                key = self.request_key(spec)
             request_span.set(scenario=spec.name)
             await _emit(
                 on_event, {"event": "accepted", "scenario": spec.name, "key": key}
@@ -237,22 +313,24 @@ class EvaluationService:
                 self._count("service.coalesced")
                 request_span.set(source="coalesced")
                 await _emit(on_event, {"event": "coalesced", "key": key})
-                return await asyncio.shield(future)
-            future = asyncio.get_running_loop().create_future()
-            self._inflight[key] = future
-            try:
-                document = await self._resolve(spec, key, on_event)
-                future.set_result(document)
-                request_span.set(source=document["source"])
-                return document
-            except BaseException:
-                # Only cancellation (or a genuine bug) escapes _resolve; wake
-                # the followers with the same fate instead of hanging them.
-                if not future.done():
-                    future.cancel()
-                raise
-            finally:
-                self._inflight.pop(key, None)
+                document = await asyncio.shield(future)
+            else:
+                future = asyncio.get_running_loop().create_future()
+                self._inflight[key] = future
+                try:
+                    document = await self._resolve(spec, key, on_event)
+                    future.set_result(document)
+                    request_span.set(source=document["source"])
+                except BaseException:
+                    # Only cancellation (or a genuine bug) escapes _resolve;
+                    # wake the followers with the same fate instead of
+                    # hanging them.
+                    if not future.done():
+                        future.cancel()
+                    raise
+                finally:
+                    self._inflight.pop(key, None)
+        return document if isinstance(request, bytes) else _in_process(document)
 
     async def _resolve(
         self,
@@ -262,14 +340,14 @@ class EvaluationService:
     ) -> Dict[str, Any]:
         """Store lookup, then one kernel dispatch; returns the document."""
         if self.store is not None:
-            artifact = self.store.load(
-                spec, self.paths, self._transient_method()
+            text = self.store.load(
+                spec, self.paths, self._transient_method(), key=key, as_text=True
             )
-            if artifact is not None:
+            if text is not None:
                 self._count("service.store_served")
                 await _emit(on_event, {"event": "store_hit", "key": key})
                 return self._document(
-                    spec, key, "store", artifact=_EncodedArtifact(artifact)
+                    spec, key, "store", artifact=_StoredText(text)
                 )
         await _emit(on_event, {"event": "computing", "key": key})
         item = WorkItem(
@@ -328,7 +406,7 @@ class EvaluationService:
         spec: ScenarioSpec,
         key: str,
         source: str,
-        artifact: Optional[Dict[str, Any]] = None,
+        artifact: Optional[Any] = None,
         failure: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
         """One response document.  ``source`` describes how the *result* was
@@ -438,6 +516,12 @@ class EvaluationService:
             "uptime_s": time.perf_counter() - self._started_perf,
             "concurrency": self.concurrency,
         }
+        document["spec_memo"] = {
+            "entries": len(self._spec_memo),
+            "bytes": self._spec_memo_bytes,
+            "max_bytes": SPEC_MEMO_BYTES,
+            "hits": self._spec_memo_hits,
+        }
         document["factorization"] = factorization_cache_stats()
         if self.store is None:
             document["store"] = None
@@ -524,9 +608,9 @@ def _json_line(document: Mapping[str, Any]) -> bytes:
     """One response line: the canonical compact JSON of ``document``.
 
     Every body and ndjson event goes through here.  An artifact loaded from
-    the store (:class:`_EncodedArtifact`) is spliced in as its verified
-    canonical text, at its sorted place; the line is byte-identical to
-    encoding the plain dict.
+    the store (:class:`_StoredText`, :class:`_EncodedArtifact`) is spliced
+    in as its verified canonical text, at its sorted place; the line is
+    byte-identical to encoding the plain dict.
     """
     text = getattr(document.get("artifact"), "text", None)
     if text is None:
@@ -733,40 +817,34 @@ class ServiceServer:
         await self._send_json(writer, 200, document, keep_alive=keep_alive)
         return keep_alive
 
-    def _parse_spec_body(self, request: _Request) -> Dict[str, Any]:
-        try:
-            document = json.loads(request.body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as error:
-            raise _HttpError(400, f"request body is not JSON: {error}")
-        if not isinstance(document, dict):
-            raise _HttpError(400, "request body must be a JSON object")
-        return document
-
     async def _handle_evaluate(
         self, request: _Request, writer: asyncio.StreamWriter, keep_alive: bool
     ) -> bool:
-        try:
-            spec_dict = self._parse_spec_body(request)
-        except _HttpError as error:
-            await self._send_json(
-                writer,
-                error.status,
-                {"status": "error", "error": str(error)},
-                keep_alive=keep_alive,
-            )
-            return keep_alive
+        """An invalid body raises (a 400 from :meth:`_dispatch`), streamed
+        or not: a stream starts with its first event, which ``evaluate``
+        emits only once the spec is valid."""
         if not request.wants_stream:
-            document = await self.service.evaluate(spec_dict)
+            document = await self.service.evaluate(request.body)
             await self._send_json(
                 writer, 200, document, keep_alive=keep_alive
             )
             return keep_alive
-        emit = await self._start_stream(writer)
+        stream: Optional[EventSink] = None
+
+        async def emit(event: Dict[str, Any]) -> None:
+            nonlocal stream
+            if stream is None:
+                stream = await self._start_stream(writer)
+            await stream(event)
+
         try:
-            document = await self.service.evaluate(spec_dict, on_event=emit)
-            await emit({"event": "result", **document})
+            document = await self.service.evaluate(request.body, on_event=emit)
         except ReproError as error:
+            if stream is None:
+                raise
             await emit({"event": "error", "error": str(error)})
+            return False
+        await emit({"event": "result", **document})
         return False
 
     async def _handle_campaign(

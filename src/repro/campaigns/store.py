@@ -19,8 +19,8 @@ Design:
   canonical payload; a truncated or bit-flipped file fails the re-hash, is
   counted, quarantined (unlinked) and reported as a miss, never served.  A
   record in the current layout ends with the payload's canonical text, so a
-  hit hashes those stored bytes instead of re-encoding the parsed payload,
-  and the loaded artifact carries the verified text on to its consumers;
+  hit parses only the envelope before it and hashes those stored bytes,
+  and hands the verified text on to its consumers;
 * **bounded size with LRU eviction** — an index records byte sizes and a
   monotonic access sequence; when the store exceeds ``max_bytes`` the least
   recently used objects are evicted (the newest entry always survives);
@@ -54,6 +54,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from .. import __version__ as _code_version
@@ -83,19 +84,81 @@ def _text_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _stored_payload_text(raw: str) -> Optional[str]:
-    """The payload text of a record in the current layout, else ``None``.
+def _checked_envelope(record: Any) -> str:
+    """The declared payload digest of a record; raises on a malformed one.
+
+    The envelope metadata is read by the index rebuild and the listing
+    paths without further checks: validating it here quarantines a damaged
+    envelope like a damaged payload.
+    """
+    declared = record["payload_sha256"]
+    if not isinstance(declared, str):
+        raise ValueError("malformed payload_sha256 field")
+    if not isinstance(record["scenario"], str):
+        raise ValueError("malformed scenario field")
+    if not isinstance(record["spec_hash"], str):
+        raise ValueError("malformed spec_hash field")
+    if not isinstance(record["paths"], list):
+        raise ValueError("malformed paths field")
+    return declared
+
+
+def _verified_envelope(raw: str) -> Optional[Tuple[Dict[str, Any], str]]:
+    """Envelope and payload text of an intact current-layout record, parsing
+    the envelope only; ``None`` when ``raw`` is not one.
 
     :func:`_write_record` appends the payload's canonical text after the
     canonical envelope, so it is the slice after the first ``,"payload":``
     up to the closing ``}\n``.  A quote inside a JSON string is escaped, so
     that separator cannot occur inside one.  Records written with default
-    separators (older layouts) never contain it.
+    separators (older layouts) never contain it.  Every writer hashed
+    canonical text, so a slice matching the digest is the payload's
+    canonical text.  A payload that is not a JSON object is left to
+    :func:`_verified_record`, which rejects it.
     """
     start = raw.find(_PAYLOAD_MEMBER)
     if start < 0 or not raw.endswith("}\n"):
         return None
-    return raw[start + len(_PAYLOAD_MEMBER) : -2]
+    try:
+        envelope = json.loads(raw[:start] + "}")
+        declared = _checked_envelope(envelope)
+    except (ValueError, KeyError, TypeError):
+        return None
+    text = raw[start + len(_PAYLOAD_MEMBER) : -2]
+    if not text.startswith("{") or _text_digest(text) != declared:
+        return None
+    return envelope, text
+
+
+def _verified_record(raw: str) -> Tuple[Dict[str, Any], str]:
+    """Envelope and payload text of any intact record, parsing all of it and
+    re-encoding the payload; raises on a defect."""
+    record = json.loads(raw)
+    payload = record["payload"]
+    declared = _checked_envelope(record)
+    if not isinstance(payload, dict):
+        raise ValueError("malformed object record")
+    text = canonical_json(payload)
+    if _text_digest(text) != declared:
+        raise ValueError("payload digest mismatch")
+    return {name: value for name, value in record.items() if name != "payload"}, text
+
+
+def _answers_for(text: str, spec_hash: str) -> bool:
+    """Whether the verified payload ``text`` names ``spec_hash`` as its own.
+
+    An artifact's canonical text ends with its ``spec_hash`` member (its
+    greatest key), which this reads without parsing: a quote inside a
+    string is escaped and a nested member ends in ``}}``, so that suffix is
+    the payload's own member.  Any other payload is parsed.
+    """
+    if text.endswith(f'"spec_hash":"{spec_hash}"}}'):
+        return True
+    try:
+        payload = json.loads(text)
+    except ValueError:
+        return False
+    return isinstance(payload, dict) and payload.get("spec_hash") == spec_hash
 
 
 def _write_record(
@@ -110,7 +173,7 @@ def _write_record(
 
     The payload is serialised once, for its digest and the record both:
     its canonical text is appended to the envelope's as the last member,
-    where :func:`_stored_payload_text` finds it on a read.
+    where :func:`_verified_envelope` finds it on a read.
     """
     payload_text = canonical_json(payload)
     digest = _text_digest(payload_text)
@@ -236,6 +299,7 @@ class ArtifactStore:
         if max_bytes is not None and max_bytes < 1:
             raise ConfigurationError("max_bytes must be >= 1 (or None)")
         self.root = Path(root)
+        self._objects_dir = self.root / "objects"
         self._flatten_shards()
         self.max_bytes = max_bytes
         self.code_version = (
@@ -264,10 +328,6 @@ class ArtifactStore:
     @property
     def _index_path(self) -> Path:
         return self.root / "index.json"
-
-    @property
-    def _objects_dir(self) -> Path:
-        return self.root / "objects"
 
     def _object_path(self, key: str) -> Path:
         return self._objects_dir / f"{key}.json"
@@ -364,14 +424,14 @@ class ArtifactStore:
         for path in self._object_paths():
             if path.stem in known:
                 continue
-            record = self._read_object(path.stem, count_corrupt=False)
-            if record is None:
+            verified = self._read_verified(path.stem, count_corrupt=False)
+            if verified is None:
                 continue
             try:
                 size = path.stat().st_size
             except OSError:  # racing eviction/unlink: the object is gone
                 continue
-            entries[path.stem] = self._entry_from_record(record, size)
+            entries[path.stem] = self._entry_from_record(verified[0], size)
         return {"version": STORE_VERSION, "sequence": 0, "entries": entries}
 
     def _write_index(self, index: Dict[str, Any]) -> None:
@@ -387,15 +447,14 @@ class ArtifactStore:
         if entry is None:
             # An object the index never saw (another writer, or a hit served
             # while the index was unreadable): adopt it.
-            path = self._object_path(key)
-            record = self._read_object(key, count_corrupt=False)
-            if record is None:
+            verified = self._read_verified(key, count_corrupt=False)
+            if verified is None:
                 return
             try:
-                size = path.stat().st_size
+                size = self._object_path(key).stat().st_size
             except OSError:  # pragma: no cover - racing unlink
                 return
-            entry = index["entries"][key] = self._entry_from_record(record, size)
+            entry = index["entries"][key] = self._entry_from_record(verified[0], size)
         entry["last_used"] = index["sequence"]
 
     def _note_touch(self, key: str) -> None:
@@ -463,67 +522,39 @@ class ArtifactStore:
 
     # Objects ---------------------------------------------------------------
 
-    def _read_object(
-        self,
-        key: str,
-        count_corrupt: bool = True,
-        quarantine: bool = True,
-    ) -> Optional[Dict[str, Any]]:
-        """The record of one intact object file (None on any defect)."""
-        verified = self._read_verified(key, count_corrupt, quarantine)
-        return None if verified is None else verified[0]
-
     def _read_verified(
         self,
         key: str,
         count_corrupt: bool = True,
         quarantine: bool = True,
     ) -> Optional[Tuple[Dict[str, Any], str]]:
-        """Parse and integrity-check one object file: its record and the
-        payload's canonical text, or ``None`` on any defect.
+        """Integrity-check one object file: its envelope (the record without
+        ``payload``) and the payload's canonical text, or ``None`` on any
+        defect.
 
-        The digest is checked against the stored payload text first (see
-        :func:`_stored_payload_text`); the parsed payload is re-encoded only
-        when that fails, so records of older layouts still verify, and
-        damage fails both.  Every writer hashed canonical text, so a stored
-        text matching the digest is the parsed payload's canonical text.
+        A record in the current layout is verified from its envelope and
+        stored payload text (see :func:`_verified_envelope`); any other is
+        parsed whole and its payload re-encoded (:func:`_verified_record`),
+        so records of older layouts still verify, and damage fails both.
 
-        A missing file is a plain miss; an unparseable or hash-mismatched
-        file is counted as corruption and — unless ``quarantine`` is off
-        (read-only inspection paths like the CLI's ``show``/``diff`` must
-        not destroy the evidence) — unlinked so the next run recomputes it
-        instead of tripping over the same damage again.
+        A missing file is a plain miss; an undecodable, unparseable or
+        hash-mismatched file is counted as corruption and — unless
+        ``quarantine`` is off (read-only inspection paths like the CLI's
+        ``show``/``diff`` must not destroy the evidence) — unlinked so the
+        next run recomputes it instead of tripping over the same damage
+        again.
         """
         path = self._object_path(key)
         try:
-            raw = path.read_text(encoding="utf-8")
+            data = path.read_bytes()
         except OSError:
             return None
         try:
-            record = json.loads(raw)
-            payload = record["payload"]
-            declared = record["payload_sha256"]
-            if not isinstance(payload, dict) or not isinstance(declared, str):
-                raise ValueError("malformed object record")
-            # The envelope metadata is read by the index rebuild and the
-            # listing paths without further checks: validate it here so a
-            # damaged envelope is quarantined like a damaged payload.
-            if not isinstance(record["scenario"], str):
-                raise ValueError("malformed scenario field")
-            if not isinstance(record["spec_hash"], str):
-                raise ValueError("malformed spec_hash field")
-            if not isinstance(record["paths"], list):
-                raise ValueError("malformed paths field")
+            raw = data.decode("utf-8")
+            return _verified_envelope(raw) or _verified_record(raw)
         except (ValueError, KeyError, TypeError):
             self._quarantine(path, count_corrupt, quarantine)
             return None
-        text = _stored_payload_text(raw)
-        if text is None or _text_digest(text) != declared:
-            text = canonical_json(payload)
-            if _text_digest(text) != declared:
-                self._quarantine(path, count_corrupt, quarantine)
-                return None
-        return record, text
 
     def _quarantine(self, path: Path, count: bool, unlink: bool) -> None:
         if count:
@@ -560,23 +591,33 @@ class ArtifactStore:
         spec: ScenarioSpec,
         paths: Sequence[str] = ALL_PATHS,
         transient_method: str = "lu",
-    ) -> Optional[ScenarioArtifact]:
+        *,
+        key: Optional[str] = None,
+        as_text: bool = False,
+    ) -> Union[ScenarioArtifact, str, None]:
         """Stored artifact of (spec, paths), or ``None`` on miss/corruption.
 
-        The payload is re-hashed against the digest embedded at write time;
-        a truncated or bit-flipped object fails the re-hash and is
-        quarantined.  The payload's spec hash is additionally cross-checked
-        against ``spec`` — a hash-valid object answering for the wrong spec
-        (key collision, external rename) is a plain miss: it is intact, just
-        not the requested content, so it stays on disk.  The artifact
-        carries the verified payload text as its ``canonical_text`` when
-        that text is exactly the artifact's document.
+        The payload is checked against the digest embedded at write time;
+        a truncated or bit-flipped object fails and is quarantined.  The
+        payload's own spec hash is additionally cross-checked against
+        ``spec`` — a hash-valid object answering for the wrong spec (key
+        collision, external rename) is a plain miss: it is intact, just not
+        the requested content, so it stays on disk.  The artifact carries
+        the verified payload text as its ``canonical_text`` when that text
+        is exactly the artifact's document.
+
+        ``key`` is :meth:`key_for` of the same arguments, for a caller that
+        holds it already.  With ``as_text`` a hit returns the verified
+        payload text itself, unparsed (what the service splices into a
+        response).
         """
-        key = self.key_for(spec, paths, transient_method)
+        if key is None:
+            key = self.key_for(spec, paths, transient_method)
         with telemetry.span("store.load", scenario=spec.name) as load_span:
             verified = self._read_verified(key)
-            payload = None if verified is None else verified[0]["payload"]
-            if payload is None or payload.get("spec_hash") != spec.content_hash():
+            if verified is None or not _answers_for(
+                verified[1], spec.content_hash()
+            ):
                 self.stats.misses += 1
                 telemetry.count("store.misses")
                 load_span.set(hit=False)
@@ -585,10 +626,14 @@ class ArtifactStore:
             telemetry.count("store.hits")
             load_span.set(hit=True)
             self._note_touch(key)
-            artifact = ScenarioArtifact.from_dict(payload)
-            if artifact.to_dict() == payload:
-                artifact.canonical_text = verified[1]
-            return artifact
+        text = verified[1]
+        if as_text:
+            return text
+        payload = json.loads(text)
+        artifact = ScenarioArtifact.from_dict(payload)
+        if artifact.to_dict() == payload:
+            artifact.canonical_text = text
+        return artifact
 
     def store(
         self,
@@ -705,8 +750,10 @@ class ArtifactStore:
         with telemetry.span(
             "store.load", scenario=f"rom-basis:{basis_key[:12]}"
         ) as load_span:
-            record = self._read_object(self._rom_basis_key(basis_key))
-            if record is None or record["payload"].get("key") != basis_key:
+            key = self._rom_basis_key(basis_key)
+            verified = self._read_verified(key)
+            payload = None if verified is None else json.loads(verified[1])
+            if payload is None or payload.get("key") != basis_key:
                 self.stats.misses += 1
                 telemetry.count("store.misses")
                 load_span.set(hit=False)
@@ -714,8 +761,8 @@ class ArtifactStore:
             self.stats.hits += 1
             telemetry.count("store.hits")
             load_span.set(hit=True)
-            self._note_touch(record["key"])
-            return json.dumps(record["payload"], sort_keys=True)
+            self._note_touch(key)
+            return json.dumps(payload, sort_keys=True)
 
     def rom_basis_payloads(self) -> List[str]:
         """Serialised payloads of every stored reduced basis (key order) —
@@ -724,9 +771,9 @@ class ArtifactStore:
         for entry in self.entries():
             if entry.paths != ("rom_basis",):
                 continue
-            record = self._read_object(entry.key, quarantine=False)
-            if record is not None:
-                payloads.append(json.dumps(record["payload"], sort_keys=True))
+            verified = self._read_verified(entry.key, quarantine=False)
+            if verified is not None:
+                payloads.append(json.dumps(json.loads(verified[1]), sort_keys=True))
         return sorted(payloads)
 
     def _evict(self, index: Dict[str, Any], protect: str) -> None:
@@ -751,10 +798,10 @@ class ArtifactStore:
                     size = path.stat().st_size
                 except OSError:  # pragma: no cover - racing unlink
                     continue
-                record = self._read_object(key, count_corrupt=False)
-                if record is None:
+                verified = self._read_verified(key, count_corrupt=False)
+                if verified is None:
                     continue
-                entries[key] = self._entry_from_record(record, size)
+                entries[key] = self._entry_from_record(verified[0], size)
             on_disk.add(key)
             total += int(entries[key]["size_bytes"])
         # Entries whose object vanished (another process evicted it) must
@@ -786,7 +833,10 @@ class ArtifactStore:
         Read-only: a corrupt object is reported as missing but *not*
         quarantined, so inspection commands never destroy the evidence.
         """
-        return self._read_object(key, quarantine=False)
+        verified = self._read_verified(key, quarantine=False)
+        if verified is None:
+            return None
+        return {**verified[0], "payload": json.loads(verified[1])}
 
     def resolve_key(self, prefix: str) -> str:
         """Full key matching a unique prefix (raises on none/ambiguous)."""
@@ -817,8 +867,8 @@ class ArtifactStore:
             key = path.stem
             entry = known.get(key)
             if entry is None:
-                record = self._read_object(key, count_corrupt=False)
-                if record is None:
+                verified = self._read_verified(key, count_corrupt=False)
+                if verified is None:
                     continue
                 try:
                     size = path.stat().st_size
@@ -827,7 +877,7 @@ class ArtifactStore:
                     # stat (another process sharing the store): the entry is
                     # simply gone, not an error.
                     continue
-                entry = self._entry_from_record(record, size)
+                entry = self._entry_from_record(verified[0], size)
             result.append(
                 StoreEntry(
                     key=key,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from .. import constants
 from ..errors import ConfigurationError
@@ -172,6 +172,11 @@ def canonical_json(data: Any) -> str:
     the identical byte sequence regardless of dict construction order.
     """
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def _json_digest(data: Any) -> str:
+    """SHA-256 (hex) of the canonical JSON of ``data``."""
+    return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
 
 
 # --------------------------------------------------------------------------
@@ -600,11 +605,12 @@ class ScenarioSpec:
         single changed leaf changes the hash.  Golden artifacts embed this
         hash, so a spec edit without a golden refresh fails loudly.
 
-        Memoised on the instance, like :meth:`design_hash`: a spec is frozen
-        (its mapping fields are read-only by convention too), and a campaign
-        asks for both hashes several times per spec.
+        Memoised on the instance together with :meth:`design_hash`, both
+        from one :meth:`to_dict`: a spec is frozen (its mapping fields are
+        read-only by convention too), and campaigns and service requests
+        ask for both hashes.
         """
-        return self._memoised_hash("_content_hash", self.to_dict)
+        return self._spec_hashes()[0]
 
     def short_hash(self) -> str:
         """First 12 hex characters of :meth:`content_hash` (bench/report IDs)."""
@@ -618,7 +624,7 @@ class ScenarioSpec:
         chip / network / workload configuration hash identically.  The
         campaign matrix expansion deduplicates on this hash.
         """
-        return self._memoised_hash("_design_hash", self._design_dict)
+        return self._spec_hashes()[1]
 
     def flow_hash(self) -> str:
         """SHA-256 over the sections a design flow is built from (hex digest).
@@ -627,27 +633,23 @@ class ScenarioSpec:
         name, description, workload, trace or sweep share one flow (see
         :meth:`repro.scenarios.ScenarioRunner.flow`).
         """
-        return self._memoised_hash(
-            "_flow_hash",
-            lambda: {name: _section_dict(getattr(self, name)) for name in FLOW_SECTIONS},
-        )
-
-    def _design_dict(self) -> Dict[str, Any]:
-        data = self.to_dict()
-        del data["name"]
-        del data["description"]
-        return data
-
-    def _memoised_hash(
-        self, attribute: str, document: Callable[[], Dict[str, Any]]
-    ) -> str:
-        """SHA-256 of ``document()``'s canonical JSON, cached in ``attribute``."""
-        memo = self.__dict__.get(attribute)
+        memo = self.__dict__.get("_flow_hash")
         if memo is None:
-            memo = hashlib.sha256(
-                canonical_json(document()).encode("utf-8")
-            ).hexdigest()
-            object.__setattr__(self, attribute, memo)
+            memo = _json_digest(
+                {name: _section_dict(getattr(self, name)) for name in FLOW_SECTIONS}
+            )
+            object.__setattr__(self, "_flow_hash", memo)
+        return memo
+
+    def _spec_hashes(self) -> Tuple[str, str]:
+        """``(content hash, design hash)`` from one :meth:`to_dict`, memoised."""
+        memo = self.__dict__.get("_hashes")
+        if memo is None:
+            data = self.to_dict()
+            content = _json_digest(data)
+            del data["name"], data["description"]
+            memo = (content, _json_digest(data))
+            object.__setattr__(self, "_hashes", memo)
         return memo
 
     # Parametrization -------------------------------------------------------

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import threading
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -505,6 +506,101 @@ class TestVerificationParity:
         loaded = store.load(spec, ALL_PATHS)
         assert loaded == make_artifact(spec)
         assert loaded.canonical_text is None
+
+
+def flip_bit(bit):
+    """Rewrite flipping ``bit`` of one digit inside the payload text."""
+
+    def rewrite(raw, other):
+        damaged = bytearray(raw)
+        damaged[raw.rindex(b"50.0")] ^= bit
+        return bytes(damaged)
+
+    return rewrite
+
+
+def damage_envelope_field(raw, other):
+    return damaged_envelope(raw.decode("utf-8")).encode("utf-8")
+
+
+def old_layout(raw, other):
+    """The record as older releases wrote it: default separators."""
+    return (json.dumps(json.loads(raw), sort_keys=True) + "\n").encode("utf-8")
+
+
+def non_object_payload(raw, other):
+    """A current-layout record whose payload is a list, with its digest."""
+    record = json.loads(raw)
+    payload = [record.pop("payload")]
+    record["payload_sha256"] = hashlib.sha256(
+        canonical_json(payload).encode("utf-8")
+    ).hexdigest()
+    envelope = canonical_json(record)
+    text = f'{envelope[:-1]},"payload":{canonical_json(payload)}}}\n'
+    return text.encode("utf-8")
+
+
+#: Damage done to one object on disk (``rewrite(raw, raw of another
+#: spec's object)``), with the outcome and ``stats.corrupt`` count of
+#: loading it.  Each is what a store that parsed whole records gave, but
+#: the non-UTF-8 byte: that store raised ``UnicodeDecodeError``.
+DAMAGE = {
+    "truncated": (lambda raw, other: raw[: len(raw) // 2], "quarantined", 1),
+    "flipped payload byte": (flip_bit(0x01), "quarantined", 1),
+    "type-damaged envelope field": (damage_envelope_field, "quarantined", 1),
+    "copied under another spec's key": (lambda raw, other: other, "miss", 0),
+    "old layout, default separators": (old_layout, "hit", 0),
+    "non-UTF-8 byte": (flip_bit(0x80), "quarantined", 1),
+    "digest-valid non-object payload": (non_object_payload, "quarantined", 1),
+}
+
+
+class TestEnvelopeRead:
+    """A current-layout hit parses the envelope only and checks the stored
+    payload text; the outcomes of damage are those of a whole-record parse."""
+
+    @pytest.mark.parametrize("case", sorted(DAMAGE))
+    def test_damage_outcome(self, store, case):
+        rewrite, expected, corrupt = DAMAGE[case]
+        spec, other = make_spec(0), make_spec(1)
+        path = store._object_path(store.store(spec, make_artifact(spec), ALL_PATHS))
+        other_path = store._object_path(
+            store.store(other, make_artifact(other), ALL_PATHS)
+        )
+        path.write_bytes(rewrite(path.read_bytes(), other_path.read_bytes()))
+        assert load_outcome(store, spec) == expected
+        assert store.stats.corrupt == corrupt
+
+    def test_current_layout_hit_parses_the_envelope_only(self, store, monkeypatch):
+        import repro.campaigns.store as store_module
+
+        spec = make_spec()
+        artifact = make_artifact(spec)
+        key = store.store(spec, artifact, ALL_PATHS)
+        parsed = []
+
+        def loads(text):
+            parsed.append(text)
+            return json.loads(text)
+
+        monkeypatch.setattr(store_module, "json", types.SimpleNamespace(loads=loads))
+        text = store.load(spec, ALL_PATHS, key=key, as_text=True)
+        assert text == canonical_json(artifact.to_dict())
+        (envelope,) = parsed
+        assert "payload" not in json.loads(envelope)
+        assert "results" not in envelope
+
+    def test_artifact_payload_text_ends_with_its_spec_hash(self, store):
+        # The hit check reads the payload's spec_hash member as the text's
+        # last: it is the artifact document's greatest key.
+        for index in range(3):
+            spec = make_spec(index)
+            artifact = make_artifact(spec)
+            assert max(artifact.to_dict()) == "spec_hash"
+            raw = store._object_path(store.store(spec, artifact, ALL_PATHS)).read_text()
+            text = raw[raw.index(',"payload":') + len(',"payload":') : -2]
+            assert text == canonical_json(artifact.to_dict())
+            assert text.endswith(f'"spec_hash":"{spec.content_hash()}"}}')
 
 
 class TestHitRecency:

@@ -1,6 +1,7 @@
 """Spec layer of the scenario subsystem: validation, round trips, hashing."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -14,6 +15,7 @@ from repro.scenarios import (
     TraceSpec,
     WorkloadSpec,
     builtin_scenarios,
+    canonical_json,
     default_registry,
     scenario_json_schema,
 )
@@ -203,6 +205,27 @@ class TestContentHash:
         assert renamed.content_hash() != content
         assert renamed.design_hash() == design
         assert spec == ScenarioSpec(name="x")
+
+    def test_both_hashes_come_from_one_encoding(self, monkeypatch):
+        spec = ScenarioSpec(name="x", description="d")
+        document = spec.to_dict()
+        physical = {
+            key: value
+            for key, value in document.items()
+            if key not in ("name", "description")
+        }
+        real = ScenarioSpec.to_dict
+        calls = []
+        monkeypatch.setattr(
+            ScenarioSpec, "to_dict", lambda self: calls.append(self) or real(self)
+        )
+        design, content = spec.design_hash(), spec.content_hash()
+        assert len(calls) == 1
+
+        def digest(data):
+            return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
+
+        assert (content, design) == (digest(document), digest(physical))
 
     def test_short_hash_prefixes_content_hash(self):
         spec = ScenarioSpec(name="x")

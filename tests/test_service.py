@@ -703,3 +703,242 @@ class TestResponseBytes:
         assert encoded and not [doc for doc in encoded if "artifact" in doc]
         plain = json.loads(json.dumps(served))
         assert line == (real(plain) + "\n").encode("utf-8")
+
+
+def count_spec_parses(monkeypatch):
+    """Record the name of every spec ``ScenarioSpec.from_dict`` builds."""
+    parses = []
+    real = ScenarioSpec.from_dict.__func__
+
+    def from_dict(cls, data):
+        parses.append(data.get("name") if isinstance(data, dict) else None)
+        return real(cls, data)
+
+    monkeypatch.setattr(ScenarioSpec, "from_dict", classmethod(from_dict))
+    return parses
+
+
+def body_of(document):
+    return json.dumps(document).encode("utf-8")
+
+
+class TestSpecMemo:
+    """A request body seen before is neither parsed nor hashed again, and
+    its request still reads (and verifies) the store."""
+
+    def test_same_body_twice_is_parsed_once(self, tmp_path, monkeypatch):
+        from repro.campaigns.service import _json_line
+
+        service = make_service(tmp_path)
+        body = body_of(spec_dict())
+        computed = asyncio.run(service.evaluate(spec_dict()))
+        parses = count_spec_parses(monkeypatch)
+
+        async def main():
+            return [await service.evaluate(body) for _ in range(2)]
+
+        first, second = asyncio.run(main())
+        assert parses == ["svc_spec"]
+        assert first["source"] == second["source"] == "store"
+        assert _json_line(first) == _json_line(second)
+        assert _json_line(first) == _json_line({**computed, "source": "store"})
+        assert service.stats_document()["spec_memo"]["hits"] == 1
+
+    def test_reordered_body_is_the_same_request(self, tmp_path):
+        service = make_service(tmp_path)
+        document = spec_dict()
+        reordered = dict(reversed(list(document.items())))
+        assert body_of(reordered) != body_of(document)
+
+        async def main():
+            return [
+                await service.evaluate(body)
+                for body in (body_of(document), body_of(reordered))
+            ]
+
+        computed, served = asyncio.run(main())
+        assert served["source"] == "store" and served["key"] == computed["key"]
+        assert service.stats_document()["spec_memo"]["entries"] == 2
+
+    def test_invalid_bodies_answer_the_same_400_and_are_not_memoised(
+        self, tmp_path, monkeypatch
+    ):
+        service = make_service(tmp_path)
+        parses = count_spec_parses(monkeypatch)
+        bodies = [body_of({"name": ""}), body_of([1, 2]), b"not json!"]
+
+        async def post(server, path, body):
+            host, port = server.address
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(
+                f"POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: "
+                f"{len(body)}\r\nConnection: close\r\n\r\n".encode("latin-1")
+                + body
+            )
+            await writer.drain()
+            raw = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            return raw
+
+        async def main():
+            server = await start_server(service)
+            try:
+                return [
+                    [
+                        await post(server, path, body)
+                        for path in ("/evaluate", "/evaluate", "/evaluate?stream=1")
+                    ]
+                    for body in bodies
+                ]
+            finally:
+                await server.stop()
+
+        for plain, again, streamed in asyncio.run(main()):
+            assert plain.startswith(b"HTTP/1.1 400 ")
+            assert plain == again
+            assert streamed.startswith(b"HTTP/1.1 400 ")
+        assert parses == ["", "", ""]
+        memo = service.stats_document()["spec_memo"]
+        assert (memo["entries"], memo["bytes"], memo["hits"]) == (0, 0, 0)
+
+    def test_memo_holds_at_most_its_bound(self, monkeypatch):
+        import repro.campaigns.service as service_module
+        from repro.campaigns.service import SPEC_MEMO_ENTRY_BYTES
+
+        service = make_service(store=None)
+        bodies = [body_of(spec_dict(power=10.0 + index)) for index in range(6)]
+        charges = [len(body) + SPEC_MEMO_ENTRY_BYTES for body in bodies]
+        bound = 2 * max(charges) + 1
+        monkeypatch.setattr(service_module, "SPEC_MEMO_BYTES", bound)
+        for body in bodies:
+            service.spec_for_body(body)
+            assert service.stats_document()["spec_memo"]["bytes"] <= bound
+        memo = service.stats_document()["spec_memo"]
+        assert memo["entries"] == 2
+        assert memo["bytes"] == sum(charges[-2:])
+        # The least recently used bodies left; the last two are hits.
+        service.spec_for_body(bodies[-1])
+        service.spec_for_body(bodies[-2])
+        assert service.stats_document()["spec_memo"]["hits"] == 2
+        oversized = body_of({**spec_dict(), "description": "x" * bound})
+        service.spec_for_body(oversized)
+        assert service.stats_document()["spec_memo"]["entries"] == 2
+
+    def test_tiny_bodies_cannot_flood_the_memo(self):
+        from repro.campaigns.service import SPEC_MEMO_BYTES, SPEC_MEMO_ENTRY_BYTES
+
+        service = make_service(store=None)
+        bodies = [body_of({"name": f"a{index}"}) for index in range(1200)]
+        for body in bodies:
+            service.spec_for_body(body)
+        memo = service.stats_document()["spec_memo"]
+        assert memo["bytes"] <= SPEC_MEMO_BYTES
+        assert memo["entries"] <= SPEC_MEMO_BYTES // SPEC_MEMO_ENTRY_BYTES
+        assert memo["entries"] < len(bodies)
+
+    def test_entry_charge_covers_a_memoised_spec(self):
+        # The charge per entry stands for memory: what memoising minimal
+        # bodies really holds stays within it.
+        import gc
+        import tracemalloc
+
+        from repro.campaigns.service import SPEC_MEMO_ENTRY_BYTES
+
+        service = make_service(store=None)
+        service.spec_for_body(body_of({"name": "warm"}))
+        bodies = [body_of({"name": f"b{index}"}) for index in range(200)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for body in bodies:
+                service.spec_for_body(body)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert service.stats_document()["spec_memo"]["entries"] == 201
+        assert held / len(bodies) <= SPEC_MEMO_ENTRY_BYTES
+
+    def test_streamed_first_sighting_is_not_a_memo_hit(self, tmp_path):
+        service = make_service(tmp_path)
+
+        async def main():
+            server = await start_server(service)
+            try:
+                streamed = await http_request(
+                    server, "POST", "/evaluate?stream=1", spec_dict()
+                )
+                return streamed, service.stats_document()["spec_memo"]
+            finally:
+                await server.stop()
+
+        (status, events), memo = asyncio.run(main())
+        assert status == 200 and events[-1]["event"] == "result"
+        assert (memo["entries"], memo["hits"]) == (1, 0)
+
+    def test_memoised_spec_still_reads_the_store(self, tmp_path):
+        service = make_service(tmp_path)
+        body = body_of(spec_dict())
+
+        async def main():
+            computed = await service.evaluate(body)
+            served = await service.evaluate(body)
+            service.store._object_path(served["key"]).unlink()
+            recomputed = await service.evaluate(body)
+            return computed, served, recomputed
+
+        computed, served, recomputed = asyncio.run(main())
+        assert [computed["source"], served["source"], recomputed["source"]] == [
+            "computed",
+            "store",
+            "computed",
+        ]
+        assert service.stats_document()["spec_memo"]["hits"] == 2
+        assert service.counters["service.computed"] == 2
+
+    def test_stats_report_the_memo(self, tmp_path):
+        from repro.campaigns.service import SPEC_MEMO_BYTES, SPEC_MEMO_ENTRY_BYTES
+
+        service = make_service(tmp_path)
+        body = spec_dict()
+
+        async def main():
+            server = await start_server(service)
+            try:
+                for _ in range(2):
+                    await http_request(server, "POST", "/evaluate", body)
+                return await http_request(server, "GET", "/stats")
+            finally:
+                await server.stop()
+
+        status, (stats,) = asyncio.run(main())
+        assert status == 200
+        assert stats["spec_memo"] == {
+            "entries": 1,
+            "bytes": len(body_of(body)) + SPEC_MEMO_ENTRY_BYTES,
+            "max_bytes": SPEC_MEMO_BYTES,
+            "hits": 1,
+        }
+
+    def test_non_utf8_store_object_is_recomputed(self, tmp_path):
+        service = make_service(tmp_path)
+
+        async def main():
+            server = await start_server(service)
+            try:
+                status, (cold,) = await http_request(
+                    server, "POST", "/evaluate", spec_dict()
+                )
+                path = service.store._object_path(cold["key"])
+                damaged = bytearray(path.read_bytes())
+                damaged[len(damaged) // 2] ^= 0x80
+                path.write_bytes(bytes(damaged))
+                return await http_request(server, "POST", "/evaluate", spec_dict())
+            finally:
+                await server.stop()
+
+        status, (document,) = asyncio.run(main())
+        assert (status, document["source"]) == (200, "computed")
+        assert service.store.stats.corrupt == 1

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -531,9 +530,9 @@ class ThermalAwareDesignFlow:
         ``initial`` follows :class:`~repro.methodology.transient.
         TransientRequest`: ``"ambient"`` starts uniform at the convective
         ambient, ``"steady"`` from the steady state of the first phase
-        (reusing the flow's cached steady factorisation), a float from that
-        uniform temperature.  ``method`` selects the integration path
-        (``"lu"``, ``"rom"``, ``"auto"``; see
+        (solved by the transient solver with the flow's cached factor, after
+        its steps), a float from that uniform temperature.  ``method``
+        selects the integration path (``"lu"``, ``"rom"``, ``"auto"``; see
         :meth:`repro.thermal.TransientSolver.solve`).  A
         :class:`TransientRequest` may be passed in place of the trace, in
         which case the remaining arguments but ``solver`` are ignored.
@@ -563,9 +562,7 @@ class ThermalAwareDesignFlow:
                 f"asks for {request.theta}"
             )
         if request.initial == "steady":
-            # Deferred: the solver prepares its steppers first, so they
-            # overlap another thread's build of the factor this solve needs.
-            initial_field = partial(self._solver().solve, schedule.segments[0].sources)
+            initial_field: Union[str, float, None] = "steady"
         elif request.initial == "ambient":
             initial_field = None
         else:

@@ -31,14 +31,8 @@ from ..activity import ActivityTrace
 from ..errors import AnalysisError, ConfigurationError
 from ..oni import OniPowerConfig
 from ..snr import BatchSnrReport, OniThermalState
+from ..snr.analysis import first_worst_index
 from ..thermal import TRANSIENT_METHODS, TransientResult
-
-#: Tie window of :meth:`SnrTimeSeries.worst_sample`, in units in the last
-#: place of the worst SNR.  Sized to solver round-off: samples along a
-#: temperature plateau scatter by up to ~100 ulp across backward-stable
-#: solvers (1024 ulp is ~3.6e-12 dB at 18.5 dB), while a sample that really
-#: differs sits thousands of ulp away.
-SNR_TIE_ULPS = 1024
 
 
 @dataclass(frozen=True)
@@ -260,18 +254,14 @@ class SnrTimeSeries:
     def worst_sample(self) -> Tuple[float, str, float]:
         """(time, link name, SNR) of the globally worst sample.
 
-        Samples within :data:`SNR_TIE_ULPS` units in the last place of the
-        minimum are ties, resolved to the earliest time (then the first link
-        in canonical order).  Otherwise the last bits of round-off would pick
+        Samples within :data:`repro.snr.SNR_TIE_ULPS` units in the last place
+        of the minimum are ties, resolved to the earliest time (then the
+        first link in canonical order).  Otherwise the last bits of round-off would pick
         which of several equal samples is reported, e.g. along a plateau
         where the temperatures stop changing.
         """
         snr = self.batch.snr_db
-        flat = int(np.argmin(snr))
-        worst = snr.flat[flat]
-        if np.isfinite(worst):
-            slack = SNR_TIE_ULPS * np.spacing(abs(worst))
-            flat = int(np.argmax(snr.ravel() <= worst + slack))
+        flat = int(first_worst_index(snr.ravel()))
         t_index, s_index = np.unravel_index(flat, snr.shape)
         return (
             float(self.times_s[t_index]),

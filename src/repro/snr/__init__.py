@@ -1,11 +1,12 @@
 """Worst-case SNR analysis of the optical interconnect."""
 
-from .analysis import BatchSnrReport, LinkResult, SnrAnalyzer, SnrReport
+from .analysis import SNR_TIE_ULPS, BatchSnrReport, LinkResult, SnrAnalyzer, SnrReport
 from .engine import OpticalLinkEngine, PropagationBatch, ThermalStateBatch
 from .state import LaserDriveConfig, OniThermalState, states_by_name
 from .transmission import PropagationTrace, WaveguidePropagator
 
 __all__ = [
+    "SNR_TIE_ULPS",
     "BatchSnrReport",
     "LinkResult",
     "SnrAnalyzer",

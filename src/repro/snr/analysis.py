@@ -40,6 +40,29 @@ from .engine import OpticalLinkEngine, PropagationBatch, ThermalStateBatch
 from .state import LaserDriveConfig, OniThermalState
 from .transmission import PropagationTrace, WaveguidePropagator
 
+#: Tie window of the reported worst link and worst sample, in units in the
+#: last place of the worst SNR.  Sized to solver round-off: samples along a
+#: temperature plateau scatter by up to ~100 ulp across backward-stable
+#: solvers (1024 ulp is ~3.6e-12 dB at 18.5 dB), while a sample that really
+#: differs sits thousands of ulp away.
+SNR_TIE_ULPS = 1024
+
+
+def first_worst_index(snr_db: np.ndarray) -> np.ndarray:
+    """Index along the last axis of the first SNR within :data:`SNR_TIE_ULPS`
+    of the minimum (an exact argmin when the minimum is not finite).
+
+    So the last bits of round-off never pick which of several equal links
+    or samples is reported: symmetric links, or a plateau where the
+    temperatures stop changing, report the first in canonical order.
+    """
+    exact = np.argmin(snr_db, axis=-1)
+    worst = np.take_along_axis(snr_db, exact[..., None], axis=-1)
+    finite = np.isfinite(worst)
+    slack = SNR_TIE_ULPS * np.spacing(np.abs(np.where(finite, worst, 0.0)))
+    tied = np.argmax(snr_db <= worst + slack, axis=-1)
+    return np.where(finite[..., 0], tied, exact)
+
 
 @dataclass(frozen=True)
 class LinkResult:
@@ -78,13 +101,15 @@ class SnrReport:
         self._link_index: Optional[Dict[str, LinkResult]] = None
 
     def worst_case(self) -> LinkResult:
-        """Link with the lowest SNR."""
-        return min(self.links, key=lambda link: link.snr_db)
+        """Link with the lowest SNR: the first in canonical order within
+        :data:`SNR_TIE_ULPS` of the minimum."""
+        snr = np.array([link.snr_db for link in self.links])
+        return self.links[int(first_worst_index(snr))]
 
     @property
     def worst_case_snr_db(self) -> float:
-        """Worst-case SNR over all communications [dB]."""
-        return self.worst_case().snr_db
+        """Worst-case SNR over all communications [dB] (the exact minimum)."""
+        return min(link.snr_db for link in self.links)
 
     @property
     def average_snr_db(self) -> float:
@@ -216,8 +241,9 @@ class BatchSnrReport:
         return np.all(self.detected, axis=1)
 
     def worst_case_links(self) -> List[str]:
-        """Name of the worst-SNR link of each thermal state."""
-        indices = np.argmin(self.snr_db, axis=1)
+        """Name of the worst-SNR link of each thermal state (the first in
+        canonical order within :data:`SNR_TIE_ULPS` of its minimum)."""
+        indices = first_worst_index(self.snr_db)
         return [self.link_names[index] for index in indices]
 
     def report(self, index: int) -> SnrReport:

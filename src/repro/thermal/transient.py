@@ -18,7 +18,16 @@ Time integration uses the one-parameter θ-method
 ``(C/dt + θ K) T_{n+1} = (C/dt - (1-θ) K) T_n + q_n + b``
 
 with backward Euler (θ = 1) as the robust default and Crank–Nicolson
-(θ = 0.5) as the second-order option.  Power is piecewise constant per
+(θ = 0.5) as the second-order option.  The full-space path steps the
+deviation ``D = T - T0`` from the starting field ``T0``: as
+``A - M = K`` for ``A = C/dt + θK`` and ``M = C/dt - (1-θ)K``,
+
+``A D_{n+1} = M D_n + q_n + b - K T0``
+
+For a steady start ``K T0`` is the first segment's load itself, so no step
+needs ``T0`` and ``T0`` is solved after the steps; a step from ``D = 0``
+under zero forcing (the whole first segment of a steady start) is exactly
+zero and is skipped.  Power is piecewise constant per
 schedule segment and steps are aligned to segment boundaries, so for a fixed
 step the iteration matrix ``A = C/dt + θK`` never changes: it is factorised
 **once** and every step of every trace sharing the mesh reuses the
@@ -39,7 +48,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import (
-    Callable,
     Dict,
     Iterable,
     List,
@@ -84,10 +92,8 @@ logger = get_logger("thermal.transient")
 #: as their ``(n, 6)`` bounds array.
 ProbeSpec = Union[Box, Sequence[Box], np.ndarray]
 
-#: A starting field (see :meth:`TransientSolver.solve`), or a callable
-#: returning one.
-_Field = Union[float, np.ndarray, ThermalMap, None]
-InitialField = Union[_Field, Callable[[], _Field]]
+#: A starting field (see :meth:`TransientSolver.solve`).
+InitialField = Union[str, float, np.ndarray, ThermalMap, None]
 
 
 def piecewise_segment_index(durations: Sequence[float], t: float) -> int:
@@ -397,16 +403,17 @@ class _SnapshotRecorder:
     Targets are consumed in order; each is snapped to the end of the first
     step at or after it.  The field is obtained from a provider callable
     exactly once per step that records anything, so the reduced path only
-    lifts to full space at steps that actually keep a snapshot.
+    lifts to full space at steps that actually keep a snapshot.  Providers
+    must return an array nobody mutates afterwards; :meth:`snapshots` copies
+    it (or adds an offset) into each map.
     """
 
-    __slots__ = ("_mesh", "_targets", "_cursor", "snapshots")
+    __slots__ = ("_targets", "_cursor", "_kept")
 
-    def __init__(self, mesh: Mesh3D, targets: Sequence[float]) -> None:
-        self._mesh = mesh
+    def __init__(self, targets: Sequence[float]) -> None:
         self._targets = targets
         self._cursor = 0
-        self.snapshots: List[TransientSnapshot] = []
+        self._kept: List[Tuple[float, float, np.ndarray]] = []
 
     def record(self, now: float, field_provider, flush: bool = False) -> None:
         field: Optional[np.ndarray] = None
@@ -415,16 +422,26 @@ class _SnapshotRecorder:
         ):
             if field is None:
                 field = field_provider()
-            self.snapshots.append(
-                TransientSnapshot(
-                    time_s=now,
-                    requested_time_s=self._targets[self._cursor],
-                    thermal_map=ThermalMap(
-                        self._mesh, field.reshape(self._mesh.shape).copy()
-                    ),
-                )
-            )
+            self._kept.append((now, self._targets[self._cursor], field))
             self._cursor += 1
+
+    def snapshots(
+        self, mesh: Mesh3D, offset: Optional[np.ndarray] = None
+    ) -> List[TransientSnapshot]:
+        """The recorded snapshots, each field plus ``offset`` when given."""
+        return [
+            TransientSnapshot(
+                time_s=now,
+                requested_time_s=target,
+                thermal_map=ThermalMap(
+                    mesh,
+                    (field.copy() if offset is None else field + offset).reshape(
+                        mesh.shape
+                    ),
+                ),
+            )
+            for now, target, field in self._kept
+        ]
 
 
 class TransientSolver:
@@ -513,8 +530,6 @@ class TransientSolver:
     # Internal -------------------------------------------------------------------
 
     def _initial_field(self, initial_temperature_c: InitialField) -> np.ndarray:
-        if callable(initial_temperature_c):
-            initial_temperature_c = initial_temperature_c()
         if initial_temperature_c is None:
             ambient = self._ambient_reference_c()
             return np.full(self._mesh.n_cells, ambient, dtype=float)
@@ -640,54 +655,69 @@ class TransientSolver:
         (deterministic JSON; feed to the store / kernel warm-start)."""
         return [basis.to_payload_json() for _, basis in self._rom_bases.items()]
 
+    def _steady_field(self, entry: CacheEntry, load: np.ndarray) -> np.ndarray:
+        """``K⁻¹ load`` with the cached factor of the operator ``entry``: bit
+        for bit the field :class:`~repro.thermal.SteadyStateSolver` solves
+        for that load on this mesh."""
+        factorization, _, _ = shared_cache.factorize(entry.operator.matrix, entry.key)
+        return factorization.solve(load)
+
     def _integrate_full(
         self,
+        entry: CacheEntry,
         steppers: Sequence[CacheEntry],
         plan: Sequence[Tuple[ScheduleSegment, int, float]],
         segment_loads: Sequence[np.ndarray],
-        initial: np.ndarray,
+        initial: Optional[np.ndarray],
+        reference: np.ndarray,
         functionals: Mapping[str, _ProbeFunctional],
         snapshot_targets: Sequence[float],
         total_steps: int,
         collect_trajectory: bool = False,
     ):
-        """Full-space LU integration (the reference path) with the
-        :meth:`_steppers` of ``plan``.
+        """Full-space integration (the reference path) with the
+        :meth:`_steppers` of ``plan``, stepping the deviation ``D`` from the
+        start ``T0`` (see the module docstring).
 
-        With ``collect_trajectory`` every state including the initial field
-        is kept as a column for POD basis construction.
+        ``reference`` is ``K T0``; ``initial`` is ``T0``, or ``None`` for the
+        steady state of ``reference``, solved once the steps are done so
+        they need not wait for the operator's factor.  Probes are recorded
+        on ``D`` and offset by their value at ``T0``; fields are kept only
+        for snapshots, the final map and, with ``collect_trajectory``, every
+        state including the initial field as a column for POD basis
+        construction.
         """
-        temperatures = initial
         times = np.empty(total_steps + 1, dtype=float)
         times[0] = 0.0
-        probe_values = {
-            name: np.empty(total_steps + 1, dtype=float) for name in functionals
-        }
-        for name, functional in functionals.items():
-            probe_values[name][0] = functional.value(temperatures)
-        recorder = _SnapshotRecorder(self._mesh, snapshot_targets)
-        recorder.record(0.0, lambda: temperatures)
-        trajectory = [temperatures] if collect_trajectory else None
+        probe_values = {name: np.zeros(total_steps + 1) for name in functionals}
+        rest = np.zeros(self._mesh.n_cells)
+        deviation = rest
+        recorder = _SnapshotRecorder(snapshot_targets)
+        recorder.record(0.0, lambda: rest)
+        trajectory = [rest] if collect_trajectory else None
 
         step_index = 0
         now = 0.0
         boundaries: List[float] = []
-        for (segment, count, dt_eff), constant_rhs, stepper in zip(
+        for (segment, count, dt_eff), load, stepper in zip(
             plan, segment_loads, steppers
         ):
+            forcing = load - reference
             factorization, explicit = stepper.factor, stepper.explicit
+            # From rest under zero forcing every step solves to exactly zero.
+            at_rest = deviation is rest and not forcing.any()
             for _ in range(count):
-                rhs = explicit @ temperatures + constant_rhs
-                temperatures = factorization.solve(rhs)
+                if not at_rest:
+                    deviation = factorization.solve(explicit @ deviation + forcing)
                 step_index += 1
                 now += dt_eff
                 times[step_index] = now
                 for name, functional in functionals.items():
-                    probe_values[name][step_index] = functional.value(temperatures)
-                recorder.record(now, lambda: temperatures)
+                    probe_values[name][step_index] = functional.value(deviation)
+                recorder.record(now, lambda: deviation)
                 if trajectory is not None:
-                    trajectory.append(temperatures)
-            if not np.all(np.isfinite(temperatures)):
+                    trajectory.append(deviation)
+            if not np.all(np.isfinite(deviation)):
                 raise SolverError(
                     f"transient solve produced non-finite temperatures in "
                     f"segment {segment.label or len(boundaries)}"
@@ -696,14 +726,22 @@ class TransientSolver:
         # Targets within the validation tolerance of the schedule end may
         # still be (marginally) beyond the last step time; record them from
         # the final field so every accepted request yields a snapshot.
-        recorder.record(now, lambda: temperatures, flush=True)
+        recorder.record(now, lambda: deviation, flush=True)
+        if initial is None:
+            initial = self._steady_field(entry, reference)
+        for name, functional in functionals.items():
+            probe_values[name] += functional.value(initial)
         return (
             times,
             probe_values,
-            recorder.snapshots,
-            temperatures,
+            recorder.snapshots(self._mesh, offset=initial),
+            initial + deviation,
             boundaries,
-            np.column_stack(trajectory) if trajectory is not None else None,
+            (
+                np.column_stack(trajectory) + initial[:, None]
+                if trajectory is not None
+                else None
+            ),
         )
 
     def _integrate_reduced(
@@ -754,7 +792,7 @@ class TransientSolver:
             name: v[functional.indices].T @ functional.weights
             for name, functional in functionals.items()
         }
-        recorder = _SnapshotRecorder(self._mesh, snapshot_targets)
+        recorder = _SnapshotRecorder(snapshot_targets)
         recorder.record(0.0, lambda: initial)
 
         step_index = 0
@@ -792,7 +830,7 @@ class TransientSolver:
         return (
             times,
             probe_values,
-            recorder.snapshots,
+            recorder.snapshots(self._mesh),
             final_field,
             boundaries,
             max_residual,
@@ -821,11 +859,12 @@ class TransientSolver:
             no longer than this, aligned to segment boundaries.
         initial_temperature_c:
             Starting field: a uniform value, a full array / ThermalMap,
-            ``None`` for the mean convective ambient, or a callable returning
-            one of those.  A callable is called once the work that needs no
-            initial field is done (probes, plan, loads and, for ``"lu"``,
-            the steppers), so a steady initial state waiting on a
-            factorisation another thread is building holds none of it up.
+            ``None`` for the mean convective ambient, or ``"steady"`` for
+            the steady state of the first segment's load.  The ``"lu"``
+            path solves that state after its steps, which do not need it,
+            so they never wait on the operator's factor while another thread
+            builds it; ``"rom"`` and ``"auto"`` solve it first, as the
+            basis key hashes the starting field.
         snapshot_times_s:
             Times at which the full field is kept; each is snapped to the
             end of the first step at or after it.  The final field is always
@@ -858,6 +897,12 @@ class TransientSolver:
             raise SolverError("the schedule has no segments")
         if not math.isfinite(dt_s) or dt_s <= 0.0:
             raise SolverError(f"dt_s must be a positive finite number, got {dt_s!r}")
+        steady = isinstance(initial_temperature_c, str)
+        if steady and initial_temperature_c != "steady":
+            raise SolverError(
+                f"unknown initial temperature {initial_temperature_c!r}; a "
+                "string start must be 'steady'"
+            )
         total_duration = schedule.total_duration_s
         snapshot_targets = sorted(float(t) for t in snapshot_times_s)
         if snapshot_targets and (
@@ -885,7 +930,7 @@ class TransientSolver:
             for segment, _, _ in plan
         ]
         steppers = self._steppers(entry, plan) if method == "lu" else None
-        initial = self._initial_field(initial_temperature_c)
+        initial = None if steady else self._initial_field(initial_temperature_c)
 
         basis: Optional[ReducedBasis] = None
         basis_key = ""
@@ -893,6 +938,8 @@ class TransientSolver:
         rom_basis_built = False
         rom_dim = 0
         if method != "lu":
+            if initial is None:
+                initial = self._steady_field(entry, segment_loads[0])
             basis_key = basis_content_key(
                 entry.matrix_key,
                 self._capacitance,
@@ -944,12 +991,16 @@ class TransientSolver:
             )
 
         collect = method == "rom" and basis is None
+        # ``K T0``: for a steady start the first load itself, exactly.
+        reference = segment_loads[0] if steady else entry.operator.matrix @ initial
         times, probe_values, snapshots, final, boundaries, trajectory = (
             self._integrate_full(
+                entry,
                 steppers or self._steppers(entry, plan),
                 plan,
                 segment_loads,
                 initial,
+                reference,
                 functionals,
                 snapshot_targets,
                 total_steps,
@@ -995,9 +1046,7 @@ class TransientSolver:
         rom_fallback: bool,
         rom_residual: float,
     ) -> TransientResult:
-        final_map = ThermalMap(
-            self._mesh, final_field.reshape(self._mesh.shape).copy()
-        )
+        final_map = ThermalMap(self._mesh, final_field.reshape(self._mesh.shape))
         diagnostics = TransientDiagnostics(
             n_cells=self._mesh.n_cells,
             steps=int(times.size - 1),

@@ -25,10 +25,10 @@ from repro.scenarios import ScenarioRunner, default_registry
 from repro.scenarios import runner as runner_module
 from repro.thermal import (
     FactorizationCache,
-    SteadyStateSolver,
     clear_factorization_cache,
     factorization_cache_stats,
 )
+from repro.thermal.factorization import BandedCholesky, shared_cache
 
 SPEC = default_registry().get("small_die_uniform")
 METHODS = ("lu", "rom", "auto")
@@ -268,52 +268,80 @@ def _recording(events, name, original):
     return call
 
 
+def _record_solves(events, monkeypatch):
+    """Append ``"stepper"`` to ``events`` per stepper lookup and the factor
+    of every :meth:`BandedCholesky.solve`."""
+    monkeypatch.setattr(
+        FactorizationCache,
+        "stepper",
+        _recording(events, "stepper", FactorizationCache.stepper),
+    )
+    solve = BandedCholesky.solve
+
+    def recording_solve(factor, rhs):
+        events.append(factor)
+        return solve(factor, rhs)
+
+    monkeypatch.setattr(BandedCholesky, "solve", recording_solve)
+
+
+def _kinds(events, flow):
+    """``events`` with each factor named: ``"steady"`` for the package
+    operator's, ``"step"`` for a stepper's."""
+    entry = shared_cache.operator(
+        flow.transient_solver().mesh, flow.architecture.boundary_conditions()
+    )
+    package, _, _ = shared_cache.factorize(entry.operator.matrix, entry.key)
+    return [
+        event if isinstance(event, str) else "steady" if event is package else "step"
+        for event in events
+    ]
+
+
 class TestOrdering:
-    """The transient task does its K-independent work before its steady
-    initial state waits on the package factor."""
+    """The transient task steps a steady start without waiting on the
+    package factor; it solves the start itself once the steps are done."""
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_lu_resolves_its_steppers_before_calling_the_initial_field(
-        self, method, monkeypatch
-    ):
-        events = []
-        monkeypatch.setattr(
-            FactorizationCache,
-            "stepper",
-            _recording(events, "stepper", FactorizationCache.stepper),
-        )
+    def test_a_steady_start_is_solved_after_every_lu_step(self, method, monkeypatch):
         runner = ScenarioRunner(SPEC)
         flow = runner.flow()
         schedule = flow.build_schedule(runner.trace(), runner.power_config())
-
-        def final_field(initial):
-            result = flow.transient_solver().solve(
-                schedule, SPEC.trace.dt_s, initial_temperature_c=initial, method=method
-            )
-            return result.final_map.temperatures_c.tobytes()
-
-        deferred = final_field(_recording(events, "initial", lambda: 40.0))
-        assert events.count("initial") == 1
-        assert events.index("initial") == (len(schedule) if method == "lu" else 0)
-        assert deferred == final_field(40.0)
-
-    def test_the_steady_initial_state_is_solved_after_the_steppers(
-        self, monkeypatch
-    ):
+        solver = flow.transient_solver()
+        first_segment = solver._segment_steps(schedule, SPEC.trace.dt_s)[0][1]
         events = []
-        monkeypatch.setattr(
-            FactorizationCache,
-            "stepper",
-            _recording(events, "stepper", FactorizationCache.stepper),
+        _record_solves(events, monkeypatch)
+        result = solver.solve(
+            schedule,
+            SPEC.trace.dt_s,
+            initial_temperature_c="steady",
+            snapshot_times_s=(0.0,),
+            method=method,
         )
-        monkeypatch.setattr(
-            SteadyStateSolver,
-            "solve_many",
-            _recording(events, "steady", SteadyStateSolver.solve_many),
-        )
+        kinds = _kinds(events, flow)
+        if method == "lu":
+            steps = result.diagnostics.steps - first_segment
+            assert steps > 0
+            assert kinds == ["stepper"] * len(schedule) + ["step"] * steps + ["steady"]
+        else:
+            # The basis key hashes the start, so it is solved first.
+            assert kinds[0] == "steady"
+        monkeypatch.undo()
+        steady = flow._solver().solve(schedule.segments[0].sources)
+        start = result.snapshots[0].thermal_map.temperatures_c
+        assert start.tobytes() == steady.temperatures_c.tobytes()
+
+    def test_the_runner_solves_a_steady_start_after_its_steps(self, monkeypatch):
+        events = []
+        _record_solves(events, monkeypatch)
         assert SPEC.trace.initial == "steady"
-        ScenarioRunner(SPEC).run(("transient",))
-        assert events.index("steady") == events.count("stepper") > 0
+        runner = ScenarioRunner(SPEC)
+        runner.run(("transient",))
+        kinds = _kinds(events, runner.flow())
+        steppers = kinds.count("stepper")
+        steps = kinds.count("step")
+        assert steppers > 0 and steps > 0
+        assert kinds == ["stepper"] * steppers + ["step"] * steps + ["steady"]
 
 
 class TestTelemetry:

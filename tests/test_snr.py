@@ -1,5 +1,7 @@
 """Tests for the SNR analysis (paper Section IV.C)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,12 @@ from repro.devices import VcselModel
 from repro.errors import AnalysisError
 from repro.onoc import Communication, OrnocNetwork, RingTopology, opposite_traffic, shift_traffic
 from repro.snr import (
+    SNR_TIE_ULPS,
     LaserDriveConfig,
     OniThermalState,
     OpticalLinkEngine,
     SnrAnalyzer,
+    SnrReport,
     ThermalStateBatch,
     WaveguidePropagator,
     states_by_name,
@@ -450,3 +454,59 @@ class TestBatchAnalyzer:
             engine.propagate_many(
                 states, np.full((1, engine.signal_count), -1.0)
             )
+
+
+class TestWorstLinkTies:
+    """The reported worst link is the first in canonical order within
+    ``SNR_TIE_ULPS`` of the minimum, so round-off between symmetric links
+    cannot pick it; the worst SNR stays the exact minimum."""
+
+    WORST = 45.16386868715628
+
+    def report(self, values):
+        ring, network = make_network()
+        report = SnrAnalyzer(network).analyze(
+            uniform_states(ring, 45.0), LaserDriveConfig.from_dissipated_mw(3.6)
+        )
+        assert len(report.links) >= len(values)
+        values = list(values) + [60.0] * (len(report.links) - len(values))
+        return SnrReport(
+            links=[replace(link, snr_db=v) for link, v in zip(report.links, values)],
+            traces=report.traces,
+        )
+
+    def batch(self, rows):
+        ring, network = make_network()
+        drive = LaserDriveConfig.from_dissipated_mw(3.6)
+        many = SnrAnalyzer(network).analyze_many(
+            [uniform_states(ring, 45.0)] * len(rows), drive
+        )
+        snr = np.full(many.snr_db.shape, 60.0)
+        snr[:, : len(rows[0])] = rows
+        return replace(many, snr_db=snr)
+
+    def test_links_two_ulp_apart_report_the_first_in_either_order(self):
+        above = self.WORST + 2 * np.spacing(self.WORST)
+        for values in ([50.0, self.WORST, above], [50.0, above, self.WORST]):
+            report = self.report(values)
+            assert report.worst_case() is report.links[1]
+            assert report.summary_dict()["worst_link"] == report.links[1].communication.name
+            assert report.worst_case_snr_db == self.WORST
+            assert report.summary_dict()["worst_case_snr_db"] == self.WORST
+        many = self.batch([[50.0, self.WORST, above], [50.0, above, self.WORST]])
+        assert many.worst_case_links() == [many.link_names[1]] * 2
+        assert list(many.worst_case_snr_db) == [self.WORST] * 2
+
+    def test_a_gap_wider_than_the_window_reports_the_true_minimum(self):
+        above = self.WORST + 4 * SNR_TIE_ULPS * np.spacing(self.WORST)
+        report = self.report([50.0, above, self.WORST])
+        assert report.worst_case() is report.links[2]
+        assert report.worst_case_snr_db == self.WORST
+        many = self.batch([[50.0, above, self.WORST], [50.0, self.WORST, above]])
+        assert many.worst_case_links() == [many.link_names[2], many.link_names[1]]
+
+    def test_a_non_finite_minimum_is_an_exact_argmin(self):
+        report = self.report([50.0, -np.inf, -np.inf])
+        assert report.worst_case() is report.links[1]
+        many = self.batch([[50.0, 40.0, -np.inf]])
+        assert many.worst_case_links() == [many.link_names[2]]

@@ -163,13 +163,13 @@ class TestLapackParity:
         factor = BandedCholesky(matrix)
         permutation = factor._permutation
         assert (permutation is not None) == (ordering == "rcm")
-        # scipy factorises the upper band of the matrix in the chosen order.
+        # scipy factorises the lower band of the matrix in the chosen order.
         ordered = matrix if permutation is None else matrix[permutation][:, permutation]
-        upper = sparse.triu(ordered).tocoo()
+        lower = sparse.tril(ordered).tocoo()
         kd = factor.bandwidth
         band = np.zeros((kd + 1, n))
-        band[kd + upper.row - upper.col, upper.col] = upper.data
-        expected = cholesky_banded(band, lower=False, check_finite=False)
+        band[lower.row - lower.col, lower.col] = lower.data
+        expected = cholesky_banded(band, lower=True, check_finite=False)
         np.testing.assert_array_equal(factor._factor, expected)
 
         rng = np.random.default_rng(200 + seed)
@@ -180,7 +180,7 @@ class TestLapackParity:
         ):
             before = rhs.copy()
             ordered_rhs = rhs if permutation is None else rhs[permutation]
-            oracle = cho_solve_banded((expected, False), ordered_rhs, check_finite=False)
+            oracle = cho_solve_banded((expected, True), ordered_rhs, check_finite=False)
             if permutation is not None:
                 unpermuted = np.empty_like(oracle)
                 unpermuted[permutation] = oracle
@@ -189,6 +189,17 @@ class TestLapackParity:
             assert solution.shape == rhs.shape
             np.testing.assert_array_equal(solution, oracle)
             np.testing.assert_array_equal(rhs, before)
+
+    @pytest.mark.parametrize("shape,ordering", TestBandedCholesky.SHAPES)
+    def test_a_stacked_solve_equals_its_per_column_solves(self, shape, ordering):
+        factor = BandedCholesky(stencil_operator(shape, 0))
+        assert (factor._permutation is not None) == (ordering == "rcm")
+        stacked = np.random.default_rng(300).standard_normal((factor._factor.shape[1], 3))
+        solution = factor.solve(stacked)
+        for column in range(3):
+            np.testing.assert_array_equal(
+                solution[:, column], factor.solve(stacked[:, column])
+            )
 
     def test_a_missing_routine_is_named(self):
         with pytest.raises(ImportError, match="dpbtrf_nonexistent"):

@@ -34,6 +34,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 from .. import telemetry
 from ..errors import ConfigurationError
 from ..log import get_logger
+from ..scenarios import ScenarioSpec
 from .kernel import EvaluationKernel
 
 #: Executor registry names, in documentation order.
@@ -47,18 +48,15 @@ logger = get_logger("executors")
 
 @dataclass(frozen=True)
 class WorkItem:
-    """One spec of a campaign, as plain picklable data.
+    """One spec of a campaign: its submission position and the spec itself.
 
-    ``index`` is the submission position (stable across executors),
-    ``spec_hash``/``design_hash`` are carried for failure provenance so a
-    worker never has to re-derive them.
+    ``index`` is stable across executors.  The spec pickles with its
+    memoised hashes, so its name, ``spec_hash`` and ``design_hash`` are
+    read off it wherever the item lands.
     """
 
     index: int
-    name: str
-    spec_hash: str
-    design_hash: str
-    spec_dict: Dict[str, Any]
+    spec: ScenarioSpec
 
 
 @dataclass
@@ -94,6 +92,18 @@ class ExecutionResult:
             return None
         return self.incidents[-1]
 
+    def provenance(self) -> Dict[str, Any]:
+        """Failure-provenance document of the item: its spec and design
+        hashes, every failed attempt and whether a retry resolved it."""
+        spec = self.item.spec
+        return {
+            "spec_hash": spec.content_hash(),
+            "design_hash": spec.design_hash(),
+            "attempts": self.attempts,
+            "incidents": list(self.incidents),
+            "resolved": self.ok,
+        }
+
 
 def _incident(attempt: int, error_type: str, message: str) -> Dict[str, Any]:
     return {"attempt": attempt, "type": error_type, "message": message}
@@ -120,7 +130,7 @@ class Executor:
 def run_item(kernel: EvaluationKernel, item: WorkItem) -> ExecutionResult:
     """One in-process kernel call, its failure captured as provenance."""
     try:
-        artifact, stats, payload = kernel.run(item.spec_dict)
+        artifact, stats, payload = kernel.run(item.spec)
     except Exception as error:
         return ExecutionResult(
             item, incidents=[_incident(1, type(error).__name__, str(error))]
@@ -156,9 +166,9 @@ def _process_worker(task_queue, result_queue, kernel: EvaluationKernel) -> None:
         task = task_queue.get()
         if task is None:
             return
-        index, attempt, spec_dict = task
+        index, attempt, spec = task
         try:
-            artifact, stats, payload = kernel.run(spec_dict)
+            artifact, stats, payload = kernel.run(spec)
         except BaseException as error:  # ship the failure, keep serving
             result_queue.put(
                 (index, attempt, False, (type(error).__name__, str(error)))
@@ -185,9 +195,9 @@ class _WorkerHandle:
         self.deadline: Optional[float] = None
 
     def dispatch(
-        self, index: int, attempt: int, spec_dict, timeout_s: Optional[float]
+        self, index: int, attempt: int, spec, timeout_s: Optional[float]
     ) -> None:
-        self.task_queue.put((index, attempt, spec_dict))
+        self.task_queue.put((index, attempt, spec))
         self.current = (index, attempt)
         self.deadline = (
             None if timeout_s is None else time.monotonic() + timeout_s
@@ -274,7 +284,7 @@ class ProcessExecutor(Executor):
                         outstanding[item.index] = (attempt, incidents, item)
                         telemetry.count("executor.dispatches")
                         handle.dispatch(
-                            item.index, attempt, item.spec_dict, self.timeout_s
+                            item.index, attempt, item.spec, self.timeout_s
                         )
                 result = self._collect(
                     result_queue, outstanding, workers, pending
@@ -382,7 +392,7 @@ class ProcessExecutor(Executor):
         telemetry.count("executor.quarantined")
         logger.warning(
             "spec %r quarantined after %d attempt(s): %s",
-            item.name,
+            item.spec.name,
             attempt,
             incidents[-1]["message"] if incidents else "no incident recorded",
         )

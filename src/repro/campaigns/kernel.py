@@ -2,9 +2,9 @@
 
 The :class:`EvaluationKernel` is the pure core every execution substrate
 shares: a picklable value object mapping a validated
-:class:`~repro.scenarios.spec.ScenarioSpec` (shipped as its plain-dict form)
-to a byte-deterministic :class:`~repro.scenarios.runner.ScenarioArtifact`
-plus the engine counters of the run.  It holds **no process-global state** —
+:class:`~repro.scenarios.spec.ScenarioSpec` to a byte-deterministic
+:class:`~repro.scenarios.runner.ScenarioArtifact` plus the engine counters
+of the run.  It holds **no process-global state** —
 every call builds a fresh :class:`~repro.scenarios.runner.ScenarioRunner`
 with its own :class:`~repro.methodology.SweepEngine`, and the design flow it
 shares with other specs keeps no history — so the same kernel instance
@@ -21,12 +21,13 @@ failure always names its spec.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from .. import telemetry
 from ..errors import ConfigurationError
-from ..scenarios import ALL_PATHS, ScenarioArtifact, ScenarioRunner, ScenarioSpec
+from ..scenarios import ALL_PATHS, ScenarioRunner, ScenarioSpec, validate_paths
 from ..thermal import TRANSIENT_METHODS, install_payload
 
 
@@ -96,18 +97,8 @@ class EvaluationKernel:
     telemetry: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "paths", tuple(self.paths))
+        object.__setattr__(self, "paths", validate_paths(self.paths))
         object.__setattr__(self, "warm_start", tuple(self.warm_start))
-        if not self.paths:
-            raise ConfigurationError(
-                f"an evaluation kernel needs at least one analysis path "
-                f"(available: {list(ALL_PATHS)})"
-            )
-        unknown = sorted(set(self.paths) - set(ALL_PATHS))
-        if unknown:
-            raise ConfigurationError(
-                f"unknown analysis paths {unknown}; available: {list(ALL_PATHS)}"
-            )
         if self.transient_method not in TRANSIENT_METHODS:
             raise ConfigurationError(
                 f"transient_method must be one of {TRANSIENT_METHODS}, got "
@@ -118,29 +109,18 @@ class EvaluationKernel:
                 "warm_start takes serialised payload JSON strings"
             )
 
-    def _install_warm_start(self) -> None:
-        """Install the warm-start payloads (idempotent per process: repeated
-        documents are recognised by digest and skipped)."""
-        for payload in self.warm_start:
-            install_payload(payload)
-
-    def evaluate(self, spec: ScenarioSpec) -> ScenarioArtifact:
-        """Run one validated spec on a fresh runner (live-object form)."""
-        self._install_warm_start()
-        runner = ScenarioRunner(spec, transient_method=self.transient_method)
-        return runner.run(self.paths)
-
     def run(
-        self, spec_dict: Mapping[str, Any]
+        self, spec: Union[ScenarioSpec, Mapping[str, Any]]
     ) -> Tuple[Dict[str, Any], Dict[str, int], Optional[Dict[str, Any]]]:
-        """Worker entry point: plain data in, plain data out.
+        """Worker entry point: one validated spec in, plain data out.
 
-        Ships the spec as its validated dict form and returns ``(artifact
-        dict, engine counters dict, telemetry payload)`` — all cheap to
-        pickle back from a worker process.  Deterministic: the same spec
-        dict always yields the identical artifact bytes (modulo the
-        ``telemetry`` provenance subdict, present only when telemetry is
-        on).
+        Takes the spec itself (a mapping is parsed through
+        :meth:`~repro.scenarios.spec.ScenarioSpec.from_dict` first) and
+        returns ``(artifact dict, engine counters dict, telemetry
+        payload)`` — all cheap to pickle back from a worker process.
+        Deterministic: the same spec always yields the identical artifact
+        bytes (modulo the ``telemetry`` provenance subdict, present only
+        when telemetry is on).
 
         The telemetry payload is the plain-data
         (:meth:`~repro.telemetry.SpanCollector.to_payload`) capture of this one
@@ -149,24 +129,24 @@ class EvaluationKernel:
         while telemetry is off.
         """
         enabled = self.telemetry or telemetry.is_enabled()
-        if not enabled:
-            self._install_warm_start()
-            spec = ScenarioSpec.from_dict(dict(spec_dict))
-            runner = ScenarioRunner(
-                spec, transient_method=self.transient_method
-            )
-            artifact = runner.run(self.paths)
-            return artifact.to_dict(), dict(runner.engine().stats), None
-
-        with telemetry.enabled_scope(True), telemetry.collect() as collector:
+        name = spec.name if isinstance(spec, ScenarioSpec) else spec.get("name")
+        with (
+            telemetry.enabled_scope(True) if enabled else contextlib.nullcontext()
+        ), telemetry.collect() as collector:
             # Parsing the spec and serialising its artifact are work for
             # this spec too, so they run inside its span.
-            with telemetry.span(f"spec:{spec_dict.get('name')}") as spec_span:
-                spec = ScenarioSpec.from_dict(dict(spec_dict))
-                spec_span.set(design_hash=spec.design_hash()[:8])
-                self._install_warm_start()
+            with telemetry.span(f"spec:{name}") as spec_span:
+                if not isinstance(spec, ScenarioSpec):
+                    spec = ScenarioSpec.from_dict(dict(spec))
+                if enabled:
+                    spec_span.set(design_hash=spec.design_hash()[:8])
+                # Idempotent per process: repeated payloads are recognised
+                # by digest and skipped.
+                for payload in self.warm_start:
+                    install_payload(payload)
                 runner = ScenarioRunner(
                     spec, transient_method=self.transient_method
                 )
                 artifact = runner.run(self.paths).to_dict()
-        return artifact, dict(runner.engine().stats), collector.to_payload()
+        capture = collector.to_payload() if enabled else None
+        return artifact, dict(runner.engine().stats), capture

@@ -193,7 +193,8 @@ class CampaignRunner:
         Artifact store consulted before computing and updated after; ``None``
         computes everything.
     paths:
-        Analysis paths every scenario runs (default: all four).
+        Analysis paths every scenario runs (default: all four), validated
+        by the kernel.
     workers:
         Worker-process count of the process executor.  With no explicit
         ``executor``, ``workers > 1`` selects the process executor and
@@ -226,7 +227,10 @@ class CampaignRunner:
     kernel:
         Evaluation kernel override (fault-injection tests, future reduced
         kernels); defaults to
-        ``EvaluationKernel(paths, transient_method, warm_start)``.
+        ``EvaluationKernel(paths, transient_method, warm_start, telemetry)``.
+        The kernel alone holds the paths and transient method: the store
+        keys and the report read them off it, so an override's own settings
+        win over ``paths`` and ``transient_method``.
     telemetry:
         Record a timing breakdown for the run: per-spec spans collected in
         every worker, merged with the coordinator's own spans and metrics
@@ -256,16 +260,6 @@ class CampaignRunner:
             raise ConfigurationError(
                 f"on_error must be 'raise' or 'quarantine', not {on_error!r}"
             )
-        if not tuple(paths):
-            raise ConfigurationError(
-                f"a campaign needs at least one analysis path "
-                f"(available: {list(ALL_PATHS)})"
-            )
-        unknown = sorted(set(paths) - set(ALL_PATHS))
-        if unknown:
-            raise ConfigurationError(
-                f"unknown analysis paths {unknown}; available: {list(ALL_PATHS)}"
-            )
         if isinstance(campaign, ScenarioMatrix):
             self.points = campaign.points()
             self.name = name or campaign.name
@@ -291,7 +285,6 @@ class CampaignRunner:
                 f"{duplicates}"
             )
         self.store = store
-        self.paths: Tuple[str, ...] = tuple(paths)
         self.workers = workers
         self.on_error = on_error
         self.telemetry = (
@@ -299,9 +292,9 @@ class CampaignRunner:
         )
         self.kernel = (
             EvaluationKernel(
-                self.paths,
+                paths,
                 transient_method=transient_method,
-                warm_start=tuple(warm_start),
+                warm_start=warm_start,
                 telemetry=self.telemetry,
             )
             if kernel is None
@@ -316,19 +309,11 @@ class CampaignRunner:
             timeout_s=timeout_s,
         )
 
-    def _transient_method(self) -> str:
-        """Transient method the kernel evaluates with (store-key variant).
-
-        Read off the kernel so an override kernel (fault injection) without
-        the field keeps the default LU keyspace.
-        """
-        return getattr(self.kernel, "transient_method", "lu")
-
     def run(self) -> CampaignReport:
         """Execute the campaign and assemble the merged report.
 
         Store hits are served first; the remaining specs are shipped to the
-        executor as plain :class:`~repro.campaigns.executors.WorkItem` data
+        executor as :class:`~repro.campaigns.executors.WorkItem` objects
         and absorbed as their results stream back — each fresh artifact is
         written the moment it exists (in the background, see
         :meth:`ArtifactStore.deferred_index`; every write has landed before
@@ -358,14 +343,15 @@ class CampaignRunner:
         from_store: Dict[str, bool] = {}
         failures: Dict[str, Dict[str, Any]] = {}
         engine_totals = dict.fromkeys(sorted(ENGINE_COUNTERS), 0)
+        kernel = self.kernel
 
-        pending: List[CampaignPoint] = []
+        items: List[WorkItem] = []
         for point in self.points:
             cached = (
                 None
                 if self.store is None
                 else self.store.load(
-                    point.spec, self.paths, self._transient_method()
+                    point.spec, kernel.paths, kernel.transient_method
                 )
             )
             if cached is not None:
@@ -374,19 +360,7 @@ class CampaignRunner:
             else:
                 artifacts[point.spec.name] = None
                 from_store[point.spec.name] = False
-                pending.append(point)
-
-        items = [
-            WorkItem(
-                index=index,
-                name=point.spec.name,
-                spec_hash=point.spec.content_hash(),
-                design_hash=point.spec.design_hash(),
-                spec_dict=point.spec.to_dict(),
-            )
-            for index, point in enumerate(pending)
-        ]
-        points_by_index = {item.index: point for item, point in zip(items, pending)}
+                items.append(WorkItem(len(items), point.spec))
         # Each artifact's write starts the moment it is absorbed and runs
         # in the background; all have landed, and the index is refreshed
         # once, when the block exits.
@@ -396,14 +370,9 @@ class CampaignRunner:
             else self.store.deferred_index()
         ):
             if items:
-                for result in self.executor.execute(self.kernel, items):
+                for result in self.executor.execute(kernel, items):
                     self._absorb(
-                        result,
-                        points_by_index[result.item.index],
-                        artifacts,
-                        failures,
-                        engine_totals,
-                        payloads,
+                        result, artifacts, failures, engine_totals, payloads
                     )
 
         scenarios = [
@@ -422,7 +391,7 @@ class CampaignRunner:
         }
         return CampaignReport(
             campaign=self.name,
-            paths=self.paths,
+            paths=kernel.paths,
             scenarios=scenarios,
             artifacts=complete,
             summary=self._summary(scenarios, complete, failures),
@@ -434,7 +403,6 @@ class CampaignRunner:
     def _absorb(
         self,
         result: ExecutionResult,
-        point: CampaignPoint,
         artifacts: Dict[str, Optional[Dict[str, Any]]],
         failures: Dict[str, Dict[str, Any]],
         engine_totals: Dict[str, int],
@@ -447,33 +415,27 @@ class CampaignRunner:
         an unresolved spec either raises with full provenance (``on_error=
         "raise"``) or is quarantined and the campaign keeps going.
         """
-        item = result.item
+        spec = result.item.spec
         if payloads is not None and result.telemetry is not None:
             payloads.append(result.telemetry)
         if result.incidents:
-            failures[item.name] = {
-                "spec_hash": item.spec_hash,
-                "design_hash": item.design_hash,
-                "attempts": result.attempts,
-                "incidents": list(result.incidents),
-                "resolved": result.ok,
-            }
+            failures[spec.name] = result.provenance()
         if result.ok:
-            artifacts[item.name] = result.artifact
+            artifacts[spec.name] = result.artifact
             add_engine_counters(engine_totals, result.stats)
             if self.store is not None:
                 self.store.store(
-                    point.spec,
+                    spec,
                     ScenarioArtifact.from_dict(result.artifact),
-                    self.paths,
-                    self._transient_method(),
+                    self.kernel.paths,
+                    self.kernel.transient_method,
                 )
             return
         if self.on_error == "raise":
             error = result.error
             raise SpecExecutionError(
-                scenario=item.name,
-                design_hash=item.design_hash,
+                scenario=spec.name,
+                design_hash=spec.design_hash(),
                 attempts=result.attempts,
                 error_type=error["type"],
                 message=error["message"],
@@ -590,31 +552,8 @@ class CampaignRunner:
 
 
 def run_campaign(
-    campaign: Union[ScenarioMatrix, Sequence[CampaignPoint]],
-    store: Optional[ArtifactStore] = None,
-    paths: Sequence[str] = ALL_PATHS,
-    workers: Optional[int] = None,
-    name: Optional[str] = None,
-    executor: Union[str, Executor, None] = None,
-    on_error: str = "raise",
-    max_retries: int = 2,
-    timeout_s: Optional[float] = None,
-    transient_method: str = "lu",
-    warm_start: Sequence[str] = (),
-    telemetry: Optional[bool] = None,
+    campaign: Union[ScenarioMatrix, Sequence[CampaignPoint]], **options: Any
 ) -> CampaignReport:
-    """One-shot convenience wrapper around :class:`CampaignRunner`."""
-    return CampaignRunner(
-        campaign,
-        store=store,
-        paths=paths,
-        workers=workers,
-        name=name,
-        executor=executor,
-        on_error=on_error,
-        max_retries=max_retries,
-        timeout_s=timeout_s,
-        transient_method=transient_method,
-        warm_start=warm_start,
-        telemetry=telemetry,
-    ).run()
+    """One-shot convenience wrapper around :class:`CampaignRunner`, which
+    takes ``options`` as its keyword arguments."""
+    return CampaignRunner(campaign, **options).run()

@@ -155,7 +155,8 @@ class EvaluationService:
     transient_method / warm_start:
         Forwarded to the default :class:`~repro.campaigns.kernel.
         EvaluationKernel` (see :class:`~repro.campaigns.runner.
-        CampaignRunner` for semantics).
+        CampaignRunner` for semantics); like ``paths``, ignored when
+        ``kernel`` is given.
     concurrency:
         Bound on kernel calls in flight across *all* requests (one shared
         semaphore over the loop's default thread pool).
@@ -187,7 +188,6 @@ class EvaluationService:
             if kernel is None
             else kernel
         )
-        self.paths: Tuple[str, ...] = tuple(self.kernel.paths)
         self.store = store
         self.concurrency = concurrency
         self.matrices = None if matrices is None else dict(matrices)
@@ -210,8 +210,10 @@ class EvaluationService:
         self.counters[name] = self.counters.get(name, 0) + 1
         telemetry.count(name)
 
-    def _transient_method(self) -> str:
-        return getattr(self.kernel, "transient_method", "lu")
+    @property
+    def paths(self) -> Tuple[str, ...]:
+        """Analysis paths every evaluation runs: the kernel's."""
+        return self.kernel.paths
 
     def _kernel_semaphore(self) -> asyncio.Semaphore:
         """The shared compute bound, created lazily on the serving loop."""
@@ -229,12 +231,12 @@ class EvaluationService:
         """
         if self.store is not None:
             return self.store.key_for(
-                spec, self.paths, self._transient_method()
+                spec, self.kernel.paths, self.kernel.transient_method
             )
         document = {
             "spec_hash": spec.content_hash(),
-            "paths": sorted(set(self.paths)),
-            "transient_method": self._transient_method(),
+            "paths": sorted(set(self.kernel.paths)),
+            "transient_method": self.kernel.transient_method,
         }
         return hashlib.sha256(
             canonical_json(document).encode("utf-8")
@@ -278,16 +280,16 @@ class EvaluationService:
 
     async def evaluate(
         self,
-        request: Union[bytes, Mapping[str, Any]],
+        request: Union[bytes, Mapping[str, Any], ScenarioSpec],
         on_event: Optional[EventSink] = None,
     ) -> Dict[str, Any]:
         """Serve one spec: validate, coalesce, store-or-compute, persist.
 
-        ``request`` is a spec document, or the raw JSON body of one (the
-        HTTP transport's): a body goes through :meth:`spec_for_body`, and a
-        store hit answers it with the stored artifact text unparsed, which
-        only :func:`_json_line` can write.  A spec document gets an artifact
-        equal to the plain dict.
+        ``request`` is a validated spec, a spec document, or the raw JSON
+        body of one (the HTTP transport's): a body goes through
+        :meth:`spec_for_body`, and a store hit answers it with the stored
+        artifact text unparsed, which only :func:`_json_line` can write.  A
+        spec or spec document gets an artifact equal to the plain dict.
 
         Returns the response document; never raises for a *failing* spec
         (the document carries the failure provenance instead).  Invalid
@@ -299,7 +301,11 @@ class EvaluationService:
             if isinstance(request, bytes):
                 spec, key = self.spec_for_body(request)
             else:
-                spec = ScenarioSpec.from_dict(dict(request))
+                spec = (
+                    request
+                    if isinstance(request, ScenarioSpec)
+                    else ScenarioSpec.from_dict(dict(request))
+                )
                 key = self.request_key(spec)
             request_span.set(scenario=spec.name)
             await _emit(
@@ -341,7 +347,11 @@ class EvaluationService:
         """Store lookup, then one kernel dispatch; returns the document."""
         if self.store is not None:
             text = self.store.load(
-                spec, self.paths, self._transient_method(), key=key, as_text=True
+                spec,
+                self.kernel.paths,
+                self.kernel.transient_method,
+                key=key,
+                as_text=True,
             )
             if text is not None:
                 self._count("service.store_served")
@@ -350,19 +360,12 @@ class EvaluationService:
                     spec, key, "store", artifact=_StoredText(text)
                 )
         await _emit(on_event, {"event": "computing", "key": key})
-        item = WorkItem(
-            index=0,
-            name=spec.name,
-            spec_hash=spec.content_hash(),
-            design_hash=spec.design_hash(),
-            spec_dict=spec.to_dict(),
-        )
         async with self._kernel_semaphore():
             # Counted here, in the request's context: the pool thread does
             # not see the caller's telemetry contextvars.
             telemetry.count("executor.dispatches")
             result = await asyncio.get_running_loop().run_in_executor(
-                None, run_item, self.kernel, item
+                None, run_item, self.kernel, WorkItem(0, spec)
             )
             if not result.ok:
                 telemetry.count("executor.failures")
@@ -374,8 +377,8 @@ class EvaluationService:
                 self.store.store(
                     spec,
                     ScenarioArtifact.from_dict(result.artifact),
-                    self.paths,
-                    self._transient_method(),
+                    self.kernel.paths,
+                    self.kernel.transient_method,
                 )
             return self._document(
                 spec, key, "computed", artifact=result.artifact
@@ -389,16 +392,7 @@ class EvaluationService:
             error["message"],
         )
         return self._document(
-            spec,
-            key,
-            "computed",
-            failure={
-                "spec_hash": item.spec_hash,
-                "design_hash": item.design_hash,
-                "attempts": result.attempts,
-                "incidents": list(result.incidents),
-                "resolved": False,
-            },
+            spec, key, "computed", failure=result.provenance()
         )
 
     def _document(
@@ -418,8 +412,8 @@ class EvaluationService:
             "key": key,
             "spec_hash": spec.content_hash(),
             "design_hash": spec.design_hash(),
-            "paths": list(self.paths),
-            "transient_method": self._transient_method(),
+            "paths": list(self.kernel.paths),
+            "transient_method": self.kernel.transient_method,
             "source": source,
         }
         if artifact is not None:
@@ -463,7 +457,7 @@ class EvaluationService:
         )
 
         async def one(point: Any) -> Dict[str, Any]:
-            document = await self.evaluate(point.spec.to_dict())
+            document = await self.evaluate(point.spec)
             await _emit(
                 on_event,
                 {
@@ -499,8 +493,8 @@ class EvaluationService:
             "uptime_s": time.perf_counter() - self._started_perf,
             "inflight": len(self._inflight),
             "requests": self.counters.get("service.requests", 0),
-            "paths": list(self.paths),
-            "transient_method": self._transient_method(),
+            "paths": list(self.kernel.paths),
+            "transient_method": self.kernel.transient_method,
             "store_attached": self.store is not None,
             "telemetry_enabled": telemetry.is_enabled(),
         }

@@ -17,6 +17,7 @@ from .runner import (
     build_trace,
     build_workload,
     run_scenario,
+    validate_paths,
 )
 from .spec import (
     SCHEMA_VERSION,
@@ -48,6 +49,7 @@ __all__ = [
     "builtin_scenarios",
     "default_registry",
     "run_scenario",
+    "validate_paths",
     "build_workload",
     "build_trace",
     "canonical_json",

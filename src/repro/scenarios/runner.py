@@ -77,6 +77,22 @@ ALL_PATHS: Tuple[str, ...] = ("steady", "sweep", "snr", "transient")
 SETTLING_TOLERANCE_C = 0.5
 
 
+def validate_paths(paths: Sequence[str]) -> Tuple[str, ...]:
+    """``paths`` as a tuple, once checked to name at least one known path."""
+    requested = tuple(paths)
+    if not requested:
+        raise ConfigurationError(
+            f"an evaluation needs at least one analysis path "
+            f"(available: {list(ALL_PATHS)})"
+        )
+    unknown = sorted(set(requested) - set(ALL_PATHS))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown analysis paths {unknown}; available: {list(ALL_PATHS)}"
+        )
+    return requested
+
+
 @dataclass
 class ScenarioArtifact:
     """Structured, JSON-serialisable result of one scenario run."""
@@ -418,12 +434,7 @@ class ScenarioRunner:
         it is absent entirely so artifacts stay byte-identical to the
         pre-telemetry ones.
         """
-        requested = list(paths)
-        unknown = sorted(set(requested) - set(ALL_PATHS))
-        if unknown:
-            raise ConfigurationError(
-                f"unknown analysis paths {unknown}; available: {list(ALL_PATHS)}"
-            )
+        requested = validate_paths(paths)
         start = time.perf_counter()
         timings: Dict[str, float] = {}
         # Materialised here, so the task shares this runner's one engine.

@@ -23,8 +23,9 @@ replaces that loop by time-stepping in a small subspace:
   transient solver silently redo the solve with the full LU path, so the
   golden tolerance bands can never be violated by an inadequate basis.
 * **First-class cached artifacts** — a basis is keyed by a SHA-256 over the
-  full problem content (operator matrix, capacitance, θ, initial field and
-  the per-segment step plan and loads; probes and snapshot times excluded).
+  full problem content (operator matrix, capacitance, θ, initial field, or
+  a tag for a steady start, and the per-segment step plan and loads; probes
+  and snapshot times excluded).
   Bases built organically live in the owning solver; bases *installed* here
   (from an :class:`~repro.campaigns.store.ArtifactStore` record or an
   :class:`~repro.campaigns.kernel.EvaluationKernel` warm-start payload) are
@@ -165,7 +166,7 @@ def basis_content_key(
     matrix_key: str,
     capacitance: np.ndarray,
     theta: float,
-    initial_field: np.ndarray,
+    initial_field: Union[np.ndarray, str],
     segments: Sequence[Tuple[int, float, np.ndarray]],
 ) -> str:
     """Content address of a reduced basis: a SHA-256 over the full problem.
@@ -176,13 +177,25 @@ def basis_content_key(
     the exact load history.  Probes and snapshot times are *excluded*: they
     are outputs of the integration, not inputs to the trajectory, so one
     basis serves any instrumentation of the same physical problem.
+
+    ``initial_field="steady"`` keys a steady start by its inputs, which the
+    operator key and the first segment's load already pin, rather than by
+    the bytes of its solved field: a round-off change in the factor then
+    keeps every stored basis addressable.
     """
     digest = hashlib.sha256()
     digest.update(b"rom-basis-v1:")
     digest.update(matrix_key.encode("ascii"))
     digest.update(np.float64(theta).tobytes())
     digest.update(np.ascontiguousarray(capacitance, dtype=np.float64).tobytes())
-    digest.update(np.ascontiguousarray(initial_field, dtype=np.float64).tobytes())
+    if isinstance(initial_field, str):
+        # "steady" is six bytes and every array hashes a multiple of eight,
+        # so the tag cannot collide with a field.
+        digest.update(initial_field.encode("ascii"))
+    else:
+        digest.update(
+            np.ascontiguousarray(initial_field, dtype=np.float64).tobytes()
+        )
     for count, dt_eff, constant_rhs in segments:
         digest.update(np.int64(count).tobytes())
         digest.update(np.float64(dt_eff).tobytes())

@@ -860,11 +860,12 @@ class TransientSolver:
         initial_temperature_c:
             Starting field: a uniform value, a full array / ThermalMap,
             ``None`` for the mean convective ambient, or ``"steady"`` for
-            the steady state of the first segment's load.  The ``"lu"``
+            the steady state of the first segment's load.  The full-space
             path solves that state after its steps, which do not need it,
             so they never wait on the operator's factor while another thread
-            builds it; ``"rom"`` and ``"auto"`` solve it first, as the
-            basis key hashes the starting field.
+            builds it; the basis key tags a steady start rather than
+            hashing its field, so a reduced solve needs it only just before
+            it integrates.
         snapshot_times_s:
             Times at which the full field is kept; each is snapped to the
             end of the first step at or after it.  The final field is always
@@ -938,13 +939,11 @@ class TransientSolver:
         rom_basis_built = False
         rom_dim = 0
         if method != "lu":
-            if initial is None:
-                initial = self._steady_field(entry, segment_loads[0])
             basis_key = basis_content_key(
                 entry.matrix_key,
                 self._capacitance,
                 self._theta,
-                initial,
+                "steady" if initial is None else initial,
                 [
                     (count, dt_eff, load)
                     for (_, count, dt_eff), load in zip(plan, segment_loads)
@@ -954,6 +953,8 @@ class TransientSolver:
 
         if basis is not None:
             rom_dim = basis.dim
+            if initial is None:
+                initial = self._steady_field(entry, segment_loads[0])
             reduced = self._integrate_reduced(
                 entry,
                 basis,

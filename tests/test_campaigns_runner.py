@@ -9,6 +9,7 @@ from repro.campaigns import (
     ArtifactStore,
     CampaignPoint,
     CampaignRunner,
+    EvaluationKernel,
     MatrixAxis,
     ScenarioMatrix,
     get_matrix,
@@ -156,6 +157,22 @@ class TestCampaignRun:
         artifact = report.artifact("tiny-pvcsel_3.6")
         assert sorted(artifact.results) == ["steady"]
         assert report.summary["worst_snr_db"] is None
+
+    def test_override_kernel_paths_key_the_store_and_report(self, tmp_path):
+        # The kernel alone holds the paths: a steady-only override kernel
+        # must neither report nor store its artifacts under all paths.
+        store = ArtifactStore(tmp_path / "store")
+        spec = TINY.points()[0].spec
+        report = CampaignRunner(
+            [TINY.points()[0]],
+            store=store,
+            name="steady_kernel",
+            kernel=EvaluationKernel(paths=("steady",)),
+        ).run()
+        assert report.paths == ("steady",)
+        assert store.load(spec) is None
+        stored = store.load(spec, ("steady",))
+        assert stored is not None and sorted(stored.results) == ["steady"]
 
     def test_validation(self):
         with pytest.raises(ConfigurationError, match="need a name"):

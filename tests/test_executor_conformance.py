@@ -402,8 +402,8 @@ class FaultyKernel(EvaluationKernel):
     poison: Tuple[str, ...] = ()
     marker_dir: str = ""
 
-    def run(self, spec_dict):
-        name = spec_dict["name"]
+    def run(self, spec):
+        name = spec.name
         if name in self.poison:
             raise RuntimeError("poison spec, fails on every attempt")
         if self._first_attempt(name):
@@ -413,7 +413,7 @@ class FaultyKernel(EvaluationKernel):
                 time.sleep(60.0)  # simulated hang; the deadline must fire
             if name in self.transient_error:
                 raise pickle.PicklingError("transient pickling failure")
-        return super().run(spec_dict)
+        return super().run(spec)
 
     def _first_attempt(self, name: str) -> bool:
         marker = Path(self.marker_dir) / f"{name}.attempted"

@@ -66,10 +66,10 @@ def make_service(tmp_path=None, **kwargs):
 class PoisonKernel(EvaluationKernel):
     """Kernel failing every listed spec name (in-process, thread-safe)."""
 
-    def run(self, spec_dict):
-        if spec_dict["name"].startswith("poison"):
+    def run(self, spec):
+        if spec.name.startswith("poison"):
             raise RuntimeError("poison spec, fails on every attempt")
-        return super().run(spec_dict)
+        return super().run(spec)
 
 
 class TestEvaluationService:

@@ -38,11 +38,13 @@ from repro.thermal import (
     SourceSchedule,
     ThermalMap,
     TransientSolver,
+    basis_content_key,
     clear_factorization_cache,
     clear_installed_bases,
     install_payload,
 )
 from repro.thermal import factorization
+from repro.thermal import transient as transient_module
 from repro.thermal.assembly import assemble_operator, boundary_rhs
 from repro.thermal.factorization import BandedCholesky, shared_cache
 from repro.thermal.sources import SourceBatch, power_density_field
@@ -344,6 +346,29 @@ def _transient(spec, method):
     return ScenarioRunner(spec, transient_method=method).run(("transient",))
 
 
+def _assert_inside_golden_bands(golden, fresh):
+    """``fresh``, a transient section, lies inside ``golden``'s bands."""
+    mismatches = compare_artifact_dicts(
+        golden, {**golden, "results": {**golden["results"], "transient": fresh}}
+    )
+    assert not mismatches, mismatches
+
+
+def _replay_worst_sample_as_golden(golden, replay):
+    """Pin the replay's worst SNR sample to the golden's by value only.
+
+    A reduced solve leaves plateaus and symmetric links equal only
+    approximately, so which of the tied samples is the worst is not pinned;
+    its value is.
+    """
+    golden_worst = golden["results"]["transient"]["snr"]["worst_sample"]
+    replay_worst = replay["snr"].pop("worst_sample")
+    assert replay_worst["snr_db"] == pytest.approx(
+        golden_worst["snr_db"], rel=1e-4, abs=1e-4
+    )
+    replay["snr"]["worst_sample"] = golden_worst
+
+
 class TestReducedOrder:
     @pytest.mark.parametrize("name", ["small_die_uniform", "scc_random_46mm"])
     def test_harvest_and_replay_stay_inside_the_golden_bands(self, name):
@@ -364,17 +389,43 @@ class TestReducedOrder:
             clear_installed_bases()
         assert replay["solver"]["method"] == "rom"
         assert not replay["solver"]["rom_fallback"]
-        # A reduced solve leaves plateaus and symmetric links equal only
-        # approximately, so which of the tied samples is the worst is not
-        # pinned; its value is.
-        golden_worst = golden["results"]["transient"]["snr"]["worst_sample"]
-        replay_worst = replay["snr"].pop("worst_sample")
-        assert replay_worst["snr_db"] == pytest.approx(
-            golden_worst["snr_db"], rel=1e-4, abs=1e-4
-        )
-        replay["snr"]["worst_sample"] = golden_worst
+        _replay_worst_sample_as_golden(golden, replay)
         for fresh in (harvest, replay):
-            mismatches = compare_artifact_dicts(
-                golden, {**golden, "results": {**golden["results"], "transient": fresh}}
-            )
-            assert not mismatches, mismatches
+            _assert_inside_golden_bands(golden, fresh)
+
+    def test_a_steady_start_keys_its_basis_by_its_inputs(self, monkeypatch):
+        # A round-off change in the steady solve must not orphan the bases
+        # harvested before it: the key tags a steady start instead of
+        # hashing the bytes of its solved field.
+        name = "small_die_uniform"
+        spec = GOLDEN_REGISTRY.get(name)
+        golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+        builder = ScenarioRunner(spec, transient_method="rom")
+        builder.run(("transient",))
+        payloads = builder.engine().rom_basis_payloads()
+        harvested = {json.loads(payload)["key"] for payload in payloads}
+
+        steady_field = TransientSolver._steady_field
+
+        def last_bits_off(solver, entry, load):
+            return np.nextafter(steady_field(solver, entry, load), np.inf)
+
+        keys = []
+
+        def recorded_key(*args):
+            keys.append(basis_content_key(*args))
+            return keys[-1]
+
+        monkeypatch.setattr(TransientSolver, "_steady_field", last_bits_off)
+        monkeypatch.setattr(transient_module, "basis_content_key", recorded_key)
+        try:
+            for payload in payloads:
+                install_payload(payload)
+            replay = _transient(spec, "auto").results["transient"]
+        finally:
+            clear_installed_bases()
+        assert keys and set(keys) <= harvested
+        assert replay["solver"]["method"] == "rom"
+        assert not replay["solver"]["rom_fallback"]
+        _replay_worst_sample_as_golden(golden, replay)
+        _assert_inside_golden_bands(golden, replay)

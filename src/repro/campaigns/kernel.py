@@ -27,8 +27,14 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from .. import telemetry
 from ..errors import ConfigurationError
-from ..scenarios import ALL_PATHS, ScenarioRunner, ScenarioSpec, validate_paths
-from ..thermal import TRANSIENT_METHODS, install_payload
+from ..scenarios import (
+    ALL_PATHS,
+    ScenarioRunner,
+    ScenarioSpec,
+    validate_paths,
+    validate_transient_method,
+)
+from ..thermal import install_payload
 
 
 class SpecExecutionError(ConfigurationError):
@@ -99,11 +105,7 @@ class EvaluationKernel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "paths", validate_paths(self.paths))
         object.__setattr__(self, "warm_start", tuple(self.warm_start))
-        if self.transient_method not in TRANSIENT_METHODS:
-            raise ConfigurationError(
-                f"transient_method must be one of {TRANSIENT_METHODS}, got "
-                f"{self.transient_method!r}"
-            )
+        validate_transient_method(self.transient_method)
         if not all(isinstance(payload, str) for payload in self.warm_start):
             raise ConfigurationError(
                 "warm_start takes serialised payload JSON strings"

@@ -72,7 +72,13 @@ from urllib.parse import parse_qs, urlsplit
 from .. import telemetry
 from ..errors import ConfigurationError, ReproError
 from ..log import get_logger
-from ..scenarios import ALL_PATHS, ScenarioArtifact, ScenarioSpec, canonical_json
+from ..scenarios import (
+    ALL_PATHS,
+    ScenarioArtifact,
+    ScenarioSpec,
+    canonical_json,
+    json_digest,
+)
 from ..thermal import factorization_cache_stats
 from .executors import WorkItem, run_item
 from .kernel import EvaluationKernel
@@ -238,9 +244,7 @@ class EvaluationService:
             "paths": sorted(set(self.kernel.paths)),
             "transient_method": self.kernel.transient_method,
         }
-        return hashlib.sha256(
-            canonical_json(document).encode("utf-8")
-        ).hexdigest()
+        return json_digest(document)
 
     def spec_for_body(self, body: bytes) -> Tuple[ScenarioSpec, str]:
         """Validated spec and request key of one JSON request body.

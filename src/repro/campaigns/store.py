@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
+    Callable,
     Collection,
     Dict,
     Iterator,
@@ -67,6 +68,7 @@ from ..scenarios import (
     ScenarioArtifact,
     ScenarioSpec,
     canonical_json,
+    json_digest,
 )
 
 #: Store layout version; bumped on breaking changes of the object format.
@@ -385,19 +387,11 @@ class ArtifactStore:
         }
         if transient_method != "lu":
             document["transient_method"] = transient_method
-        return hashlib.sha256(
-            canonical_json(document).encode("utf-8")
-        ).hexdigest()
+        return json_digest(document)
 
     def _rom_basis_key(self, basis_key: str) -> str:
         """Store address of a reduced-basis payload (by its content key)."""
-        document = {
-            "rom_basis": basis_key,
-            "code_version": self.code_version,
-        }
-        return hashlib.sha256(
-            canonical_json(document).encode("utf-8")
-        ).hexdigest()
+        return json_digest({"rom_basis": basis_key, "code_version": self.code_version})
 
     # Index -----------------------------------------------------------------
 
@@ -424,14 +418,9 @@ class ArtifactStore:
         for path in self._object_paths():
             if path.stem in known:
                 continue
-            verified = self._read_verified(path.stem, count_corrupt=False)
-            if verified is None:
-                continue
-            try:
-                size = path.stat().st_size
-            except OSError:  # racing eviction/unlink: the object is gone
-                continue
-            entries[path.stem] = self._entry_from_record(verified[0], size)
+            entry = self._adopt(path.stem)
+            if entry is not None:
+                entries[path.stem] = entry
         return {"version": STORE_VERSION, "sequence": 0, "entries": entries}
 
     def _write_index(self, index: Dict[str, Any]) -> None:
@@ -443,18 +432,12 @@ class ArtifactStore:
     def _touch(self, index: Dict[str, Any], key: str) -> None:
         """Bump the access sequence of ``key`` (LRU recency)."""
         index["sequence"] = int(index["sequence"]) + 1
-        entry = index["entries"].get(key)
+        # An object the index never saw (another writer, or a hit served
+        # while the index was unreadable) is adopted.
+        entry = index["entries"].get(key) or self._adopt(key)
         if entry is None:
-            # An object the index never saw (another writer, or a hit served
-            # while the index was unreadable): adopt it.
-            verified = self._read_verified(key, count_corrupt=False)
-            if verified is None:
-                return
-            try:
-                size = self._object_path(key).stat().st_size
-            except OSError:  # pragma: no cover - racing unlink
-                return
-            entry = index["entries"][key] = self._entry_from_record(verified[0], size)
+            return
+        index["entries"][key] = entry
         entry["last_used"] = index["sequence"]
 
     def _note_touch(self, key: str) -> None:
@@ -584,6 +567,44 @@ class ArtifactStore:
             "last_used": 0,
         }
 
+    def _adopt(self, key: str) -> Optional[Dict[str, Any]]:
+        """Index entry of the object stored under ``key``, read from the
+        object itself (for an object the index does not hold); ``None`` when
+        it is gone or damaged.  Damage is quarantined here but counted only
+        by lookups.
+        """
+        verified = self._read_verified(key, count_corrupt=False)
+        if verified is None:
+            return None
+        try:
+            size = self._object_path(key).stat().st_size
+        except OSError:  # racing eviction/unlink: the object is gone
+            return None
+        return self._entry_from_record(verified[0], size)
+
+    def _lookup(
+        self, key: str, scenario: str, answers: Callable[[str], bool]
+    ) -> Optional[str]:
+        """Verified payload text stored under ``key`` when ``answers``
+        accepts it as the requested content, else ``None``; counts the hit
+        or miss and times the lookup as one ``store.load`` span.
+
+        A hit queues a recency bump of ``key``.  A rejected intact object is
+        a plain miss and stays on disk.
+        """
+        with telemetry.span("store.load", scenario=scenario) as load_span:
+            verified = self._read_verified(key)
+            hit = verified is not None and answers(verified[1])
+            load_span.set(hit=hit)
+            if not hit:
+                self.stats.misses += 1
+                telemetry.count("store.misses")
+                return None
+            self.stats.hits += 1
+            telemetry.count("store.hits")
+            self._note_touch(key)
+            return verified[1]
+
     # Public API ------------------------------------------------------------
 
     def load(
@@ -602,9 +623,7 @@ class ArtifactStore:
         payload's own spec hash is additionally cross-checked against
         ``spec`` — a hash-valid object answering for the wrong spec (key
         collision, external rename) is a plain miss: it is intact, just not
-        the requested content, so it stays on disk.  The artifact carries
-        the verified payload text as its ``canonical_text`` when that text
-        is exactly the artifact's document.
+        the requested content, so it stays on disk.
 
         ``key`` is :meth:`key_for` of the same arguments, for a caller that
         holds it already.  With ``as_text`` a hit returns the verified
@@ -613,27 +632,12 @@ class ArtifactStore:
         """
         if key is None:
             key = self.key_for(spec, paths, transient_method)
-        with telemetry.span("store.load", scenario=spec.name) as load_span:
-            verified = self._read_verified(key)
-            if verified is None or not _answers_for(
-                verified[1], spec.content_hash()
-            ):
-                self.stats.misses += 1
-                telemetry.count("store.misses")
-                load_span.set(hit=False)
-                return None
-            self.stats.hits += 1
-            telemetry.count("store.hits")
-            load_span.set(hit=True)
-            self._note_touch(key)
-        text = verified[1]
-        if as_text:
+        text = self._lookup(
+            key, spec.name, lambda text: _answers_for(text, spec.content_hash())
+        )
+        if text is None or as_text:
             return text
-        payload = json.loads(text)
-        artifact = ScenarioArtifact.from_dict(payload)
-        if artifact.to_dict() == payload:
-            artifact.canonical_text = text
-        return artifact
+        return ScenarioArtifact.from_json(text)
 
     def store(
         self,
@@ -690,13 +694,7 @@ class ArtifactStore:
             self._objects_dir, f".{key[:16]}", fields, payload, self._object_path(key)
         )
         with telemetry.span("store.put", scenario=scenario):
-            entry = {
-                "scenario": scenario,
-                "spec_hash": spec_hash,
-                "paths": paths,
-                "size_bytes": 0,
-                "last_used": 0,
-            }
+            entry = self._entry_from_record(fields, 0)
             if self._writer is None:
                 entry["size_bytes"] = _write_record(*write)
             else:
@@ -743,26 +741,16 @@ class ArtifactStore:
         or ``None`` on miss/corruption (deterministic JSON, ready for
         :func:`repro.thermal.install_payload` or a kernel warm start).
 
-        Telemetry parity with :meth:`load`: basis lookups emit the same
-        ``store.load`` span and ``store.hits``/``store.misses`` counters,
-        so ``repro stats`` counts warm-start traffic like artifact traffic.
+        Basis lookups are counted by the same lookup as :meth:`load` (one
+        ``store.load`` span, ``store.hits``/``store.misses``), so ``repro
+        stats`` counts warm-start traffic like artifact traffic.
         """
-        with telemetry.span(
-            "store.load", scenario=f"rom-basis:{basis_key[:12]}"
-        ) as load_span:
-            key = self._rom_basis_key(basis_key)
-            verified = self._read_verified(key)
-            payload = None if verified is None else json.loads(verified[1])
-            if payload is None or payload.get("key") != basis_key:
-                self.stats.misses += 1
-                telemetry.count("store.misses")
-                load_span.set(hit=False)
-                return None
-            self.stats.hits += 1
-            telemetry.count("store.hits")
-            load_span.set(hit=True)
-            self._note_touch(key)
-            return json.dumps(payload, sort_keys=True)
+        text = self._lookup(
+            self._rom_basis_key(basis_key),
+            f"rom-basis:{basis_key[:12]}",
+            lambda text: json.loads(text).get("key") == basis_key,
+        )
+        return None if text is None else json.dumps(json.loads(text), sort_keys=True)
 
     def rom_basis_payloads(self) -> List[str]:
         """Serialised payloads of every stored reduced basis (key order) —
@@ -793,17 +781,12 @@ class ArtifactStore:
         on_disk = set()
         for path in self._object_paths():
             key = path.stem
-            if key not in entries:
-                try:
-                    size = path.stat().st_size
-                except OSError:  # pragma: no cover - racing unlink
-                    continue
-                verified = self._read_verified(key, count_corrupt=False)
-                if verified is None:
-                    continue
-                entries[key] = self._entry_from_record(verified[0], size)
+            entry = entries.get(key) or self._adopt(key)
+            if entry is None:
+                continue
+            entries[key] = entry
             on_disk.add(key)
-            total += int(entries[key]["size_bytes"])
+            total += int(entry["size_bytes"])
         # Entries whose object vanished (another process evicted it) must
         # not act as victims: popping one would subtract bytes the total
         # never counted and leave the bound violated.  Drop them outright.
@@ -865,19 +848,9 @@ class ArtifactStore:
         result: List[StoreEntry] = []
         for path in self._object_paths():
             key = path.stem
-            entry = known.get(key)
+            entry = known.get(key) or self._adopt(key)
             if entry is None:
-                verified = self._read_verified(key, count_corrupt=False)
-                if verified is None:
-                    continue
-                try:
-                    size = path.stat().st_size
-                except OSError:
-                    # Racing eviction/unlink between the listing and
-                    # stat (another process sharing the store): the entry is
-                    # simply gone, not an error.
-                    continue
-                entry = self._entry_from_record(verified[0], size)
+                continue
             result.append(
                 StoreEntry(
                     key=key,

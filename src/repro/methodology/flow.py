@@ -274,6 +274,8 @@ class ThermalAwareDesignFlow:
                 self.architecture.boundary_conditions(),
                 cell_size_um=self.settings.zoom_cell_size_um,
                 margin_um=300.0,
+                max_cells=self.settings.max_cells,
+                direct_cell_limit=self.settings.direct_solver_cell_limit,
                 vertical_range=vertical_range,
             )
         return self._zoom_cache

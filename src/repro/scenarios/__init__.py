@@ -18,6 +18,7 @@ from .runner import (
     build_workload,
     run_scenario,
     validate_paths,
+    validate_transient_method,
 )
 from .spec import (
     SCHEMA_VERSION,
@@ -29,6 +30,7 @@ from .spec import (
     TraceSpec,
     WorkloadSpec,
     canonical_json,
+    json_digest,
     scenario_json_schema,
 )
 
@@ -50,9 +52,11 @@ __all__ = [
     "default_registry",
     "run_scenario",
     "validate_paths",
+    "validate_transient_method",
     "build_workload",
     "build_trace",
     "canonical_json",
+    "json_digest",
     "scenario_json_schema",
     "DEFAULT_TOLERANCES",
     "classify_quantity",

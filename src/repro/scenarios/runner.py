@@ -30,7 +30,7 @@ import threading
 import time
 from concurrent.futures import Future
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -93,6 +93,14 @@ def validate_paths(paths: Sequence[str]) -> Tuple[str, ...]:
     return requested
 
 
+def validate_transient_method(method: str) -> None:
+    """Check that ``method`` names a transient integration path."""
+    if method not in TRANSIENT_METHODS:
+        raise ConfigurationError(
+            f"transient_method must be one of {TRANSIENT_METHODS}, got {method!r}"
+        )
+
+
 @dataclass
 class ScenarioArtifact:
     """Structured, JSON-serialisable result of one scenario run."""
@@ -101,10 +109,6 @@ class ScenarioArtifact:
     spec_hash: str
     schema_version: int
     results: Dict[str, Any]
-    #: Canonical JSON of :meth:`to_dict`, when known without encoding it: an
-    #: artifact loaded from the store carries its verified stored text.
-    #: Stale once the artifact is mutated; never compared.
-    canonical_text: Optional[str] = field(default=None, compare=False, repr=False)
 
     def section(self, path: str) -> Any:
         """Result section of one analysis path (raises on unknown path)."""
@@ -273,11 +277,7 @@ class ScenarioRunner:
     """
 
     def __init__(self, spec: ScenarioSpec, transient_method: str = "lu") -> None:
-        if transient_method not in TRANSIENT_METHODS:
-            raise ConfigurationError(
-                f"transient_method must be one of {TRANSIENT_METHODS}, got "
-                f"{transient_method!r}"
-            )
+        validate_transient_method(transient_method)
         self.spec = spec
         self.transient_method = transient_method
         self._flow: Optional[ThermalAwareDesignFlow] = None

@@ -174,7 +174,7 @@ def canonical_json(data: Any) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def _json_digest(data: Any) -> str:
+def json_digest(data: Any) -> str:
     """SHA-256 (hex) of the canonical JSON of ``data``."""
     return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
 
@@ -635,7 +635,7 @@ class ScenarioSpec:
         """
         memo = self.__dict__.get("_flow_hash")
         if memo is None:
-            memo = _json_digest(
+            memo = json_digest(
                 {name: _section_dict(getattr(self, name)) for name in FLOW_SECTIONS}
             )
             object.__setattr__(self, "_flow_hash", memo)
@@ -646,9 +646,9 @@ class ScenarioSpec:
         memo = self.__dict__.get("_hashes")
         if memo is None:
             data = self.to_dict()
-            content = _json_digest(data)
+            content = json_digest(data)
             del data["name"], data["description"]
-            memo = (content, _json_digest(data))
+            memo = (content, json_digest(data))
             object.__setattr__(self, "_hashes", memo)
         return memo
 

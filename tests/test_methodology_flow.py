@@ -1,12 +1,16 @@
 """Tests for the end-to-end design flow (thermal + SNR evaluation)."""
 
+from dataclasses import replace
+
 import pytest
 
+import repro.thermal.solver as solver_module
 from repro.activity import diagonal_activity, uniform_activity
-from repro.errors import AnalysisError, GeometryError
+from repro.errors import AnalysisError, GeometryError, MeshError
 from repro.methodology import ThermalAwareDesignFlow
 from repro.oni import OniPowerConfig
 from repro.onoc import opposite_traffic
+from repro.scenarios import ScenarioRunner, default_registry
 from repro.snr import LaserDriveConfig
 
 
@@ -99,6 +103,41 @@ class TestThermalStep:
         evaluation = small_flow.run_thermal(uniform_25w, power=PAPER_POWER, zoom_oni="auto")
         assert evaluation.meets_gradient_constraint(1000.0)
         assert not evaluation.meets_gradient_constraint(0.0)
+
+
+class TestZoomSettings:
+    """The zoom solve honours the flow's settings, as the package solve does."""
+
+    @staticmethod
+    def zoomed_run(**settings):
+        """Zoomed thermal run of ``small_die_uniform`` with ``settings``
+        overridden (package mesh 3,179 cells, zoom mesh 3,456)."""
+        runner = ScenarioRunner(default_registry().get("small_die_uniform"))
+        base = runner.flow()
+        architecture = replace(
+            base.architecture, settings=replace(base.settings, **settings)
+        )
+        flow = ThermalAwareDesignFlow(architecture, base.scenario)
+        return flow.run_thermal(
+            runner.activity(), power=runner.power_config(), zoom_oni="auto"
+        )
+
+    def test_direct_solver_cell_limit_reaches_the_zoom_solve(self, monkeypatch):
+        calls = []
+        real_cg = solver_module.cg
+
+        def counted_cg(*args, **kwargs):
+            calls.append(args)
+            return real_cg(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "cg", counted_cg)
+        evaluation = self.zoomed_run(direct_solver_cell_limit=1)
+        assert evaluation.zoom_map is not None
+        assert len(calls) == 2  # the package solve and the zoom solve
+
+    def test_max_cells_bounds_the_zoom_mesh(self):
+        with pytest.raises(MeshError):
+            self.zoomed_run(max_cells=3_300)
 
 
 class TestNetworkAndSnrStep:

@@ -608,7 +608,7 @@ class TestResponseBytes:
         assert cold.replace(b'"source":"computed"', b'"source":"store"') == warm
         assert is_canonical_line(cold) and is_canonical_line(warm)
         spec = ScenarioSpec.from_dict(spec_dict())
-        text = service.store.load(spec, service.paths).canonical_text
+        text = service.store.load(spec, service.paths, as_text=True)
         assert b'"artifact":' + text.encode("utf-8") + b"," in warm
 
     def test_stream_result_carries_the_stored_artifact_bytes(self, tmp_path):
@@ -635,7 +635,7 @@ class TestResponseBytes:
             "result",
         ]
         spec = ScenarioSpec.from_dict(spec_dict())
-        text = service.store.load(spec, service.paths).canonical_text
+        text = service.store.load(spec, service.paths, as_text=True)
         assert b'"artifact":' + text.encode("utf-8") + b"," in lines[-1]
 
     def test_in_process_documents_hold_plain_equal_artifacts(self, tmp_path):

@@ -346,14 +346,18 @@ class CampaignRunner:
         kernel = self.kernel
 
         items: List[WorkItem] = []
+        # Store key of each work item, by its index: computed once for the
+        # lookup and the write.
+        keys: List[Optional[str]] = []
         for point in self.points:
-            cached = (
-                None
-                if self.store is None
-                else self.store.load(
+            key = cached = None
+            if self.store is not None:
+                key = self.store.key_for(
                     point.spec, kernel.paths, kernel.transient_method
                 )
-            )
+                cached = self.store.load(
+                    point.spec, kernel.paths, kernel.transient_method, key=key
+                )
             if cached is not None:
                 artifacts[point.spec.name] = cached.to_dict()
                 from_store[point.spec.name] = True
@@ -361,6 +365,7 @@ class CampaignRunner:
                 artifacts[point.spec.name] = None
                 from_store[point.spec.name] = False
                 items.append(WorkItem(len(items), point.spec))
+                keys.append(key)
         # Each artifact's write starts the moment it is absorbed and runs
         # in the background; all have landed, and the index is refreshed
         # once, when the block exits.
@@ -372,7 +377,12 @@ class CampaignRunner:
             if items:
                 for result in self.executor.execute(kernel, items):
                     self._absorb(
-                        result, artifacts, failures, engine_totals, payloads
+                        result,
+                        keys[result.item.index],
+                        artifacts,
+                        failures,
+                        engine_totals,
+                        payloads,
                     )
 
         scenarios = [
@@ -403,6 +413,7 @@ class CampaignRunner:
     def _absorb(
         self,
         result: ExecutionResult,
+        key: Optional[str],
         artifacts: Dict[str, Optional[Dict[str, Any]]],
         failures: Dict[str, Dict[str, Any]],
         engine_totals: Dict[str, int],
@@ -410,10 +421,11 @@ class CampaignRunner:
     ) -> None:
         """Fold one execution result into the campaign state.
 
-        Successes persist to the store immediately; any incidents (failed
-        attempts, recovered or not) land in the failure-provenance document;
-        an unresolved spec either raises with full provenance (``on_error=
-        "raise"``) or is quarantined and the campaign keeps going.
+        Successes persist to the store immediately, under their store
+        ``key``; any incidents (failed attempts, recovered or not) land in
+        the failure-provenance document; an unresolved spec either raises
+        with full provenance (``on_error="raise"``) or is quarantined and
+        the campaign keeps going.
         """
         spec = result.item.spec
         if payloads is not None and result.telemetry is not None:
@@ -429,6 +441,7 @@ class CampaignRunner:
                     ScenarioArtifact.from_dict(result.artifact),
                     self.kernel.paths,
                     self.kernel.transient_method,
+                    key=key,
                 )
             return
         if self.on_error == "raise":

@@ -54,6 +54,7 @@ import asyncio
 import hashlib
 import json
 import os
+import re
 import time
 from typing import (
     Any,
@@ -122,6 +123,38 @@ class _StoredText:
 
     def __init__(self, text: str) -> None:
         self.text = text
+
+
+class _SpecEntry:
+    """One request's validated spec and request key, as the spec memo holds
+    them for a body, with the ``charge`` the memo counts for it."""
+
+    __slots__ = ("spec", "key", "charge", "envelope")
+
+    def __init__(self, spec: ScenarioSpec, key: str, charge: int = 0) -> None:
+        self.spec = spec
+        self.key = key
+        self.charge = charge
+        #: The encoded members around the artifact of this request's store
+        #: hit response (see :func:`_envelope`), once one was answered: they
+        #: are fixed by the spec, the key and the service.
+        self.envelope: Optional[Tuple[bytes, bytes]] = None
+
+
+class _StoreHit(dict):
+    """A store hit's response document: its artifact a :class:`_StoredText`,
+    and ``envelope`` its line's members around the artifact, encoded (what
+    :func:`_json_line` joins the artifact text between).  A copy of it (a
+    stream's ``result`` event, an in-process document) is a plain dict.
+    """
+
+    __slots__ = ("envelope",)
+
+    def __init__(
+        self, document: Dict[str, Any], envelope: Tuple[bytes, bytes]
+    ) -> None:
+        super().__init__(document)
+        self.envelope = envelope
 
 
 class _EncodedArtifact(dict):
@@ -202,10 +235,9 @@ class EvaluationService:
         self._semaphore: Optional[asyncio.Semaphore] = None
         self.counters: Dict[str, int] = {}
         self._started_perf = time.perf_counter()
-        #: SHA-256 of a request body -> (its validated spec, request key,
-        #: bytes charged), least recently used first; bounded by
-        #: :data:`SPEC_MEMO_BYTES` charged.
-        self._spec_memo: Dict[bytes, Tuple[ScenarioSpec, str, int]] = {}
+        #: SHA-256 of a request body -> its entry, least recently used
+        #: first; bounded by :data:`SPEC_MEMO_BYTES` charged.
+        self._spec_memo: Dict[bytes, _SpecEntry] = {}
         self._spec_memo_bytes = 0
         self._spec_memo_hits = 0
 
@@ -256,13 +288,19 @@ class EvaluationService:
         raises :class:`~repro.errors.ConfigurationError` and is never
         memoised.
         """
+        entry = self._entry_for_body(body)
+        return entry.spec, entry.key
+
+    def _entry_for_body(self, body: bytes) -> _SpecEntry:
+        """The memo entry of one request body (see :meth:`spec_for_body`);
+        it also keeps the encoded envelope of the body's store hits."""
         digest = hashlib.sha256(body).digest()
         memo = self._spec_memo
         entry = memo.pop(digest, None)
         if entry is not None:
             memo[digest] = entry
             self._spec_memo_hits += 1
-            return entry[0], entry[1]
+            return entry
         try:
             document = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, ValueError) as error:
@@ -270,15 +308,16 @@ class EvaluationService:
         if not isinstance(document, dict):
             raise ConfigurationError("request body must be a JSON object")
         spec = ScenarioSpec.from_dict(document)
-        key = self.request_key(spec)
-        charge = len(body) + SPEC_MEMO_ENTRY_BYTES
-        if charge <= SPEC_MEMO_BYTES:
-            memo[digest] = (spec, key, charge)
-            self._spec_memo_bytes += charge
+        entry = _SpecEntry(
+            spec, self.request_key(spec), len(body) + SPEC_MEMO_ENTRY_BYTES
+        )
+        if entry.charge <= SPEC_MEMO_BYTES:
+            memo[digest] = entry
+            self._spec_memo_bytes += entry.charge
             while self._spec_memo_bytes > SPEC_MEMO_BYTES:
                 oldest = next(iter(memo))
-                self._spec_memo_bytes -= memo.pop(oldest)[2]
-        return spec, key
+                self._spec_memo_bytes -= memo.pop(oldest).charge
+        return entry
 
     # Evaluation -------------------------------------------------------------
 
@@ -292,8 +331,9 @@ class EvaluationService:
         ``request`` is a validated spec, a spec document, or the raw JSON
         body of one (the HTTP transport's): a body goes through
         :meth:`spec_for_body`, and a store hit answers it with the stored
-        artifact text unparsed, which only :func:`_json_line` can write.  A
-        spec or spec document gets an artifact equal to the plain dict.
+        artifact text unparsed and the rest of its line encoded once per
+        memo entry, which only :func:`_json_line` can write.  A spec or
+        spec document gets an artifact equal to the plain dict.
 
         Returns the response document; never raises for a *failing* spec
         (the document carries the failure provenance instead).  Invalid
@@ -303,14 +343,15 @@ class EvaluationService:
         self._count("service.requests")
         with telemetry.span("service.request") as request_span:
             if isinstance(request, bytes):
-                spec, key = self.spec_for_body(request)
+                entry = self._entry_for_body(request)
             else:
                 spec = (
                     request
                     if isinstance(request, ScenarioSpec)
                     else ScenarioSpec.from_dict(dict(request))
                 )
-                key = self.request_key(spec)
+                entry = _SpecEntry(spec, self.request_key(spec))
+            spec, key = entry.spec, entry.key
             request_span.set(scenario=spec.name)
             await _emit(
                 on_event, {"event": "accepted", "scenario": spec.name, "key": key}
@@ -328,7 +369,7 @@ class EvaluationService:
                 future = asyncio.get_running_loop().create_future()
                 self._inflight[key] = future
                 try:
-                    document = await self._resolve(spec, key, on_event)
+                    document = await self._resolve(entry, on_event)
                     future.set_result(document)
                     request_span.set(source=document["source"])
                 except BaseException:
@@ -343,12 +384,10 @@ class EvaluationService:
         return document if isinstance(request, bytes) else _in_process(document)
 
     async def _resolve(
-        self,
-        spec: ScenarioSpec,
-        key: str,
-        on_event: Optional[EventSink],
+        self, entry: _SpecEntry, on_event: Optional[EventSink]
     ) -> Dict[str, Any]:
         """Store lookup, then one kernel dispatch; returns the document."""
+        spec, key = entry.spec, entry.key
         if self.store is not None:
             text = self.store.load(
                 spec,
@@ -360,9 +399,12 @@ class EvaluationService:
             if text is not None:
                 self._count("service.store_served")
                 await _emit(on_event, {"event": "store_hit", "key": key})
-                return self._document(
+                document = self._document(
                     spec, key, "store", artifact=_StoredText(text)
                 )
+                if entry.envelope is None:
+                    entry.envelope = _envelope(document)
+                return _StoreHit(document, entry.envelope)
         await _emit(on_event, {"event": "computing", "key": key})
         async with self._kernel_semaphore():
             # Counted here, in the request's context: the pool thread does
@@ -383,6 +425,7 @@ class EvaluationService:
                     ScenarioArtifact.from_dict(result.artifact),
                     self.kernel.paths,
                     self.kernel.transient_method,
+                    key=key,
                 )
             return self._document(
                 spec, key, "computed", artifact=result.artifact
@@ -602,42 +645,80 @@ _REASONS = {
 }
 
 
+def _envelope(document: Mapping[str, Any]) -> Tuple[bytes, bytes]:
+    """The encoded members of ``document`` before and after its
+    ``artifact``: its canonical line is ``head``, the artifact's canonical
+    text, then ``tail``."""
+    before = {name: value for name, value in document.items() if name < "artifact"}
+    after = {name: value for name, value in document.items() if name > "artifact"}
+    head = canonical_json(before)[:-1] + ("," if before else "") + '"artifact":'
+    tail = ("," if after else "") + canonical_json(after)[1:] + "\n"
+    return head.encode("utf-8"), tail.encode("utf-8")
+
+
 def _json_line(document: Mapping[str, Any]) -> bytes:
     """One response line: the canonical compact JSON of ``document``.
 
     Every body and ndjson event goes through here.  An artifact loaded from
     the store (:class:`_StoredText`, :class:`_EncodedArtifact`) is spliced
-    in as its verified canonical text, at its sorted place; the line is
+    in as its verified canonical text, at its sorted place, between the
+    document's other members encoded by :func:`_envelope` (a
+    :class:`_StoreHit` holds them encoded already); the line is
     byte-identical to encoding the plain dict.
     """
     text = getattr(document.get("artifact"), "text", None)
     if text is None:
         return (canonical_json(document) + "\n").encode("utf-8")
-    before = {name: value for name, value in document.items() if name < "artifact"}
-    after = {name: value for name, value in document.items() if name > "artifact"}
-    members = [canonical_json(part)[1:-1] for part in (before, after)]
-    members.insert(1, f'"artifact":{text}')
-    return ("{" + ",".join(part for part in members if part) + "}\n").encode("utf-8")
+    head, tail = (
+        document.envelope if isinstance(document, _StoreHit) else _envelope(document)
+    )
+    return head + text.encode("utf-8") + tail
 
 
-async def _read_request(reader: asyncio.StreamReader) -> Optional[_Request]:
-    """Parse one request off the stream (``None`` on clean EOF)."""
-    try:
-        request_line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
-        return None
-    if not request_line:
-        return None
-    parts = request_line.decode("latin-1").strip().split()
+#: The end of a request head: its first empty line.  Each line may end in
+#: CRLF or a bare LF.
+_HEAD_END = re.compile(rb"\n\r?\n")
+
+#: Longest request head the server reads (the stream reader's line limit),
+#: and the most one read of a connection asks for.
+_MAX_HEAD_BYTES = 64 * 1024
+
+
+async def _read_request(
+    reader: asyncio.StreamReader, buffer: bytearray
+) -> Optional[_Request]:
+    """Parse one request off the stream.
+
+    ``buffer`` holds the connection's bytes read but not yet parsed: one
+    read usually brings a whole request, whose head is the block before
+    its first empty line, or everything before EOF.  Returns ``None`` at
+    EOF before a request or inside its body, and for a head beyond
+    :data:`_MAX_HEAD_BYTES`: the connection then closes without an answer.
+    """
+    scanned = 0
+    while True:
+        end = _HEAD_END.search(buffer, scanned)
+        if end is not None:
+            head, body_start = buffer[: end.start()], end.end()
+            break
+        if len(buffer) > _MAX_HEAD_BYTES:
+            return None
+        scanned = max(0, len(buffer) - 2)
+        chunk = await reader.read(_MAX_HEAD_BYTES)
+        if not chunk:
+            if not buffer:
+                return None
+            head, body_start = buffer.removesuffix(b"\n"), len(buffer)
+            break
+        buffer += chunk
+    request_line, *lines = head.decode("latin-1").split("\n")
+    parts = request_line.strip().split()
     if len(parts) != 3 or not parts[2].startswith("HTTP/"):
         raise _HttpError(400, "malformed request line")
     method, target = parts[0].upper(), parts[1]
     headers: Dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, separator, value = line.decode("latin-1").partition(":")
+    for line in lines:
+        name, separator, value = line.partition(":")
         if not separator:
             raise _HttpError(400, f"malformed header line {line!r}")
         headers[name.strip().lower()] = value.strip()
@@ -647,11 +728,17 @@ async def _read_request(reader: asyncio.StreamReader) -> Optional[_Request]:
         raise _HttpError(400, "malformed Content-Length") from None
     if length < 0 or length > MAX_BODY_BYTES:
         raise _HttpError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-    body = await reader.readexactly(length) if length else b""
+    body_end = body_start + length
+    while len(buffer) < body_end:
+        chunk = await reader.read(body_end - len(buffer))
+        if not chunk:
+            return None
+        buffer += chunk
+    body = bytes(buffer[body_start:body_end])
+    del buffer[:body_end]
     split = urlsplit(target)
-    return _Request(
-        method, split.path, parse_qs(split.query), headers, body
-    )
+    query = parse_qs(split.query) if split.query else {}
+    return _Request(method, split.path, query, headers, body)
 
 
 class ServiceServer:
@@ -732,10 +819,11 @@ class ServiceServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        buffer = bytearray()
         try:
             while True:
                 try:
-                    request = await _read_request(reader)
+                    request = await _read_request(reader, buffer)
                 except _HttpError as error:
                     await self._send_json(
                         writer,
@@ -743,8 +831,6 @@ class ServiceServer:
                         {"status": "error", "error": str(error)},
                         keep_alive=False,
                     )
-                    break
-                except asyncio.IncompleteReadError:
                     break
                 if request is None:
                     break

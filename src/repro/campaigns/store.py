@@ -163,6 +163,20 @@ def _answers_for(text: str, spec_hash: str) -> bool:
     return isinstance(payload, dict) and payload.get("spec_hash") == spec_hash
 
 
+def _read_file(path: str) -> bytes:
+    """The bytes of the file at ``path``, read without a file object: one
+    ``os.read`` of its ``fstat`` size, then reads until the end of the file
+    (one, for an object no writer extends)."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = [os.read(fd, os.fstat(fd).st_size)]
+        while chunks[-1]:
+            chunks.append(os.read(fd, 1 << 16))
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
 def _write_record(
     directory: Path,
     prefix: str,
@@ -302,6 +316,9 @@ class ArtifactStore:
             raise ConfigurationError("max_bytes must be >= 1 (or None)")
         self.root = Path(root)
         self._objects_dir = self.root / "objects"
+        #: ``_objects_dir`` with a trailing separator, as a string: a hit
+        #: reads ``<this><key>.json`` without building a ``Path``.
+        self._objects_prefix = os.path.join(self._objects_dir, "")
         self._flatten_shards()
         self.max_bytes = max_bytes
         self.code_version = (
@@ -527,16 +544,15 @@ class ArtifactStore:
         next run recomputes it instead of tripping over the same damage
         again.
         """
-        path = self._object_path(key)
         try:
-            data = path.read_bytes()
+            data = _read_file(f"{self._objects_prefix}{key}.json")
         except OSError:
             return None
         try:
             raw = data.decode("utf-8")
             return _verified_envelope(raw) or _verified_record(raw)
         except (ValueError, KeyError, TypeError):
-            self._quarantine(path, count_corrupt, quarantine)
+            self._quarantine(self._object_path(key), count_corrupt, quarantine)
             return None
 
     def _quarantine(self, path: Path, count: bool, unlink: bool) -> None:
@@ -645,6 +661,8 @@ class ArtifactStore:
         artifact: ScenarioArtifact,
         paths: Sequence[str] = ALL_PATHS,
         transient_method: str = "lu",
+        *,
+        key: Optional[str] = None,
     ) -> str:
         """Persist one artifact atomically; returns its content address.
 
@@ -653,6 +671,9 @@ class ArtifactStore:
         complete document; the index write is O(store size), so campaigns
         defer it to one refresh per run.  The correctness-critical object
         write is O(1), and hits (:meth:`load`) never touch the index at all.
+
+        ``key`` is :meth:`key_for` of the same arguments, for a caller that
+        holds it already (as for :meth:`load`).
         """
         if artifact.spec_hash != spec.content_hash():
             raise ConfigurationError(
@@ -660,7 +681,8 @@ class ArtifactStore:
                 f"{artifact.spec_hash[:12]} but the spec hashes to "
                 f"{spec.content_hash()[:12]}"
             )
-        key = self.key_for(spec, paths, transient_method)
+        if key is None:
+            key = self.key_for(spec, paths, transient_method)
         return self._store_record(
             key=key,
             scenario=artifact.scenario,
@@ -745,12 +767,16 @@ class ArtifactStore:
         ``store.load`` span, ``store.hits``/``store.misses``), so ``repro
         stats`` counts warm-start traffic like artifact traffic.
         """
+        parsed: List[Dict[str, Any]] = []
+
+        def answers(text: str) -> bool:
+            parsed.append(json.loads(text))
+            return parsed[-1].get("key") == basis_key
+
         text = self._lookup(
-            self._rom_basis_key(basis_key),
-            f"rom-basis:{basis_key[:12]}",
-            lambda text: json.loads(text).get("key") == basis_key,
+            self._rom_basis_key(basis_key), f"rom-basis:{basis_key[:12]}", answers
         )
-        return None if text is None else json.dumps(json.loads(text), sort_keys=True)
+        return None if text is None else json.dumps(parsed[-1], sort_keys=True)
 
     def rom_basis_payloads(self) -> List[str]:
         """Serialised payloads of every stored reduced basis (key order) —

@@ -119,11 +119,18 @@ class BandedCholesky:
     """
 
     def __init__(self, matrix: sparse.spmatrix) -> None:
-        coo = sparse.coo_matrix(matrix)
-        coo.sum_duplicates()
-        n = coo.shape[0]
-        rows, cols = coo.row, coo.col
-        permutation = reverse_cuthill_mckee(coo.tocsr(), symmetric_mode=True)
+        # The canonical CSR form (sorted, duplicates summed) is the assembled
+        # operators' own, so this neither copies nor sorts them; any other
+        # matrix is summed on a copy, never reordered under its owner.  The
+        # row of each entry follows from ``indptr``.
+        csr = matrix.tocsr()
+        if not csr.has_canonical_format:
+            csr = csr.copy()
+            csr.sum_duplicates()
+        n = csr.shape[0]
+        rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+        cols = csr.indices
+        permutation = reverse_cuthill_mckee(csr, symmetric_mode=True)
         inverse = np.empty(n, dtype=np.intp)
         inverse[permutation] = np.arange(n)
         natural = int(np.max(np.abs(rows - cols), initial=0))
@@ -140,7 +147,7 @@ class BandedCholesky:
         # LAPACK factorises the Fortran-ordered band in place; row ``i - j``
         # of column ``j`` holds ``A[i, j]``.
         band = np.zeros((bandwidth + 1, n), dtype=np.float64, order="F")
-        band[rows[lower] - cols[lower], cols[lower]] = coo.data[lower]
+        band[rows[lower] - cols[lower], cols[lower]] = csr.data[lower]
         info = ctypes.c_int(0)
         _DPBTRF(
             b"L", _int(n), _int(bandwidth), band.ctypes.data, _int(bandwidth + 1),

@@ -150,6 +150,24 @@ class TestCampaignRun:
             "tiny-pvcsel_4.8": False,
         }
 
+    def test_each_computed_spec_is_keyed_once(self, tmp_path, monkeypatch):
+        """A computed spec's store key serves both its lookup and its write."""
+        keyed = []
+        real = ArtifactStore.key_for
+
+        def spy(self, spec, *args, **kwargs):
+            keyed.append(spec.name)
+            return real(self, spec, *args, **kwargs)
+
+        monkeypatch.setattr(ArtifactStore, "key_for", spy)
+        store = ArtifactStore(tmp_path / "store")
+        report = CampaignRunner(TINY, store=store, paths=("steady",)).run()
+        assert report.summary["store_misses"] == 2
+        assert keyed == [point.spec.name for point in TINY.points()]
+        monkeypatch.undo()
+        for point in TINY.points():
+            assert store.load(point.spec, ("steady",)) is not None
+
     def test_paths_subset(self):
         report = run_campaign(
             [TINY.points()[0]], paths=("steady",), name="steady_only"

@@ -202,6 +202,23 @@ class TestEvaluationService:
             spec, service.paths, "lu"
         )
 
+    def test_a_computed_spec_is_keyed_once(self, tmp_path, monkeypatch):
+        """The request key is the store address the computed artifact is
+        written under: ``key_for`` runs for the request only."""
+        keyed = []
+        real = ArtifactStore.key_for
+
+        def spy(self, spec, *args, **kwargs):
+            keyed.append(spec.name)
+            return real(self, spec, *args, **kwargs)
+
+        monkeypatch.setattr(ArtifactStore, "key_for", spy)
+        service = make_service(tmp_path)
+        document = asyncio.run(service.evaluate(spec_dict()))
+        assert document["source"] == "computed"
+        assert keyed == ["svc_spec"]
+        assert service.store._object_path(document["key"]).exists()
+
     def test_events_in_order(self, tmp_path):
         service = make_service(tmp_path)
         events = []
@@ -705,6 +722,256 @@ class TestResponseBytes:
         assert line == (real(plain) + "\n").encode("utf-8")
 
 
+async def read_response(reader):
+    """One HTTP response off ``reader``: (status, headers, body bytes)."""
+    status_line = await reader.readline()
+    headers = {}
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    if "content-length" in headers:
+        body = await reader.readexactly(int(headers["content-length"]))
+    else:
+        body = await reader.read()
+    return int(status_line.split(b" ")[1]), headers, body
+
+
+async def raw_exchange(server, chunks, responses=1, eof=False):
+    """Write ``chunks`` of raw bytes on one connection, half-closing it
+    after them with ``eof``; returns the ``responses`` read in order,
+    then whatever the server sent before closing (``b""`` when it closed
+    without a word)."""
+    host, port = server.address
+    reader, writer = await asyncio.open_connection(host, port)
+    for chunk in chunks:
+        writer.write(chunk)
+        await writer.drain()
+    if eof:
+        writer.write_eof()
+    answers = [await read_response(reader) for _ in range(responses)]
+    rest = await reader.read() if eof else None
+    writer.close()
+    await writer.wait_closed()
+    return answers, rest
+
+
+def post_head(body, target="/evaluate", newline="\r\n"):
+    """The head of a ``POST`` of ``body`` with ``newline`` line endings."""
+    lines = [f"POST {target} HTTP/1.1", "Host: t", f"Content-Length: {len(body)}"]
+    return (newline.join(lines) + newline + newline).encode("latin-1")
+
+
+class TestRequestHead:
+    """The request head is read as one block and answered as before:
+    CRLF or bare-LF lines, 400 for a malformed line, 413 for an oversized
+    body, a quiet close at EOF, and ``?stream=1`` streaming."""
+
+    def serve(self, service, exchange):
+        async def main():
+            server = await start_server(service)
+            try:
+                return await exchange(server)
+            finally:
+                await server.stop()
+
+        return asyncio.run(main())
+
+    def test_crlf_requests_with_and_without_headers(self, tmp_path):
+        service = make_service(tmp_path)
+        body = body_of(spec_dict())
+
+        async def exchange(server):
+            return await raw_exchange(
+                server,
+                [
+                    b"GET /health HTTP/1.1\r\n\r\n",
+                    # Two requests in one write: the second waits in the
+                    # connection's buffer while the first is answered.
+                    b"GET /scenarios HTTP/1.1\r\nHost: t\r\n\r\n"
+                    + post_head(body)
+                    + body,
+                ],
+                responses=3,
+            )
+
+        (health, names, evaluated), _ = self.serve(service, exchange)
+        assert health[0] == names[0] == evaluated[0] == 200
+        assert json.loads(health[2])["status"] == "ok"
+        assert "campaign_smoke" in json.loads(names[2])["campaigns"]
+        assert json.loads(evaluated[2])["source"] == "computed"
+        assert evaluated[1]["connection"] == "keep-alive"
+
+    def test_bare_lf_header_lines(self, tmp_path):
+        service = make_service(tmp_path)
+        body = body_of(spec_dict())
+        crlf_line = post_head(body, newline="\n").replace(
+            b"HTTP/1.1\n", b"HTTP/1.1\r\n", 1
+        )
+
+        async def exchange(server):
+            return await raw_exchange(
+                server,
+                [
+                    post_head(body, newline="\n") + body,
+                    b"GET /health HTTP/1.1\n\n",
+                    crlf_line + body,
+                ],
+                responses=3,
+            )
+
+        (computed, health, served), _ = self.serve(service, exchange)
+        assert computed[0] == health[0] == served[0] == 200
+        assert json.loads(computed[2])["source"] == "computed"
+        assert json.loads(health[2])["status"] == "ok"
+        assert json.loads(served[2])["source"] == "store"
+
+    def test_a_request_split_anywhere_parses_the_same(self):
+        from repro.campaigns.service import _read_request
+
+        body = body_of(spec_dict())
+        stream = (
+            post_head(body, "/evaluate?stream=1") + body
+            + b"GET /health HTTP/1.1\r\n\r\n"
+            + post_head(body, newline="\n") + body
+            + b"GET /scenarios HTTP/1.1\nHost: t\n\n"
+        )
+
+        async def parse(chunk_size):
+            reader = asyncio.StreamReader()
+            buffer = bytearray()
+
+            async def feed():
+                for start in range(0, len(stream), chunk_size):
+                    reader.feed_data(stream[start : start + chunk_size])
+                    await asyncio.sleep(0)
+                reader.feed_eof()
+
+            feeder = asyncio.ensure_future(feed())
+            requests = []
+            while (request := await _read_request(reader, buffer)) is not None:
+                requests.append(
+                    (
+                        request.method,
+                        request.path,
+                        request.query,
+                        request.headers,
+                        request.body,
+                    )
+                )
+            await feeder
+            return requests
+
+        whole = asyncio.run(parse(len(stream)))
+        assert [(method, path) for method, path, *_ in whole] == [
+            ("POST", "/evaluate"),
+            ("GET", "/health"),
+            ("POST", "/evaluate"),
+            ("GET", "/scenarios"),
+        ]
+        assert whole[0][2] == {"stream": ["1"]} and whole[0][4] == body
+        assert whole[2][3]["content-length"] == str(len(body))
+        for chunk_size in (1, 2, 3, 7):
+            assert asyncio.run(parse(chunk_size)) == whole
+
+    @pytest.mark.parametrize(
+        "head, error",
+        [
+            (b"GARBAGE\r\nHost: t\r\n\r\n", "malformed request line"),
+            (b"GET /health HTTP/1.1 extra\r\n\r\n", "malformed request line"),
+            (b"GET /health FTP/1.1\n\n", "malformed request line"),
+            (b"GET /health HTTP/1.1\r\nno colon\r\n\r\n", "malformed header line"),
+            (b"GET /health HTTP/1.1\nHost: t\nno colon\n\n", "malformed header line"),
+            (
+                b"POST /evaluate HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+                "malformed Content-Length",
+            ),
+        ],
+    )
+    def test_a_malformed_head_answers_400_and_closes(self, tmp_path, head, error):
+        service = make_service(tmp_path)
+
+        async def exchange(server):
+            answered = await raw_exchange(server, [head], responses=1, eof=True)
+            health = await http_request(server, "GET", "/health")
+            return answered, health
+
+        (((status, headers, body),), rest), health = self.serve(service, exchange)
+        assert status == 400
+        assert headers["connection"] == "close"
+        assert error in json.loads(body)["error"]
+        assert rest == b""
+        assert health[0] == 200
+
+    def test_a_body_beyond_the_bound_answers_413(self, tmp_path):
+        from repro.campaigns.service import MAX_BODY_BYTES
+
+        service = make_service(tmp_path)
+        head = (
+            "POST /evaluate HTTP/1.1\r\nHost: t\r\n"
+            f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n"
+        ).encode("latin-1")
+
+        async def exchange(server):
+            return await raw_exchange(server, [head], responses=1, eof=True)
+
+        ((status, headers, body),), rest = self.serve(service, exchange)
+        assert status == 413
+        assert headers["connection"] == "close"
+        assert str(MAX_BODY_BYTES) in json.loads(body)["error"]
+        assert rest == b""
+
+    @pytest.mark.parametrize(
+        "sent",
+        [
+            b"",
+            b"POST /evaluate HTTP/1.1\r\nContent-Length: 10\r\n",
+            b"POST /evaluate HTTP/1.1\nContent-Length: 10\n",
+            b"POST /evaluate HTTP/1.1\r\nContent-Length: 10\r\n\r\n{\"na",
+        ],
+    )
+    def test_eof_inside_a_request_closes_quietly(self, tmp_path, sent):
+        service = make_service(tmp_path)
+
+        async def exchange(server):
+            closed = await raw_exchange(server, [sent], responses=0, eof=True)
+            health = await http_request(server, "GET", "/health")
+            return closed, health
+
+        (answers, rest), health = self.serve(service, exchange)
+        assert (answers, rest) == ([], b"")
+        assert health[0] == 200 and health[1][0]["requests"] == 0
+
+    def test_the_stream_flag_streams(self, tmp_path):
+        service = make_service(tmp_path)
+        body = body_of(spec_dict())
+
+        async def exchange(server):
+            plain = await raw_exchange(
+                server, [post_head(body, "/evaluate?stream=0") + body]
+            )
+            streamed = await raw_exchange(
+                server, [post_head(body, "/evaluate?stream=1") + body], eof=True
+            )
+            return plain, streamed
+
+        ((plain,), _), ((streamed,), rest) = self.serve(service, exchange)
+        assert plain[0] == 200 and plain[1]["content-type"] == "application/json"
+        assert json.loads(plain[2])["source"] == "computed"
+        assert streamed[0] == 200
+        assert streamed[1]["content-type"] == "application/x-ndjson"
+        assert streamed[1]["connection"] == "close"
+        events = [json.loads(line) for line in streamed[2].splitlines()]
+        assert [event["event"] for event in events] == [
+            "accepted",
+            "store_hit",
+            "result",
+        ]
+        assert rest == b""
+
+
 def count_spec_parses(monkeypatch):
     """Record the name of every spec ``ScenarioSpec.from_dict`` builds."""
     parses = []
@@ -942,3 +1209,91 @@ class TestSpecMemo:
         status, (document,) = asyncio.run(main())
         assert (status, document["source"]) == (200, "computed")
         assert service.store.stats.corrupt == 1
+
+
+def plain_line(document):
+    """The canonical line of ``document`` with a stored artifact's text
+    parsed: what encoding the plain dict gives."""
+    artifact = document["artifact"]
+    if hasattr(artifact, "text"):
+        artifact = json.loads(artifact.text)
+    return (canonical_json({**document, "artifact": artifact}) + "\n").encode("utf-8")
+
+
+class TestMemoisedEnvelope:
+    """A store hit answers a body with the members around its artifact
+    encoded once per memo entry; its bytes are those of encoding the plain
+    document, however the entry came to be."""
+
+    def test_hits_encode_as_the_plain_document(self, tmp_path, monkeypatch):
+        import repro.campaigns.service as service_module
+        from repro.campaigns.service import SPEC_MEMO_ENTRY_BYTES, _json_line
+
+        service = make_service(tmp_path)
+        body = body_of(spec_dict())
+        other = body_of(spec_dict(power=11.0))
+        lines = []
+
+        async def yielding(event):
+            await asyncio.sleep(0)
+
+        async def main():
+            computed = await service.evaluate(body)
+            for _ in range(3):  # the first hit, then repeats
+                lines.append(_json_line(await service.evaluate(body)))
+            leader, follower = await asyncio.gather(
+                service.evaluate(body, on_event=yielding),
+                service.evaluate(body, on_event=yielding),
+            )
+            assert follower is leader
+            lines.append(_json_line(follower))
+            # A bound of one entry: the other body evicts this one, which
+            # is then parsed, keyed and encoded again.
+            monkeypatch.setattr(
+                service_module, "SPEC_MEMO_BYTES", len(body) + SPEC_MEMO_ENTRY_BYTES
+            )
+            await service.evaluate(other)
+            rebuilt = await service.evaluate(body)
+            lines.append(_json_line(rebuilt))
+            return computed, rebuilt
+
+        computed, rebuilt = asyncio.run(main())
+        assert service.counters["service.coalesced"] == 1
+        assert service.stats_document()["spec_memo"]["entries"] == 1
+        assert rebuilt["source"] == "store"
+        expected = plain_line({**computed, "source": "store"})
+        assert lines == [expected] * 5
+        assert plain_line(rebuilt) == expected
+
+    def test_entry_charge_covers_a_spec_with_its_envelope(self, tmp_path):
+        # A memo entry answered from the store also holds the encoded
+        # envelope of its hits; the charge per entry still covers it.
+        import gc
+        import tracemalloc
+
+        from repro.campaigns.service import SPEC_MEMO_ENTRY_BYTES
+
+        service = make_service(tmp_path)
+        body = body_of(spec_dict())
+        # Trailing spaces: distinct bodies, each its own entry, one object.
+        bodies = [body + b" " * count for count in range(1, 201)]
+
+        async def hits(bodies):
+            for body in bodies:
+                document = await service.evaluate(body)
+                assert document["source"] == "store"
+
+        asyncio.run(service.evaluate(body))
+        asyncio.run(hits([body]))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            asyncio.run(hits(bodies))
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert service.stats_document()["spec_memo"]["entries"] == 201
+        assert all(entry.envelope for entry in service._spec_memo.values())
+        assert held / len(bodies) <= SPEC_MEMO_ENTRY_BYTES

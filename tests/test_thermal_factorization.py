@@ -1,5 +1,6 @@
 """Tests for the banded-Cholesky factoriser and its shared content-keyed cache."""
 
+import ctypes
 import gc
 import threading
 import time
@@ -9,8 +10,10 @@ import weakref
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from repro.errors import SolverError
+from repro.scenarios import ScenarioRunner, default_registry
 from repro.thermal import (
     FactorizationCache,
     clear_factorization_cache,
@@ -19,8 +22,10 @@ from repro.thermal import (
     matrix_content_key,
 )
 from repro.thermal.factorization import (
+    _DPBTRF,
     BandedCholesky,
     CacheEntry,
+    _int,
     lapack_routine,
     shared_cache,
 )
@@ -210,6 +215,90 @@ class TestLapackParity:
         for shape in [(161,), (161, 2), (162, 2, 2)]:
             with pytest.raises(ValueError, match="does not fit"):
                 factor.solve(np.ones(shape))
+
+
+def coo_factor(matrix):
+    """Factor and permutation as built through a summed COO copy of
+    ``matrix``: the reference the band read off the canonical CSR form
+    must equal byte for byte."""
+    coo = sparse.coo_matrix(matrix)
+    coo.sum_duplicates()
+    n = coo.shape[0]
+    rows, cols = coo.row, coo.col
+    permutation = reverse_cuthill_mckee(coo.tocsr(), symmetric_mode=True)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[permutation] = np.arange(n)
+    natural = int(np.max(np.abs(rows - cols), initial=0))
+    permuted = int(np.max(np.abs(inverse[rows] - inverse[cols]), initial=0))
+    if permuted < natural:
+        rows, cols = inverse[rows], inverse[cols]
+    else:
+        permutation = None
+    bandwidth = min(natural, permuted)
+    lower = rows >= cols
+    band = np.zeros((bandwidth + 1, n), dtype=np.float64, order="F")
+    band[rows[lower] - cols[lower], cols[lower]] = coo.data[lower]
+    info = ctypes.c_int(0)
+    _DPBTRF(
+        b"L", _int(n), _int(bandwidth), band.ctypes.data, _int(bandwidth + 1),
+        ctypes.byref(info),
+    )
+    assert info.value == 0
+    return band, permutation
+
+
+def assert_coo_factor(matrix):
+    factor = BandedCholesky(matrix)
+    band, permutation = coo_factor(matrix)
+    assert factor._factor.shape == band.shape
+    assert factor._factor.tobytes(order="F") == band.tobytes(order="F")
+    if permutation is None:
+        assert factor._permutation is None
+    else:
+        np.testing.assert_array_equal(factor._permutation, permutation)
+
+
+class TestBandFromCanonicalCsr:
+    """The band is read off the canonical CSR form of the matrix; the
+    factor is the one a summed COO copy gave, byte for byte."""
+
+    def test_case_study_operator_and_stepper(self):
+        spec = default_registry().get("scc_case_study")
+        flow = ScenarioRunner(spec).flow()
+        mesh = flow.transient_solver().mesh
+        entry = shared_cache.operator(mesh, flow.architecture.boundary_conditions())
+        operator = entry.operator.matrix
+        assert sparse.isspmatrix_csr(operator) and operator.shape[0] == 18445
+        stepper = (
+            sparse.diags(mesh.capacitance_vector() / spec.trace.dt_s) + operator
+        ).tocsc()
+        for matrix in (operator, stepper):
+            assert_coo_factor(matrix)
+
+    def test_duplicate_entries_are_summed(self):
+        matrix = stencil_operator((3, 12, 10), 0).tocoo()
+        # Each entry split in two halves: exact, whichever order sums them.
+        half = matrix.data / 2.0
+        order = np.random.default_rng(0).permutation(2 * matrix.nnz)
+        rows = np.concatenate([matrix.row, matrix.row])[order]
+        cols = np.concatenate([matrix.col, matrix.col])[order]
+        data = np.concatenate([half, half])[order]
+        duplicated = sparse.coo_matrix((data, (rows, cols)), shape=matrix.shape)
+        assert_coo_factor(duplicated)
+        np.testing.assert_array_equal(
+            BandedCholesky(duplicated)._factor, BandedCholesky(matrix)._factor
+        )
+        # A CSR matrix with unsorted duplicates is summed on a copy, not
+        # in place.
+        by_row = np.argsort(rows, kind="stable")
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows))])
+        raw = sparse.csr_matrix(
+            (data[by_row], cols[by_row], indptr), shape=matrix.shape
+        )
+        indices = raw.indices.copy()
+        assert not raw.has_canonical_format
+        assert_coo_factor(raw)
+        np.testing.assert_array_equal(raw.indices, indices)
 
 
 class TestMatrixContentKey:

@@ -2,8 +2,8 @@
 
 A store-served request does these things before its bytes reach the socket:
 
-* **head** — read the request off the connection: its head as one block
-  (request line and headers), then its body;
+* **head** — parse the request off the connection's buffer: its head as
+  one block (request line and headers), then its body;
 * **parse** — on a body's first sighting, into a validated
   :class:`ScenarioSpec`;
 * **key** — on a first sighting, the request's store address (spec content
@@ -16,6 +16,11 @@ A store-served request does these things before its bytes reach the socket:
 * **encode** — the response line: the verified artifact text joined
   between the other members, encoded once per spec-memo entry, rather
   than re-encoded.
+
+**hit** times the whole synchronous answer the connection writes for a
+body it has seen answered from the store before
+(:meth:`EvaluationService.stored_response`: memo, verified load and line,
+with its counters and request span), which the stages above split.
 
 Each stage is timed per hit over :data:`REPEATS` passes of the
 ``campaign_smoke`` specs, warm, and reported as median and interquartile
@@ -38,7 +43,7 @@ import time
 from pathlib import Path
 
 from repro.campaigns import ArtifactStore, CampaignRunner, EvaluationService, get_matrix
-from repro.campaigns.service import _json_line, _read_request
+from repro.campaigns.service import _json_line, _RequestBuffer
 from repro.scenarios import ScenarioSpec
 
 BENCH_RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
@@ -48,7 +53,16 @@ BENCH_CAMPAIGN = "campaign_smoke"
 #: Timed passes over the campaign's specs (each pass hits every spec once).
 REPEATS = 100
 
-STAGES = ("head", "parse", "key", "repeat", "store_load", "encode", "encode_reencoded")
+STAGES = (
+    "head",
+    "parse",
+    "key",
+    "repeat",
+    "store_load",
+    "encode",
+    "encode_reencoded",
+    "hit",
+)
 
 
 def _http_request(body):
@@ -93,18 +107,17 @@ def test_store_hit_split(tmp_path, bench_record):
     samples = {stage: [] for stage in STAGES}
     clock = time.perf_counter_ns
 
-    async def timed_passes():
-        # The reader is fed each request whole, as one read of a local
-        # socket brings it, so reading it never waits.
-        reader = asyncio.StreamReader()
-        buffer = bytearray()
+    def timed_passes():
+        # The buffer is fed each request whole, as one read of a local
+        # socket brings it.
+        buffer = _RequestBuffer()
         for _ in range(REPEATS):
             for request, body, document, plain in zip(
                 requests, bodies, documents, plain_documents
             ):
-                reader.feed_data(request)
+                buffer.data += request
                 start = clock()
-                received = await _read_request(reader, buffer)
+                received = buffer.next_request()
                 read = clock()
                 spec = ScenarioSpec.from_dict(json.loads(received.body))
                 parsed = clock()
@@ -118,7 +131,10 @@ def test_store_hit_split(tmp_path, bench_record):
                 encoded = clock()
                 reencoded_line = _json_line(plain)
                 reencoded = clock()
+                answer = service.stored_response(body)
+                answered = clock()
                 assert received.body == body
+                assert answer == line
                 assert text == document["artifact"].text
                 assert line == reencoded_line
                 for stage, begin, end in (
@@ -129,10 +145,11 @@ def test_store_hit_split(tmp_path, bench_record):
                     ("store_load", repeated, loaded),
                     ("encode", loaded, encoded),
                     ("encode_reencoded", encoded, reencoded),
+                    ("hit", reencoded, answered),
                 ):
                     samples[stage].append(end - begin)
 
-    asyncio.run(timed_passes())
+    timed_passes()
 
     split = {stage: _summary_us(samples[stage]) for stage in STAGES}
     assert split["encode"]["median_us"] < split["encode_reencoded"]["median_us"]

@@ -20,8 +20,9 @@ requests for the same key share one in-flight future — N identical clients
 cost one solve, and every one of them receives the byte-identical response
 document.
 
-The wire protocol is deliberately minimal HTTP/1.1 over asyncio streams
-(stdlib only), served on TCP and/or a unix domain socket:
+The wire protocol is deliberately minimal HTTP/1.1 over one asyncio
+protocol per connection (stdlib only), served on TCP and/or a unix domain
+socket; a store hit is answered in the connection's data callback:
 
 ``GET /health``
     Liveness document: pid, uptime, in-flight count, request totals.
@@ -388,23 +389,13 @@ class EvaluationService:
     ) -> Dict[str, Any]:
         """Store lookup, then one kernel dispatch; returns the document."""
         spec, key = entry.spec, entry.key
-        if self.store is not None:
-            text = self.store.load(
-                spec,
-                self.kernel.paths,
-                self.kernel.transient_method,
-                key=key,
-                as_text=True,
-            )
-            if text is not None:
-                self._count("service.store_served")
-                await _emit(on_event, {"event": "store_hit", "key": key})
-                document = self._document(
-                    spec, key, "store", artifact=_StoredText(text)
-                )
-                if entry.envelope is None:
-                    entry.envelope = _envelope(document)
-                return _StoreHit(document, entry.envelope)
+        text = self._stored_text(entry)
+        if text is not None:
+            await _emit(on_event, {"event": "store_hit", "key": key})
+            document = self._document(spec, key, "store", artifact=_StoredText(text))
+            if entry.envelope is None:
+                entry.envelope = _envelope(document)
+            return _StoreHit(document, entry.envelope)
         await _emit(on_event, {"event": "computing", "key": key})
         async with self._kernel_semaphore():
             # Counted here, in the request's context: the pool thread does
@@ -441,6 +432,54 @@ class EvaluationService:
         return self._document(
             spec, key, "computed", failure=result.provenance()
         )
+
+    def _stored_text(self, entry: _SpecEntry) -> Optional[str]:
+        """The verified artifact text the store holds for ``entry``, unparsed,
+        or ``None`` on a miss or with no store: the one store lookup of a
+        request, in :meth:`evaluate` and :meth:`stored_response` alike."""
+        if self.store is None:
+            return None
+        text = self.store.load(
+            entry.spec,
+            self.kernel.paths,
+            self.kernel.transient_method,
+            key=entry.key,
+            as_text=True,
+        )
+        if text is not None:
+            self._count("service.store_served")
+        return text
+
+    def stored_response(self, body: bytes) -> Optional[bytes]:
+        """The response line of a plain request ``body`` when the store
+        answers it now, else ``None``: the transport then awaits
+        :meth:`evaluate` for it.
+
+        Synchronous, so the transport answers a store hit in the
+        connection's data callback, with the counters and request span
+        :meth:`evaluate` gives a hit.  Only a body the spec memo holds with
+        an envelope (one answered from the store before) whose key is not in
+        flight is tried, so a first sighting, a failed spec or a key being
+        computed costs no lookup here.  A tried body whose object has left
+        the store since costs one more store lookup, and one more request
+        span, before :meth:`evaluate` computes it.
+        """
+        digest = hashlib.sha256(body).digest()
+        memo = self._spec_memo
+        entry = memo.get(digest)
+        if entry is None or entry.envelope is None or entry.key in self._inflight:
+            return None
+        with telemetry.span("service.request", scenario=entry.spec.name) as span:
+            text = self._stored_text(entry)
+            if text is None:
+                entry.envelope = None
+                return None
+            span.set(source="store")
+            self._count("service.requests")
+            memo[digest] = memo.pop(digest)
+            self._spec_memo_hits += 1
+            head, tail = entry.envelope
+            return head + text.encode("utf-8") + tail
 
     def _document(
         self,
@@ -679,75 +718,223 @@ def _json_line(document: Mapping[str, Any]) -> bytes:
 #: CRLF or a bare LF.
 _HEAD_END = re.compile(rb"\n\r?\n")
 
-#: Longest request head the server reads (the stream reader's line limit),
-#: and the most one read of a connection asks for.
+#: Longest request head the server reads, and how many bytes a connection
+#: buffers while a request of it is being answered before it stops reading.
 _MAX_HEAD_BYTES = 64 * 1024
 
 
-async def _read_request(
-    reader: asyncio.StreamReader, buffer: bytearray
-) -> Optional[_Request]:
-    """Parse one request off the stream.
+class _RequestBuffer:
+    """A connection's bytes received and not yet parsed into requests.
 
-    ``buffer`` holds the connection's bytes read but not yet parsed: one
-    read usually brings a whole request, whose head is the block before
-    its first empty line, or everything before EOF.  Returns ``None`` at
-    EOF before a request or inside its body, and for a head beyond
-    :data:`_MAX_HEAD_BYTES`: the connection then closes without an answer.
+    A request's head is the block before its first empty line, or, at EOF,
+    everything received; its body follows in the same buffer.
     """
-    scanned = 0
-    while True:
-        end = _HEAD_END.search(buffer, scanned)
+
+    __slots__ = ("data", "eof", "scanned")
+
+    def __init__(self) -> None:
+        self.data = bytearray()
+        #: Whether the client has sent its last byte (or a head beyond
+        #: :data:`_MAX_HEAD_BYTES`, which ends the stream too).
+        self.eof = False
+        #: Where the search for the head's end resumes.
+        self.scanned = 0
+
+    def next_request(self) -> Optional[_Request]:
+        """The next whole request, taken off the buffer; ``None`` while the
+        buffer holds none.  At :attr:`eof`, ``None`` means no request is
+        left, whole or not: the connection then closes without an answer.
+        A malformed head raises :class:`_HttpError`.
+        """
+        data = self.data
+        if not data:
+            return None
+        end = _HEAD_END.search(data, self.scanned)
         if end is not None:
-            head, body_start = buffer[: end.start()], end.end()
-            break
-        if len(buffer) > _MAX_HEAD_BYTES:
+            head, body_start = data[: end.start()], end.end()
+        elif self.eof:
+            head, body_start = data.removesuffix(b"\n"), len(data)
+        else:
+            if len(data) > _MAX_HEAD_BYTES:
+                data.clear()
+                self.eof = True
+            self.scanned = max(0, len(data) - 2)
             return None
-        scanned = max(0, len(buffer) - 2)
-        chunk = await reader.read(_MAX_HEAD_BYTES)
-        if not chunk:
-            if not buffer:
-                return None
-            head, body_start = buffer.removesuffix(b"\n"), len(buffer)
-            break
-        buffer += chunk
-    request_line, *lines = head.decode("latin-1").split("\n")
-    parts = request_line.strip().split()
-    if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-        raise _HttpError(400, "malformed request line")
-    method, target = parts[0].upper(), parts[1]
-    headers: Dict[str, str] = {}
-    for line in lines:
-        name, separator, value = line.partition(":")
-        if not separator:
-            raise _HttpError(400, f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
-    try:
-        length = int(headers.get("content-length", "0"))
-    except ValueError:
-        raise _HttpError(400, "malformed Content-Length") from None
-    if length < 0 or length > MAX_BODY_BYTES:
-        raise _HttpError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
-    body_end = body_start + length
-    while len(buffer) < body_end:
-        chunk = await reader.read(body_end - len(buffer))
-        if not chunk:
+        request_line, *lines = head.decode("latin-1").split("\n")
+        parts = request_line.strip().split()
+        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+            raise _HttpError(400, "malformed request line")
+        method, target = parts[0].upper(), parts[1]
+        headers: Dict[str, str] = {}
+        for line in lines:
+            name, separator, value = line.partition(":")
+            if not separator:
+                raise _HttpError(400, f"malformed header line {line!r}")
+            headers[name.strip().lower()] = value.strip()
+        try:
+            length = int(headers.get("content-length", "0"))
+        except ValueError:
+            raise _HttpError(400, "malformed Content-Length") from None
+        if length < 0 or length > MAX_BODY_BYTES:
+            raise _HttpError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+        body_end = body_start + length
+        if len(data) < body_end:
             return None
-        buffer += chunk
-    body = bytes(buffer[body_start:body_end])
-    del buffer[:body_end]
-    split = urlsplit(target)
-    query = parse_qs(split.query) if split.query else {}
-    return _Request(method, split.path, query, headers, body)
+        body = bytes(data[body_start:body_end])
+        del data[:body_end]
+        self.scanned = 0
+        split = urlsplit(target)
+        query = parse_qs(split.query) if split.query else {}
+        return _Request(method, split.path, query, headers, body)
+
+
+def _response(status: int, body: bytes, keep_alive: bool) -> bytes:
+    """One JSON response: status line, headers and ``body``."""
+    head = (
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+        f"Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+        "\r\n"
+    )
+    return head.encode("latin-1") + body
+
+
+def _error_line(error: BaseException) -> bytes:
+    """The body of a 500 answer to an unexpected ``error``."""
+    return _json_line(
+        {"status": "error", "error": f"{type(error).__name__}: {error}"}
+    )
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection, TCP or unix.
+
+    Each read is parsed in :meth:`data_received` without awaiting.  A plain
+    ``POST /evaluate`` the store answers now is answered there, through
+    :meth:`EvaluationService.stored_response`; any other request runs
+    :meth:`ServiceServer._dispatch` on a task, with this connection as its
+    writer, and nothing more is parsed until that task finishes, so answers
+    leave in request order.  A lost connection drops what is written to it
+    and leaves a running task alone: its computation completes and is
+    stored.
+    """
+
+    def __init__(self, server: "ServiceServer") -> None:
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
+        self.buffer = _RequestBuffer()
+        #: The task answering this connection's current request, if any.
+        self.task: Optional["asyncio.Task[bool]"] = None
+        #: Set while the transport's write buffer is full (reading pauses
+        #: meanwhile); resolved when it drains or the connection is lost.
+        self.writable: Optional["asyncio.Future[None]"] = None
+
+    # Protocol callbacks -----------------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer.data += data
+        if self.task is None:
+            self._serve()
+        elif len(self.buffer.data) > _MAX_HEAD_BYTES:
+            self.transport.pause_reading()
+
+    def eof_received(self) -> bool:
+        self.buffer.eof = True
+        if self.task is None:
+            self._serve()
+        return True  # keep writing the answers still owed
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        self.resume_writing()
+
+    def pause_writing(self) -> None:
+        # A client that stops reading its answers stops having its requests
+        # read, so answers written here cannot pile up without bound.
+        self.writable = asyncio.get_running_loop().create_future()
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        if self.writable is not None and not self.writable.done():
+            self.writable.set_result(None)
+        self.writable = None
+        self.transport.resume_reading()
+
+    # The writer of a dispatched request -------------------------------------
+
+    def write(self, data: bytes) -> None:
+        if not self.transport.is_closing():
+            self.transport.write(data)
+
+    async def drain(self) -> None:
+        if self.writable is not None:
+            await self.writable
+
+    # Serving ----------------------------------------------------------------
+
+    def _serve(self) -> None:
+        """Answer the buffered requests in order until one needs a task."""
+        service = self.server.service
+        while not self.transport.is_closing():
+            try:
+                request = self.buffer.next_request()
+            except _HttpError as error:
+                document = {"status": "error", "error": str(error)}
+                self._close_with(_response(error.status, _json_line(document), False))
+                return
+            if request is None:
+                if self.buffer.eof:
+                    self.transport.close()
+                return
+            keep_alive = not request.wants_close
+            if (
+                request.method == "POST"
+                and request.path == "/evaluate"
+                and not request.wants_stream
+            ):
+                try:
+                    line = service.stored_response(request.body)
+                except Exception as error:  # keep serving, as a task would
+                    logger.exception("request handler failed")
+                    self._close_with(_response(500, _error_line(error), False))
+                    return
+                if line is not None:
+                    if not keep_alive:
+                        self._close_with(_response(200, line, False))
+                        return
+                    self.write(_response(200, line, True))
+                    continue
+            self.task = asyncio.get_running_loop().create_task(
+                self.server._dispatch(request, self)
+            )
+            self.task.add_done_callback(self._dispatched)
+            return
+
+    def _close_with(self, data: bytes) -> None:
+        """Write ``data``, the connection's last answer, and close."""
+        self.write(data)
+        self.transport.close()
+
+    def _dispatched(self, task: "asyncio.Task[bool]") -> None:
+        self.task = None
+        if task.cancelled() or task.exception() is not None or not task.result():
+            self.transport.close()
+            return
+        self.transport.resume_reading()
+        self._serve()
 
 
 class ServiceServer:
     """Binds an :class:`EvaluationService` to TCP and/or a unix socket.
 
-    One connection handler serves both transports; connections are
-    keep-alive for plain JSON responses and close-delimited for streaming
-    (ndjson) ones.  Every handler error is answered as a JSON document —
-    the serving loop itself never dies with a request.
+    One :class:`_Connection` protocol per connection serves both
+    transports; connections are keep-alive for plain JSON responses and
+    close-delimited for streaming (ndjson) ones.  Every handler error is
+    answered as a JSON document — the serving loop itself never dies with a
+    request.
     """
 
     def __init__(
@@ -773,18 +960,22 @@ class ServiceServer:
     async def start(self) -> None:
         """Bind the listeners; ``self.address`` carries the actual TCP port
         (ephemeral binds via ``port=0`` resolve here)."""
+        loop = asyncio.get_running_loop()
         if self.host is not None:
-            server = await asyncio.start_server(
-                self._handle_connection, host=self.host, port=self.port
+            server = await loop.create_server(
+                self._connection, host=self.host, port=self.port
             )
             bound = server.sockets[0].getsockname()
             self.address = (bound[0], bound[1])
             self._servers.append(server)
         if self.socket_path is not None:
-            server = await asyncio.start_unix_server(
-                self._handle_connection, path=self.socket_path
+            server = await loop.create_unix_server(
+                self._connection, path=self.socket_path
             )
             self._servers.append(server)
+
+    def _connection(self) -> _Connection:
+        return _Connection(self)
 
     @property
     def endpoints(self) -> List[str]:
@@ -814,42 +1005,10 @@ class ServiceServer:
             except OSError:
                 pass
 
-    # Connection handling ----------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        buffer = bytearray()
-        try:
-            while True:
-                try:
-                    request = await _read_request(reader, buffer)
-                except _HttpError as error:
-                    await self._send_json(
-                        writer,
-                        error.status,
-                        {"status": "error", "error": str(error)},
-                        keep_alive=False,
-                    )
-                    break
-                if request is None:
-                    break
-                keep_alive = await self._dispatch(request, writer)
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        except Exception:  # pragma: no cover - defensive: never kill the loop
-            logger.exception("unhandled error in connection handler")
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+    # Request handling -------------------------------------------------------
 
     async def _dispatch(
-        self, request: _Request, writer: asyncio.StreamWriter
+        self, request: _Request, writer: _Connection
     ) -> bool:
         """Route one request; returns whether to keep the connection."""
         keep_alive = not request.wants_close
@@ -888,21 +1047,14 @@ class ServiceServer:
             return keep_alive
         except Exception as error:  # keep serving on unexpected failures
             logger.exception("request handler failed")
-            await self._send_json(
-                writer,
-                500,
-                {
-                    "status": "error",
-                    "error": f"{type(error).__name__}: {error}",
-                },
-                keep_alive=False,
-            )
+            writer.write(_response(500, _error_line(error), False))
+            await writer.drain()
             return False
         await self._send_json(writer, 200, document, keep_alive=keep_alive)
         return keep_alive
 
     async def _handle_evaluate(
-        self, request: _Request, writer: asyncio.StreamWriter, keep_alive: bool
+        self, request: _Request, writer: _Connection, keep_alive: bool
     ) -> bool:
         """An invalid body raises (a 400 from :meth:`_dispatch`), streamed
         or not: a stream starts with its first event, which ``evaluate``
@@ -932,7 +1084,7 @@ class ServiceServer:
         return False
 
     async def _handle_campaign(
-        self, name: str, writer: asyncio.StreamWriter
+        self, name: str, writer: _Connection
     ) -> bool:
         """Campaign runs always stream (that is their point)."""
         emit = await self._start_stream(writer)
@@ -946,23 +1098,15 @@ class ServiceServer:
 
     async def _send_json(
         self,
-        writer: asyncio.StreamWriter,
+        writer: _Connection,
         status: int,
         document: Mapping[str, Any],
         keep_alive: bool = True,
     ) -> None:
-        body = _json_line(document)
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
-            "\r\n"
-        )
-        writer.write(head.encode("latin-1") + body)
+        writer.write(_response(status, _json_line(document), keep_alive))
         await writer.drain()
 
-    async def _start_stream(self, writer: asyncio.StreamWriter) -> EventSink:
+    async def _start_stream(self, writer: _Connection) -> EventSink:
         """Send ndjson headers; returns a locked per-connection event sink.
 
         The lock serialises concurrent emitters (a campaign's points finish

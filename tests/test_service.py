@@ -14,11 +14,17 @@ The service contract this module pins:
   the server loop survives to serve the next request;
 * progress streams as line-delimited JSON events over plain HTTP/1.1, on
   TCP and unix sockets alike, and protocol errors map to 4xx/5xx JSON
-  bodies instead of dead connections.
+  bodies instead of dead connections;
+* a connection answers pipelined requests in order, store hits as soon as
+  they are read, and a client that leaves mid-answer cancels nothing.
 """
 
 import asyncio
 import json
+import logging
+import socket
+import struct
+import threading
 import time
 
 import pytest
@@ -829,7 +835,7 @@ class TestRequestHead:
         assert json.loads(served[2])["source"] == "store"
 
     def test_a_request_split_anywhere_parses_the_same(self):
-        from repro.campaigns.service import _read_request
+        from repro.campaigns.service import _RequestBuffer
 
         body = body_of(spec_dict())
         stream = (
@@ -839,32 +845,29 @@ class TestRequestHead:
             + b"GET /scenarios HTTP/1.1\nHost: t\n\n"
         )
 
-        async def parse(chunk_size):
-            reader = asyncio.StreamReader()
-            buffer = bytearray()
-
-            async def feed():
-                for start in range(0, len(stream), chunk_size):
-                    reader.feed_data(stream[start : start + chunk_size])
-                    await asyncio.sleep(0)
-                reader.feed_eof()
-
-            feeder = asyncio.ensure_future(feed())
+        def parse(chunk_size):
+            """Feed ``stream`` ``chunk_size`` bytes at a time, as reads of a
+            connection bring it, taking every whole request off the buffer
+            after each; at EOF nothing is left."""
+            buffer = _RequestBuffer()
             requests = []
-            while (request := await _read_request(reader, buffer)) is not None:
-                requests.append(
-                    (
-                        request.method,
-                        request.path,
-                        request.query,
-                        request.headers,
-                        request.body,
+            for start in range(0, len(stream), chunk_size):
+                buffer.data += stream[start : start + chunk_size]
+                while (request := buffer.next_request()) is not None:
+                    requests.append(
+                        (
+                            request.method,
+                            request.path,
+                            request.query,
+                            request.headers,
+                            request.body,
+                        )
                     )
-                )
-            await feeder
+            buffer.eof = True
+            assert buffer.next_request() is None and not buffer.data
             return requests
 
-        whole = asyncio.run(parse(len(stream)))
+        whole = parse(len(stream))
         assert [(method, path) for method, path, *_ in whole] == [
             ("POST", "/evaluate"),
             ("GET", "/health"),
@@ -874,7 +877,7 @@ class TestRequestHead:
         assert whole[0][2] == {"stream": ["1"]} and whole[0][4] == body
         assert whole[2][3]["content-length"] == str(len(body))
         for chunk_size in (1, 2, 3, 7):
-            assert asyncio.run(parse(chunk_size)) == whole
+            assert parse(chunk_size) == whole
 
     @pytest.mark.parametrize(
         "head, error",
@@ -970,6 +973,193 @@ class TestRequestHead:
             "result",
         ]
         assert rest == b""
+
+
+async def settle(condition, timeout_s=60.0):
+    """Wait on the running loop until ``condition()`` holds."""
+    deadline = time.perf_counter() + timeout_s
+    while not condition():
+        assert time.perf_counter() < deadline, "condition never held"
+        await asyncio.sleep(0.01)
+
+
+def gated_kernel():
+    """A steady-path kernel whose runs wait while ``gate`` is clear; returns
+    it, the names of the specs it ran, and the gate (open)."""
+    runs = []
+    gate = threading.Event()
+    gate.set()
+
+    class GatedKernel(EvaluationKernel):
+        def run(self, spec):
+            runs.append(spec.name)
+            assert gate.wait(60)
+            return super().run(spec)
+
+    return GatedKernel(("steady",)), runs, gate
+
+
+async def abort_after_first_event(server, head):
+    """Send ``head``, read the response head and its first ndjson event,
+    then reset the connection; returns that event."""
+    host, port = server.address
+    reader, writer = await asyncio.open_connection(host, port)
+    writer.write(head)
+    await writer.drain()
+    await reader.readuntil(b"\r\n\r\n")
+    event = json.loads(await reader.readline())
+    # A zero linger time makes the close send a reset, not an orderly EOF.
+    writer.get_extra_info("socket").setsockopt(
+        socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+    )
+    writer.transport.abort()
+    return event
+
+
+class TestConnection:
+    """One protocol per connection: store hits answered as they are read,
+    everything else on a task, answers in request order, and a client that
+    leaves does not stop what it asked for."""
+
+    def serve(self, service, exchange):
+        async def main():
+            server = await start_server(service)
+            try:
+                return await exchange(server)
+            finally:
+                await server.stop()
+
+        return asyncio.run(main())
+
+    def test_a_client_gone_mid_campaign_leaves_its_points_computing(
+        self, tmp_path, caplog
+    ):
+        service = make_service(tmp_path)
+        head = b"POST /campaign/campaign_smoke HTTP/1.1\r\nHost: t\r\n\r\n"
+
+        async def exchange(server):
+            first = await abort_after_first_event(server, head)
+            await settle(lambda: len(service.store) == 4 and not service._inflight)
+            return first, await http_request(server, "GET", "/health")
+
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            first, (status, (health,)) = self.serve(service, exchange)
+        assert first["event"] == "campaign" and first["scenarios"] == 4
+        assert status == 200 and health["inflight"] == 0
+        assert service.counters["service.computed"] == 4
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+
+    def test_a_client_gone_mid_stream_leaves_its_spec_computing(
+        self, tmp_path, caplog
+    ):
+        kernel, runs, gate = gated_kernel()
+        service = make_service(tmp_path, kernel=kernel)
+        body = body_of(spec_dict())
+
+        async def exchange(server):
+            gate.clear()
+            first = await abort_after_first_event(
+                server, post_head(body, "/evaluate?stream=1") + body
+            )
+            # The server sees the connection lost while the kernel runs,
+            # and writes its last events after that.
+            await settle(lambda: runs)
+            await asyncio.sleep(0.1)
+            gate.set()
+            await settle(lambda: len(service.store) == 1 and not service._inflight)
+            return first, await http_request(server, "GET", "/health")
+
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            first, (status, (health,)) = self.serve(service, exchange)
+        assert first["event"] == "accepted"
+        assert status == 200 and health["inflight"] == 0
+        assert service.counters["service.computed"] == 1
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+
+    def test_a_full_write_buffer_holds_drain_and_reading(self, tmp_path):
+        from repro.campaigns.service import _Connection
+
+        class Transport(asyncio.Transport):
+            reading = True
+
+            def pause_reading(self):
+                self.reading = False
+
+            def resume_reading(self):
+                self.reading = True
+
+            def is_closing(self):
+                return False
+
+        async def main():
+            connection = _Connection(ServiceServer(make_service(tmp_path)))
+            transport = Transport()
+            connection.connection_made(transport)
+            states = []
+            lose = lambda: connection.connection_lost(None)  # noqa: E731
+            for wake in (connection.resume_writing, lose):
+                connection.pause_writing()
+                drained = asyncio.ensure_future(connection.drain())
+                await asyncio.sleep(0)
+                states.append((drained.done(), transport.reading))
+                wake()
+                await asyncio.sleep(0)
+                states.append((drained.done(), transport.reading))
+            return states
+
+        assert asyncio.run(main()) == [(False, False), (True, True)] * 2
+
+    def test_pipelined_answers_stay_in_order(self, tmp_path):
+        service = make_service(tmp_path)
+        stored = body_of(spec_dict("svc_stored"))
+        computed = body_of(spec_dict("svc_computed"))
+
+        async def exchange(server):
+            # Computed, then served from the store: the body's next hit is
+            # answered as soon as it is read.
+            await service.evaluate(stored)
+            await service.evaluate(stored)
+            return await raw_exchange(
+                server,
+                [post_head(computed) + computed + post_head(stored) + stored],
+                responses=2,
+            )
+
+        (first, second), _ = self.serve(service, exchange)
+        assert first[0] == second[0] == 200
+        assert json.loads(first[2])["scenario"] == "svc_computed"
+        assert json.loads(first[2])["source"] == "computed"
+        assert json.loads(second[2])["scenario"] == "svc_stored"
+        assert json.loads(second[2])["source"] == "store"
+        assert service.counters["service.requests"] == 4
+
+    def test_a_hit_for_a_key_in_flight_coalesces(self, tmp_path):
+        kernel, runs, gate = gated_kernel()
+        service = make_service(tmp_path, kernel=kernel)
+        body = body_of(spec_dict())
+
+        async def exchange(server):
+            await service.evaluate(body)
+            served = await service.evaluate(body)
+            # The object leaves the store; a request recomputes it, and a
+            # client's request for the same body arrives meanwhile.
+            service.store._object_path(served["key"]).unlink()
+            gate.clear()
+            leader = asyncio.ensure_future(service.evaluate(body))
+            await settle(lambda: len(runs) == 2)
+            follower = asyncio.ensure_future(
+                http_exchange(server, "POST", "/evaluate", json.loads(body))
+            )
+            await settle(lambda: service.counters.get("service.coalesced") == 1)
+            gate.set()
+            return await leader, await follower
+
+        from repro.campaigns.service import _json_line
+
+        leader, (status, follower) = self.serve(service, exchange)
+        assert runs == ["svc_spec", "svc_spec"]
+        assert status == 200 and leader["source"] == "computed"
+        assert follower == _json_line(leader)
 
 
 def count_spec_parses(monkeypatch):

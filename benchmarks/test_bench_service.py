@@ -13,14 +13,16 @@ A store-served request does these things before its bytes reach the socket:
 * **store_load** — read the object, parse its envelope and verify the
   stored payload text against its digest (``ArtifactStore.load`` with
   ``as_text``, as the service reads it);
-* **encode** — the response line: the verified artifact text joined
-  between the other members, encoded once per spec-memo entry, rather
-  than re-encoded.
+* **encode** — the response line of a hit document from
+  :meth:`EvaluationService.evaluate`: ``_json_line`` splices the verified
+  artifact text between the other members, encoded on the spot, rather
+  than re-encoding the artifact.
 
 **hit** times the whole synchronous answer the connection writes for a
 body it has seen answered from the store before
 (:meth:`EvaluationService.stored_response`: memo, verified load and line,
-with its counters and request span), which the stages above split.
+with its counters and request span).  It is the memoised path: the other
+members were encoded once per spec-memo entry, at the body's first hit.
 
 Each stage is timed per hit over :data:`REPEATS` passes of the
 ``campaign_smoke`` specs, warm, and reported as median and interquartile

@@ -41,7 +41,7 @@ setup(
         "scipy>=1.8",
     ],
     extras_require={
-        "test": ["pytest>=7.0", "pytest-benchmark>=4.0"],
+        "test": ["pytest>=7.0", "pytest-benchmark>=4.0", "hypothesis"],
     },
     classifiers=[
         "Development Status :: 4 - Beta",

@@ -22,7 +22,8 @@ document.
 
 The wire protocol is deliberately minimal HTTP/1.1 over one asyncio
 protocol per connection (stdlib only), served on TCP and/or a unix domain
-socket; a store hit is answered in the connection's data callback:
+socket; a body answered from the store before is answered from it again in
+the connection's data callback:
 
 ``GET /health``
     Liveness document: pid, uptime, in-flight count, request totals.
@@ -79,13 +80,12 @@ from ..scenarios import (
     ScenarioArtifact,
     ScenarioSpec,
     canonical_json,
-    json_digest,
 )
 from ..thermal import factorization_cache_stats
 from .executors import WorkItem, run_item
 from .kernel import EvaluationKernel
 from .matrix import ScenarioMatrix, builtin_matrices
-from .store import ArtifactStore
+from .store import ArtifactStore, artifact_key
 
 logger = get_logger("service")
 
@@ -115,14 +115,15 @@ async def _emit(on_event: Optional[EventSink], event: Dict[str, Any]) -> None:
         await on_event(event)
 
 
-class _StoredText:
-    """A store hit's artifact as the store's verified canonical text,
-    unparsed: what :meth:`EvaluationService.evaluate` answers a request
-    body with.  Only :func:`_json_line` reads it, splicing ``text`` in."""
+class _StoredArtifact(dict):
+    """A store hit's artifact: the plain dict of the store's verified
+    canonical ``text``, which :func:`_json_line` splices in instead of
+    encoding the dict again.  Never mutated after construction."""
 
     __slots__ = ("text",)
 
     def __init__(self, text: str) -> None:
+        super().__init__(json.loads(text))
         self.text = text
 
 
@@ -137,47 +138,11 @@ class _SpecEntry:
         self.key = key
         self.charge = charge
         #: The encoded members around the artifact of this request's store
-        #: hit response (see :func:`_envelope`), once one was answered: they
-        #: are fixed by the spec, the key and the service.
+        #: hit response (see :func:`_envelope`), filled by its first hit:
+        #: they are fixed by the spec, the key and the service, and
+        #: :meth:`EvaluationService.stored_response` joins a repeat's
+        #: artifact text between them.
         self.envelope: Optional[Tuple[bytes, bytes]] = None
-
-
-class _StoreHit(dict):
-    """A store hit's response document: its artifact a :class:`_StoredText`,
-    and ``envelope`` its line's members around the artifact, encoded (what
-    :func:`_json_line` joins the artifact text between).  A copy of it (a
-    stream's ``result`` event, an in-process document) is a plain dict.
-    """
-
-    __slots__ = ("envelope",)
-
-    def __init__(
-        self, document: Dict[str, Any], envelope: Tuple[bytes, bytes]
-    ) -> None:
-        super().__init__(document)
-        self.envelope = envelope
-
-
-class _EncodedArtifact(dict):
-    """A store hit's artifact document for in-process callers: the parsed
-    ``text``, so equal to the plain dict, and :func:`_json_line` splices
-    ``text`` in instead of encoding the dict again.  Never mutated after
-    construction.
-    """
-
-    __slots__ = ("text",)
-
-    def __init__(self, text: str) -> None:
-        super().__init__(json.loads(text))
-        self.text = text
-
-
-def _in_process(document: Dict[str, Any]) -> Dict[str, Any]:
-    """``document`` with a :class:`_StoredText` artifact parsed (else as is)."""
-    artifact = document.get("artifact")
-    if not isinstance(artifact, _StoredText):
-        return document
-    return {**document, "artifact": _EncodedArtifact(artifact.text)}
 
 
 class EvaluationService:
@@ -230,7 +195,7 @@ class EvaluationService:
         )
         self.store = store
         self.concurrency = concurrency
-        self.matrices = None if matrices is None else dict(matrices)
+        self.matrices = dict(builtin_matrices() if matrices is None else matrices)
         #: Store key -> future of the in-flight computation (coalescing).
         self._inflight: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
         self._semaphore: Optional[asyncio.Semaphore] = None
@@ -265,19 +230,12 @@ class EvaluationService:
 
         With a store attached this *is* :meth:`~repro.campaigns.store.
         ArtifactStore.key_for`, so two requests coalesce exactly when they
-        would read/write the same store object; without one, an equivalent
-        content hash over the same fields.
+        would read/write the same store object; without one, the address a
+        store of the default code version would give it
+        (:func:`~repro.campaigns.store.artifact_key`).
         """
-        if self.store is not None:
-            return self.store.key_for(
-                spec, self.kernel.paths, self.kernel.transient_method
-            )
-        document = {
-            "spec_hash": spec.content_hash(),
-            "paths": sorted(set(self.kernel.paths)),
-            "transient_method": self.kernel.transient_method,
-        }
-        return json_digest(document)
+        key_for = artifact_key if self.store is None else self.store.key_for
+        return key_for(spec, self.kernel.paths, self.kernel.transient_method)
 
     def spec_for_body(self, body: bytes) -> Tuple[ScenarioSpec, str]:
         """Validated spec and request key of one JSON request body.
@@ -330,11 +288,10 @@ class EvaluationService:
         """Serve one spec: validate, coalesce, store-or-compute, persist.
 
         ``request`` is a validated spec, a spec document, or the raw JSON
-        body of one (the HTTP transport's): a body goes through
-        :meth:`spec_for_body`, and a store hit answers it with the stored
-        artifact text unparsed and the rest of its line encoded once per
-        memo entry, which only :func:`_json_line` can write.  A spec or
-        spec document gets an artifact equal to the plain dict.
+        body of one (the HTTP transport's), which goes through
+        :meth:`spec_for_body`.  Every caller gets the same document: a store
+        hit's artifact is a :class:`_StoredArtifact`, equal to the plain
+        dict, whose verified text :func:`_json_line` splices in.
 
         Returns the response document; never raises for a *failing* spec
         (the document carries the failure provenance instead).  Invalid
@@ -382,7 +339,7 @@ class EvaluationService:
                     raise
                 finally:
                     self._inflight.pop(key, None)
-        return document if isinstance(request, bytes) else _in_process(document)
+        return document
 
     async def _resolve(
         self, entry: _SpecEntry, on_event: Optional[EventSink]
@@ -392,10 +349,12 @@ class EvaluationService:
         text = self._stored_text(entry)
         if text is not None:
             await _emit(on_event, {"event": "store_hit", "key": key})
-            document = self._document(spec, key, "store", artifact=_StoredText(text))
+            document = self._document(
+                spec, key, "store", artifact=_StoredArtifact(text)
+            )
             if entry.envelope is None:
                 entry.envelope = _envelope(document)
-            return _StoreHit(document, entry.envelope)
+            return document
         await _emit(on_event, {"event": "computing", "key": key})
         async with self._kernel_semaphore():
             # Counted here, in the request's context: the pool thread does
@@ -511,14 +470,11 @@ class EvaluationService:
     # Campaigns --------------------------------------------------------------
 
     def _matrix(self, name: str) -> ScenarioMatrix:
-        matrices = (
-            builtin_matrices() if self.matrices is None else self.matrices
-        )
-        if name not in matrices:
+        if name not in self.matrices:
             raise ConfigurationError(
-                f"unknown campaign {name!r}; available: {sorted(matrices)}"
+                f"unknown campaign {name!r}; available: {sorted(self.matrices)}"
             )
-        return matrices[name]
+        return self.matrices[name]
 
     async def run_campaign(
         self, name: str, on_event: Optional[EventSink] = None
@@ -619,12 +575,9 @@ class EvaluationService:
         """The ``/scenarios`` listing (what POST bodies can reference)."""
         from ..scenarios import default_registry
 
-        matrices = (
-            builtin_matrices() if self.matrices is None else self.matrices
-        )
         return {
             "scenarios": default_registry().names(),
-            "campaigns": sorted(matrices),
+            "campaigns": sorted(self.matrices),
         }
 
 
@@ -699,18 +652,15 @@ def _json_line(document: Mapping[str, Any]) -> bytes:
     """One response line: the canonical compact JSON of ``document``.
 
     Every body and ndjson event goes through here.  An artifact loaded from
-    the store (:class:`_StoredText`, :class:`_EncodedArtifact`) is spliced
-    in as its verified canonical text, at its sorted place, between the
-    document's other members encoded by :func:`_envelope` (a
-    :class:`_StoreHit` holds them encoded already); the line is
-    byte-identical to encoding the plain dict.
+    the store (a :class:`_StoredArtifact`) is spliced in as its verified
+    canonical text, at its sorted place, between the document's other
+    members encoded by :func:`_envelope`; the line is byte-identical to
+    encoding the plain dict.
     """
     text = getattr(document.get("artifact"), "text", None)
     if text is None:
         return (canonical_json(document) + "\n").encode("utf-8")
-    head, tail = (
-        document.envelope if isinstance(document, _StoreHit) else _envelope(document)
-    )
+    head, tail = _envelope(document)
     return head + text.encode("utf-8") + tail
 
 
@@ -771,11 +721,11 @@ class _RequestBuffer:
             if not separator:
                 raise _HttpError(400, f"malformed header line {line!r}")
             headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length", "0"))
-        except ValueError:
-            raise _HttpError(400, "malformed Content-Length") from None
-        if length < 0 or length > MAX_BODY_BYTES:
+        length_text = headers.get("content-length", "0")
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise _HttpError(400, "malformed Content-Length")
+        length = int(length_text)
+        if length > MAX_BODY_BYTES:
             raise _HttpError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
         body_end = body_start + length
         if len(data) < body_end:

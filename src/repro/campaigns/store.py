@@ -74,11 +74,38 @@ from ..scenarios import (
 #: Store layout version; bumped on breaking changes of the object format.
 STORE_VERSION = 1
 
+#: The code version a store folds into its keys by default.
+CODE_VERSION = f"{_code_version}/schema{SCHEMA_VERSION}/store{STORE_VERSION}"
+
 logger = get_logger("store")
 
 
 #: What precedes the payload text in a record :func:`_write_record` wrote.
 _PAYLOAD_MEMBER = ',"payload":'
+
+
+def artifact_key(
+    spec: ScenarioSpec,
+    paths: Sequence[str] = ALL_PATHS,
+    transient_method: str = "lu",
+    code_version: str = CODE_VERSION,
+) -> str:
+    """Content address of one (spec, paths, transient method) computation
+    under ``code_version``.
+
+    The transient method is folded in only when it differs from the default
+    LU path: artifacts computed by different numerics differ at the
+    last-few-ulps level and must not answer for each other, while every
+    pre-existing LU key stays exactly where it was.
+    """
+    document = {
+        "spec_hash": spec.content_hash(),
+        "paths": sorted(set(paths)),
+        "code_version": code_version,
+    }
+    if transient_method != "lu":
+        document["transient_method"] = transient_method
+    return json_digest(document)
 
 
 def _text_digest(text: str) -> str:
@@ -321,11 +348,7 @@ class ArtifactStore:
         self._objects_prefix = os.path.join(self._objects_dir, "")
         self._flatten_shards()
         self.max_bytes = max_bytes
-        self.code_version = (
-            f"{_code_version}/schema{SCHEMA_VERSION}/store{STORE_VERSION}"
-            if code_version is None
-            else code_version
-        )
+        self.code_version = CODE_VERSION if code_version is None else code_version
         self.stats = StoreStats()
         #: Keys bumped by hits and writes since the last index write, least
         #: recently touched first; a key keeps only its last touch, so a
@@ -390,21 +413,9 @@ class ArtifactStore:
         paths: Sequence[str] = ALL_PATHS,
         transient_method: str = "lu",
     ) -> str:
-        """Content address of one (spec, paths, transient method) computation.
-
-        The transient method is folded in only when it differs from the
-        default LU path: artifacts computed by different numerics differ at
-        the last-few-ulps level and must not answer for each other, while
-        every pre-existing LU key stays exactly where it was.
-        """
-        document = {
-            "spec_hash": spec.content_hash(),
-            "paths": sorted(set(paths)),
-            "code_version": self.code_version,
-        }
-        if transient_method != "lu":
-            document["transient_method"] = transient_method
-        return json_digest(document)
+        """Content address of one (spec, paths, transient method) computation
+        in this store: :func:`artifact_key` under its :attr:`code_version`."""
+        return artifact_key(spec, paths, transient_method, self.code_version)
 
     def _rom_basis_key(self, basis_key: str) -> str:
         """Store address of a reduced-basis payload (by its content key)."""

@@ -208,6 +208,33 @@ class TestEvaluationService:
             spec, service.paths, "lu"
         )
 
+    def test_a_storeless_key_is_the_default_store_address(self, tmp_path):
+        spec = ScenarioSpec.from_dict(spec_dict())
+        for method in ("lu", "rom"):
+            service = make_service(transient_method=method)
+            assert service.store is None
+            assert service.request_key(spec) == ArtifactStore(
+                tmp_path / "store"
+            ).key_for(spec, service.paths, method)
+
+    def test_every_caller_gets_one_hit_form(self, tmp_path):
+        from repro.campaigns.service import _json_line
+
+        service = make_service(tmp_path)
+        asyncio.run(service.evaluate(spec_dict()))
+
+        async def main():
+            by_body = await service.evaluate(body_of(spec_dict()))
+            by_dict = await service.evaluate(spec_dict())
+            return by_body, by_dict
+
+        by_body, by_dict = asyncio.run(main())
+        assert by_body["source"] == by_dict["source"] == "store"
+        spec = ScenarioSpec.from_dict(spec_dict())
+        plain = service.store.load(spec, service.paths).to_dict()
+        assert by_body["artifact"] == by_dict["artifact"] == plain
+        assert _json_line(by_body) == _json_line(by_dict)
+
     def test_a_computed_spec_is_keyed_once(self, tmp_path, monkeypatch):
         """The request key is the store address the computed artifact is
         written under: ``key_for`` runs for the request only."""
@@ -889,6 +916,18 @@ class TestRequestHead:
             (b"GET /health HTTP/1.1\nHost: t\nno colon\n\n", "malformed header line"),
             (
                 b"POST /evaluate HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+                "malformed Content-Length",
+            ),
+            (
+                b"POST /evaluate HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+                "malformed Content-Length",
+            ),
+            (
+                b"POST /evaluate HTTP/1.1\r\nContent-Length: +2\r\n\r\n",
+                "malformed Content-Length",
+            ),
+            (
+                b"POST /evaluate HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n",
                 "malformed Content-Length",
             ),
         ],

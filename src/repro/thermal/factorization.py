@@ -14,6 +14,40 @@ thread (on the case-study operator, 18,445 cells with half-band 491,
 ``dpbtrf`` and ``dpbtrs`` through ctypes, which releases the GIL, so a
 factorisation on one thread runs in parallel with the work of another.
 
+The band's size picks its precision.  An operator whose float64 band,
+``n·(kd+1)·8`` bytes, is larger than :data:`SINGLE_PRECISION_BAND_BYTES`
+(40 MB) has its band built straight in float32 and factored with
+``spbtrf``, which halves the largest allocation of the cold case study.
+Each solve is then refined in float64 against the operator the factor was
+built from, as LAPACK's ``dsposv`` does (Langou et al., SC 2006): a pass
+adds the ``spbtrs`` solve of the float64 residual ``b − A x`` to ``x``,
+until ``‖b − A x‖∞ ≤ ‖x‖∞·‖A‖∞·ε·√n`` with ``ε = 2⁻⁵³``.  Each column of a
+stacked right-hand side stops on its own, so a stacked solve equals its
+per-column solves bit for bit.  If ``spbtrf`` breaks down, or a column
+does not converge within :data:`MAX_REFINEMENTS` passes, the operator is
+refactored once with ``dpbtrf`` (``dsposv``'s own fallback) and stays in
+float64.  Smaller operators are factored and solved in float64 as before.
+A refined solve costs three ``spbtrs`` passes and three residuals on the
+thermal operators, so the threshold sits where the float32 factor's saving
+outweighs that.  Measured at one BLAS thread on the registered operators
+(``K`` and the transient stepper; best of 5 factorisations and 15 solves):
+
+=====================  ======  ===  ========  ================  ===================
+operator               cells   kd   f64 band  factor f64 / f32  solve f64 / refined
+=====================  ======  ===  ========  ================  ===================
+small die              3,179   162  4.1 MB    5.3 / 4.7 ms      0.32 / 1.00 ms
+``scc_uniform_18mm``   5,355   230  9.9 MB    13.5 / 10.1 ms    0.83 / 1.89 ms
+``scc_diagonal_32mm``  6,375   246  12.6 MB   17.5 / 12.8 ms    1.00 / 2.52 ms
+``scc_random_46mm``    9,044   311  22.6 MB   42.4 / 34.6 ms    2.22 / 4.52 ms
+``scc_case_study`` K   18,445  491  72.6 MB   161 / 85 ms       10.0 / 9.8 ms
+case-study stepper     18,445  491  72.6 MB   122 / 81 ms       5.9 / 9.8 ms
+=====================  ======  ===  ========  ================  ===================
+
+Up to 22.6 MB a refined solve costs 2.0–3.1x a float64 one and the factor
+saves under 8 ms, so the campaigns' operators, solved many times per
+transient, stay in float64; the case study's two 72.6 MB bands drop to
+36.3 MB each, and their solutions move by at most 1e-12 relative.
+
 :data:`shared_cache` is the only holder of these artefacts; the solvers
 keep none.  It serves them by content key, one LRU entry each:
 
@@ -35,7 +69,8 @@ build, so concurrent callers never build one entry twice.  The cache is
 bounded: a paper-scale factor holds tens of megabytes, so sweeps varying
 the step size or the mesh must not accumulate them; an evicted entry is
 freed, and :meth:`stats` reports the bytes held by factors and sparse
-matrices.  A flow is counted as an entry but not in those bytes: its mesh,
+matrices (the operator a float32 factor refines against counted once).
+A flow is counted as an entry but not in those bytes: its mesh,
 compiled geometry and window meshes are small next to the factors of its
 operators, which it does not hold (they are entries of their own).  Reuse is
 numerically invisible — the factorisation is deterministic in the matrix
@@ -90,13 +125,34 @@ def lapack_routine(name: str, *argtypes: Any) -> Callable[..., None]:
 
 
 _INT = ctypes.POINTER(ctypes.c_int)
-_DOUBLES = ctypes.c_void_p
-#: ``dpbtrf(uplo, n, kd, ab, ldab, info)``: banded Cholesky, in place.
-_DPBTRF = lapack_routine("dpbtrf", ctypes.c_char_p, _INT, _INT, _DOUBLES, _INT, _INT)
-#: ``dpbtrs(uplo, n, kd, nrhs, ab, ldab, b, ldb, info)``: solve, in place.
-_DPBTRS = lapack_routine(
-    "dpbtrs", ctypes.c_char_p, _INT, _INT, _INT, _DOUBLES, _INT, _DOUBLES, _INT, _INT
+_ARRAY = ctypes.c_void_p
+#: ``?pbtrf(uplo, n, kd, ab, ldab, info)``: banded Cholesky, in place, in
+#: double (``d``) or single (``s``) precision.
+_DPBTRF, _SPBTRF = (
+    lapack_routine(name, ctypes.c_char_p, _INT, _INT, _ARRAY, _INT, _INT)
+    for name in ("dpbtrf", "spbtrf")
 )
+#: ``?pbtrs(uplo, n, kd, nrhs, ab, ldab, b, ldb, info)``: solve, in place.
+_DPBTRS, _SPBTRS = (
+    lapack_routine(
+        name, ctypes.c_char_p, _INT, _INT, _INT, _ARRAY, _INT, _ARRAY, _INT, _INT
+    )
+    for name in ("dpbtrs", "spbtrs")
+)
+#: The factor and solve routine, with their names, of each band precision.
+_ROUTINES = {
+    np.dtype(np.float64): (("dpbtrf", _DPBTRF), ("dpbtrs", _DPBTRS)),
+    np.dtype(np.float32): (("spbtrf", _SPBTRF), ("spbtrs", _SPBTRS)),
+}
+
+#: Operators whose float64 band, ``n·(kd+1)·8`` bytes, is larger than this
+#: are factored in float32 and their solves refined to float64; the others
+#: are factored in float64.  Measured, not a setting: see the module
+#: docstring.
+SINGLE_PRECISION_BAND_BYTES = 40_000_000
+#: Refinement passes after the first float32 solve before a float32 factor
+#: is replaced by a float64 one (``dsposv``'s ``ITERMAX``).
+MAX_REFINEMENTS = 30
 
 
 def _int(value: int) -> Any:
@@ -104,15 +160,51 @@ def _int(value: int) -> Any:
     return ctypes.byref(ctypes.c_int(value))
 
 
+def _lower_band(
+    csr: sparse.csr_matrix,
+    permutation: Optional[np.ndarray],
+    bandwidth: int,
+    dtype: Any,
+) -> np.ndarray:
+    """The lower band of canonical ``csr``, reordered by ``permutation``, as
+    the Fortran-ordered array LAPACK factorises in place: row ``i - j`` of
+    column ``j`` holds ``A[i, j]``.  Built straight in ``dtype``."""
+    n = csr.shape[0]
+    # The row of each entry follows from ``indptr``.
+    rows = np.repeat(np.arange(n), np.diff(csr.indptr))
+    cols = csr.indices
+    if permutation is not None:
+        inverse = np.empty(n, dtype=np.intp)
+        inverse[permutation] = np.arange(n)
+        rows, cols = inverse[rows], inverse[cols]
+    lower = rows >= cols
+    band = np.zeros((bandwidth + 1, n), dtype=dtype, order="F")
+    band[rows[lower] - cols[lower], cols[lower]] = csr.data[lower]
+    return band
+
+
+def _factor_band(band: np.ndarray) -> Tuple[str, int]:
+    """Factorise ``band`` in place with the routine of its precision;
+    returns that routine's name and its ``info``."""
+    (name, routine), _ = _ROUTINES[band.dtype]
+    kd, n = band.shape[0] - 1, band.shape[1]
+    info = ctypes.c_int(0)
+    routine(b"L", _int(n), _int(kd), band.ctypes.data, _int(kd + 1), ctypes.byref(info))
+    return name, info.value
+
+
 class BandedCholesky:
     """Banded Cholesky factor ``Pᵀ A P = L Lᵀ`` of a sparse SPD matrix.
 
-    Only the lower triangle of ``matrix`` is read; the thermal operators
-    are exactly symmetric by construction.  ``P`` is the reverse
-    Cuthill–McKee permutation when it narrows the band, else the identity.
-    :meth:`solve` accepts one right-hand side or a stacked
-    ``(n, n_rhs)`` matrix, which is how the steady, transient and ROM
-    solvers call it.  Both call LAPACK without holding the GIL.
+    Only the lower triangle of ``matrix`` is read for the factor; the
+    thermal operators are exactly symmetric by construction.  ``P`` is the
+    reverse Cuthill–McKee permutation when it narrows the band, else the
+    identity.  A matrix whose float64 band is larger than
+    :data:`SINGLE_PRECISION_BAND_BYTES` is factored in float32 and its
+    solves refined in float64 against ``matrix`` itself.  :meth:`solve`
+    accepts one right-hand side or a stacked ``(n, n_rhs)`` matrix, which is
+    how the steady, transient and ROM solvers call it.  Both call LAPACK
+    without holding the GIL.
 
     Raises :class:`~repro.errors.SolverError` when the matrix is not
     positive definite (a singular or indefinite operator).
@@ -121,8 +213,7 @@ class BandedCholesky:
     def __init__(self, matrix: sparse.spmatrix) -> None:
         # The canonical CSR form (sorted, duplicates summed) is the assembled
         # operators' own, so this neither copies nor sorts them; any other
-        # matrix is summed on a copy, never reordered under its owner.  The
-        # row of each entry follows from ``indptr``.
+        # matrix is summed on a copy, never reordered under its owner.
         csr = matrix.tocsr()
         if not csr.has_canonical_format:
             csr = csr.copy()
@@ -137,72 +228,141 @@ class BandedCholesky:
         permuted = int(
             np.max(np.abs(inverse[rows] - inverse[cols]), initial=0)
         )
-        if permuted < natural:
-            rows, cols = inverse[rows], inverse[cols]
-            self._permutation: Optional[np.ndarray] = permutation
-        else:
-            self._permutation = None
-        bandwidth = min(natural, permuted)
-        lower = rows >= cols
-        # LAPACK factorises the Fortran-ordered band in place; row ``i - j``
-        # of column ``j`` holds ``A[i, j]``.
-        band = np.zeros((bandwidth + 1, n), dtype=np.float64, order="F")
-        band[rows[lower] - cols[lower], cols[lower]] = csr.data[lower]
-        info = ctypes.c_int(0)
-        _DPBTRF(
-            b"L", _int(n), _int(bandwidth), band.ctypes.data, _int(bandwidth + 1),
-            ctypes.byref(info),
+        self._permutation: Optional[np.ndarray] = (
+            permutation if permuted < natural else None
         )
-        if info.value > 0:
+        #: Half-bandwidth of the factor, in the ordering chosen.
+        self.bandwidth = min(natural, permuted)
+        self._lock = threading.Lock()
+        #: The operator float32 solves are refined against, or ``None`` for
+        #: a float64 factor.
+        self._matrix: Optional[sparse.csr_matrix] = None
+        if n * (self.bandwidth + 1) * 8 > SINGLE_PRECISION_BAND_BYTES:
+            band = _lower_band(csr, self._permutation, self.bandwidth, np.float32)
+            _, info = _factor_band(band)
+            if info == 0:
+                self._factor = band
+                self._matrix = csr
+                # dsposv's tolerance: ‖A‖∞·ε·√n, with LAPACK's ε = 2⁻⁵³.
+                norm = np.max(abs(csr) @ np.ones(n), initial=0.0)
+                self._tolerance = norm * np.finfo(np.float64).epsneg * np.sqrt(n)
+                return
+            # A float32 breakdown refactors in float64, as dsposv does.
+            del band
+        self._factor = self._double_factor(csr)
+
+    def _double_factor(self, csr: sparse.csr_matrix) -> np.ndarray:
+        """The float64 factor of ``csr``'s band; raises
+        :class:`~repro.errors.SolverError` when ``dpbtrf`` rejects it."""
+        n = csr.shape[0]
+        band = _lower_band(csr, self._permutation, self.bandwidth, np.float64)
+        routine, info = _factor_band(band)
+        if info > 0:
             raise SolverError(
                 f"the {n}x{n} thermal operator is not positive definite "
-                f"(dpbtrf: leading minor {info.value} is not); its boundary "
+                f"({routine}: leading minor {info} is not); its boundary "
                 "conditions or materials are ill-posed"
             )
-        if info.value < 0:
-            raise SolverError(f"dpbtrf rejected its argument {-info.value}")
-        self._factor = band
-        #: Half-bandwidth of the factor, in the ordering chosen.
-        self.bandwidth = bandwidth
+        if info < 0:
+            raise SolverError(f"{routine} rejected its argument {-info}")
+        return band
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the factor (band plus permutation)."""
-        extra = 0 if self._permutation is None else self._permutation.nbytes
-        return self._factor.nbytes + extra
+        """Bytes held by the factor: its band, the permutation and, for a
+        float32 band, the CSR operator its solves are refined against."""
+        held = self._factor.nbytes
+        if self._permutation is not None:
+            held += self._permutation.nbytes
+        matrix = self._matrix
+        if matrix is not None:
+            held += matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+        return held
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``A x = rhs`` for a vector or stacked ``(n, n_rhs)`` matrix.
 
-        ``rhs`` is left untouched; the solution has its shape.
+        ``rhs`` is left untouched; the solution has its shape.  With a
+        float32 factor each column is refined on its own, so a stacked solve
+        equals its per-column solves bit for bit.
         """
         rhs = np.asarray(rhs)
-        n = self._factor.shape[1]
+        # Read once: a failed refinement replaces a float32 factor.
+        band, matrix = self._factor, self._matrix
+        n = band.shape[1]
         if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
             raise ValueError(
                 f"right-hand side of shape {rhs.shape} does not fit the "
                 f"{n}x{n} factor"
             )
+        if matrix is None:
+            return self._substitute(band, rhs)
+        columns = rhs.reshape(n, -1)
+        solution = np.empty(columns.shape)
+        for column in range(columns.shape[1]):
+            refined = self._refine(band, matrix, columns[:, column])
+            if refined is None:
+                return self._substitute(self._refactor(band), rhs)
+            solution[:, column] = refined
+        return solution.reshape(rhs.shape)
+
+    def _substitute(self, band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """``rhs`` solved by forward and back substitution through ``band``,
+        in its precision."""
+        _, (routine, substitute) = _ROUTINES[band.dtype]
         permutation = self._permutation
-        # LAPACK overwrites a Fortran-ordered float64 copy with the solution.
+        # LAPACK overwrites a Fortran-ordered copy with the solution.
         if permutation is None:
-            solution = np.array(rhs, dtype=np.float64, order="F")
+            solution = np.array(rhs, dtype=band.dtype, order="F")
         else:
-            solution = np.asarray(rhs[permutation], dtype=np.float64, order="F")
-        kd = self._factor.shape[0] - 1
+            solution = np.asarray(rhs[permutation], dtype=band.dtype, order="F")
+        kd, n = band.shape[0] - 1, band.shape[1]
         n_rhs = solution.shape[1] if solution.ndim == 2 else 1
         info = ctypes.c_int(0)
-        _DPBTRS(
-            b"L", _int(n), _int(kd), _int(n_rhs), self._factor.ctypes.data,
+        substitute(
+            b"L", _int(n), _int(kd), _int(n_rhs), band.ctypes.data,
             _int(kd + 1), solution.ctypes.data, _int(max(n, 1)), ctypes.byref(info),
         )
         if info.value != 0:
-            raise SolverError(f"dpbtrs rejected its argument {-info.value}")
+            raise SolverError(f"{routine} rejected its argument {-info.value}")
         if permutation is None:
             return solution
         result = np.empty_like(solution)
         result[permutation] = solution
         return result
+
+    def _refine(
+        self, band: np.ndarray, matrix: sparse.csr_matrix, rhs: np.ndarray
+    ) -> Optional[np.ndarray]:
+        """``A x = rhs`` for one column, solved through the float32 ``band``
+        and refined in float64 until ``dsposv``'s stopping rule holds:
+        ``‖rhs − A x‖∞ ≤ ‖x‖∞·‖A‖∞·ε·√n``.  ``None`` when it does not within
+        :data:`MAX_REFINEMENTS` passes."""
+        rhs = np.asarray(rhs, dtype=np.float64)
+        residual, scale = rhs, np.max(np.abs(rhs), initial=0.0)
+        if not np.isfinite(scale):
+            # Nothing to refine: the solution is not finite either.
+            return self._substitute(band, rhs).astype(np.float64)
+        solution = np.zeros_like(rhs)
+        for _ in range(1 + MAX_REFINEMENTS):
+            # Scaled to a unit maximum, so the float32 copy neither
+            # overflows nor underflows.
+            if scale > 0.0:
+                solution = solution + scale * self._substitute(band, residual / scale)
+            residual = rhs - matrix @ solution
+            scale = np.max(np.abs(residual), initial=0.0)
+            if scale <= np.max(np.abs(solution), initial=0.0) * self._tolerance:
+                return solution
+        return None
+
+    def _refactor(self, band: np.ndarray) -> np.ndarray:
+        """The float64 factor that replaces the float32 ``band`` whose
+        refinement failed (built once, whichever thread gets here first)."""
+        with self._lock:
+            if self._factor is band:
+                self._factor = self._double_factor(self._matrix)
+                self._matrix = None
+            return self._factor
 
 
 def matrix_content_key(matrix: sparse.spmatrix) -> str:
@@ -277,11 +437,13 @@ class CacheEntry:
     def nbytes(self) -> int:
         """Bytes held by the entry's factor and sparse matrices."""
         held = 0 if self.factor is None else self.factor.nbytes
+        # A float32 factor holds its operator's matrix; count it once.
+        counted = None if self.factor is None else self.factor._matrix
         matrices = [self.explicit]
         if self.operator is not None:
             matrices.append(self.operator.matrix)
         for matrix in matrices:
-            if matrix is not None:
+            if matrix is not None and matrix is not counted:
                 held += matrix.data.nbytes + matrix.indices.nbytes
                 held += matrix.indptr.nbytes
         return held
@@ -424,7 +586,7 @@ class FactorizationCache:
         def build() -> Dict[str, Any]:
             matrix = operator_entry.operator.matrix
             capacitance_over_dt = sparse.diags(capacitance / dt)
-            implicit = (capacitance_over_dt + theta * matrix).tocsc()
+            implicit = (capacitance_over_dt + theta * matrix).tocsr()
             explicit = (capacitance_over_dt - (1.0 - theta) * matrix).tocsr()
             # For backward Euler the K term multiplies to exact zeros that
             # would otherwise stay stored and cost a full stencil matvec per

@@ -2,6 +2,7 @@
 
 import ctypes
 import gc
+import sys
 import threading
 import time
 import types
@@ -21,8 +22,11 @@ from repro.thermal import (
     factorize,
     matrix_content_key,
 )
+from repro.thermal import factorization
 from repro.thermal.factorization import (
     _DPBTRF,
+    _SPBTRF,
+    SINGLE_PRECISION_BAND_BYTES,
     BandedCholesky,
     CacheEntry,
     _int,
@@ -40,19 +44,21 @@ def spd_matrix(n=12, seed=0, scale=1.0):
     return (scale * matrix).tocsc()
 
 
-def stencil_operator(shape, seed):
+def stencil_operator(shape, seed, decades=6.0, leak=1.0):
     """A seeded anisotropic 7-point SPD operator on an ``(nx, ny, nz)`` grid.
 
-    Cell conductivities span six decades and each axis gets its own scale;
+    Cell conductivities span ``decades`` decades and each axis gets its own
+    scale;
     faces couple neighbours through the harmonic mean, and the top layer
-    leaks to ambient, which makes the operator positive definite.  Cells
+    leaks to ambient through ``leak`` times its conductivity, which makes
+    the operator positive definite.  Cells
     are numbered like the thermal mesh (x slowest), so the natural band is
     ``ny * nz`` wide.
     """
     rng = np.random.default_rng(seed)
     n_cells = int(np.prod(shape))
     index = np.arange(n_cells).reshape(shape)
-    conductivity = 10.0 ** rng.uniform(-3.0, 3.0, size=shape)
+    conductivity = 10.0 ** rng.uniform(-decades / 2, decades / 2, size=shape)
     axis_scale = 10.0 ** rng.uniform(-1.0, 1.0, size=3)
     diagonal = np.zeros(n_cells)
     rows, cols, values = [], [], []
@@ -68,7 +74,9 @@ def stencil_operator(shape, seed):
         values += [-face, -face]
         np.add.at(diagonal, left, face)
         np.add.at(diagonal, right, face)
-    np.add.at(diagonal, index[:, :, -1].ravel(), conductivity[:, :, -1].ravel())
+    np.add.at(
+        diagonal, index[:, :, -1].ravel(), leak * conductivity[:, :, -1].ravel()
+    )
     rows.append(np.arange(n_cells))
     cols.append(np.arange(n_cells))
     values.append(diagonal)
@@ -154,6 +162,31 @@ class TestBandedCholesky:
         )
 
 
+def scipy_cholesky(matrix, permutation, bandwidth):
+    """scipy's float64 banded Cholesky of the lower band of ``matrix`` in
+    the order ``permutation`` (``None``: natural)."""
+    from scipy.linalg import cholesky_banded
+
+    ordered = matrix if permutation is None else matrix[permutation][:, permutation]
+    lower = sparse.tril(ordered).tocoo()
+    band = np.zeros((bandwidth + 1, matrix.shape[0]))
+    band[lower.row - lower.col, lower.col] = lower.data
+    return cholesky_banded(band, lower=True, check_finite=False)
+
+
+def scipy_solve(cholesky, permutation, rhs):
+    """``rhs`` solved by scipy through a :func:`scipy_cholesky` factor."""
+    from scipy.linalg import cho_solve_banded
+
+    ordered = rhs if permutation is None else rhs[permutation]
+    solution = cho_solve_banded((cholesky, True), ordered, check_finite=False)
+    if permutation is None:
+        return solution
+    unpermuted = np.empty_like(solution)
+    unpermuted[permutation] = solution
+    return unpermuted
+
+
 class TestLapackParity:
     """:class:`BandedCholesky` calls ``dpbtrf``/``dpbtrs`` itself; scipy's
     wrappers of the same routines are the oracle."""
@@ -161,20 +194,13 @@ class TestLapackParity:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("shape,ordering", TestBandedCholesky.SHAPES)
     def test_factor_and_solves_match_scipy_bit_for_bit(self, shape, ordering, seed):
-        from scipy.linalg import cho_solve_banded, cholesky_banded
-
         matrix = stencil_operator(shape, seed)
         n = matrix.shape[0]
         factor = BandedCholesky(matrix)
         permutation = factor._permutation
         assert (permutation is not None) == (ordering == "rcm")
         # scipy factorises the lower band of the matrix in the chosen order.
-        ordered = matrix if permutation is None else matrix[permutation][:, permutation]
-        lower = sparse.tril(ordered).tocoo()
-        kd = factor.bandwidth
-        band = np.zeros((kd + 1, n))
-        band[lower.row - lower.col, lower.col] = lower.data
-        expected = cholesky_banded(band, lower=True, check_finite=False)
+        expected = scipy_cholesky(matrix, permutation, factor.bandwidth)
         np.testing.assert_array_equal(factor._factor, expected)
 
         rng = np.random.default_rng(200 + seed)
@@ -184,12 +210,7 @@ class TestLapackParity:
             rng.standard_normal((n, 3)),
         ):
             before = rhs.copy()
-            ordered_rhs = rhs if permutation is None else rhs[permutation]
-            oracle = cho_solve_banded((expected, True), ordered_rhs, check_finite=False)
-            if permutation is not None:
-                unpermuted = np.empty_like(oracle)
-                unpermuted[permutation] = oracle
-                oracle = unpermuted
+            oracle = scipy_solve(expected, permutation, rhs)
             solution = factor.solve(rhs)
             assert solution.shape == rhs.shape
             np.testing.assert_array_equal(solution, oracle)
@@ -219,8 +240,9 @@ class TestLapackParity:
 
 def coo_factor(matrix):
     """Factor and permutation as built through a summed COO copy of
-    ``matrix``: the reference the band read off the canonical CSR form
-    must equal byte for byte."""
+    ``matrix``, in the factor's own precision (a float32 band and ``spbtrf``
+    above :data:`SINGLE_PRECISION_BAND_BYTES`): the reference the band read
+    off the canonical CSR form must equal byte for byte."""
     coo = sparse.coo_matrix(matrix)
     coo.sum_duplicates()
     n = coo.shape[0]
@@ -235,11 +257,14 @@ def coo_factor(matrix):
     else:
         permutation = None
     bandwidth = min(natural, permuted)
+    single = n * (bandwidth + 1) * 8 > SINGLE_PRECISION_BAND_BYTES
     lower = rows >= cols
-    band = np.zeros((bandwidth + 1, n), dtype=np.float64, order="F")
+    band = np.zeros(
+        (bandwidth + 1, n), dtype=np.float32 if single else np.float64, order="F"
+    )
     band[rows[lower] - cols[lower], cols[lower]] = coo.data[lower]
     info = ctypes.c_int(0)
-    _DPBTRF(
+    (_SPBTRF if single else _DPBTRF)(
         b"L", _int(n), _int(bandwidth), band.ctypes.data, _int(bandwidth + 1),
         ctypes.byref(info),
     )
@@ -251,11 +276,13 @@ def assert_coo_factor(matrix):
     factor = BandedCholesky(matrix)
     band, permutation = coo_factor(matrix)
     assert factor._factor.shape == band.shape
+    assert factor._factor.dtype == band.dtype
     assert factor._factor.tobytes(order="F") == band.tobytes(order="F")
     if permutation is None:
         assert factor._permutation is None
     else:
         np.testing.assert_array_equal(factor._permutation, permutation)
+    return factor
 
 
 class TestBandFromCanonicalCsr:
@@ -273,7 +300,7 @@ class TestBandFromCanonicalCsr:
             sparse.diags(mesh.capacitance_vector() / spec.trace.dt_s) + operator
         ).tocsc()
         for matrix in (operator, stepper):
-            assert_coo_factor(matrix)
+            assert assert_coo_factor(matrix)._factor.dtype == np.float32
 
     def test_duplicate_entries_are_summed(self):
         matrix = stencil_operator((3, 12, 10), 0).tocoo()
@@ -299,6 +326,203 @@ class TestBandFromCanonicalCsr:
         assert not raw.has_canonical_format
         assert_coo_factor(raw)
         np.testing.assert_array_equal(raw.indices, indices)
+
+
+def float64_band_bytes(factor):
+    """Bytes of the float64 band of the matrix ``factor`` was built from."""
+    return factor._factor.shape[1] * (factor.bandwidth + 1) * 8
+
+
+class TestSinglePrecision:
+    """Above :data:`SINGLE_PRECISION_BAND_BYTES` the band is factored in
+    float32 and each solve refined in float64 under ``dsposv``'s rule."""
+
+    #: A grid whose natural float64 band (400 wide) is above the threshold.
+    SHAPE = (42, 20, 20)
+
+    def test_refined_solves_meet_the_dsposv_bound(self):
+        matrix = stencil_operator(self.SHAPE, 0)
+        factor = BandedCholesky(matrix)
+        assert float64_band_bytes(factor) > SINGLE_PRECISION_BAND_BYTES
+        assert factor._factor.dtype == np.float32
+        n = matrix.shape[0]
+        norm = np.max(abs(matrix) @ np.ones(n))
+        epsilon = np.finfo(np.float64).epsneg
+        cholesky = scipy_cholesky(matrix, factor._permutation, factor.bandwidth)
+        rng = np.random.default_rng(400)
+        for rhs in (
+            rng.standard_normal(n),
+            rng.standard_normal((n, 1)),
+            rng.standard_normal((n, 3)),
+        ):
+            before = rhs.copy()
+            solution = factor.solve(rhs)
+            assert solution.shape == rhs.shape and solution.dtype == np.float64
+            np.testing.assert_array_equal(rhs, before)
+            oracle = scipy_solve(cholesky, factor._permutation, rhs)
+            columns = zip(
+                rhs.reshape(n, -1).T,
+                solution.reshape(n, -1).T,
+                oracle.reshape(n, -1).T,
+            )
+            for column, refined, expected in columns:
+                residual = np.max(np.abs(column - matrix @ refined))
+                bound = np.max(np.abs(refined)) * norm * epsilon * np.sqrt(n)
+                assert residual <= bound
+                assert np.max(np.abs(refined - expected)) <= 1e-10 * np.max(
+                    np.abs(expected)
+                )
+        # A right-hand side that is not finite has nothing to refine.
+        assert not np.isfinite(factor.solve(np.full(n, np.nan))).any()
+        # No refinement fell back to float64.
+        assert factor._factor.dtype == np.float32
+
+    def test_a_stacked_solve_equals_its_per_column_solves(self):
+        factor = BandedCholesky(stencil_operator(self.SHAPE, 1))
+        assert factor._factor.dtype == np.float32
+        n = factor._factor.shape[1]
+        stacked = np.random.default_rng(500).standard_normal((n, 3))
+        stacked[:, 2] = 0.0
+        solution = factor.solve(stacked)
+        for column in range(3):
+            np.testing.assert_array_equal(
+                solution[:, column], factor.solve(stacked[:, column])
+            )
+        np.testing.assert_array_equal(solution[:, 2], np.zeros(n))
+
+    def near_floating(self):
+        """A near-floating package: the top layer barely leaks, so
+        ``cond(A)·ε₃₂ > 1`` and float32 refinement cannot converge."""
+        return stencil_operator(self.SHAPE, 2, decades=2.0, leak=1e-10)
+
+    def test_refinement_that_does_not_converge_refactors_in_float64(
+        self, monkeypatch
+    ):
+        matrix = self.near_floating()
+        n = matrix.shape[0]
+        # max(diag) ≤ λmax, and the Rayleigh quotient of the ones vector
+        # bounds λmin from above: a lower bound on the condition number.
+        smallest = np.ones(n) @ (matrix @ np.ones(n)) / n
+        assert matrix.diagonal().max() / smallest * np.finfo(np.float32).eps > 1.0
+        factor = BandedCholesky(matrix)
+        assert factor._factor.dtype == np.float32
+        rhs = np.random.default_rng(600).standard_normal((n, 2))
+        solution = factor.solve(rhs)
+        assert factor._factor.dtype == np.float64 and factor._matrix is None
+        monkeypatch.setattr(
+            factorization, "SINGLE_PRECISION_BAND_BYTES", float("inf")
+        )
+        double = BandedCholesky(matrix)
+        assert double._factor.dtype == np.float64
+        np.testing.assert_array_equal(factor._factor, double._factor)
+        np.testing.assert_array_equal(solution, double.solve(rhs))
+        assert factor.nbytes == double.nbytes
+
+    def test_threads_meeting_a_failed_refinement_refactor_once(self, monkeypatch):
+        matrix = self.near_floating()
+        factor = BandedCholesky(matrix)
+        factored = []
+        factor_band = factorization._factor_band
+
+        def counting(band):
+            factored.append(band.dtype)
+            return factor_band(band)
+
+        monkeypatch.setattr(factorization, "_factor_band", counting)
+        rhs = np.random.default_rng(800).standard_normal(matrix.shape[0])
+        results, errors = [], []
+
+        def worker():
+            try:
+                results.append(factor.solve(rhs))
+            except Exception as error:  # reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and len(results) == 4
+        assert factored == [np.dtype(np.float64)]
+        for result in results:
+            np.testing.assert_array_equal(result, factor.solve(rhs))
+
+    def test_a_float32_breakdown_refactors_in_float64(self):
+        # Cells 0 and 1 couple to the rest of the grid only weakly, and to
+        # each other through ``[[1, b], [b, 1]]`` with ``1 - b = 2⁻³⁰``:
+        # positive definite, but float32 rounds ``b`` to 1, so ``spbtrf``
+        # meets a pivot ≤ 0.
+        grid = stencil_operator(self.SHAPE, 3, decades=0.0)
+        n = grid.shape[0]
+        weak = np.ones(n)
+        weak[:2] = 1e-6
+        scale = sparse.diags(weak)
+        b = 1.0 - 2.0 ** -30
+        block = sparse.coo_matrix(
+            ([1.0, b, b, 1.0], ([0, 0, 1, 1], [0, 1, 0, 1])), shape=(n, n)
+        )
+        matrix = (scale @ grid @ scale + block).tocsr()
+        factor = BandedCholesky(matrix)
+        assert float64_band_bytes(factor) > SINGLE_PRECISION_BAND_BYTES
+        assert factor._factor.dtype == np.float64 and factor._matrix is None
+        rhs = np.random.default_rng(700).standard_normal(n)
+        cholesky = scipy_cholesky(matrix, factor._permutation, factor.bandwidth)
+        np.testing.assert_array_equal(
+            factor.solve(rhs), scipy_solve(cholesky, factor._permutation, rhs)
+        )
+
+    def test_an_indefinite_matrix_still_raises(self):
+        matrix = -stencil_operator(self.SHAPE, 4)
+        with pytest.raises(SolverError, match="not positive definite.*dpbtrf"):
+            BandedCholesky(matrix)
+
+    @pytest.mark.parametrize(
+        "shape,routine", [((3, 4, 5), "dpbtrs"), (SHAPE, "spbtrs")]
+    )
+    def test_a_solve_error_names_the_routine_called(
+        self, shape, routine, monkeypatch
+    ):
+        factor = BandedCholesky(stencil_operator(shape, 5))
+        dtype = factor._factor.dtype
+
+        def rejecting(*args):
+            args[-1]._obj.value = -7
+
+        factor_routine, _ = factorization._ROUTINES[dtype]
+        monkeypatch.setitem(
+            factorization._ROUTINES, dtype, (factor_routine, (routine, rejecting))
+        )
+        with pytest.raises(SolverError, match=f"^{routine} rejected its argument 7"):
+            factor.solve(np.ones(factor._factor.shape[1]))
+
+    def test_the_case_study_factor_holds_at_most_055_of_the_float64_band(self):
+        clear_factorization_cache()
+        spec = default_registry().get("scc_case_study")
+        flow = ScenarioRunner(spec).flow()
+        entry = shared_cache.operator(
+            flow.transient_solver().mesh, flow.architecture.boundary_conditions()
+        )
+        matrix = entry.operator.matrix
+        factor, _, _ = shared_cache.factorize(matrix, entry.key)
+        assert factor._factor.dtype == np.float32 and factor._matrix is matrix
+        matrix_bytes = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+        assert factor.nbytes == (
+            factor._factor.nbytes + factor._permutation.nbytes + matrix_bytes
+        )
+        stats = factorization_cache_stats()
+        assert stats["kinds"]["operator"] == 1 and stats["kinds"]["stepper"] == 0
+        # The operator's matrix is the one the factor refines against:
+        # counted once.
+        assert stats["bytes"] == factor.nbytes
+        assert stats["bytes"] <= 0.55 * float64_band_bytes(factor)
+        clear_factorization_cache()
 
 
 class TestMatrixContentKey:
@@ -534,7 +758,6 @@ class TestCacheOwnership:
         # More threads than cores, more distinct operators and steppers than
         # the LRU holds, and a short switch interval: every solve must match
         # the serial reference, and every factor request must be counted.
-        import sys
         import threading
 
         from repro.thermal import (

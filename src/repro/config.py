@@ -8,7 +8,7 @@ that trade accuracy for runtime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Any, Dict
 
 from . import constants
@@ -105,6 +105,11 @@ class TechnologyParameters:
         return asdict(self)
 
 
+#: Cell count up to which a steady solve factors its operator directly;
+#: larger meshes take Jacobi-preconditioned conjugate gradients.
+DIRECT_SOLVER_CELL_LIMIT = 300_000
+
+
 @dataclass(frozen=True)
 class SimulationSettings:
     """Numerical settings of the thermal simulation.
@@ -119,8 +124,6 @@ class SimulationSettings:
     oni_cell_size_um: float = 40.0
     #: Target lateral cell size over the active die [um].
     die_cell_size_um: float = 1000.0
-    #: Target lateral cell size over the package [um].
-    package_cell_size_um: float = 4000.0
     #: Target lateral cell size of the zoom (device-level) solver [um].
     zoom_cell_size_um: float = 5.0
     #: Maximum number of cells the flat solver accepts before refusing.
@@ -128,7 +131,7 @@ class SimulationSettings:
     #: Relative tolerance for iterative solves (when used).
     solver_rtol: float = 1.0e-8
     #: Use the direct sparse solver below this cell count, CG above it.
-    direct_solver_cell_limit: int = 300_000
+    direct_solver_cell_limit: int = DIRECT_SOLVER_CELL_LIMIT
     #: Ambient temperature of the environment [degC].
     ambient_temperature_c: float = 35.0
     #: Effective convective coefficient of the heat-sink + fan [W/(m^2 K)].
@@ -140,13 +143,14 @@ class SimulationSettings:
         for name in (
             "oni_cell_size_um",
             "die_cell_size_um",
-            "package_cell_size_um",
             "zoom_cell_size_um",
         ):
             if getattr(self, name) <= 0.0:
                 raise ConfigurationError(f"{name} must be positive")
         if self.max_cells <= 0:
             raise ConfigurationError("max_cells must be positive")
+        if self.direct_solver_cell_limit <= 0:
+            raise ConfigurationError("direct_solver_cell_limit must be positive")
         if self.solver_rtol <= 0.0:
             raise ConfigurationError("solver_rtol must be positive")
         if self.heat_sink_coefficient_w_m2k <= 0.0:

@@ -3,7 +3,6 @@
 from .engine import (
     ENGINE_COUNTERS,
     SweepEngine,
-    SweepPoint,
     add_engine_counters,
     evaluation_key,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "OniThermalSummary",
     "DesignPointResult",
     "SweepEngine",
-    "SweepPoint",
     "ENGINE_COUNTERS",
     "add_engine_counters",
     "evaluation_key",

@@ -1,61 +1,58 @@
 """Shared sweep-execution engine for design-space exploration.
 
 Every figure of the paper's Section V is a *sweep*: many steady-state thermal
-evaluations of the same package under varying ``PVCSEL`` / ``Pheater`` /
-chip-activity operating points (Figs. 9, 10, 12).  Before this module each
-exploration helper walked the full flow once per point; :class:`SweepEngine`
-centralises that execution so every helper (and the optimisation loops)
-shares the same machinery:
+evaluations of one package design under varying ``PVCSEL`` / ``Pheater`` /
+chip-activity operating points (Figs. 9, 10, 12).  A :class:`SweepEngine`
+runs the sweeps of one :class:`~repro.methodology.flow.ThermalAwareDesignFlow`,
+so every helper (and the optimisation loops) shares the same machinery:
 
-* **planning** — points are expressed as :class:`SweepPoint` objects (a
-  :class:`~repro.methodology.flow.ThermalRequest` plus the key of the flow it
-  runs on) and evaluated in submission order;
+* **planning** — points are :class:`~repro.methodology.flow.ThermalRequest`
+  objects, evaluated in submission order;
 * **deduplication** — evaluations are cached behind a content-derived key
-  (flow, activity tile powers, ONI operating point, zoom setting), so a
-  (scenario, activity) pair shared by several sweep points — or revisited by
-  an optimiser — is solved exactly once;
-* **batching** — cache misses on the same flow are grouped and solved
-  through :meth:`~repro.methodology.flow.ThermalAwareDesignFlow.run_thermal_many`,
-  which stacks their right-hand sides into one multi-RHS
-  ``factor.solve(B)`` call against the flow's cached banded-Cholesky
-  factorisation.
-  Flows run one after another in-process; campaign-level parallelism lives
-  in :mod:`repro.campaigns.executors`.
+  (activity tile powers, ONI operating point, zoom setting), so a design
+  point shared by several sweeps — or revisited by an optimiser — is solved
+  exactly once;
+* **batching** — cache misses are solved through
+  :meth:`~repro.methodology.flow.ThermalAwareDesignFlow.run_thermal_many`,
+  which stacks their right-hand sides into multi-RHS ``factor.solve(B)``
+  calls of at most :data:`~repro.methodology.flow.BATCH_COLUMNS` columns
+  against the flow's cached banded-Cholesky factorisation.
 
-Timing (Fig. 9-a sweep, 24-ONI / 32.4 mm bench mesh, 16 points; together
-with the separable box-overlap fast path this engine landed with): the cold
-sweep — mesh build, factorisation and 16 points — drops from 6.35 s to
-3.15 s (2.0x), a warm re-sweep of a fresh grid from 2.99 s to 1.00 s (3.0x),
-and a re-sweep of an already-seen grid is served entirely from the
-evaluation cache (~1 ms).  Temperatures are identical to the point-by-point
-path.
+The engine runs in-process; campaign-level parallelism lives in
+:mod:`repro.campaigns.executors`.
 """
 
 from __future__ import annotations
 
 import weakref
-from collections import OrderedDict
-from dataclasses import dataclass
 from math import ceil
-from typing import Dict, Hashable, Iterable, List, Mapping, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
 from .. import telemetry
 from ..caching import LruCache
 from ..errors import ConfigurationError
 from ..snr import LaserDriveConfig, SnrReport
 from ..thermal import TransientSolver
+from . import flow as flow_module
 from .flow import ThermalAwareDesignFlow, ThermalEvaluation, ThermalRequest
 from .transient import TransientEvaluation, TransientRequest, transient_request_key
 
-DEFAULT_FLOW_KEY = "default"
+Key = Tuple[Hashable, ...]
+V = TypeVar("V")
 
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One planned evaluation: a thermal request bound to a flow."""
-
-    request: ThermalRequest
-    flow_key: str = DEFAULT_FLOW_KEY
+#: Capacity of each of an engine's evaluation caches (thermal, SNR,
+#: transient); the least recently used entries are evicted beyond it.
+CACHE_CAPACITY = 256
 
 
 #: Names of the :attr:`SweepEngine.stats` counters.  ``points_requested``
@@ -104,14 +101,14 @@ def add_engine_counters(
     return total
 
 
-def evaluation_key(flow_key: str, request: ThermalRequest) -> Tuple[Hashable, ...]:
-    """Content-derived cache key of one evaluation.
+def evaluation_key(request: ThermalRequest) -> Key:
+    """Content-derived cache key of one evaluation on a flow.
 
     Two requests with the same key produce the same
-    :class:`~repro.methodology.flow.ThermalEvaluation` (the thermal problem
-    is fully determined by the flow, the activity's tile powers, the ONI
-    operating point and the zoom setting), so the engine may serve one from
-    the other.
+    :class:`~repro.methodology.flow.ThermalEvaluation` on one flow (the
+    thermal problem is fully determined by the flow, the activity's tile
+    powers, the ONI operating point and the zoom setting), so the engine may
+    serve one from the other.
     """
     activity = request.activity
     power = request.power
@@ -121,7 +118,6 @@ def evaluation_key(flow_key: str, request: ThermalRequest) -> Tuple[Hashable, ..
         else (power.vcsel_power_w, power.heater_power_w, power.driver_power_w)
     )
     return (
-        flow_key,
         activity.name,
         tuple(sorted(activity.tile_powers_w.items())),
         power_key,
@@ -136,48 +132,24 @@ _shared_engines: "weakref.WeakKeyDictionary[ThermalAwareDesignFlow, SweepEngine]
 
 
 class SweepEngine:
-    """Plans, deduplicates and batch-executes sweep evaluations.
+    """Plans, deduplicates and batch-executes the sweep evaluations of one
+    flow.
 
     The engine holds the history of its evaluations: its caches, its
-    :attr:`stats` and one transient solver per flow and θ (the step sizes
-    and reduced bases of its own solves).  The flows it runs on hold none,
-    so several engines may share a flow without seeing each other's work.
-
-    Parameters
-    ----------
-    flows:
-        A single flow, or a mapping from flow key to flow when the sweep
-        spans several independent meshes (e.g. placement scenarios).
-    batch_size:
-        Maximum number of right-hand sides stacked into one multi-RHS solve;
-        bounds the ``(n_cells, batch_size)`` dense RHS/solution arrays.
-    max_cache_entries:
-        Evaluation-cache capacity; the least recently used entries are
-        evicted beyond it.
+    :attr:`stats` and one transient solver per θ (the step sizes and reduced
+    bases of its own solves).  The flow it runs on holds none, so several
+    engines may share a flow without seeing each other's work.
     """
 
-    def __init__(
-        self,
-        flows: Union[ThermalAwareDesignFlow, Mapping[str, ThermalAwareDesignFlow]],
-        batch_size: int = 16,
-        max_cache_entries: int = 256,
-    ) -> None:
-        if isinstance(flows, ThermalAwareDesignFlow):
-            flows = {DEFAULT_FLOW_KEY: flows}
-        if not flows:
-            raise ConfigurationError("the engine needs at least one flow")
-        if batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-        if max_cache_entries < 1:
-            raise ConfigurationError("max_cache_entries must be >= 1")
-        self._flows: Dict[str, ThermalAwareDesignFlow] = dict(flows)
-        self._batch_size = batch_size
-        self._cache: LruCache[ThermalEvaluation] = LruCache(max_cache_entries)
-        self._snr_cache: LruCache[SnrReport] = LruCache(max_cache_entries)
+    def __init__(self, flow: ThermalAwareDesignFlow) -> None:
+        #: Returns the flow; :meth:`shared` swaps in a weak reference.
+        self._flow: Callable[[], Optional[ThermalAwareDesignFlow]] = lambda: flow
+        self._cache: LruCache[ThermalEvaluation] = LruCache(CACHE_CAPACITY)
+        self._snr_cache: LruCache[SnrReport] = LruCache(CACHE_CAPACITY)
         self._transient_cache: LruCache[TransientEvaluation] = LruCache(
-            max_cache_entries
+            CACHE_CAPACITY
         )
-        self._transient_solvers: Dict[Tuple[str, float], TransientSolver] = {}
+        self._transient_solvers: Dict[float, TransientSolver] = {}
         #: Cumulative execution counters, one per :data:`ENGINE_COUNTERS`.
         self.stats: Dict[str, int] = dict.fromkeys(ENGINE_COUNTERS, 0)
 
@@ -197,18 +169,18 @@ class SweepEngine:
         if engine is None:
             engine = cls(flow)
             # A strong reference from the engine would keep its key alive.
-            engine._flows = weakref.WeakValueDictionary(engine._flows)
+            engine._flow = weakref.ref(flow)
             _shared_engines[flow] = engine
         return engine
 
     # Introspection --------------------------------------------------------------
 
-    def flow(self, flow_key: str = DEFAULT_FLOW_KEY) -> ThermalAwareDesignFlow:
-        """The flow registered under ``flow_key``."""
-        try:
-            return self._flows[flow_key]
-        except KeyError:
-            raise ConfigurationError(f"unknown flow key {flow_key!r}") from None
+    def flow(self) -> ThermalAwareDesignFlow:
+        """The flow the engine runs on."""
+        flow = self._flow()
+        if flow is None:
+            raise ConfigurationError("the engine's flow no longer exists")
+        return flow
 
     @property
     def cache_size(self) -> int:
@@ -225,15 +197,12 @@ class SweepEngine:
         """Number of transient evaluations currently cached."""
         return len(self._transient_cache)
 
-    def transient_solver(
-        self, theta: float = 1.0, flow_key: str = DEFAULT_FLOW_KEY
-    ) -> TransientSolver:
-        """The engine's transient solver on a flow, one per θ."""
-        key = (flow_key, theta)
-        solver = self._transient_solvers.get(key)
+    def transient_solver(self, theta: float = 1.0) -> TransientSolver:
+        """The engine's transient solver on its flow, one per θ."""
+        solver = self._transient_solvers.get(theta)
         if solver is None:
-            solver = self.flow(flow_key).transient_solver(theta)
-            self._transient_solvers[key] = solver
+            solver = self.flow().transient_solver(theta)
+            self._transient_solvers[theta] = solver
         return solver
 
     def rom_basis_payloads(self) -> List[str]:
@@ -255,78 +224,64 @@ class SweepEngine:
 
     # Execution ------------------------------------------------------------------
 
-    def evaluate_one(
+    def _lookup(
         self,
-        request: ThermalRequest,
-        flow_key: str = DEFAULT_FLOW_KEY,
-    ) -> ThermalEvaluation:
-        """Evaluate a single point (through the cache)."""
-        return self.evaluate([SweepPoint(request=request, flow_key=flow_key)])[0]
-
-    def evaluate(
-        self,
-        points: Iterable[Union[SweepPoint, ThermalRequest]],
-    ) -> List[ThermalEvaluation]:
-        """Evaluate every point, returning results in submission order.
-
-        Bare :class:`~repro.methodology.flow.ThermalRequest` items run on the
-        default flow.  Duplicate points (same evaluation key) are solved
-        once; cache misses are grouped per flow and executed in multi-RHS
-        batches.
-        """
-        plan: List[SweepPoint] = [
-            point
-            if isinstance(point, SweepPoint)
-            else SweepPoint(request=point)
-            for point in points
-        ]
-        keys: List[Tuple[Hashable, ...]] = []
-        #: Results of this call, immune to cache evictions mid-call.
-        resolved: Dict[Tuple[Hashable, ...], ThermalEvaluation] = {}
-        pending: "OrderedDict[str, OrderedDict[Tuple[Hashable, ...], ThermalRequest]]" = (
-            OrderedDict()
-        )
-        self.stats["points_requested"] += len(plan)
-        for point in plan:
-            if point.flow_key not in self._flows:
-                raise ConfigurationError(f"unknown flow key {point.flow_key!r}")
-            key = evaluation_key(point.flow_key, point.request)
+        requests: Iterable[ThermalRequest],
+        key_of: Callable[[ThermalRequest], Key],
+        cache: LruCache[V],
+        hits: str,
+    ) -> Tuple[List[Key], Dict[Key, V], Dict[Key, ThermalRequest]]:
+        """The key of every request in order, the results already served
+        (from ``cache``, immune to its evictions for the rest of the call)
+        and the distinct misses; every request not a first miss counts one
+        ``hits``."""
+        keys: List[Key] = []
+        resolved: Dict[Key, V] = {}
+        pending: Dict[Key, ThermalRequest] = {}
+        for request in requests:
+            key = key_of(request)
             keys.append(key)
-            if key in resolved:
-                self.stats["cache_hits"] += 1
+            if key in resolved or key in pending:
+                self.stats[hits] += 1
                 continue
-            cached = self._cache.get(key)
+            cached = cache.get(key)
             if cached is not None:
                 resolved[key] = cached
-                self.stats["cache_hits"] += 1
-                continue
-            group = pending.setdefault(point.flow_key, OrderedDict())
-            if key in group:
-                self.stats["cache_hits"] += 1
+                self.stats[hits] += 1
             else:
-                group[key] = point.request
+                pending[key] = request
+        return keys, resolved, pending
 
-        for flow_key, group in pending.items():
-            with telemetry.span(
-                "engine.thermal_batch", flow=flow_key, points=len(group)
-            ):
-                evaluations = self._flows[flow_key].run_thermal_many(
-                    list(group.values()), batch_size=self._batch_size
-                )
-            for key, evaluation in zip(group, evaluations):
+    def evaluate_one(self, request: ThermalRequest) -> ThermalEvaluation:
+        """Evaluate a single point (through the cache)."""
+        return self.evaluate([request])[0]
+
+    def evaluate(self, requests: Iterable[ThermalRequest]) -> List[ThermalEvaluation]:
+        """Evaluate every point, returning results in submission order.
+
+        Duplicate points (same evaluation key) are solved once; cache misses
+        are executed in multi-RHS batches.
+        """
+        keys, resolved, pending = self._lookup(
+            requests, evaluation_key, self._cache, "cache_hits"
+        )
+        self.stats["points_requested"] += len(keys)
+
+        if pending:
+            with telemetry.span("engine.thermal_batch", points=len(pending)):
+                evaluations = self.flow().run_thermal_many(list(pending.values()))
+            for key, evaluation in zip(pending, evaluations):
                 resolved[key] = evaluation
                 self._cache.put(key, evaluation)
-            self.stats["batches"] += ceil(len(group) / self._batch_size)
-            self.stats["thermal_solves"] += len(group)
+            self.stats["batches"] += ceil(len(pending) / flow_module.BATCH_COLUMNS)
+            self.stats["thermal_solves"] += len(pending)
 
         return [resolved[key] for key in keys]
 
     # Transient execution ---------------------------------------------------------
 
     def evaluate_transient(
-        self,
-        requests: Iterable[TransientRequest],
-        flow_key: str = DEFAULT_FLOW_KEY,
+        self, requests: Iterable[TransientRequest]
     ) -> List[TransientEvaluation]:
         """Evaluate transient design points, in submission order.
 
@@ -334,26 +289,21 @@ class SweepEngine:
         ONI operating point, integrator settings), so re-running a sweep —
         or an optimiser revisiting a trace — integrates each distinct trace
         once.  Cache misses run sequentially on the engine's
-        :meth:`transient_solver` of the flow; the per-step-size
-        factorisations are shared across every trace of the batch.
+        :meth:`transient_solver`; the per-step-size factorisations are
+        shared across every trace of the batch.
         """
-        if flow_key not in self._flows:
-            raise ConfigurationError(f"unknown flow key {flow_key!r}")
-        flow = self._flows[flow_key]
         results: List[TransientEvaluation] = []
         for request in requests:
             self.stats["transient_points_requested"] += 1
-            key = (flow_key, *transient_request_key(request))
+            key = transient_request_key(request)
             cached = self._transient_cache.get(key)
             if cached is not None:
                 self.stats["transient_cache_hits"] += 1
                 results.append(cached)
                 continue
-            with telemetry.span(
-                "engine.transient_solve", flow=flow_key
-            ) as solve_span:
-                evaluation = flow.run_transient(
-                    request, solver=self.transient_solver(request.theta, flow_key)
+            with telemetry.span("engine.transient_solve") as solve_span:
+                evaluation = self.flow().run_transient(
+                    request, solver=self.transient_solver(request.theta)
                 )
                 diagnostics = evaluation.result.diagnostics
                 solve_span.set(
@@ -393,88 +343,46 @@ class SweepEngine:
         if diagnostics.rom_fallback:
             self.stats["rom_fallbacks"] += 1
 
-    def evaluate_transient_one(
-        self,
-        request: TransientRequest,
-        flow_key: str = DEFAULT_FLOW_KEY,
-    ) -> TransientEvaluation:
+    def evaluate_transient_one(self, request: TransientRequest) -> TransientEvaluation:
         """Evaluate a single transient point (through the cache)."""
-        return self.evaluate_transient([request], flow_key=flow_key)[0]
+        return self.evaluate_transient([request])[0]
 
     # SNR execution ---------------------------------------------------------------
 
     def evaluate_snr(
-        self,
-        points: Iterable[Union[SweepPoint, ThermalRequest]],
-        drive: LaserDriveConfig,
+        self, requests: Iterable[ThermalRequest], drive: LaserDriveConfig
     ) -> List[SnrReport]:
         """Thermal + SNR evaluation of every point, in submission order.
 
         The thermal half runs through :meth:`evaluate` (deduplicated,
-        multi-RHS batched); the SNR half stacks each
-        flow's pending states into one vectorized
+        multi-RHS batched); the SNR half stacks the pending states into one
+        vectorized
         :meth:`~repro.methodology.flow.ThermalAwareDesignFlow.run_snr_many`
         call on the flow's default routed network.  Reports are cached
         behind the thermal content key plus the drive, so optimisers
         revisiting a design point (or a sweep re-running a grid) skip both
         halves entirely.
         """
-        plan: List[SweepPoint] = [
-            point
-            if isinstance(point, SweepPoint)
-            else SweepPoint(request=point)
-            for point in points
-        ]
-        self.stats["snr_points_requested"] += len(plan)
-        keys: List[Tuple[Hashable, ...]] = []
-        resolved: Dict[Tuple[Hashable, ...], SnrReport] = {}
-        pending: "OrderedDict[str, OrderedDict[Tuple[Hashable, ...], SweepPoint]]" = (
-            OrderedDict()
-        )
-        for point in plan:
-            if point.flow_key not in self._flows:
-                raise ConfigurationError(f"unknown flow key {point.flow_key!r}")
-            # The flow's default network is fixed for its lifetime, so the
-            # flow key names it: the thermal key plus the drive is complete.
-            key = (
-                *evaluation_key(point.flow_key, point.request),
-                drive.current_a,
-                drive.dissipated_power_w,
-            )
-            keys.append(key)
-            if key in resolved:
-                self.stats["snr_cache_hits"] += 1
-                continue
-            cached = self._snr_cache.get(key)
-            if cached is not None:
-                resolved[key] = cached
-                self.stats["snr_cache_hits"] += 1
-                continue
-            group = pending.setdefault(point.flow_key, OrderedDict())
-            if key in group:
-                self.stats["snr_cache_hits"] += 1
-            else:
-                group[key] = point
 
-        # Thermal step for every miss at once (deduplicated / batched by the
-        # thermal machinery), then one batched SNR evaluation
-        # per flow with pending work.
-        miss_points = [point for group in pending.values() for point in group.values()]
-        evaluations = self.evaluate(miss_points)
-        cursor = 0
-        for flow_key, group in pending.items():
-            flow_evaluations = evaluations[cursor : cursor + len(group)]
-            cursor += len(group)
-            with telemetry.span(
-                "engine.snr_batch", flow=flow_key, points=len(group)
-            ):
-                batch = self._flows[flow_key].run_snr_many(flow_evaluations, drive)
-            for index, key in enumerate(group):
+        def snr_key(request: ThermalRequest) -> Key:
+            # The flow's default network is fixed for its lifetime, so the
+            # thermal key plus the drive is complete.
+            return (*evaluation_key(request), drive.current_a, drive.dissipated_power_w)
+
+        keys, resolved, pending = self._lookup(
+            requests, snr_key, self._snr_cache, "snr_cache_hits"
+        )
+        self.stats["snr_points_requested"] += len(keys)
+
+        if pending:
+            evaluations = self.evaluate(list(pending.values()))
+            with telemetry.span("engine.snr_batch", points=len(pending)):
+                batch = self.flow().run_snr_many(evaluations, drive)
+            for index, key in enumerate(pending):
                 report = batch.report(index)
                 resolved[key] = report
                 self._snr_cache.put(key, report)
-            self.stats["snr_evaluations"] += len(group)
+            self.stats["snr_evaluations"] += len(pending)
             self.stats["snr_batches"] += 1
 
         return [resolved[key] for key in keys]
-

@@ -28,8 +28,8 @@ from ..errors import ConfigurationError
 from ..oni import OniPowerConfig
 from ..snr import LaserDriveConfig
 from ..units import w_to_mw
-from .engine import SweepEngine, SweepPoint
-from .flow import ThermalAwareDesignFlow, ThermalEvaluation, ThermalRequest
+from .engine import SweepEngine
+from .flow import ThermalAwareDesignFlow, ThermalRequest
 
 
 @dataclass(frozen=True)
@@ -257,50 +257,38 @@ def snr_across_scenarios(
         architecture.floorplan, chip_power_w
     )
 
-    flows = {
-        f"{index}:{scenario.name}": ThermalAwareDesignFlow(architecture, scenario)
-        for index, scenario in enumerate(scenario_list)
-    }
-    engine = SweepEngine(flows)
-    plan: List[SweepPoint] = []
-    labels: List[tuple] = []
-    for index, scenario in enumerate(scenario_list):
-        flow_key = f"{index}:{scenario.name}"
-        for activity_name, activity in activity_map.items():
-            labels.append((flow_key, scenario, activity_name))
-            plan.append(
-                SweepPoint(
-                    request=ThermalRequest(
-                        activity=activity,
-                        power=operating_power,
-                        zoom_oni="auto" if zoom else None,
-                    ),
-                    flow_key=flow_key,
+    requests = [
+        ThermalRequest(
+            activity=activity,
+            power=operating_power,
+            zoom_oni="auto" if zoom else None,
+        )
+        for activity in activity_map.values()
+    ]
+    points: List[ScenarioSnrPoint] = []
+    for scenario in scenario_list:
+        # Each placement is its own mesh; its engine deduplicates/batches
+        # the thermal half, and the SNR half runs as one vectorized pass over
+        # all its activities (its thermal work served from the cache).
+        engine = SweepEngine(ThermalAwareDesignFlow(architecture, scenario))
+        evaluations = engine.evaluate(requests)
+        reports = engine.evaluate_snr(requests, operating_drive)
+        for activity_name, evaluation, report in zip(
+            activity_map, evaluations, reports
+        ):
+            averages = [s.average_c for s in evaluation.oni_summaries.values()]
+            points.append(
+                ScenarioSnrPoint(
+                    scenario=scenario.name,
+                    ring_length_mm=scenario.ring_length_mm,
+                    activity=activity_name,
+                    worst_case_snr_db=report.worst_case_snr_db,
+                    average_snr_db=report.average_snr_db,
+                    min_signal_power_mw=w_to_mw(report.min_signal_power_w),
+                    max_crosstalk_power_mw=w_to_mw(report.max_crosstalk_power_w),
+                    oni_temperature_min_c=min(averages),
+                    oni_temperature_max_c=max(averages),
+                    all_detected=report.all_detected,
                 )
             )
-    # The thermal half is deduplicated/batched by the engine; the SNR
-    # half runs per scenario as one vectorized pass over all its activities
-    # (the second call's thermal work is served from the evaluation cache).
-    evaluations = engine.evaluate(plan)
-    reports = engine.evaluate_snr(plan, operating_drive)
-
-    points: List[ScenarioSnrPoint] = []
-    for (flow_key, scenario, activity_name), evaluation, report in zip(
-        labels, evaluations, reports
-    ):
-        averages = [s.average_c for s in evaluation.oni_summaries.values()]
-        points.append(
-            ScenarioSnrPoint(
-                scenario=scenario.name,
-                ring_length_mm=scenario.ring_length_mm,
-                activity=activity_name,
-                worst_case_snr_db=report.worst_case_snr_db,
-                average_snr_db=report.average_snr_db,
-                min_signal_power_mw=w_to_mw(report.min_signal_power_w),
-                max_crosstalk_power_mw=w_to_mw(report.max_crosstalk_power_w),
-                oni_temperature_min_c=min(averages),
-                oni_temperature_max_c=max(averages),
-                all_detected=report.all_detected,
-            )
-        )
     return points

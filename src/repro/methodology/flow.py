@@ -22,7 +22,7 @@ of :mod:`repro.thermal.factorization`.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -32,7 +32,7 @@ from ..casestudy import OniRingScenario, SccArchitecture
 from ..config import SimulationSettings, TechnologyParameters
 from ..devices import VcselModel
 from ..errors import AnalysisError, ConfigurationError, GeometryError
-from ..oni import OniPowerConfig, OpticalNetworkInterface
+from ..oni import OniPowerConfig
 from ..onoc import Communication, OrnocNetwork, shift_traffic
 from ..snr import (
     BatchSnrReport,
@@ -60,6 +60,10 @@ from .transient import (
     TransientEvaluation,
     TransientRequest,
 )
+
+#: Most coarse solves stacked into one multi-RHS call; bounds the dense
+#: ``(n_cells, BATCH_COLUMNS)`` right-hand-side and solution arrays.
+BATCH_COLUMNS = 16
 
 
 @dataclass(frozen=True)
@@ -215,7 +219,6 @@ class ThermalAwareDesignFlow:
         scenario: OniRingScenario,
         technology: Optional[TechnologyParameters] = None,
         vcsel: Optional[VcselModel] = None,
-        settings: Optional[SimulationSettings] = None,
         waveguide_count: Optional[int] = None,
         channels_per_waveguide: Optional[int] = None,
         shift_hops: Optional[int] = None,
@@ -226,7 +229,6 @@ class ThermalAwareDesignFlow:
         self.scenario = scenario
         self.technology = technology or TechnologyParameters()
         self.vcsel = vcsel or VcselModel()
-        self.settings = settings or architecture.settings
         self.waveguide_count = waveguide_count
         self.channels_per_waveguide = channels_per_waveguide
         self.shift_hops = shift_hops
@@ -242,6 +244,12 @@ class ThermalAwareDesignFlow:
         #: The ONI probes compiled on the mesh of the last transient solve.
         self._probe_cache: Optional[CompiledProbes] = None
 
+    @property
+    def settings(self) -> SimulationSettings:
+        """The numerical settings of the flow: its architecture's, which
+        also bound its mesh and set its boundary conditions."""
+        return self.architecture.settings
+
     # Mesh / solver infrastructure ----------------------------------------------------
 
     def _mesh(self) -> Mesh3D:
@@ -252,9 +260,7 @@ class ThermalAwareDesignFlow:
             with self._mesh_lock:
                 if self._mesh_cache is None:
                     self._mesh_cache = self.architecture.build_mesh(
-                        oni_footprints=self.scenario.oni_footprints,
-                        base_cell_size_um=self.settings.die_cell_size_um,
-                        oni_cell_size_um=self.settings.oni_cell_size_um,
+                        oni_footprints=self.scenario.oni_footprints
                     )
                 mesh = self._mesh_cache
         return mesh
@@ -359,32 +365,22 @@ class ThermalAwareDesignFlow:
         return self.run_thermal_many([request])[0]
 
     def run_thermal_many(
-        self,
-        requests: Sequence[ThermalRequest],
-        batch_size: Optional[int] = 16,
+        self, requests: Sequence[ThermalRequest]
     ) -> List[ThermalEvaluation]:
         """Thermal analysis of several design points in batched solves.
 
-        The coarse full-package solves are stacked ``batch_size`` at a time
-        into multi-right-hand-side calls
+        The coarse full-package solves are stacked :data:`BATCH_COLUMNS` at
+        a time into multi-right-hand-side calls
         (:meth:`~repro.thermal.SteadyStateSolver.solve_many`); the
         conductance matrix is factorised at most once regardless of the
-        request count, while ``batch_size`` bounds the dense
-        ``(n_cells, batch_size)`` right-hand-side/solution arrays
-        (``None`` stacks everything into one call).  Zoom solves (which
-        depend on each coarse solution) run per request afterwards.  The
-        results are identical to calling :meth:`run_thermal` once per
-        request.
+        request count.  Zoom solves (which depend on each coarse solution)
+        run per request afterwards.  The results are identical to calling
+        :meth:`run_thermal` once per request.
         """
         request_list = list(requests)
-        if not request_list:
-            return []
-        if batch_size is not None and batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1 or None")
-        chunk_size = len(request_list) if batch_size is None else batch_size
         evaluations: List[ThermalEvaluation] = []
-        for start in range(0, len(request_list), chunk_size):
-            chunk = request_list[start : start + chunk_size]
+        for start in range(0, len(request_list), BATCH_COLUMNS):
+            chunk = request_list[start : start + BATCH_COLUMNS]
             source_sets = [
                 self.source_batch(request.activity, request.power)
                 for request in chunk

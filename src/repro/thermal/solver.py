@@ -24,6 +24,7 @@ import numpy as np
 from scipy.sparse import diags
 from scipy.sparse.linalg import cg
 
+from ..config import DIRECT_SOLVER_CELL_LIMIT
 from ..errors import SolverError
 from .assembly import boundary_rhs
 from .boundary import BoundaryConditions
@@ -96,7 +97,7 @@ class SteadyStateSolver:
         self,
         mesh: Mesh3D,
         boundaries: BoundaryConditions,
-        direct_cell_limit: int = 400_000,
+        direct_cell_limit: int = DIRECT_SOLVER_CELL_LIMIT,
         rtol: float = 1.0e-8,
     ) -> None:
         if direct_cell_limit <= 0:

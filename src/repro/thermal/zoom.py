@@ -30,6 +30,7 @@ from typing import Dict, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
+from ..config import DIRECT_SOLVER_CELL_LIMIT
 from ..errors import SolverError
 from ..geometry import Box, LayerStack, Rect
 from .boundary import BoundaryConditions, FaceCondition
@@ -101,7 +102,7 @@ class ZoomSolver:
         vertical_target_um: float = 100.0,
         max_sublayers: int = 4,
         max_cells: int = 2_000_000,
-        direct_cell_limit: int = 400_000,
+        direct_cell_limit: int = DIRECT_SOLVER_CELL_LIMIT,
         vertical_range: Optional[tuple[float, float]] = None,
     ) -> None:
         if cell_size_um <= 0.0:

@@ -99,6 +99,8 @@ class TestSimulationSettings:
         with pytest.raises(ConfigurationError):
             SimulationSettings(solver_rtol=-1.0)
         with pytest.raises(ConfigurationError):
+            SimulationSettings(direct_solver_cell_limit=0)
+        with pytest.raises(ConfigurationError):
             SimulationSettings(heat_sink_coefficient_w_m2k=0.0)
 
     def test_to_dict_roundtrip(self):

@@ -19,7 +19,6 @@ import pytest
 from repro.activity import ActivityPattern, ActivityTrace, uniform_activity
 from repro.methodology import (
     SweepEngine,
-    SweepPoint,
     ThermalRequest,
     TransientRequest,
     evaluation_key,
@@ -51,7 +50,7 @@ class TestThermalKeys:
             activity=pattern("a", {"t1": 2.0, "t0": 1.0}),
             power=OniPowerConfig(vcsel_power_w=3.6e-3),
         )
-        assert evaluation_key("f", first) == evaluation_key("f", second)
+        assert evaluation_key(first) == evaluation_key(second)
 
     @pytest.mark.parametrize(
         "other",
@@ -77,11 +76,7 @@ class TestThermalKeys:
     )
     def test_distinct_content_distinct_key(self, other):
         base = ThermalRequest(activity=pattern("a", {"t0": 1.0, "t1": 2.0}))
-        assert evaluation_key("f", base) != evaluation_key("f", other)
-
-    def test_flow_key_separates_flows(self):
-        request = ThermalRequest(activity=pattern("a", {"t0": 1.0}))
-        assert evaluation_key("f1", request) != evaluation_key("f2", request)
+        assert evaluation_key(base) != evaluation_key(other)
 
     def test_driver_power_distinguished_from_default(self):
         # driver_power_w=None means Pdriver = PVCSEL; an explicit equal value
@@ -95,7 +90,7 @@ class TestThermalKeys:
             activity=pattern("a", {"t0": 1.0}),
             power=OniPowerConfig(vcsel_power_w=3.6e-3, driver_power_w=2.0e-3),
         )
-        assert evaluation_key("f", base) != evaluation_key("f", other)
+        assert evaluation_key(base) != evaluation_key(other)
 
 
 class TestTransientKeys:
@@ -207,34 +202,32 @@ class TestEngineBehaviour:
     def test_flows_with_different_networks_never_share_snr_reports(
         self, coarse_architecture
     ):
-        """Two flows that differ only in their network never share reports."""
+        """Two flows that differ only in their network never share reports:
+        each has its own engine, and the same request gives each engine's
+        report on its own network."""
         from repro.casestudy import build_oni_ring_scenario
         from repro.methodology import ThermalAwareDesignFlow
 
         scenario = build_oni_ring_scenario(
             coarse_architecture, ring_length_mm=18.0, oni_count=6
         )
-        engine = SweepEngine(
-            {
-                "third": ThermalAwareDesignFlow(coarse_architecture, scenario),
-                "neighbour": ThermalAwareDesignFlow(
-                    coarse_architecture, scenario, shift_hops=1
-                ),
-            }
+        third_engine = SweepEngine(
+            ThermalAwareDesignFlow(coarse_architecture, scenario)
+        )
+        neighbour_engine = SweepEngine(
+            ThermalAwareDesignFlow(coarse_architecture, scenario, shift_hops=1)
         )
         activity = uniform_activity(coarse_architecture.floorplan, 20.0)
         request = ThermalRequest(activity=activity, zoom_oni=None)
         drive = LaserDriveConfig.from_dissipated_mw(3.6)
 
-        third, neighbour = engine.evaluate_snr(
-            [SweepPoint(request, "third"), SweepPoint(request, "neighbour")],
-            drive,
-        )
+        (third,) = third_engine.evaluate_snr([request], drive)
+        (neighbour,) = neighbour_engine.evaluate_snr([request], drive)
 
-        # Each flow's report was evaluated on its own network (no cache hit)...
-        assert engine.stats["snr_cache_hits"] == 0
-        assert engine.stats["snr_evaluations"] == 2
-        assert engine.snr_cache_size == 2
+        # Each engine evaluated its report on its own network...
+        for engine in (third_engine, neighbour_engine):
+            assert engine.stats["snr_cache_hits"] == 0
+            assert engine.stats["snr_evaluations"] == 1
         # ...and the reports really describe different traffic.
         third_links = {link.communication.name for link in third.links}
         neighbour_links = {link.communication.name for link in neighbour.links}

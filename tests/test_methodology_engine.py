@@ -2,8 +2,8 @@
 
 The engine is the execution substrate of every exploration helper, so these
 tests pin down its contract: results identical to the point-by-point flow,
-deduplication behind the content-derived evaluation key, batch chunking, and
-the optional process pool across independent meshes.
+deduplication behind the content-derived evaluation key, batch chunking and
+cache eviction.
 """
 
 import gc
@@ -19,7 +19,6 @@ from repro.errors import ConfigurationError
 from repro.methodology import (
     ENGINE_COUNTERS,
     SweepEngine,
-    SweepPoint,
     ThermalAwareDesignFlow,
     ThermalRequest,
     add_engine_counters,
@@ -27,7 +26,10 @@ from repro.methodology import (
     sweep_average_temperature,
     sweep_heater_power,
 )
+from repro.methodology import engine as engine_module
+from repro.methodology import flow as flow_module
 from repro.oni import OniPowerConfig
+from repro.thermal import SteadyStateSolver
 
 
 def request_grid(flow, vcsel_powers_mw, zoom=None):
@@ -45,16 +47,15 @@ def request_grid(flow, vcsel_powers_mw, zoom=None):
 class TestEvaluationKey:
     def test_equal_content_equal_key(self, small_flow):
         first, second = request_grid(small_flow, [2.0, 2.0])
-        assert evaluation_key("default", first) == evaluation_key("default", second)
+        assert evaluation_key(first) == evaluation_key(second)
 
-    def test_distinguishes_power_zoom_and_flow(self, small_flow):
+    def test_distinguishes_power_and_zoom(self, small_flow):
         base = request_grid(small_flow, [2.0])[0]
         other_power = request_grid(small_flow, [3.0])[0]
         zoomed = request_grid(small_flow, [2.0], zoom="auto")[0]
-        key = evaluation_key("default", base)
-        assert key != evaluation_key("default", other_power)
-        assert key != evaluation_key("default", zoomed)
-        assert key != evaluation_key("other", base)
+        key = evaluation_key(base)
+        assert key != evaluation_key(other_power)
+        assert key != evaluation_key(zoomed)
 
 
 class TestSweepEngine:
@@ -90,29 +91,42 @@ class TestSweepEngine:
         assert engine.stats["thermal_solves"] == 1
         assert results[0] is results[1] is results[2]
 
-    def test_batch_chunking(self, small_flow):
-        engine = SweepEngine(small_flow, batch_size=2)
+    def test_batch_chunking(self, small_flow, monkeypatch):
+        monkeypatch.setattr(flow_module, "BATCH_COLUMNS", 2)
+        solved_columns = []
+        solve_many = SteadyStateSolver.solve_many
+
+        def counted_solve_many(solver, source_sets):
+            solved_columns.append(len(source_sets))
+            return solve_many(solver, source_sets)
+
+        monkeypatch.setattr(SteadyStateSolver, "solve_many", counted_solve_many)
+        engine = SweepEngine(small_flow)
         engine.evaluate(request_grid(small_flow, [0.0, 1.0, 2.0, 3.0, 4.0]))
+        assert solved_columns == [2, 2, 1]
         assert engine.stats["batches"] == 3
         assert engine.stats["thermal_solves"] == 5
 
-    def test_cache_eviction_does_not_corrupt_results(self, small_flow):
-        engine = SweepEngine(small_flow, max_cache_entries=1)
+    def test_cache_eviction_does_not_corrupt_results(self, small_flow, monkeypatch):
+        monkeypatch.setattr(engine_module, "CACHE_CAPACITY", 1)
+        engine = SweepEngine(small_flow)
         requests = request_grid(small_flow, [0.0, 2.0, 4.0])
         results = engine.evaluate(requests)
-        assert len(results) == 3
+        assert [r.power for r in results] == [r.power for r in requests]
         assert engine.cache_size == 1
 
-    def test_run_thermal_many_chunking_matches_single_batch(self, small_flow):
+    def test_run_thermal_many_chunking_matches_single_batch(
+        self, small_flow, monkeypatch
+    ):
         requests = request_grid(small_flow, [0.0, 1.0, 2.0])
-        chunked = small_flow.run_thermal_many(requests, batch_size=2)
-        single = small_flow.run_thermal_many(requests, batch_size=None)
+        monkeypatch.setattr(flow_module, "BATCH_COLUMNS", 2)
+        chunked = small_flow.run_thermal_many(requests)
+        monkeypatch.setattr(flow_module, "BATCH_COLUMNS", len(requests))
+        single = small_flow.run_thermal_many(requests)
         for a, b in zip(chunked, single):
             assert np.array_equal(
                 a.thermal_map.temperatures_c, b.thermal_map.temperatures_c
             )
-        with pytest.raises(ConfigurationError):
-            small_flow.run_thermal_many(requests, batch_size=0)
 
     def test_shared_engine_is_per_flow(self, small_flow, coarse_architecture):
         assert SweepEngine.shared(small_flow) is SweepEngine.shared(small_flow)
@@ -136,19 +150,9 @@ class TestSweepEngine:
         assert flow_ref() is None
         assert engine() is None
 
-    def test_validation(self, small_flow):
-        with pytest.raises(ConfigurationError):
-            SweepEngine({})
-        with pytest.raises(ConfigurationError):
-            SweepEngine(small_flow, batch_size=0)
-        with pytest.raises(ConfigurationError):
-            SweepEngine(small_flow, max_cache_entries=0)
-        engine = SweepEngine(small_flow)
-        request = request_grid(small_flow, [1.0])[0]
-        with pytest.raises(ConfigurationError):
-            engine.evaluate([SweepPoint(request=request, flow_key="missing")])
-        with pytest.raises(ConfigurationError):
-            engine.flow("missing")
+    def test_flow_is_the_one_it_was_built_on(self, small_flow):
+        assert SweepEngine(small_flow).flow() is small_flow
+        assert SweepEngine.shared(small_flow).flow() is small_flow
 
 
 class TestSnrEvaluation:
@@ -201,14 +205,6 @@ class TestSnrEvaluation:
         reports = engine.evaluate_snr([request, request], self._drive())
         assert engine.stats["snr_evaluations"] == 1
         assert reports[0] is reports[1]
-
-    def test_unknown_flow_key_rejected(self, small_flow):
-        engine = SweepEngine(small_flow)
-        request = request_grid(small_flow, [2.0])[0]
-        with pytest.raises(ConfigurationError):
-            engine.evaluate_snr(
-                [SweepPoint(request=request, flow_key="missing")], self._drive()
-            )
 
     def test_clear_cache_drops_snr_reports(self, small_flow):
         engine = SweepEngine(small_flow)

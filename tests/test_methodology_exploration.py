@@ -10,8 +10,14 @@ import pytest
 from repro.activity import standard_activities, uniform_activity
 from repro.casestudy import build_oni_ring_scenario
 from repro.errors import AnalysisError, ConfigurationError
+from repro.oni import OniPowerConfig
+from repro.snr import LaserDriveConfig
+from repro.units import w_to_mw
 from repro.methodology import (
+    ScenarioSnrPoint,
+    SweepEngine,
     ThermalAwareDesignFlow,
+    ThermalRequest,
     compare_heater_options,
     find_minimum_vcsel_power,
     find_optimal_heater_ratio,
@@ -116,6 +122,42 @@ class TestScenarioSnr:
             by_key[("long", "diagonal")].max_crosstalk_power_mw
             >= by_key[("short", "diagonal")].max_crosstalk_power_mw
         )
+
+    def test_each_point_equals_its_flow_evaluated_alone(self, coarse_architecture):
+        scenarios = [
+            build_oni_ring_scenario(coarse_architecture, 18.0, oni_count=6, name="a"),
+            build_oni_ring_scenario(coarse_architecture, 32.4, oni_count=6, name="b"),
+        ]
+        activities = standard_activities(coarse_architecture.floorplan, 25.0)
+        power = OniPowerConfig(vcsel_power_w=3.6e-3, heater_power_w=1.08e-3)
+        drive = LaserDriveConfig(dissipated_power_w=power.vcsel_power_w)
+        points = snr_across_scenarios(
+            coarse_architecture, scenarios, activities=activities, zoom=True
+        )
+        assert len(points) == len(scenarios) * len(activities)
+        points = iter(points)
+        for scenario in scenarios:
+            engine = SweepEngine(ThermalAwareDesignFlow(coarse_architecture, scenario))
+            requests = [
+                ThermalRequest(activity=activity, power=power, zoom_oni="auto")
+                for activity in activities.values()
+            ]
+            evaluations = engine.evaluate(requests)
+            reports = engine.evaluate_snr(requests, drive)
+            for name, evaluation, report in zip(activities, evaluations, reports):
+                averages = [s.average_c for s in evaluation.oni_summaries.values()]
+                assert next(points) == ScenarioSnrPoint(
+                    scenario=scenario.name,
+                    ring_length_mm=scenario.ring_length_mm,
+                    activity=name,
+                    worst_case_snr_db=report.worst_case_snr_db,
+                    average_snr_db=report.average_snr_db,
+                    min_signal_power_mw=w_to_mw(report.min_signal_power_w),
+                    max_crosstalk_power_mw=w_to_mw(report.max_crosstalk_power_w),
+                    oni_temperature_min_c=min(averages),
+                    oni_temperature_max_c=max(averages),
+                    all_detected=report.all_detected,
+                )
 
     def test_empty_scenarios_rejected(self, coarse_architecture):
         with pytest.raises(ConfigurationError):

@@ -139,6 +139,9 @@ class TestZoomSettings:
         with pytest.raises(MeshError):
             self.zoomed_run(max_cells=3_300)
 
+    def test_settings_are_the_architecture_settings(self, small_flow):
+        assert small_flow.settings is small_flow.architecture.settings
+
 
 class TestNetworkAndSnrStep:
     def test_build_network_routes_default_traffic(self, small_flow):

@@ -262,13 +262,6 @@ class TestEngineTransientCache:
         engine.evaluate_transient([base, finer])
         assert engine.stats["transient_solves"] == 2
 
-    def test_unknown_flow_key_rejected(self, flow, ramp_trace):
-        engine = SweepEngine(flow)
-        with pytest.raises(ConfigurationError, match="unknown flow key"):
-            engine.evaluate_transient(
-                [TransientRequest(trace=ramp_trace)], flow_key="nope"
-            )
-
     def test_clear_cache_drops_transient_entries(self, flow, ramp_trace, power):
         engine = SweepEngine(flow)
         engine.evaluate_transient(

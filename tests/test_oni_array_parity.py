@@ -82,10 +82,9 @@ def build(case):
         floorplan=floorplan,
         optical_z_range=lambda: case.optical_z,
         electrical_z_range=lambda: ELECTRICAL_Z,
+        settings=SimulationSettings(),
     )
-    flow = ThermalAwareDesignFlow(
-        architecture, SimpleNamespace(onis=onis), settings=SimulationSettings()
-    )
+    flow = ThermalAwareDesignFlow(architecture, SimpleNamespace(onis=onis))
     tiles = [instance.name for instance in floorplan]
     activity = ActivityPattern("act", dict(zip(tiles, case.chip_powers)))
     return flow, onis, floorplan, activity

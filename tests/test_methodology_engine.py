@@ -154,6 +154,24 @@ class TestSweepEngine:
         assert SweepEngine(small_flow).flow() is small_flow
         assert SweepEngine.shared(small_flow).flow() is small_flow
 
+    def test_validation(self, coarse_architecture):
+        """A shared engine kept past the life of its flow refuses to run."""
+        scenario = build_oni_ring_scenario(
+            coarse_architecture, ring_length_mm=18.0, oni_count=4, name="gone"
+        )
+        flow = ThermalAwareDesignFlow(coarse_architecture, scenario)
+        engine = SweepEngine.shared(flow)
+        request = request_grid(flow, [1.0])[0]
+        del flow
+        gc.collect()
+        with pytest.raises(ConfigurationError, match="no longer exists"):
+            engine.flow()
+        with pytest.raises(ConfigurationError, match="no longer exists"):
+            engine.evaluate([request])
+        with pytest.raises(ConfigurationError, match="no longer exists"):
+            engine.transient_solver()
+        assert engine.stats["thermal_solves"] == 0
+
 
 class TestSnrEvaluation:
     """evaluate_snr: thermal cache + batched SNR + report cache."""

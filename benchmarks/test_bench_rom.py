@@ -13,9 +13,9 @@ package, 8-phase migration trace, 64 backward-Euler steps):
 * **LU cold**   — fresh solver, empty factorization cache: assembly + one
   sparse LU + 64 pairs of triangular solves (the baseline this repo already
   benches against naive per-step solves in ``test_bench_transient.py``);
-* **ROM cold**  — fresh solver, empty factorization cache, basis installed
-  from a warm-start payload: the cold path of a warm-started campaign
-  worker, which never factorises the full system;
+* **ROM cold**  — fresh solver, empty factorization cache, basis parsed
+  from a warm-start payload and put in scope: the cold path of a
+  warm-started campaign worker, which never factorises the full system;
 * **ROM warm**  — a second trace on the same solver, reusing the memoised
   reduced steppers: the steady-state cost of sweeping traces over one mesh.
 
@@ -38,10 +38,10 @@ from repro.config import SimulationSettings
 from repro.methodology import ThermalAwareDesignFlow
 from repro.oni import OniPowerConfig
 from repro.thermal import (
+    BasisScope,
     TransientSolver,
+    basis_scope,
     clear_factorization_cache,
-    clear_installed_bases,
-    install_payload,
 )
 
 ONI_COUNT = 24
@@ -86,33 +86,30 @@ def test_rom_replay_vs_full_lu(benchmark, rom_flow, bench_record):
     assert total_steps >= 64
     probes = {"die": mesh.bounding_box()}
 
-    # Build pass (untimed): one exact solve harvests the trajectory into a
-    # POD basis — the ``repro seed-rom`` producer side of the workflow.
-    builder = TransientSolver(mesh, boundaries)
-    reference = builder.solve(schedule, dt_s=DT_S, probes=probes, method="rom")
-    assert reference.diagnostics.rom_basis_built
-    payloads = builder.rom_payloads()
+    # Build pass (untimed): one exact solve in a collecting scope harvests
+    # the trajectory into a POD basis — the ``repro seed-rom`` producer
+    # side of the workflow.
+    with basis_scope(BasisScope(collect=True)) as built:
+        TransientSolver(mesh, boundaries).solve(schedule, dt_s=DT_S, probes=probes)
+    payloads = built.payloads()
     assert len(payloads) == 1
 
-    try:
-        # LU cold: fresh solver, nothing cached anywhere.
-        clear_factorization_cache()
-        lu_solver = TransientSolver(mesh, boundaries)
-        start = time.perf_counter()
-        lu = lu_solver.solve(schedule, dt_s=DT_S, probes=probes)
-        lu_cold_s = time.perf_counter() - start
-        assert lu.diagnostics.solver_method == "lu"
+    # LU cold: fresh solver, nothing cached anywhere, no basis in scope.
+    clear_factorization_cache()
+    lu_solver = TransientSolver(mesh, boundaries)
+    start = time.perf_counter()
+    lu = lu_solver.solve(schedule, dt_s=DT_S, probes=probes)
+    lu_cold_s = time.perf_counter() - start
+    assert lu.diagnostics.solver_method == "lu"
 
-        # ROM cold: fresh solver and empty factorization cache again, but the
-        # basis payload is installed — a warm-started campaign worker.  The
-        # reduced path never factorises the full system.
-        clear_factorization_cache()
-        install_payload(payloads[0])
+    # ROM cold: fresh solver and empty factorization cache again, but the
+    # basis payload is in scope — a warm-started campaign worker.  The
+    # reduced path never factorises the full system.
+    clear_factorization_cache()
+    with basis_scope(BasisScope.from_payloads(payloads)):
         rom_solver = TransientSolver(mesh, boundaries)
         start = time.perf_counter()
-        rom_cold = rom_solver.solve(
-            schedule, dt_s=DT_S, probes=probes, method="auto"
-        )
+        rom_cold = rom_solver.solve(schedule, dt_s=DT_S, probes=probes)
         rom_cold_s = time.perf_counter() - start
         assert rom_cold.diagnostics.solver_method == "rom"
         assert not rom_cold.diagnostics.rom_fallback
@@ -121,36 +118,32 @@ def test_rom_replay_vs_full_lu(benchmark, rom_flow, bench_record):
         warm_samples = []
         for _ in range(3):
             start = time.perf_counter()
-            rom_warm = rom_solver.solve(
-                schedule, dt_s=DT_S, probes=probes, method="auto"
-            )
+            rom_warm = rom_solver.solve(schedule, dt_s=DT_S, probes=probes)
             warm_samples.append(time.perf_counter() - start)
         rom_warm_s = min(warm_samples)
         assert rom_warm.diagnostics.solver_method == "rom"
         benchmark.pedantic(
             rom_solver.solve,
             args=(schedule,),
-            kwargs={"dt_s": DT_S, "probes": probes, "method": "auto"},
+            kwargs={"dt_s": DT_S, "probes": probes},
             rounds=3,
             iterations=1,
         )
 
-        # The replay is a different numerical path, but it must stay inside
-        # the golden tolerance bands for temperatures.
-        np.testing.assert_allclose(
-            rom_cold.final_map.temperatures_c,
-            lu.final_map.temperatures_c,
-            rtol=1e-5,
-            atol=1e-6,
-        )
-        np.testing.assert_allclose(
-            rom_cold.probe("die").temperatures_c,
-            lu.probe("die").temperatures_c,
-            rtol=1e-5,
-            atol=1e-6,
-        )
-    finally:
-        clear_installed_bases()
+    # The replay is a different numerical path, but it must stay inside
+    # the golden tolerance bands for temperatures.
+    np.testing.assert_allclose(
+        rom_cold.final_map.temperatures_c,
+        lu.final_map.temperatures_c,
+        rtol=1e-5,
+        atol=1e-6,
+    )
+    np.testing.assert_allclose(
+        rom_cold.probe("die").temperatures_c,
+        lu.probe("die").temperatures_c,
+        rtol=1e-5,
+        atol=1e-6,
+    )
 
     record = {
         "benchmark": "rom_replay",

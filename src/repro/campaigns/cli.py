@@ -7,12 +7,13 @@ Subcommands
     ``--store``, serially or over ``--workers`` supervised worker processes
     with ``--executor process``); prints the cross-scenario summary table,
     any per-spec failure provenance, and optionally writes the full report
-    JSON with ``--output``; ``--transient-method`` selects the
-    transient integration path and ``--warm-start`` ships the store's reduced
-    bases to the workers.
+    JSON with ``--output``; ``--warm-start`` ships the store's reduced bases
+    to the workers, and every transient solve a basis matches replays in
+    the reduced space (the others run the full-space path).
 ``seed-rom CAMPAIGN``
     Build the reduced transient bases of a campaign (one exact solve each)
-    and persist them into ``--store`` for later warm-started runs.
+    and persist them into ``--store``; ``run CAMPAIGN --warm-start`` then
+    replays them.
 ``list``
     Built-in campaigns, the full generative scenario population and — with
     ``--store`` — the artifacts currently on disk.
@@ -54,9 +55,9 @@ from typing import Any, Dict, List, Optional, Sequence
 from .. import telemetry as telemetry_mod
 from ..errors import ReproError
 from ..log import configure_logging
-from ..scenarios import ALL_PATHS, ScenarioRunner, compare_artifact_dicts
+from ..scenarios import ALL_PATHS, collect_bases, compare_artifact_dicts
 from ..telemetry import chrome_json, profile_tree
-from ..thermal import TRANSIENT_METHODS, factorization_cache_stats
+from ..thermal import factorization_cache_stats
 from .executors import EXECUTOR_NAMES
 from .matrix import builtin_matrices, campaign_registry, get_matrix
 from .runner import CampaignRunner
@@ -114,7 +115,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         matrix,
         store=store,
         paths=_parse_paths(args.paths),
-        transient_method=args.transient_method,
         warm_start=warm_start,
         workers=args.workers,
         executor=args.executor,
@@ -183,25 +183,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_seed_rom(args: argparse.Namespace) -> int:
     """Build the reduced transient bases of a campaign and persist them.
 
-    Runs the transient path of every campaign point serially in-process with
-    ``method="rom"`` (a build solve: exact LU plus a POD of its trajectory),
-    harvests each solver's basis payloads and stores them as first-class
-    artifacts.  A later ``run --warm-start`` ships them to the workers, so
-    matching transient solves replay in the reduced space.
+    Runs the transient path of every campaign point serially in-process
+    (:func:`~repro.scenarios.collect_bases`: each solve without a basis is
+    exact LU plus a POD of its trajectory) and stores every basis as a
+    first-class artifact.  A later ``run --warm-start`` ships them to the
+    workers, so matching transient solves replay in the reduced space.
     """
     matrix = get_matrix(args.campaign)
     store = _open_store(args.store)
     if store is None:
         raise ReproError("seed-rom needs a --store to persist bases into")
-    keys = set()
     points = matrix.points()
-    for point in points:
-        runner = ScenarioRunner(point.spec, transient_method="rom")
-        runner.run(("transient",))
-        for payload in runner.engine().rom_basis_payloads():
-            keys.add(store.store_rom_basis(payload))
+    scope = collect_bases(point.spec for point in points)
+    for payload in scope.payloads():
+        store.store_rom_basis(payload)
     print(
-        f"campaign {matrix.name}: {len(keys)} reduced bases persisted "
+        f"campaign {matrix.name}: {len(scope.bases)} reduced bases persisted "
         f"from {len(points)} scenarios"
     )
     return 0
@@ -358,7 +355,6 @@ def _trace_section(args: argparse.Namespace) -> tuple:
         name=name,
         workers=args.workers,
         executor=args.executor,
-        transient_method=args.transient_method,
         telemetry=True,
     )
     report = runner.run()
@@ -433,7 +429,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = EvaluationService(
         store=store,
         paths=_parse_paths(args.paths),
-        transient_method=args.transient_method,
         warm_start=warm_start,
         concurrency=args.concurrency,
     )
@@ -464,6 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Campaign runner over the declarative scenario subsystem.",
+        epilog="Reduced-order transients: `seed-rom CAMPAIGN --store DIR` builds "
+        "and stores the campaign's bases, then `run CAMPAIGN --store DIR "
+        "--warm-start` replays every transient solve a stored basis matches.",
     )
     parser.add_argument(
         "-v",
@@ -521,17 +519,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated analysis paths (default: {','.join(ALL_PATHS)})",
     )
     run.add_argument(
-        "--transient-method",
-        default="lu",
-        choices=list(TRANSIENT_METHODS),
-        help="transient integration path: full LU, reduced-order (builds and "
-        "replays POD bases), or auto (ROM only when a warm-start basis matches)",
-    )
-    run.add_argument(
         "--warm-start",
         action="store_true",
-        help="ship every reduced basis held by --store to the workers so "
-        "matching transient solves replay in the reduced space",
+        help="ship every reduced basis held by --store (see seed-rom) to the "
+        "workers so matching transient solves replay in the reduced space",
     )
     run.add_argument(
         "--telemetry",
@@ -546,7 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     seed = commands.add_parser(
         "seed-rom",
-        help="build and persist the reduced transient bases of a campaign",
+        help="build and persist the reduced transient bases of a campaign "
+        "(replay them with `run CAMPAIGN --warm-start --store ...`)",
     )
     seed.add_argument("campaign", help="built-in campaign (matrix) name")
     seed.add_argument(
@@ -612,12 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated analysis paths (default: {','.join(ALL_PATHS)})",
     )
     trace.add_argument(
-        "--transient-method",
-        default="lu",
-        choices=list(TRANSIENT_METHODS),
-        help="transient integration path",
-    )
-    trace.add_argument(
         "--output",
         default=None,
         help="write the Chrome trace-event JSON here (chrome://tracing)",
@@ -671,12 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--paths",
         default=None,
         help=f"comma-separated analysis paths (default: {','.join(ALL_PATHS)})",
-    )
-    serve_cmd.add_argument(
-        "--transient-method",
-        default="lu",
-        choices=list(TRANSIENT_METHODS),
-        help="transient integration path",
     )
     serve_cmd.add_argument(
         "--warm-start",

@@ -22,19 +22,16 @@ failure always names its spec.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+import hashlib
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from .. import telemetry
 from ..errors import ConfigurationError
-from ..scenarios import (
-    ALL_PATHS,
-    ScenarioRunner,
-    ScenarioSpec,
-    validate_paths,
-    validate_transient_method,
-)
-from ..thermal import install_payload
+from ..scenarios import ALL_PATHS, ScenarioRunner, ScenarioSpec, validate_paths
+from ..scenarios.spec import json_digest
+from ..thermal import BasisScope, basis_scope
 
 
 class SpecExecutionError(ConfigurationError):
@@ -73,17 +70,17 @@ class EvaluationKernel:
     paths:
         Analysis paths every evaluation runs, validated at construction so a
         bad path fails in the coordinator process, not deep inside a worker.
-    transient_method:
-        Transient integration path every evaluation uses (``"lu"``,
-        ``"rom"`` or ``"auto"``; see
-        :meth:`repro.thermal.TransientSolver.solve`).
     warm_start:
         Serialised reduced-basis payloads (deterministic JSON documents, as
-        produced by :meth:`repro.thermal.TransientSolver.rom_payloads` or
-        served by the store) installed before every evaluation.  Part of the
-        kernel's value: every worker receiving the kernel installs the same
-        payloads, so a warm-started campaign stays byte-identical across
-        execution substrates.
+        :meth:`repro.thermal.BasisScope.payloads` produces them and the
+        store serves them).  They are the only switch of the reduced-order
+        transient path: every evaluation runs with exactly these bases in
+        scope, so a transient solve replays in the reduced space when one
+        of them matches its problem and runs the full-space path otherwise.
+        The payloads are parsed once per kernel instance (a worker process
+        gets one instance).  Part of the kernel's value: every worker
+        receiving the kernel has the same bases in scope, so a warm-started
+        campaign stays byte-identical across execution substrates.
     telemetry:
         Record spans and metrics during :meth:`run`.  Carried on the kernel
         (rather than read from the module switch alone) because worker
@@ -98,18 +95,44 @@ class EvaluationKernel:
     """
 
     paths: Tuple[str, ...] = ALL_PATHS
-    transient_method: str = "lu"
     warm_start: Tuple[str, ...] = ()
     telemetry: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "paths", validate_paths(self.paths))
         object.__setattr__(self, "warm_start", tuple(self.warm_start))
-        validate_transient_method(self.transient_method)
         if not all(isinstance(payload, str) for payload in self.warm_start):
             raise ConfigurationError(
                 "warm_start takes serialised payload JSON strings"
             )
+
+    @cached_property
+    def warm_start_digest(self) -> str:
+        """Digest of the warm-start payloads, in order; ``""`` without any.
+
+        Folded into the store key of every artifact a warm-started kernel
+        computes (:func:`~repro.campaigns.store.artifact_key`), so reduced
+        replays never answer for full-space artifacts nor for replays of
+        another warm-start set.  Computed once per kernel instance.
+        """
+        if not self.warm_start:
+            return ""
+        return json_digest(
+            [
+                hashlib.sha256(text.encode("utf-8")).hexdigest()
+                for text in self.warm_start
+            ]
+        )
+
+    @cached_property
+    def _bases(self) -> Optional[BasisScope]:
+        """The warm-start bases, parsed on first use."""
+        return BasisScope.from_payloads(self.warm_start) if self.warm_start else None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The fields only: a process receiving the kernel parses the
+        # payloads itself rather than unpickling the parsed bases.
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
     def run(
         self, spec: Union[ScenarioSpec, Mapping[str, Any]]
@@ -142,13 +165,8 @@ class EvaluationKernel:
                     spec = ScenarioSpec.from_dict(dict(spec))
                 if enabled:
                     spec_span.set(design_hash=spec.design_hash()[:8])
-                # Idempotent per process: repeated payloads are recognised
-                # by digest and skipped.
-                for payload in self.warm_start:
-                    install_payload(payload)
-                runner = ScenarioRunner(
-                    spec, transient_method=self.transient_method
-                )
-                artifact = runner.run(self.paths).to_dict()
+                runner = ScenarioRunner(spec)
+                with basis_scope(self._bases):
+                    artifact = runner.run(self.paths).to_dict()
         capture = collector.to_payload() if enabled else None
         return artifact, dict(runner.engine().stats), capture

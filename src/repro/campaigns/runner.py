@@ -216,21 +216,20 @@ class CampaignRunner:
     max_retries / timeout_s:
         Fault-tolerance knobs of the ``process`` executor (bounded retries
         per spec, per-task deadline); ignored by the serial executor.
-    transient_method:
-        Transient integration path every scenario uses (``"lu"``, ``"rom"``
-        or ``"auto"``); folded into the kernel and the store keys, so ROM
-        and LU artifacts never answer for each other.
     warm_start:
         Serialised reduced-basis payload JSON documents shipped with the
-        kernel and installed in every worker before evaluation (see
-        :class:`~repro.campaigns.kernel.EvaluationKernel`).
+        kernel: every scenario's transient solve replays in the reduced
+        space when one of them matches it (see
+        :class:`~repro.campaigns.kernel.EvaluationKernel`).  Their digest is
+        folded into the store keys, so reduced replays and full-space
+        artifacts never answer for each other.
     kernel:
         Evaluation kernel override (fault-injection tests, future reduced
         kernels); defaults to
-        ``EvaluationKernel(paths, transient_method, warm_start, telemetry)``.
-        The kernel alone holds the paths and transient method: the store
-        keys and the report read them off it, so an override's own settings
-        win over ``paths`` and ``transient_method``.
+        ``EvaluationKernel(paths, warm_start, telemetry)``.  The kernel
+        alone holds the paths and the warm start: the store keys and the
+        report read them off it, so an override's own settings win over
+        ``paths`` and ``warm_start``.
     telemetry:
         Record a timing breakdown for the run: per-spec spans collected in
         every worker, merged with the coordinator's own spans and metrics
@@ -251,7 +250,6 @@ class CampaignRunner:
         on_error: str = "raise",
         max_retries: int = 2,
         timeout_s: Optional[float] = None,
-        transient_method: str = "lu",
         warm_start: Sequence[str] = (),
         kernel: Optional[EvaluationKernel] = None,
         telemetry: Optional[bool] = None,
@@ -293,7 +291,6 @@ class CampaignRunner:
         self.kernel = (
             EvaluationKernel(
                 paths,
-                transient_method=transient_method,
                 warm_start=warm_start,
                 telemetry=self.telemetry,
             )
@@ -353,11 +350,9 @@ class CampaignRunner:
             key = cached = None
             if self.store is not None:
                 key = self.store.key_for(
-                    point.spec, kernel.paths, kernel.transient_method
+                    point.spec, kernel.paths, kernel.warm_start_digest
                 )
-                cached = self.store.load(
-                    point.spec, kernel.paths, kernel.transient_method, key=key
-                )
+                cached = self.store.load(point.spec, key=key)
             if cached is not None:
                 artifacts[point.spec.name] = cached.to_dict()
                 from_store[point.spec.name] = True
@@ -440,7 +435,6 @@ class CampaignRunner:
                     spec,
                     ScenarioArtifact.from_dict(result.artifact),
                     self.kernel.paths,
-                    self.kernel.transient_method,
                     key=key,
                 )
             return

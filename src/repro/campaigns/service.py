@@ -7,15 +7,15 @@ keeps the hot state resident across requests instead:
 
 * the content-addressed :class:`~repro.campaigns.store.ArtifactStore` stays
   open, so a warm spec is answered from disk without a process start;
-* process-global caches (the factorization LRU, installed reduced bases)
-  stay warm, so even *cold* specs of a seen geometry reuse the expensive
-  symbolic work;
+* the process-global factorization LRU and the kernel's parsed warm-start
+  bases stay warm, so even *cold* specs of a seen geometry reuse the
+  expensive symbolic work;
 * kernel calls run on the event loop's default thread pool
   (``loop.run_in_executor``) while the loop keeps accepting requests.
 
 **Spec-hash request coalescing** is the "millions of users" lever: requests
 are keyed by the exact store address of their computation (spec content
-hash × analysis paths × transient method × code version), and concurrent
+hash × analysis paths × warm-start digest × code version), and concurrent
 requests for the same key share one in-flight future — N identical clients
 cost one solve, and every one of them receives the byte-identical response
 document.
@@ -157,7 +157,7 @@ class EvaluationService:
         Analysis paths every evaluation runs (fixed per service instance so
         request keys stay exact store addresses).  Ignored when ``kernel``
         is given — the kernel's own paths win.
-    transient_method / warm_start:
+    warm_start:
         Forwarded to the default :class:`~repro.campaigns.kernel.
         EvaluationKernel` (see :class:`~repro.campaigns.runner.
         CampaignRunner` for semantics); like ``paths``, ignored when
@@ -176,7 +176,6 @@ class EvaluationService:
         self,
         store: Optional[ArtifactStore] = None,
         paths: Sequence[str] = ALL_PATHS,
-        transient_method: str = "lu",
         warm_start: Sequence[str] = (),
         concurrency: int = 4,
         kernel: Optional[EvaluationKernel] = None,
@@ -185,11 +184,7 @@ class EvaluationService:
         if concurrency < 1:
             raise ConfigurationError("service concurrency must be >= 1")
         self.kernel = (
-            EvaluationKernel(
-                tuple(paths),
-                transient_method=transient_method,
-                warm_start=tuple(warm_start),
-            )
+            EvaluationKernel(tuple(paths), warm_start=tuple(warm_start))
             if kernel is None
             else kernel
         )
@@ -235,7 +230,7 @@ class EvaluationService:
         (:func:`~repro.campaigns.store.artifact_key`).
         """
         key_for = artifact_key if self.store is None else self.store.key_for
-        return key_for(spec, self.kernel.paths, self.kernel.transient_method)
+        return key_for(spec, self.kernel.paths, self.kernel.warm_start_digest)
 
     def spec_for_body(self, body: bytes) -> Tuple[ScenarioSpec, str]:
         """Validated spec and request key of one JSON request body.
@@ -374,7 +369,6 @@ class EvaluationService:
                     spec,
                     ScenarioArtifact.from_dict(result.artifact),
                     self.kernel.paths,
-                    self.kernel.transient_method,
                     key=key,
                 )
             return self._document(
@@ -398,13 +392,7 @@ class EvaluationService:
         request, in :meth:`evaluate` and :meth:`stored_response` alike."""
         if self.store is None:
             return None
-        text = self.store.load(
-            entry.spec,
-            self.kernel.paths,
-            self.kernel.transient_method,
-            key=entry.key,
-            as_text=True,
-        )
+        text = self.store.load(entry.spec, key=entry.key, as_text=True)
         if text is not None:
             self._count("service.store_served")
         return text
@@ -458,7 +446,6 @@ class EvaluationService:
             "spec_hash": spec.content_hash(),
             "design_hash": spec.design_hash(),
             "paths": list(self.kernel.paths),
-            "transient_method": self.kernel.transient_method,
             "source": source,
         }
         if artifact is not None:
@@ -536,7 +523,7 @@ class EvaluationService:
             "inflight": len(self._inflight),
             "requests": self.counters.get("service.requests", 0),
             "paths": list(self.kernel.paths),
-            "transient_method": self.kernel.transient_method,
+            "warm_start_bases": len(self.kernel.warm_start),
             "store_attached": self.store is not None,
             "telemetry_enabled": telemetry.is_enabled(),
         }

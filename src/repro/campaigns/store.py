@@ -87,24 +87,25 @@ _PAYLOAD_MEMBER = ',"payload":'
 def artifact_key(
     spec: ScenarioSpec,
     paths: Sequence[str] = ALL_PATHS,
-    transient_method: str = "lu",
+    warm_start: str = "",
     code_version: str = CODE_VERSION,
 ) -> str:
-    """Content address of one (spec, paths, transient method) computation
-    under ``code_version``.
+    """Content address of one (spec, paths, warm start) computation under
+    ``code_version``.
 
-    The transient method is folded in only when it differs from the default
-    LU path: artifacts computed by different numerics differ at the
-    last-few-ulps level and must not answer for each other, while every
-    pre-existing LU key stays exactly where it was.
+    ``warm_start`` is the :attr:`~repro.campaigns.kernel.EvaluationKernel.
+    warm_start_digest` of the computing kernel, folded in only when it has
+    bases: a reduced replay differs from the full-space numbers at the
+    last-few-ulps level and must not answer for them, nor for a replay of
+    other bases, while every full-space key stays exactly where it was.
     """
     document = {
         "spec_hash": spec.content_hash(),
         "paths": sorted(set(paths)),
         "code_version": code_version,
     }
-    if transient_method != "lu":
-        document["transient_method"] = transient_method
+    if warm_start:
+        document["warm_start"] = warm_start
     return json_digest(document)
 
 
@@ -411,11 +412,11 @@ class ArtifactStore:
         self,
         spec: ScenarioSpec,
         paths: Sequence[str] = ALL_PATHS,
-        transient_method: str = "lu",
+        warm_start: str = "",
     ) -> str:
-        """Content address of one (spec, paths, transient method) computation
-        in this store: :func:`artifact_key` under its :attr:`code_version`."""
-        return artifact_key(spec, paths, transient_method, self.code_version)
+        """Content address of one (spec, paths, warm start) computation in
+        this store: :func:`artifact_key` under its :attr:`code_version`."""
+        return artifact_key(spec, paths, warm_start, self.code_version)
 
     def _rom_basis_key(self, basis_key: str) -> str:
         """Store address of a reduced-basis payload (by its content key)."""
@@ -638,7 +639,7 @@ class ArtifactStore:
         self,
         spec: ScenarioSpec,
         paths: Sequence[str] = ALL_PATHS,
-        transient_method: str = "lu",
+        warm_start: str = "",
         *,
         key: Optional[str] = None,
         as_text: bool = False,
@@ -658,7 +659,7 @@ class ArtifactStore:
         response).
         """
         if key is None:
-            key = self.key_for(spec, paths, transient_method)
+            key = self.key_for(spec, paths, warm_start)
         text = self._lookup(
             key, spec.name, lambda text: _answers_for(text, spec.content_hash())
         )
@@ -671,7 +672,7 @@ class ArtifactStore:
         spec: ScenarioSpec,
         artifact: ScenarioArtifact,
         paths: Sequence[str] = ALL_PATHS,
-        transient_method: str = "lu",
+        warm_start: str = "",
         *,
         key: Optional[str] = None,
     ) -> str:
@@ -693,7 +694,7 @@ class ArtifactStore:
                 f"{spec.content_hash()[:12]}"
             )
         if key is None:
-            key = self.key_for(spec, paths, transient_method)
+            key = self.key_for(spec, paths, warm_start)
         return self._store_record(
             key=key,
             scenario=artifact.scenario,
@@ -748,8 +749,7 @@ class ArtifactStore:
         """Persist one serialised reduced-basis payload; returns its address.
 
         ``payload_json`` is the deterministic JSON document produced by
-        :meth:`repro.thermal.TransientSolver.rom_payloads` /
-        :meth:`repro.methodology.SweepEngine.rom_basis_payloads`.
+        :meth:`repro.thermal.BasisScope.payloads`.
         Basis records live in the same object space as artifacts (same
         envelope, integrity re-hash, LRU eviction) under the reserved path
         tag ``"rom_basis"``; the record's ``spec_hash`` carries the basis
@@ -771,8 +771,8 @@ class ArtifactStore:
 
     def load_rom_basis(self, basis_key: str) -> Optional[str]:
         """Serialised payload of the basis with content key ``basis_key``,
-        or ``None`` on miss/corruption (deterministic JSON, ready for
-        :func:`repro.thermal.install_payload` or a kernel warm start).
+        or ``None`` on miss/corruption (deterministic JSON, ready for a
+        kernel warm start).
 
         Basis lookups are counted by the same lookup as :meth:`load` (one
         ``store.load`` span, ``store.hits``/``store.misses``), so ``repro

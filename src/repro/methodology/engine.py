@@ -43,6 +43,7 @@ from ..caching import LruCache
 from ..errors import ConfigurationError
 from ..snr import LaserDriveConfig, SnrReport
 from ..thermal import TransientSolver
+from ..thermal.rom import active_scope
 from . import flow as flow_module
 from .flow import ThermalAwareDesignFlow, ThermalEvaluation, ThermalRequest
 from .transient import TransientEvaluation, TransientRequest, transient_request_key
@@ -57,9 +58,9 @@ CACHE_CAPACITY = 256
 
 #: Names of the :attr:`SweepEngine.stats` counters.  ``points_requested``
 #: through ``batches`` cover the steady sweep path; ``snr_*`` the vectorized
-#: link evaluation; ``transient_*`` / ``rom_*`` / ``basis_*`` /
-#: ``factorizations_*`` the transient integrator (LU vs reduced-order,
-#: a-posteriori fallbacks, stepper-factorisation reuse).
+#: link evaluation; ``transient_*`` / ``rom_*`` / ``factorizations_*`` the
+#: transient integrator (LU vs reduced-order, a-posteriori fallbacks,
+#: stepper-factorisation reuse).
 ENGINE_COUNTERS: Tuple[str, ...] = (
     "points_requested",
     "cache_hits",
@@ -74,9 +75,7 @@ ENGINE_COUNTERS: Tuple[str, ...] = (
     "transient_solves",
     "transient_lu_solves",
     "transient_rom_solves",
-    "rom_hits",
     "rom_fallbacks",
-    "basis_builds",
     "factorizations_built",
     "factorizations_reused",
 )
@@ -205,17 +204,6 @@ class SweepEngine:
             self._transient_solvers[theta] = solver
         return solver
 
-    def rom_basis_payloads(self) -> List[str]:
-        """Serialised reduced bases built by the engine's transient solves
-        (deterministic JSON documents; persist through the store or ship as
-        an :class:`~repro.campaigns.kernel.EvaluationKernel` warm-start
-        payload)."""
-        return [
-            payload
-            for solver in self._transient_solvers.values()
-            for payload in solver.rom_payloads()
-        ]
-
     def clear_cache(self) -> None:
         """Drop every cached thermal, SNR and transient evaluation."""
         self._cache.clear()
@@ -286,16 +274,17 @@ class SweepEngine:
         """Evaluate transient design points, in submission order.
 
         Evaluations are cached behind a content-derived key (trace phases,
-        ONI operating point, integrator settings), so re-running a sweep —
-        or an optimiser revisiting a trace — integrates each distinct trace
-        once.  Cache misses run sequentially on the engine's
+        ONI operating point, integrator settings) and the basis scope they
+        were solved in (:func:`repro.thermal.basis_scope`), so re-running a
+        sweep — or an optimiser revisiting a trace — integrates each
+        distinct trace once per scope.  Cache misses run sequentially on the engine's
         :meth:`transient_solver`; the per-step-size factorisations are
         shared across every trace of the batch.
         """
         results: List[TransientEvaluation] = []
         for request in requests:
             self.stats["transient_points_requested"] += 1
-            key = transient_request_key(request)
+            key = (transient_request_key(request), active_scope())
             cached = self._transient_cache.get(key)
             if cached is not None:
                 self.stats["transient_cache_hits"] += 1
@@ -331,15 +320,12 @@ class SweepEngine:
         diagnostics = evaluation.result.diagnostics
         if diagnostics.solver_method == "rom":
             self.stats["transient_rom_solves"] += 1
-            self.stats["rom_hits"] += 1
         else:
             self.stats["transient_lu_solves"] += 1
             self.stats["factorizations_built"] += diagnostics.factorizations_computed
             self.stats["factorizations_reused"] += max(
                 0, diagnostics.distinct_steps - diagnostics.factorizations_computed
             )
-        if diagnostics.rom_basis_built:
-            self.stats["basis_builds"] += 1
         if diagnostics.rom_fallback:
             self.stats["rom_fallbacks"] += 1
 

@@ -207,7 +207,7 @@ class ThermalAwareDesignFlow:
     functions of those inputs, so they never go stale and the flow may be
     shared by every caller evaluating that design.  It keeps no history of
     the evaluations run on it: evaluation caches, counters and transient
-    step and reduced-basis history belong to the caller (a
+    step history belong to the caller (a
     :class:`~repro.methodology.engine.SweepEngine`, or the
     :class:`~repro.thermal.TransientSolver` passed to
     :meth:`run_transient`).
@@ -460,10 +460,9 @@ class ThermalAwareDesignFlow:
         """A new transient solver on the flow's mesh.
 
         The solver keeps the history of its own solves: the step sizes
-        behind ``factorizations_computed`` and the reduced bases it builds
-        (:meth:`~repro.thermal.TransientSolver.rom_payloads`).  Its steppers
-        live in the shared cache, so every solver on this mesh reuses the
-        factorisations of the traces before it.
+        behind ``factorizations_computed``.  Its steppers live in the shared
+        cache, so every solver on this mesh reuses the factorisations of the
+        traces before it.
         """
         return TransientSolver(
             self._mesh(), self.architecture.boundary_conditions(), theta=theta
@@ -520,7 +519,6 @@ class ThermalAwareDesignFlow:
         theta: float = 1.0,
         initial: Union[str, float] = "ambient",
         snapshot_times_s: Sequence[float] = (),
-        method: str = "lu",
         solver: Optional[TransientSolver] = None,
     ) -> TransientEvaluation:
         """Transient thermal analysis of one design point over a trace.
@@ -529,15 +527,15 @@ class ThermalAwareDesignFlow:
         TransientRequest`: ``"ambient"`` starts uniform at the convective
         ambient, ``"steady"`` from the steady state of the first phase
         (solved by the transient solver with the flow's cached factor, after
-        its steps), a float from that uniform temperature.  ``method``
-        selects the integration path (``"lu"``, ``"rom"``, ``"auto"``; see
+        its steps), a float from that uniform temperature.  The solve replays
+        in the reduced space when a basis for it is in scope (see
         :meth:`repro.thermal.TransientSolver.solve`).  A
         :class:`TransientRequest` may be passed in place of the trace, in
         which case the remaining arguments but ``solver`` are ignored.
 
         ``solver`` is the :meth:`transient_solver` to integrate with (its θ
-        must be the request's); it carries the step-size and reduced-basis
-        history of its earlier solves.  By default a new one is used.
+        must be the request's); it carries the step-size history of its
+        earlier solves.  By default a new one is used.
         """
         if isinstance(trace, TransientRequest):
             request = trace
@@ -549,7 +547,6 @@ class ThermalAwareDesignFlow:
                 theta=theta,
                 initial=initial,
                 snapshot_times_s=tuple(snapshot_times_s),
-                method=method,
             )
         schedule = self.build_schedule(request.trace, request.power)
         if solver is None:
@@ -571,7 +568,6 @@ class ThermalAwareDesignFlow:
             initial_temperature_c=initial_field,
             snapshot_times_s=request.snapshot_times_s,
             probes=self._compiled_probes(solver.mesh),
-            method=request.method,
         )
         series: Dict[str, OniTemperatureSeries] = {}
         for oni in self.scenario.onis:

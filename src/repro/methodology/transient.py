@@ -32,7 +32,7 @@ from ..errors import AnalysisError, ConfigurationError
 from ..oni import OniPowerConfig
 from ..snr import BatchSnrReport, OniThermalState
 from ..snr.analysis import first_worst_index
-from ..thermal import TRANSIENT_METHODS, TransientResult
+from ..thermal import TransientResult
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,7 @@ class TransientRequest:
     ``initial`` selects the starting field: ``"ambient"`` (uniform at the
     convective ambient — the package powering on), ``"steady"`` (the steady
     state of the first phase — the workload already running), or an explicit
-    uniform temperature in degC.  ``method`` selects the integration path
-    (``"lu"``, ``"rom"`` or ``"auto"`` — see
-    :meth:`repro.thermal.TransientSolver.solve`).
+    uniform temperature in degC.
     """
 
     trace: ActivityTrace
@@ -53,7 +51,6 @@ class TransientRequest:
     theta: float = 1.0
     initial: Union[str, float] = "ambient"
     snapshot_times_s: Tuple[float, ...] = ()
-    method: str = "lu"
 
     def __post_init__(self) -> None:
         if isinstance(self.initial, str) and self.initial not in (
@@ -63,11 +60,6 @@ class TransientRequest:
             raise ConfigurationError(
                 "initial must be 'ambient', 'steady' or a temperature in degC, "
                 f"got {self.initial!r}"
-            )
-        if self.method not in TRANSIENT_METHODS:
-            raise ConfigurationError(
-                f"method must be one of {TRANSIENT_METHODS}, got "
-                f"{self.method!r}"
             )
         # Accept any sequence of times but store a tuple: the request must
         # stay hashable-by-content for the sweep engine's cache key.
@@ -299,5 +291,4 @@ def transient_request_key(request: TransientRequest) -> Tuple:
         request.theta,
         request.initial,
         request.snapshot_times_s,
-        request.method,
     )

@@ -16,9 +16,9 @@ from .runner import (
     ScenarioRunner,
     build_trace,
     build_workload,
+    collect_bases,
     run_scenario,
     validate_paths,
-    validate_transient_method,
 )
 from .spec import (
     SCHEMA_VERSION,
@@ -50,9 +50,9 @@ __all__ = [
     "ScenarioArtifact",
     "builtin_scenarios",
     "default_registry",
+    "collect_bases",
     "run_scenario",
     "validate_paths",
-    "validate_transient_method",
     "build_workload",
     "build_trace",
     "canonical_json",

@@ -32,7 +32,18 @@ from concurrent.futures import Future
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .. import telemetry
 from ..activity import (
@@ -66,7 +77,7 @@ from ..methodology import (
 )
 from ..oni import OniPowerConfig
 from ..snr import LaserDriveConfig
-from ..thermal import TRANSIENT_METHODS
+from ..thermal import BasisScope, basis_scope
 from ..thermal.factorization import shared_cache
 from .spec import SCHEMA_VERSION, ScenarioSpec, TraceSpec, WorkloadSpec
 
@@ -91,14 +102,6 @@ def validate_paths(paths: Sequence[str]) -> Tuple[str, ...]:
             f"unknown analysis paths {unknown}; available: {list(ALL_PATHS)}"
         )
     return requested
-
-
-def validate_transient_method(method: str) -> None:
-    """Check that ``method`` names a transient integration path."""
-    if method not in TRANSIENT_METHODS:
-        raise ConfigurationError(
-            f"transient_method must be one of {TRANSIENT_METHODS}, got {method!r}"
-        )
 
 
 @dataclass
@@ -271,15 +274,13 @@ class ScenarioRunner:
     engine is the runner's own: its caches, counters and transient solvers
     see this runner's work only.
 
-    ``transient_method`` selects the transient integration path (``"lu"``,
-    ``"rom"`` or ``"auto"``; see :meth:`repro.thermal.TransientSolver.solve`)
-    and is recorded in the artifact's solver-provenance block.
+    The transient path replays in the reduced space when a basis for its
+    problem is in scope (:func:`repro.thermal.basis_scope`); the path taken
+    is recorded in the artifact's solver-provenance block.
     """
 
-    def __init__(self, spec: ScenarioSpec, transient_method: str = "lu") -> None:
-        validate_transient_method(transient_method)
+    def __init__(self, spec: ScenarioSpec) -> None:
         self.spec = spec
-        self.transient_method = transient_method
         self._flow: Optional[ThermalAwareDesignFlow] = None
         self._engine: Optional[SweepEngine] = None
         self._activity: Optional[ActivityPattern] = None
@@ -488,7 +489,6 @@ class ScenarioRunner:
             power=self.power_config(),
             dt_s=trace_spec.dt_s,
             initial=trace_spec.initial,
-            method=self.transient_method,
         )
 
     def _steady_sections(
@@ -590,10 +590,8 @@ class ScenarioRunner:
             # above.  The raw residual is deliberately left out — it sits near
             # the comparison atol and would make artifacts BLAS-sensitive.
             "solver": {
-                "method_requested": self.transient_method,
                 "method": diagnostics.solver_method,
                 "rom_dim": diagnostics.rom_dim,
-                "rom_basis_built": diagnostics.rom_basis_built,
                 "rom_fallback": diagnostics.rom_fallback,
             },
         }
@@ -612,3 +610,18 @@ def run_scenario(
 ) -> ScenarioArtifact:
     """One-shot convenience wrapper around :class:`ScenarioRunner`."""
     return ScenarioRunner(spec).run(paths)
+
+
+def collect_bases(specs: Iterable[ScenarioSpec]) -> BasisScope:
+    """The reduced transient bases of ``specs``, built explicitly.
+
+    Runs the transient path of every spec in one collecting
+    :class:`~repro.thermal.BasisScope`: each solve without a basis in the
+    scope is the exact full-space path plus a POD of its trajectory.  The
+    scope's :meth:`~repro.thermal.BasisScope.payloads` are what a store
+    persists and a kernel warm-starts from.
+    """
+    with basis_scope(BasisScope(collect=True)) as scope:
+        for spec in specs:
+            ScenarioRunner(spec).run(("transient",))
+    return scope

@@ -6,7 +6,7 @@ The public surface the rest of the library instruments against::
 
     with telemetry.span("thermal.solve", mesh=hash8) as sp:
         ...
-        sp.set(method="rom")
+        sp.set(batch_size=4)
 
     telemetry.count("store.hits")
     telemetry.observe("engine.thermal_batch_s", elapsed)

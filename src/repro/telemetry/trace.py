@@ -249,7 +249,7 @@ def span(name: str, **attrs: Any) -> Any:
 
         with telemetry.span("thermal.solve", mesh=hash8) as sp:
             ...
-            sp.set(method="rom")
+            sp.set(batch_size=4)
     """
     if not _enabled:
         return _NOOP

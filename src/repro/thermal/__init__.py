@@ -17,16 +17,13 @@ from .factorization import (
 )
 from .mesh import Mesh3D, MeshBuilder, RefinementRegion, build_ticks, merge_close_ticks
 from .rom import (
-    TRANSIENT_METHODS,
+    BasisScope,
     ReducedBasis,
     ReducedModel,
-    RomConfig,
     basis_content_key,
+    basis_scope,
     build_basis,
     clear_installed_bases,
-    install_basis,
-    install_payload,
-    installed_basis,
 )
 from .solver import BatchSolveResult, SolverDiagnostics, SteadyStateSolver
 from .sources import HeatSource, SourceBatch, power_density_field
@@ -59,16 +56,13 @@ __all__ = [
     "factorization_cache_stats",
     "factorize",
     "matrix_content_key",
-    "TRANSIENT_METHODS",
+    "BasisScope",
     "ReducedBasis",
     "ReducedModel",
-    "RomConfig",
     "basis_content_key",
+    "basis_scope",
     "build_basis",
     "clear_installed_bases",
-    "install_basis",
-    "install_payload",
-    "installed_basis",
     "Mesh3D",
     "MeshBuilder",
     "RefinementRegion",

@@ -19,19 +19,22 @@ replaces that loop by time-stepping in a small subspace:
   only requested snapshots and the final field are lifted back.
 * **Trust but verify** — a reduced solve is accepted only when the
   a-posteriori residual of the *full* equation, checked at every segment
-  end, stays below :attr:`RomConfig.residual_tol`; a breach makes the
-  transient solver silently redo the solve with the full LU path, so the
-  golden tolerance bands can never be violated by an inadequate basis.
-* **First-class cached artifacts** — a basis is keyed by a SHA-256 over the
-  full problem content (operator matrix, capacitance, θ, initial field, or
-  a tag for a steady start, and the per-segment step plan and loads; probes
-  and snapshot times excluded).
-  Bases built organically live in the owning solver; bases *installed* here
-  (from an :class:`~repro.campaigns.store.ArtifactStore` record or an
-  :class:`~repro.campaigns.kernel.EvaluationKernel` warm-start payload) are
-  process-global, so executors can ship a prebuilt basis to workers.  A
-  result is always a pure function of (request content, installed payloads),
-  which keeps artifacts byte-identical across execution substrates.
+  end, stays below :data:`RESIDUAL_TOL`; a breach makes the transient
+  solver silently redo the solve with the full LU path, so the golden
+  tolerance bands can never be violated by an inadequate basis.
+* **Bases in scope** — a basis is keyed by a SHA-256 over the full problem
+  content (operator matrix, capacitance, θ, initial field, or a tag for a
+  steady start, and the per-segment step plan and loads; probes and
+  snapshot times excluded).  A transient solve replays in the reduced space
+  exactly when a basis for its key is in the :class:`BasisScope` that
+  :func:`basis_scope` put in scope for the current context, and runs the
+  full-space path otherwise; with no scope it skips the keying altogether.
+  Building a basis is an explicit act: a solve in a *collecting* scope that
+  finds no basis builds one from its exact trajectory and adds it.  An
+  :class:`~repro.campaigns.kernel.EvaluationKernel` puts its warm-start set
+  in scope for each run, so a result is always a pure function of (request
+  content, the kernel's bases), which keeps artifacts byte-identical across
+  execution substrates.
 """
 
 from __future__ import annotations
@@ -39,51 +42,42 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import lu_factor, lu_solve
 
-from ..caching import LruCache
 from ..errors import SolverError
 
 #: Serialised-payload markers (stable across versions of the library).
 PAYLOAD_FORMAT = "rom-basis"
 PAYLOAD_VERSION = 1
 
-#: Transient methods accepted end to end (solver, request, runner, CLI).
-TRANSIENT_METHODS: Tuple[str, ...] = ("lu", "rom", "auto")
+#: Cap on the basis dimension: the POD of a 64-step paper-scale trace
+#: saturates around 70–80 useful directions.
+MAX_DIM = 96
 
+#: Relative singular-value cut of the POD truncation.
+SVD_TOL = 1.0e-9
 
-@dataclass(frozen=True)
-class RomConfig:
-    """Tuning knobs of the reduced-order transient path.
-
-    ``max_dim`` caps the basis dimension (the POD of a 64-step paper-scale
-    trace saturates around 70–80 useful directions); ``svd_tol`` is the
-    relative singular-value cut of the POD truncation; ``residual_tol`` is
-    the a-posteriori relative-residual bound above which a reduced solve is
-    rejected and redone with the full LU path (an adequate own-trajectory
-    basis sits at ~1e-9, an inadequate one at ~1e-1, so the default has
-    three orders of margin on either side).
-    """
-
-    max_dim: int = 96
-    svd_tol: float = 1.0e-9
-    residual_tol: float = 1.0e-6
-
-    def __post_init__(self) -> None:
-        if self.max_dim < 1:
-            raise SolverError("max_dim must be >= 1")
-        if not 0.0 < self.svd_tol < 1.0:
-            raise SolverError("svd_tol must be in (0, 1)")
-        if self.residual_tol <= 0.0:
-            raise SolverError("residual_tol must be positive")
-
-
-DEFAULT_CONFIG = RomConfig()
+#: A-posteriori relative-residual bound above which a reduced solve is
+#: rejected and redone with the full LU path.  An adequate own-trajectory
+#: basis sits at ~1e-9, an inadequate one at ~1e-1, so the bound has three
+#: orders of margin on either side.
+RESIDUAL_TOL = 1.0e-6
 
 
 class ReducedBasis:
@@ -209,7 +203,6 @@ def build_basis(
     key: str,
     trajectory: np.ndarray,
     steady_states: Optional[np.ndarray] = None,
-    config: RomConfig = DEFAULT_CONFIG,
 ) -> ReducedBasis:
     """POD basis of a solved trajectory (columns are temperature fields).
 
@@ -219,7 +212,7 @@ def build_basis(
     long-time asymptotes the finite trajectory may not have reached.  The
     stacked snapshot matrix is column-normalised (so hot and cold states
     weigh equally) and compressed by a thin SVD truncated at
-    ``config.svd_tol`` relative singular value, capped at ``config.max_dim``.
+    :data:`SVD_TOL` relative singular value, capped at :data:`MAX_DIM`.
     """
     parts = [np.asarray(trajectory, dtype=np.float64)]
     if steady_states is not None and steady_states.size:
@@ -231,8 +224,8 @@ def build_basis(
         raise SolverError("cannot build a reduced basis from all-zero snapshots")
     snapshots = snapshots[:, keep] / norms[keep]
     left, singular, _ = np.linalg.svd(snapshots, full_matrices=False)
-    rank = int(np.sum(singular > singular[0] * config.svd_tol))
-    rank = max(1, min(rank, config.max_dim, snapshots.shape[0]))
+    rank = int(np.sum(singular > singular[0] * SVD_TOL))
+    rank = max(1, min(rank, MAX_DIM, snapshots.shape[0]))
     return ReducedBasis(left[:, :rank], key)
 
 
@@ -296,56 +289,63 @@ class ReducedModel:
         return lu_solve(lu_piv, explicit @ coefficients + reduced_load)
 
 
-# Installed-basis registry -----------------------------------------------------
-
-#: Bases installed from serialized payloads (store records, kernel warm-start
-#: payloads), keyed by their content key.  Process-global by design: the
-#: installed population is part of the evaluation configuration — the same
-#: payloads are installed in every worker — so serving from it keeps results
-#: a pure function of (request, payloads) whatever the process topology.
-_INSTALLED: LruCache[ReducedBasis] = LruCache(max_entries=8)
-
-#: Digest of payload JSON documents already installed mapped to their basis
-#: key, so executors that re-run the same kernel in one worker process skip
-#: the multi-megabyte re-parse.
-_INSTALLED_DOCUMENTS: Dict[str, str] = {}
+# Bases in scope -----------------------------------------------------------------
 
 
-def install_basis(basis: ReducedBasis) -> str:
-    """Register a basis for lookup by content key; returns the key."""
-    _INSTALLED.put(basis.key, basis)
-    return basis.key
+class BasisScope:
+    """The reduced bases transient solves may replay, by content key.
 
-
-def install_payload(payload: Union[str, Mapping[str, object]]) -> str:
-    """Install a basis from its payload (dict or JSON text); returns the key.
-
-    Idempotent and cheap on repetition: a JSON document already installed by
-    this process is recognised by digest and not parsed again (unless its
-    basis has been evicted from the bounded registry in the meantime).
+    A solve under :func:`basis_scope` looks its problem's
+    :func:`basis_content_key` up in :attr:`bases` and integrates in the
+    reduced space exactly when a basis is there.  With ``collect`` set, a
+    solve that finds none runs the full-space path, builds a basis from its
+    trajectory and adds it, so a later solve of the same problem in the
+    scope replays it.
     """
-    if isinstance(payload, str):
-        fingerprint = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        known_key = _INSTALLED_DOCUMENTS.get(fingerprint)
-        if known_key is not None and _INSTALLED.get(known_key) is not None:
-            return known_key
-        key = install_basis(ReducedBasis.from_payload(json.loads(payload)))
-        _INSTALLED_DOCUMENTS[fingerprint] = key
-        return key
-    return install_basis(ReducedBasis.from_payload(payload))
+
+    __slots__ = ("bases", "collect")
+
+    def __init__(
+        self, bases: Iterable[ReducedBasis] = (), collect: bool = False
+    ) -> None:
+        self.bases: Dict[str, ReducedBasis] = {basis.key: basis for basis in bases}
+        self.collect = collect
+
+    @classmethod
+    def from_payloads(cls, payloads: Iterable[str]) -> "BasisScope":
+        """A replay-only scope of serialised payload JSON documents."""
+        return cls(ReducedBasis.from_payload(json.loads(text)) for text in payloads)
+
+    def payloads(self) -> List[str]:
+        """Serialised payload of every basis in the scope, in key order."""
+        return [self.bases[key].to_payload_json() for key in sorted(self.bases)]
 
 
-def installed_basis(key: str) -> Optional[ReducedBasis]:
-    """Basis installed under ``key``, or ``None``."""
-    return _INSTALLED.get(key)
+_SCOPE: ContextVar[Optional[BasisScope]] = ContextVar("repro_rom_bases", default=None)
 
 
-def installed_keys() -> List[str]:
-    """Content keys of every installed basis (least recently used first)."""
-    return [key for key, _ in _INSTALLED.items()]
+@contextmanager
+def basis_scope(scope: Optional[BasisScope]) -> Iterator[Optional[BasisScope]]:
+    """Put ``scope`` in scope for the transient solves of this context until
+    the block exits; ``None`` puts no bases in scope, so every solve runs
+    the full-space path.
+
+    A thread started in a copy of this context (as
+    :meth:`~repro.scenarios.runner.ScenarioRunner.run` starts its transient
+    path) sees the same scope.
+    """
+    token = _SCOPE.set(scope)
+    try:
+        yield scope
+    finally:
+        _SCOPE.reset(token)
+
+
+def active_scope() -> Optional[BasisScope]:
+    """The :class:`BasisScope` of the current context, or ``None``."""
+    return _SCOPE.get()
 
 
 def clear_installed_bases() -> None:
-    """Drop every installed basis (tests, memory pressure)."""
-    _INSTALLED.clear()
-    _INSTALLED_DOCUMENTS.clear()
+    """Does nothing: no basis outlives the :func:`basis_scope` block that
+    put it in scope.  Kept for callers that reset every thermal cache."""

@@ -72,16 +72,8 @@ from .assembly import boundary_rhs
 from .boundary import FACES, BoundaryConditions
 from .factorization import CacheEntry, shared_cache
 from .mesh import BoxOverlaps, Mesh3D
-from .rom import (
-    DEFAULT_CONFIG,
-    ReducedBasis,
-    ReducedModel,
-    RomConfig,
-    TRANSIENT_METHODS,
-    basis_content_key,
-    build_basis,
-    installed_basis,
-)
+from . import rom
+from .rom import ReducedBasis, ReducedModel, basis_content_key, build_basis
 from .sources import HeatSource, SourceBatch, power_density_field
 from .thermal_map import ThermalMap
 
@@ -278,14 +270,12 @@ class TransientDiagnostics:
     #: Distinct effective step sizes encountered (one factorisation each).
     distinct_steps: int
     #: Path that produced the result: ``"lu"`` (full-space direct solve) or
-    #: ``"rom"`` (reduced-order Galerkin stepping).  A requested ROM solve
-    #: still reports ``"lu"`` when it built its basis on this solve or fell
-    #: back after a residual breach.
+    #: ``"rom"`` (reduced-order Galerkin stepping).  A solve with a basis in
+    #: scope still reports ``"lu"`` when it fell back after a residual
+    #: breach.
     solver_method: str = "lu"
-    #: Dimension of the reduced basis used or built (0 for a pure LU solve).
+    #: Dimension of the reduced basis found in scope (0 when none was).
     rom_dim: int = 0
-    #: A reduced basis was built from this solve's trajectory.
-    rom_basis_built: bool = False
     #: A reduced solve was attempted and rejected by the residual check.
     rom_fallback: bool = False
     #: Worst a-posteriori relative residual of the accepted reduced solve
@@ -461,10 +451,6 @@ class TransientSolver:
         Implicitness of the θ-method; ``1.0`` is backward Euler (default),
         ``0.5`` Crank–Nicolson.  Values in ``[0.5, 1]`` are unconditionally
         stable.
-    rom_config:
-        Tuning of the reduced-order path (basis dimension cap, POD
-        truncation tolerance, a-posteriori residual bound); only consulted
-        when :meth:`solve` is called with ``method="rom"`` or ``"auto"``.
     """
 
     def __init__(
@@ -473,7 +459,6 @@ class TransientSolver:
         boundaries: BoundaryConditions,
         theta: float = 1.0,
         volumetric_heat_capacity: Optional[float] = None,
-        rom_config: RomConfig = DEFAULT_CONFIG,
     ) -> None:
         if not 0.5 <= theta <= 1.0:
             raise SolverError(
@@ -496,12 +481,6 @@ class TransientSolver:
         #: it, so they stay a function of this solver's own history (which
         #: executor conformance relies on).
         self._step_sizes: set[float] = set()
-        self._rom_config = rom_config
-        #: Reduced bases built by this instance, by content key.  Kept
-        #: per-instance (not process-global) so a solve's outcome is a pure
-        #: function of this solver's own request history — what keeps
-        #: artifacts byte-identical whatever the executor topology.
-        self._rom_bases: LruCache[ReducedBasis] = LruCache(max_entries=4)
         #: Galerkin projections (``VᵀKV`` etc.) by basis content key.
         self._rom_models: LruCache[ReducedModel] = LruCache(max_entries=4)
         #: Source-set content -> rasterised load vector [W per cell].  A
@@ -521,11 +500,6 @@ class TransientSolver:
     def theta(self) -> float:
         """Implicitness parameter of the θ-method."""
         return self._theta
-
-    @property
-    def rom_config(self) -> RomConfig:
-        """Tuning knobs of the reduced-order path."""
-        return self._rom_config
 
     # Internal -------------------------------------------------------------------
 
@@ -613,21 +587,6 @@ class TransientSolver:
 
     # Reduced-order plumbing -------------------------------------------------------
 
-    def _resolve_basis(self, key: str, method: str) -> Optional[ReducedBasis]:
-        """Basis to attempt a reduced solve with, or ``None``.
-
-        ``auto`` only consults the process-wide *installed* registry (bases
-        shipped explicitly through store records / kernel warm-start
-        payloads, hence identical in every worker); ``rom`` additionally
-        falls back to bases this instance built organically.
-        """
-        basis = installed_basis(key)
-        if basis is not None:
-            return basis
-        if method == "rom":
-            return self._rom_bases.get(key)
-        return None
-
     def _build_basis(
         self,
         key: str,
@@ -646,14 +605,7 @@ class TransientSolver:
         steady_states = np.column_stack(
             [factorization.solve(load) for load in unique_loads.values()]
         )
-        basis = build_basis(key, trajectory, steady_states, self._rom_config)
-        self._rom_bases.put(key, basis)
-        return basis
-
-    def rom_payloads(self) -> List[str]:
-        """Serialised payloads of every basis built by this instance
-        (deterministic JSON; feed to the store / kernel warm-start)."""
-        return [basis.to_payload_json() for _, basis in self._rom_bases.items()]
+        return build_basis(key, trajectory, steady_states)
 
     def _steady_field(self, entry: CacheEntry, load: np.ndarray) -> np.ndarray:
         """``K⁻¹ load`` with the cached factor of the operator ``entry``: bit
@@ -821,7 +773,7 @@ class TransientSolver:
             defect = capacitance_over_dt * x_now + theta * (matrix @ x_now) - rhs
             scale = float(np.linalg.norm(rhs))
             residual = float(np.linalg.norm(defect)) / (scale if scale > 0.0 else 1.0)
-            if not math.isfinite(residual) or residual > self._rom_config.residual_tol:
+            if not math.isfinite(residual) or residual > rom.RESIDUAL_TOL:
                 return None
             max_residual = max(max_residual, residual)
             boundaries.append(now)
@@ -845,7 +797,6 @@ class TransientSolver:
         initial_temperature_c: InitialField = None,
         snapshot_times_s: Sequence[float] = (),
         probes: Union[Mapping[str, ProbeSpec], CompiledProbes, None] = None,
-        method: str = "lu",
     ) -> TransientResult:
         """Integrate the schedule and record probes / snapshots.
 
@@ -876,24 +827,18 @@ class TransientSolver:
             (mean of per-box averages), compiled together from one
             overlap set; or probes already compiled on this solver's mesh
             by :func:`compile_probes`.
-        method:
-            ``"lu"`` (default) integrates in full space with the direct
-            (banded Cholesky) factorisation.
-            ``"rom"`` integrates in a reduced POD subspace when a basis for
-            this problem is installed or was built by this instance — the
-            first solve of a problem runs the LU path, harvests its
-            trajectory into a basis, and returns the (bit-exact) LU result.
-            ``"auto"`` uses the reduced path exactly when a basis was
-            *installed* (store / warm-start payload) and LU otherwise,
-            never building bases as a side effect.  Reduced solves that
-            fail the a-posteriori residual check fall back to LU
-            transparently (see :attr:`TransientDiagnostics.rom_fallback`).
+
+        The solve integrates in a reduced POD subspace exactly when the
+        :class:`~repro.thermal.rom.BasisScope` in scope
+        (:func:`~repro.thermal.rom.basis_scope`) holds a basis for this
+        problem, and in full space with the direct (banded Cholesky)
+        factorisation otherwise.  A reduced solve that fails the
+        a-posteriori residual check falls back to the full-space path
+        transparently (see :attr:`TransientDiagnostics.rom_fallback`).  In
+        a collecting scope, a full-space solve of a problem without a basis
+        builds one from its trajectory and adds it to the scope; its result
+        is the (bit-exact) full-space one.
         """
-        if method not in TRANSIENT_METHODS:
-            raise SolverError(
-                f"unknown transient method {method!r}; expected one of "
-                f"{TRANSIENT_METHODS}"
-            )
         if len(schedule) == 0:
             raise SolverError("the schedule has no segments")
         if not math.isfinite(dt_s) or dt_s <= 0.0:
@@ -930,15 +875,15 @@ class TransientSolver:
             self._source_load(segment.sources) + boundary_load
             for segment, _, _ in plan
         ]
-        steppers = self._steppers(entry, plan) if method == "lu" else None
+        scope = rom.active_scope()
+        steppers = self._steppers(entry, plan) if scope is None else None
         initial = None if steady else self._initial_field(initial_temperature_c)
 
         basis: Optional[ReducedBasis] = None
         basis_key = ""
         rom_fallback = False
-        rom_basis_built = False
         rom_dim = 0
-        if method != "lu":
+        if scope is not None:
             basis_key = basis_content_key(
                 entry.matrix_key,
                 self._capacitance,
@@ -949,7 +894,7 @@ class TransientSolver:
                     for (_, count, dt_eff), load in zip(plan, segment_loads)
                 ],
             )
-            basis = self._resolve_basis(basis_key, method)
+            basis = scope.bases.get(basis_key)
 
         if basis is not None:
             rom_dim = basis.dim
@@ -977,9 +922,7 @@ class TransientSolver:
                     dt_s=dt_s,
                     total_duration=total_duration,
                     factorizations_before=factorizations_before,
-                    solver_method="rom",
                     rom_dim=rom_dim,
-                    rom_basis_built=False,
                     rom_fallback=False,
                     rom_residual=residual,
                 )
@@ -991,7 +934,7 @@ class TransientSolver:
                 rom_dim,
             )
 
-        collect = method == "rom" and basis is None
+        collect = scope is not None and scope.collect and basis is None
         # ``K T0``: for a steady start the first load itself, exactly.
         reference = segment_loads[0] if steady else entry.operator.matrix @ initial
         times, probe_values, snapshots, final, boundaries, trajectory = (
@@ -1009,10 +952,10 @@ class TransientSolver:
             )
         )
         if collect:
-            assert trajectory is not None
-            built = self._build_basis(basis_key, entry, trajectory, segment_loads)
-            rom_basis_built = True
-            rom_dim = built.dim
+            assert scope is not None and trajectory is not None
+            scope.bases[basis_key] = self._build_basis(
+                basis_key, entry, trajectory, segment_loads
+            )
         return self._assemble_result(
             times=times,
             probe_values=probe_values,
@@ -1023,11 +966,9 @@ class TransientSolver:
             dt_s=dt_s,
             total_duration=total_duration,
             factorizations_before=factorizations_before,
-            solver_method="lu",
             rom_dim=rom_dim,
-            rom_basis_built=rom_basis_built,
             rom_fallback=rom_fallback,
-            rom_residual=0.0,
+            rom_residual=None,
         )
 
     def _assemble_result(
@@ -1041,12 +982,12 @@ class TransientSolver:
         dt_s: float,
         total_duration: float,
         factorizations_before: int,
-        solver_method: str,
         rom_dim: int,
-        rom_basis_built: bool,
         rom_fallback: bool,
-        rom_residual: float,
+        rom_residual: Optional[float],
     ) -> TransientResult:
+        """The result of a solve; ``rom_residual`` is that of the accepted
+        reduced solve, or ``None`` when the full-space path produced it."""
         final_map = ThermalMap(self._mesh, final_field.reshape(self._mesh.shape))
         diagnostics = TransientDiagnostics(
             n_cells=self._mesh.n_cells,
@@ -1056,11 +997,10 @@ class TransientSolver:
             total_duration_s=total_duration,
             factorizations_computed=len(self._step_sizes) - factorizations_before,
             distinct_steps=len({dt_eff for _, _, dt_eff in plan}),
-            solver_method=solver_method,
+            solver_method="lu" if rom_residual is None else "rom",
             rom_dim=rom_dim,
-            rom_basis_built=rom_basis_built,
             rom_fallback=rom_fallback,
-            rom_residual=rom_residual,
+            rom_residual=rom_residual or 0.0,
         )
         probe_series = {
             name: ProbeSeries(name=name, times_s=times, temperatures_c=values)

@@ -23,13 +23,15 @@ import pytest
 from repro import telemetry
 from repro.errors import ConfigurationError
 from repro.campaigns import STORE_VERSION, ArtifactStore
+from repro.campaigns.store import artifact_key
 from repro.scenarios import (
     ALL_PATHS,
     ScenarioArtifact,
     ScenarioSpec,
     canonical_json,
+    default_registry,
 )
-from repro.thermal import ReducedBasis, clear_installed_bases, install_payload
+from repro.thermal import BasisScope, ReducedBasis
 
 
 def make_spec(index: int = 0) -> ScenarioSpec:
@@ -158,9 +160,9 @@ class TestRoundTrip:
             f'"spec_hash":"{spec.content_hash()}"'
         )
         paths = ("transient", "steady", "snr", "sweep", "steady")
-        assert store.key_for(spec, paths, "lu") == digest(artifact_document + "}")
-        assert store.key_for(spec, paths, "rom") == digest(
-            artifact_document + ',"transient_method":"rom"}'
+        assert store.key_for(spec, paths) == digest(artifact_document + "}")
+        assert store.key_for(spec, paths, "w4rm") == digest(
+            artifact_document + ',"warm_start":"w4rm"}'
         )
         assert store._rom_basis_key("ab" * 8) == digest(
             '{"code_version":"pinned","rom_basis":"abababababababab"}'
@@ -975,9 +977,9 @@ class TestRomBasisRecords:
         assert store.load_rom_basis("a" * 16) == first
         assert store.load_rom_basis("b" * 16) == second
         assert store.rom_basis_payloads() == sorted([first, second])
-        # A served payload installs cleanly.
-        assert install_payload(store.load_rom_basis("a" * 16)) == "a" * 16
-        clear_installed_bases()
+        # The served bundle parses into a scope of both bases.
+        scope = BasisScope.from_payloads(store.rom_basis_payloads())
+        assert sorted(scope.bases) == ["a" * 16, "b" * 16]
 
     def test_miss_returns_none_and_counts(self, store):
         misses_before = store.stats.misses
@@ -992,13 +994,13 @@ class TestRomBasisRecords:
 
     def test_basis_records_coexist_with_artifacts(self, store):
         spec = make_spec()
-        artifact_key = store.store(spec, make_artifact(spec), ALL_PATHS)
+        stored_key = store.store(spec, make_artifact(spec), ALL_PATHS)
         store.store_rom_basis(self.make_payload("c" * 16, seed=3))
         assert store.load(spec, ALL_PATHS) is not None
         assert len(store.rom_basis_payloads()) == 1
         kinds = {entry.paths for entry in store.entries()}
         assert ("rom_basis",) in kinds
-        assert any(entry.key == artifact_key for entry in store.entries())
+        assert any(entry.key == stored_key for entry in store.entries())
 
     def test_load_telemetry_parity_with_artifact_load(self, store):
         """Satellite fix: ``load_rom_basis`` emits ``store.hits``/
@@ -1031,20 +1033,32 @@ class TestRomBasisRecords:
         assert store.load_rom_basis("d" * 16) is None
 
 
-class TestTransientMethodKeying:
-    def test_method_folds_into_the_key_only_when_not_lu(self, store):
+class TestWarmStartKeying:
+    def test_a_default_key_is_pinned(self):
+        # The key a default (not warm-started) kernel stores a registry
+        # spec under, with the code version of 0.2.0 written out: a change
+        # here strands every object of every existing store.
+        spec = default_registry().get("scc_case_study")
+        assert artifact_key(spec, code_version="0.2.0/schema1/store1") == (
+            "0b026ff356528a72915f30a1e8eb7d19e41875708cd69afaa945d42150a9cec4"
+        )
+
+    def test_warm_start_folds_into_the_key_only_when_set(self, store):
         spec = make_spec()
         default = store.key_for(spec, ALL_PATHS)
-        assert default == store.key_for(spec, ALL_PATHS, transient_method="lu")
-        assert default != store.key_for(spec, ALL_PATHS, transient_method="rom")
+        assert default == store.key_for(spec, ALL_PATHS, warm_start="")
+        assert default != store.key_for(spec, ALL_PATHS, warm_start="a" * 64)
         assert store.key_for(
-            spec, ALL_PATHS, transient_method="rom"
-        ) != store.key_for(spec, ALL_PATHS, transient_method="auto")
+            spec, ALL_PATHS, warm_start="a" * 64
+        ) != store.key_for(spec, ALL_PATHS, warm_start="b" * 64)
 
-    def test_artifacts_of_different_methods_never_answer_for_each_other(self, store):
+    def test_artifacts_of_different_warm_starts_never_answer_for_each_other(
+        self, store
+    ):
         spec = make_spec()
         artifact = make_artifact(spec)
-        store.store(spec, artifact, ALL_PATHS, transient_method="rom")
+        store.store(spec, artifact, ALL_PATHS, warm_start="a" * 64)
         assert store.load(spec, ALL_PATHS) is None
-        served = store.load(spec, ALL_PATHS, transient_method="rom")
+        assert store.load(spec, ALL_PATHS, warm_start="b" * 64) is None
+        served = store.load(spec, ALL_PATHS, warm_start="a" * 64)
         assert served is not None and served.scenario == spec.name

@@ -24,14 +24,23 @@ from repro.methodology import SweepEngine
 from repro.scenarios import ScenarioRunner, default_registry
 from repro.scenarios import runner as runner_module
 from repro.thermal import (
+    BasisScope,
     FactorizationCache,
+    basis_scope,
     clear_factorization_cache,
     factorization_cache_stats,
 )
 from repro.thermal.factorization import BandedCholesky, shared_cache
 
 SPEC = default_registry().get("small_die_uniform")
-METHODS = ("lu", "rom", "auto")
+#: Basis scopes a run can be in: none (the default), a replay scope holding
+#: no basis (the solve keys its basis, finds none and runs LU) and a
+#: collecting one (the solve builds a basis).
+SCOPES = ("none", "empty", "collect")
+
+
+def _scope(kind):
+    return None if kind == "none" else BasisScope(collect=kind == "collect")
 
 #: Engine counters fed by the transient solver's diagnostics.
 TRANSIENT_COUNTERS = (
@@ -94,9 +103,10 @@ def _failing(error):
 
 
 class TestLifecycle:
-    @pytest.mark.parametrize("method", METHODS)
-    def test_one_daemon_thread_joined_when_the_run_returns(self, threads, method):
-        ScenarioRunner(SPEC, transient_method=method).run()
+    @pytest.mark.parametrize("kind", SCOPES)
+    def test_one_daemon_thread_joined_when_the_run_returns(self, threads, kind):
+        with basis_scope(_scope(kind)):
+            ScenarioRunner(SPEC).run()
         assert len(threads) == 1
         thread = threads[0]
         assert thread is not threading.main_thread() and thread.daemon
@@ -154,26 +164,27 @@ class TestLifecycle:
         assert failed == threads and not threads[0].is_alive()
 
 
-def _run(method):
+def _run(kind):
     """Artifact bytes, engine counters and cache builds of one cold run."""
     clear_factorization_cache()
     before = factorization_cache_stats()["built"]
-    runner = ScenarioRunner(SPEC, transient_method=method)
-    artifact = runner.run().to_json()
+    runner = ScenarioRunner(SPEC)
+    with basis_scope(_scope(kind)):
+        artifact = runner.run().to_json()
     built = factorization_cache_stats()["built"] - before
     return artifact, dict(runner.engine().stats), built
 
 
 class TestParity:
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("kind", SCOPES)
     def test_concurrent_run_matches_the_task_run_inline(
-        self, method, monkeypatch, fast_switching
+        self, kind, monkeypatch, fast_switching
     ):
-        concurrent = _run(method)
+        concurrent = _run(kind)
         monkeypatch.setattr(
             runner_module, "threading", SimpleNamespace(Thread=_InlineThread)
         )
-        assert _run(method) == concurrent
+        assert _run(kind) == concurrent
 
     def test_both_paths_share_the_runners_one_engine(self, monkeypatch):
         built = []
@@ -189,8 +200,8 @@ class TestParity:
         runner.run()
         assert built == [runner.engine()]
 
-    @pytest.mark.parametrize("method", METHODS)
-    def test_the_paths_write_disjoint_engine_counters(self, method, fast_switching):
+    @pytest.mark.parametrize("kind", SCOPES)
+    def test_the_paths_write_disjoint_engine_counters(self, kind, fast_switching):
         """The two threads share the engine's ``stats`` dict; each counter is
         written by one of them only, and a store to a key the dict already
         holds never resizes it, so their ``stats[x] += 1`` cannot race."""
@@ -201,11 +212,12 @@ class TestParity:
                 writes.setdefault(threading.current_thread().name, set()).add(key)
                 super().__setitem__(key, value)
 
-        runner = ScenarioRunner(SPEC, transient_method=method)
+        runner = ScenarioRunner(SPEC)
         engine = runner.engine()
         engine.stats = Recording(engine.stats)
-        runner.run()
-        runner.run()  # served from the engine's caches: the hit counters
+        with basis_scope(_scope(kind)):
+            runner.run()
+            runner.run()  # served from the engine's caches: the hit counters
         calling = writes.pop(threading.current_thread().name)
         transient = writes.pop(f"transient:{SPEC.name}")
         assert writes == {}
@@ -223,15 +235,17 @@ class TestParity:
             )
             for index in range(4)
         ]
-        runs = list(zip(specs, METHODS + ("lu",)))
+        runs = list(zip(specs, SCOPES + ("none",)))
 
-        def outcome(spec, method, into):
-            runner = ScenarioRunner(spec, transient_method=method)
-            into[spec.name] = (runner.run().to_json(), dict(runner.engine().stats))
+        def outcome(spec, kind, into):
+            runner = ScenarioRunner(spec)
+            with basis_scope(_scope(kind)):
+                artifact = runner.run().to_json()
+            into[spec.name] = (artifact, dict(runner.engine().stats))
 
         serial = {}
-        for spec, method in runs:
-            outcome(spec, method, serial)
+        for spec, kind in runs:
+            outcome(spec, kind, serial)
         clear_factorization_cache()
         concurrent = {}
         threads = [
@@ -302,8 +316,8 @@ class TestOrdering:
     """The transient task steps a steady start without waiting on the
     package factor; it solves the start itself once the steps are done."""
 
-    @pytest.mark.parametrize("method", METHODS)
-    def test_a_steady_start_is_solved_after_every_lu_step(self, method, monkeypatch):
+    @pytest.mark.parametrize("kind", SCOPES)
+    def test_a_steady_start_is_solved_after_every_lu_step(self, kind, monkeypatch):
         runner = ScenarioRunner(SPEC)
         flow = runner.flow()
         schedule = flow.build_schedule(runner.trace(), runner.power_config())
@@ -311,22 +325,22 @@ class TestOrdering:
         first_segment = solver._segment_steps(schedule, SPEC.trace.dt_s)[0][1]
         events = []
         _record_solves(events, monkeypatch)
-        result = solver.solve(
-            schedule,
-            SPEC.trace.dt_s,
-            initial_temperature_c="steady",
-            snapshot_times_s=(0.0,),
-            method=method,
-        )
+        with basis_scope(_scope(kind)):
+            result = solver.solve(
+                schedule,
+                SPEC.trace.dt_s,
+                initial_temperature_c="steady",
+                snapshot_times_s=(0.0,),
+            )
         kinds = _kinds(events, flow)
         steps = result.diagnostics.steps - first_segment
         assert steps > 0
         ordered = ["stepper"] * len(schedule) + ["step"] * steps + ["steady"]
         # The basis key tags a steady start, so with no basis to replay
-        # every method steps first; ``rom`` then solves the steady states
-        # its new basis spans.
+        # every scope steps first; a collecting one then solves the steady
+        # states its new basis spans.
         assert kinds[: len(ordered)] == ordered
-        assert method == "rom" or kinds == ordered
+        assert kind == "collect" or kinds == ordered
         monkeypatch.undo()
         steady = flow._solver().solve(schedule.segments[0].sources)
         start = result.snapshots[0].thermal_map.temperatures_c

@@ -1,11 +1,11 @@
 """One design flow per design content, shared by the specs of a process.
 
 ``ScenarioRunner.flow()`` takes its flow from the shared cache, keyed by
-the spec's chip, mesh, network and power sections; the sweep engine, the
-transient step history and the reduced bases stay on the runner.  These
-tests pin both halves: specs of one design share the flow, and sharing it
-changes no artifact byte, engine counter or reduced basis, whatever the
-run order or thread topology.
+the spec's chip, mesh, network and power sections; the sweep engine and the
+transient step history stay on the runner, and reduced bases in the scope
+of the caller.  These tests pin both halves: specs of one design share the
+flow, and sharing it changes no artifact byte, engine counter or reduced
+basis, whatever the run order or thread topology.
 """
 
 import json
@@ -19,7 +19,12 @@ import pytest
 from repro.campaigns import EvaluationKernel, EvaluationService, get_matrix
 from repro.campaigns.cli import main
 from repro.scenarios import ScenarioRunner
-from repro.thermal import clear_factorization_cache, factorization_cache_stats
+from repro.thermal import (
+    BasisScope,
+    basis_scope,
+    clear_factorization_cache,
+    factorization_cache_stats,
+)
 from repro.thermal import mesh as mesh_module
 
 SPECS = [point.spec for point in get_matrix("workload_grid").points()]
@@ -32,12 +37,14 @@ def cold_cache():
     clear_factorization_cache()
 
 
-def run(spec, method):
-    """Artifact bytes, engine counters and built bases of one spec run."""
-    runner = ScenarioRunner(spec, transient_method=method)
-    artifact = runner.run().to_json()
-    engine = runner.engine()
-    return artifact, dict(engine.stats), engine.rom_basis_payloads()
+def run(spec, collect):
+    """Artifact bytes, engine counters and built bases of one spec run, in
+    a new collecting scope with ``collect``."""
+    runner = ScenarioRunner(spec)
+    with basis_scope(BasisScope(collect=True) if collect else None) as scope:
+        artifact = runner.run().to_json()
+    payloads = scope.payloads() if collect else []
+    return artifact, dict(runner.engine().stats), payloads
 
 
 class TestIsolation:
@@ -45,39 +52,37 @@ class TestIsolation:
         assert len({spec.flow_hash() for spec in SPECS}) == 1
         assert len({spec.content_hash() for spec in SPECS}) == len(SPECS)
 
-    @pytest.mark.parametrize("method", ["lu", "rom"])
-    def test_spec_results_do_not_depend_on_the_specs_before_it(self, method):
+    @pytest.mark.parametrize("collect", [False, True], ids=["lu", "collect"])
+    def test_spec_results_do_not_depend_on_the_specs_before_it(self, collect):
         alone = {}
         for spec in SPECS:
             clear_factorization_cache()
-            alone[spec.name] = run(spec, method)
+            alone[spec.name] = run(spec, collect)
         clear_factorization_cache()
         # Each spec runs after the specs before it, then again after every
         # other spec of its design (and itself), all on one shared flow.
         for _ in range(2):
             for spec in SPECS:
-                assert run(spec, method) == alone[spec.name], spec.name
-        if method == "rom":
+                assert run(spec, collect) == alone[spec.name], spec.name
+        if collect:
             assert all(payloads for _, _, payloads in alone.values())
 
-    def test_a_basis_built_by_one_spec_serves_no_other(self):
+    def test_a_basis_serves_only_inside_its_scope(self):
         spec = SPECS[0]
         twin = spec.with_overrides({"name": "twin"})
         assert twin.flow_hash() == spec.flow_hash()
-        first = ScenarioRunner(spec, transient_method="rom")
-        first.run(("transient",))
-        second = ScenarioRunner(twin, transient_method="rom")
-        assert second.flow() is first.flow()
-        artifact = second.run(("transient",))
+        first = ScenarioRunner(spec)
+        with basis_scope(BasisScope(collect=True)) as scope:
+            first.run(("transient",))
         # The twin's transient problem has the first spec's basis key, yet
-        # it builds its own basis instead of replaying the first one's.
-        solver = artifact.section("transient")["solver"]
-        assert solver["method"] == "lu" and solver["rom_basis_built"]
-        assert second.engine().stats["basis_builds"] == 1
-        assert second.engine().stats["rom_hits"] == 0
-        assert second.engine().rom_basis_payloads() == (
-            first.engine().rom_basis_payloads()
-        )
+        # out of the scope it runs the full-space path.
+        second = ScenarioRunner(twin)
+        assert second.flow() is first.flow()
+        solver = second.run(("transient",)).section("transient")["solver"]
+        assert solver == {"method": "lu", "rom_dim": 0, "rom_fallback": False}
+        with basis_scope(scope):
+            replay = ScenarioRunner(twin).run(("transient",))
+        assert replay.section("transient")["solver"]["method"] == "rom"
 
     def test_threads_on_one_design(self):
         # The service runs kernels on a thread pool: specs of one design

@@ -33,14 +33,16 @@ from repro.campaigns import (
     ScenarioMatrix,
     SerialExecutor,
     SpecExecutionError,
+    get_matrix,
     make_executor,
 )
+from repro.campaigns.store import artifact_key
 from repro.scenarios import (
-    ScenarioRunner,
     ScenarioSpec,
+    collect_bases,
     compare_artifact_dicts,
 )
-from repro.thermal import clear_installed_bases
+from repro.thermal import ReducedBasis
 
 #: Smallest campaign exercising every analysis path: 2 tiny specs.
 MATRIX = ScenarioMatrix(
@@ -242,12 +244,7 @@ class TestTelemetryConformance:
 @pytest.fixture(scope="module")
 def rom_payloads():
     """Reduced bases of both conformance specs, harvested by a build pass."""
-    payloads = []
-    for point in MATRIX.points():
-        runner = ScenarioRunner(point.spec, transient_method="rom")
-        runner.run(("transient",))
-        payloads.extend(runner.engine().rom_basis_payloads())
-    return tuple(sorted(payloads))
+    return tuple(collect_bases(point.spec for point in MATRIX.points()).payloads())
 
 
 @pytest.fixture(scope="module")
@@ -259,7 +256,6 @@ def rom_serial_reference(tmp_path_factory, rom_payloads):
         MATRIX,
         store=ArtifactStore(root),
         executor="serial",
-        transient_method="auto",
         warm_start=rom_payloads,
     ).run()
     return report, store_object_digests(root)
@@ -269,17 +265,10 @@ class TestRomWarmStartConformance:
     """The reduced-order transient path must not break substrate parity.
 
     Warm-start payloads are part of the kernel value, so every worker —
-    in-process or in a worker process — installs the identical bases and the
-    reduced integration stays byte-deterministic whatever the process
+    in-process or in a worker process — has the identical bases in scope and
+    the reduced integration stays byte-deterministic whatever the process
     topology.
     """
-
-    @pytest.fixture(scope="module", autouse=True)
-    def _clean_registry(self):
-        # In-process executors install the payloads into this process's
-        # global registry; drop them when the module is done.
-        yield
-        clear_installed_bases()
 
     @pytest.mark.parametrize("executor_id", sorted(EXECUTORS))
     def test_rom_report_and_store_parity(
@@ -291,7 +280,6 @@ class TestRomWarmStartConformance:
             MATRIX,
             store=store,
             executor=EXECUTORS[executor_id](),
-            transient_method="auto",
             warm_start=rom_payloads,
         ).run()
         assert report.to_json() == reference.to_json()
@@ -313,7 +301,6 @@ class TestRomWarmStartConformance:
             MATRIX,
             store=store,
             executor="serial",
-            transient_method="auto",
             warm_start=rom_payloads,
         ).run()
         lu_report = CampaignRunner(
@@ -321,6 +308,63 @@ class TestRomWarmStartConformance:
         ).run()
         assert lu_report.summary["store_hits"] == 0
         assert lu_report.summary["store_misses"] == len(MATRIX.points())
+
+    def test_warm_start_digest_keys_each_warm_start_set(self, rom_payloads):
+        spec = MATRIX.points()[0].spec
+        default = EvaluationKernel()
+        warm = EvaluationKernel(warm_start=rom_payloads)
+        other = EvaluationKernel(warm_start=rom_payloads[:1])
+        keys = [
+            artifact_key(spec, kernel.paths, kernel.warm_start_digest)
+            for kernel in (default, warm, other)
+        ]
+        assert default.warm_start_digest == ""
+        assert keys[0] == artifact_key(spec)
+        assert len(set(keys)) == 3
+        assert EvaluationKernel(warm_start=rom_payloads).warm_start_digest == (
+            warm.warm_start_digest
+        )
+
+    def test_a_default_kernel_after_a_warm_one_runs_full_space(self, rom_payloads):
+        """A warm-started kernel's bases leave scope with its run: a default
+        kernel after it gives the bytes of a fresh full-space run."""
+        spec_dict = MATRIX.points()[0].spec.to_dict()
+        fresh = EvaluationKernel().run(spec_dict)
+        warm_kernel = EvaluationKernel(warm_start=rom_payloads)
+        warm, _, _ = warm_kernel.run(spec_dict)
+        assert warm["results"]["transient"]["solver"]["method"] == "rom"
+        # A pickled warm kernel ships its payloads, not its parsed bases.
+        clone = pickle.loads(pickle.dumps(warm_kernel))
+        assert clone == warm_kernel and "_bases" not in vars(clone)
+        after = EvaluationKernel().run(spec_dict)
+        assert json.dumps(after, sort_keys=True) == json.dumps(fresh, sort_keys=True)
+        assert after[0]["results"]["transient"]["solver"]["method"] == "lu"
+
+
+def test_a_warm_start_beyond_eight_bases_replays_every_spec(monkeypatch):
+    """All 15 bases of ``workload_grid`` replay, each parsed once, however
+    many kernel runs the campaign makes."""
+    points = get_matrix("workload_grid").points()
+    payloads = collect_bases(point.spec for point in points).payloads()
+    assert len(payloads) == len(points) == 15
+    parse = ReducedBasis.from_payload
+    parsed = []
+
+    def counting_parse(payload):
+        parsed.append(payload["key"])
+        return parse(payload)
+
+    monkeypatch.setattr(ReducedBasis, "from_payload", staticmethod(counting_parse))
+    report = CampaignRunner(
+        get_matrix("workload_grid"),
+        paths=("transient",),
+        executor="serial",
+        warm_start=payloads,
+    ).run()
+    assert report.engine["transient_rom_solves"] == 15
+    assert report.engine["transient_lu_solves"] == 0
+    assert report.engine["rom_fallbacks"] == 0
+    assert sorted(parsed) == sorted(json.loads(text)["key"] for text in payloads)
 
 
 class TestKernel:

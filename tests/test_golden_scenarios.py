@@ -31,9 +31,10 @@ from repro.scenarios import (
     ScenarioRegistry,
     ScenarioRunner,
     builtin_scenarios,
+    collect_bases,
     compare_artifact_dicts,
 )
-from repro.thermal import clear_installed_bases, install_payload
+from repro.thermal import basis_scope
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -90,9 +91,9 @@ def test_scenario_matches_golden(name, update_golden):
 def test_rom_replay_stays_inside_golden_bands(name):
     """The reduced-order transient path reproduces every golden scenario.
 
-    One runner builds the basis (its solve is the exact LU path), the
-    harvested payload warm-starts a second runner in ``auto`` mode — the
-    campaign deployment shape — and the reduced replay must stay inside the
+    One collecting run builds the basis (its solve is the exact LU path),
+    a second runner replays it with the basis in scope — the campaign
+    deployment shape — and the reduced replay must stay inside the
     committed per-quantity tolerance bands.
     """
     path = golden_path(name)
@@ -100,16 +101,8 @@ def test_rom_replay_stays_inside_golden_bands(name):
     golden = json.loads(path.read_text())
 
     spec = GOLDEN_REGISTRY.get(name)
-    builder = ScenarioRunner(spec, transient_method="rom")
-    builder.run(("transient",))
-    try:
-        for payload in builder.engine().rom_basis_payloads():
-            install_payload(payload)
-        replayed = ScenarioRunner(spec, transient_method="auto").run(
-            ("transient",)
-        )
-    finally:
-        clear_installed_bases()
+    with basis_scope(collect_bases([spec])):
+        replayed = ScenarioRunner(spec).run(("transient",))
 
     solver = replayed.results["transient"]["solver"]
     assert solver["method"] == "rom", (

@@ -21,6 +21,7 @@ from repro.activity import ActivityTrace, SyntheticTraceGenerator
 from repro.errors import ConfigurationError
 from repro.methodology import transient_request_key
 from repro.methodology.transient import SnrTimeSeries
+from repro.thermal import BasisScope, basis_scope
 
 #: Coarse resolutions keep the whole module in a few seconds.
 FAST_SETTINGS = SimulationSettings(
@@ -273,42 +274,41 @@ class TestEngineTransientCache:
 
 
 class TestRomProvenance:
-    def test_method_is_validated_and_part_of_the_key(self, ramp_trace, power):
-        base = TransientRequest(trace=ramp_trace, power=power, dt_s=0.5)
-        assert base.method == "lu"
-        rom = TransientRequest(trace=ramp_trace, power=power, dt_s=0.5, method="rom")
-        assert transient_request_key(base) != transient_request_key(rom)
-        with pytest.raises(ConfigurationError, match="method"):
-            TransientRequest(trace=ramp_trace, method="qr")
-
-    def test_engine_counts_builds_and_organic_rom_hits(self, flow, ramp_trace, power):
+    def test_engine_counts_lu_and_rom_solves(self, flow, ramp_trace, power):
         engine = SweepEngine(flow)
-        build = TransientRequest(
-            trace=ramp_trace, power=power, dt_s=0.5, method="rom"
-        )
-        first = engine.evaluate_transient_one(build)
-        assert first.result.diagnostics.solver_method == "lu"
-        assert first.result.diagnostics.rom_basis_built
-        assert engine.stats["basis_builds"] == 1
-        assert engine.stats["transient_lu_solves"] == 1
-        assert engine.stats["transient_rom_solves"] == 0
-        assert engine.stats["rom_hits"] == 0
+        build = TransientRequest(trace=ramp_trace, power=power, dt_s=0.5)
+        with basis_scope(BasisScope(collect=True)) as scope:
+            first = engine.evaluate_transient_one(build)
+            assert first.result.diagnostics.solver_method == "lu"
+            assert len(scope.bases) == 1
+            assert engine.stats["transient_lu_solves"] == 1
+            assert engine.stats["transient_rom_solves"] == 0
 
-        # Different instrumentation of the same physics: a distinct engine
-        # cache entry, but the identical basis key — an organic ROM hit.
-        replay_request = dataclasses.replace(build, snapshot_times_s=(0.0,))
-        replay = engine.evaluate_transient_one(replay_request)
+            # Different instrumentation of the same physics: a distinct
+            # engine cache entry, but the identical basis key.
+            replay_request = dataclasses.replace(build, snapshot_times_s=(0.0,))
+            replay = engine.evaluate_transient_one(replay_request)
         assert replay.result.diagnostics.solver_method == "rom"
         assert engine.stats["transient_rom_solves"] == 1
-        assert engine.stats["rom_hits"] == 1
         assert engine.stats["rom_fallbacks"] == 0
-        assert engine.stats["basis_builds"] == 1
+        assert len(scope.bases) == 1
 
-        # The engine exposes the harvested basis for persistence /
-        # warm-start; the flow keeps none, so a new engine has none.
-        assert len(engine.rom_basis_payloads()) >= 1
-        assert SweepEngine(flow).rom_basis_payloads() == []
+    def test_engine_serves_an_evaluation_only_in_its_scope(
+        self, flow, ramp_trace, power
+    ):
+        engine = SweepEngine(flow)
+        request = TransientRequest(trace=ramp_trace, power=power, dt_s=0.5)
+        with basis_scope(BasisScope(collect=True)) as scope:
+            SweepEngine(flow).evaluate_transient_one(request)
+        lu = engine.evaluate_transient_one(request)
+        with basis_scope(scope):
+            replay = engine.evaluate_transient_one(request)
+        assert lu.result.diagnostics.solver_method == "lu"
+        assert replay.result.diagnostics.solver_method == "rom"
+        assert engine.evaluate_transient_one(request) is lu
+        assert engine.stats["transient_solves"] == 2
+        assert engine.stats["transient_cache_hits"] == 1
 
-    def test_run_transient_accepts_method_argument(self, flow, ramp_trace, power):
-        evaluation = flow.run_transient(ramp_trace, power, dt_s=0.5, method="auto")
+    def test_run_transient_out_of_scope_runs_full_space(self, flow, ramp_trace, power):
+        evaluation = flow.run_transient(ramp_trace, power, dt_s=0.5)
         assert evaluation.result.diagnostics.solver_method == "lu"

@@ -29,15 +29,17 @@ from repro.materials import BEOL, COPPER, EPOXY, SILICON, THERMAL_INTERFACE
 from repro.snr import LaserDriveConfig, OniThermalState
 from snr_reference import analyze_scalar
 from repro.thermal import (
+    BasisScope,
     BoundaryConditions,
     HeatSource,
     MeshBuilder,
-    RomConfig,
     ScheduleSegment,
     SourceSchedule,
     SteadyStateSolver,
     TransientSolver,
     assemble_operator,
+    basis_scope,
+    rom,
 )
 
 MATERIALS = (SILICON, COPPER, EPOXY, BEOL, THERMAL_INTERFACE)
@@ -189,18 +191,16 @@ class TestRandomRomParity:
             schedule, dt_s=dt, probes=probes
         )
         solver = TransientSolver(mesh, boundaries)
-        built = solver.solve(schedule, dt_s=dt, probes=probes, method="rom")
-        assert built.diagnostics.rom_basis_built
-        np.testing.assert_array_equal(
-            built.probe("whole").temperatures_c,
-            reference.probe("whole").temperatures_c,
-        )
-        replay = solver.solve(schedule, dt_s=dt, probes=probes, method="rom")
+        with basis_scope(BasisScope(collect=True)) as scope:
+            built = solver.solve(schedule, dt_s=dt, probes=probes)
+            assert len(scope.bases) == 1
+            np.testing.assert_array_equal(
+                built.probe("whole").temperatures_c,
+                reference.probe("whole").temperatures_c,
+            )
+            replay = solver.solve(schedule, dt_s=dt, probes=probes)
         assert replay.diagnostics.solver_method == "rom"
-        assert (
-            replay.diagnostics.rom_residual
-            < solver.rom_config.residual_tol
-        )
+        assert replay.diagnostics.rom_residual < rom.RESIDUAL_TOL
         np.testing.assert_allclose(
             replay.probe("whole").temperatures_c,
             reference.probe("whole").temperatures_c,
@@ -215,7 +215,8 @@ class TestRandomRomParity:
         )
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_starved_basis_falls_back_to_exact_lu(self, seed):
+    def test_starved_basis_falls_back_to_exact_lu(self, seed, monkeypatch):
+        monkeypatch.setattr(rom, "MAX_DIM", 1)
         mesh, rng = random_mesh(seed + 400)
         boundaries = random_boundaries(rng, ambient_c=25.0)
         sources = random_sources(rng, mesh, 2)
@@ -228,11 +229,10 @@ class TestRandomRomParity:
             ]
         )
         reference = TransientSolver(mesh, boundaries).solve(schedule, dt_s=0.001)
-        solver = TransientSolver(
-            mesh, boundaries, rom_config=RomConfig(max_dim=1)
-        )
-        solver.solve(schedule, dt_s=0.001, method="rom")
-        second = solver.solve(schedule, dt_s=0.001, method="rom")
+        solver = TransientSolver(mesh, boundaries)
+        with basis_scope(BasisScope(collect=True)):
+            solver.solve(schedule, dt_s=0.001)
+            second = solver.solve(schedule, dt_s=0.001)
         assert second.diagnostics.rom_fallback
         assert second.diagnostics.solver_method == "lu"
         np.testing.assert_array_equal(

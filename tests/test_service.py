@@ -27,6 +27,7 @@ import struct
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro import telemetry
@@ -40,6 +41,7 @@ from repro.campaigns import (
 )
 from repro.errors import ConfigurationError, ReproError
 from repro.scenarios import ScenarioSpec, canonical_json
+from repro.thermal import ReducedBasis
 
 
 @pytest.fixture(autouse=True)
@@ -205,17 +207,18 @@ class TestEvaluationService:
         service = make_service(tmp_path)
         spec = ScenarioSpec.from_dict(spec_dict())
         assert service.request_key(spec) == service.store.key_for(
-            spec, service.paths, "lu"
+            spec, service.paths
         )
 
     def test_a_storeless_key_is_the_default_store_address(self, tmp_path):
         spec = ScenarioSpec.from_dict(spec_dict())
-        for method in ("lu", "rom"):
-            service = make_service(transient_method=method)
+        basis = ReducedBasis(np.eye(4)[:, :2], "k" * 16)
+        for warm_start in ((), (basis.to_payload_json(),)):
+            service = make_service(warm_start=warm_start)
             assert service.store is None
             assert service.request_key(spec) == ArtifactStore(
                 tmp_path / "store"
-            ).key_for(spec, service.paths, method)
+            ).key_for(spec, service.paths, service.kernel.warm_start_digest)
 
     def test_every_caller_gets_one_hit_form(self, tmp_path):
         from repro.campaigns.service import _json_line

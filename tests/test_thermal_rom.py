@@ -1,6 +1,8 @@
-"""Tests for the reduced-order transient engine (bases, payloads, fallback)."""
+"""Tests for the reduced-order transient engine (bases, scopes, fallback)."""
 
+import contextvars
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -9,29 +11,21 @@ from repro.errors import SolverError
 from repro.geometry import Box, Layer, LayerStack, Rect
 from repro.materials import SILICON
 from repro.thermal import (
+    BasisScope,
     BoundaryConditions,
     FaceCondition,
     HeatSource,
     MeshBuilder,
     ReducedBasis,
-    RomConfig,
     ScheduleSegment,
     SourceSchedule,
     TransientSolver,
     basis_content_key,
+    basis_scope,
     build_basis,
-    clear_installed_bases,
-    install_payload,
-    installed_basis,
+    rom,
+    transient,
 )
-
-
-@pytest.fixture(autouse=True)
-def _clean_registry():
-    """The installed-basis registry is process-global; never leak across tests."""
-    clear_installed_bases()
-    yield
-    clear_installed_bases()
 
 
 def slab_problem(side_mm=5.0, thickness_um=400.0, cells_um=1000.0):
@@ -74,23 +68,6 @@ def orthonormal(n_rows, n_cols, seed=0):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((n_rows, n_cols)))
     return q[:, :n_cols]
-
-
-class TestRomConfig:
-    def test_defaults_are_valid(self):
-        config = RomConfig()
-        assert config.max_dim >= 1
-        assert 0.0 < config.svd_tol < 1.0
-        assert config.residual_tol > 0.0
-
-    def test_invalid_knobs_rejected(self):
-        with pytest.raises(SolverError, match="max_dim"):
-            RomConfig(max_dim=0)
-        for svd_tol in (0.0, 1.0, -1.0e-9):
-            with pytest.raises(SolverError, match="svd_tol"):
-                RomConfig(svd_tol=svd_tol)
-        with pytest.raises(SolverError, match="residual_tol"):
-            RomConfig(residual_tol=0.0)
 
 
 class TestReducedBasis:
@@ -159,10 +136,11 @@ class TestBuildBasis:
         with pytest.raises(SolverError, match="all-zero"):
             build_basis("k", np.zeros((6, 3)))
 
-    def test_dim_cap_and_orthonormality(self):
+    def test_dim_cap_and_orthonormality(self, monkeypatch):
+        monkeypatch.setattr(rom, "MAX_DIM", 3)
         rng = np.random.default_rng(7)
         trajectory = rng.standard_normal((20, 10))
-        basis = build_basis("k", trajectory, config=RomConfig(max_dim=3))
+        basis = build_basis("k", trajectory)
         assert basis.dim == 3
         np.testing.assert_allclose(
             basis.matrix.T @ basis.matrix, np.eye(3), atol=1e-12
@@ -177,26 +155,44 @@ class TestBuildBasis:
         np.testing.assert_allclose(projected, steady, atol=1e-9)
 
 
-class TestInstalledRegistry:
-    def test_install_payload_idempotent(self):
-        basis = ReducedBasis(orthonormal(10, 3), "key-1")
-        document = basis.to_payload_json()
-        assert install_payload(document) == "key-1"
-        assert install_payload(document) == "key-1"
-        served = installed_basis("key-1")
-        assert served is not None
-        np.testing.assert_array_equal(served.matrix, basis.matrix)
-        assert installed_basis("unknown") is None
+class TestBasisScope:
+    def test_payload_round_trip(self):
+        bases = [
+            ReducedBasis(orthonormal(10, 3, seed=1), "key-b"),
+            ReducedBasis(orthonormal(10, 2, seed=2), "key-a"),
+        ]
+        scope = BasisScope(bases)
+        payloads = scope.payloads()
+        assert [json.loads(text)["key"] for text in payloads] == ["key-a", "key-b"]
+        rebuilt = BasisScope.from_payloads(payloads)
+        assert not rebuilt.collect
+        assert sorted(rebuilt.bases) == ["key-a", "key-b"]
+        np.testing.assert_array_equal(
+            rebuilt.bases["key-b"].matrix, scope.bases["key-b"].matrix
+        )
+        assert rebuilt.payloads() == payloads
 
-    def test_install_payload_accepts_mapping(self):
-        basis = ReducedBasis(orthonormal(10, 3), "key-2")
-        assert install_payload(basis.to_payload()) == "key-2"
-        assert installed_basis("key-2") is not None
+    def test_scope_ends_with_its_block(self):
+        outer, inner = BasisScope(), BasisScope()
+        assert rom.active_scope() is None
+        with basis_scope(outer):
+            with basis_scope(inner):
+                assert rom.active_scope() is inner
+            with basis_scope(None):
+                assert rom.active_scope() is None
+            assert rom.active_scope() is outer
+        assert rom.active_scope() is None
 
-    def test_clear_installed_bases(self):
-        install_payload(ReducedBasis(orthonormal(4, 2), "key-3").to_payload())
-        clear_installed_bases()
-        assert installed_basis("key-3") is None
+    def test_scope_reaches_a_thread_in_a_copied_context(self):
+        seen = []
+        with basis_scope(BasisScope()) as scope:
+            thread = threading.Thread(
+                target=contextvars.copy_context().run,
+                args=(lambda: seen.append(rom.active_scope()),),
+            )
+            thread.start()
+            thread.join()
+        assert seen == [scope]
 
 
 class TestRomSolve:
@@ -207,15 +203,13 @@ class TestRomSolve:
         reference = TransientSolver(mesh, boundaries).solve(
             schedule, dt_s=0.2, probes=probes, snapshot_times_s=[0.5]
         )
-        solver = TransientSolver(mesh, boundaries)
-        built = solver.solve(
-            schedule, dt_s=0.2, probes=probes, snapshot_times_s=[0.5], method="rom"
-        )
-        # The build solve runs the exact LU path and harvests its trajectory:
-        # byte-identical numbers, provenance flags the basis build.
+        with basis_scope(BasisScope(collect=True)) as scope:
+            built = TransientSolver(mesh, boundaries).solve(
+                schedule, dt_s=0.2, probes=probes, snapshot_times_s=[0.5]
+            )
+        # The build solve runs the exact LU path and harvests its trajectory
+        # into the scope: byte-identical numbers.
         assert built.diagnostics.solver_method == "lu"
-        assert built.diagnostics.rom_basis_built
-        assert built.diagnostics.rom_dim > 0
         assert not built.diagnostics.rom_fallback
         np.testing.assert_array_equal(
             built.probe("whole").temperatures_c,
@@ -224,10 +218,10 @@ class TestRomSolve:
         np.testing.assert_array_equal(
             built.final_map.temperatures_c, reference.final_map.temperatures_c
         )
-        payloads = solver.rom_payloads()
+        payloads = scope.payloads()
         assert len(payloads) == 1
         harvested = ReducedBasis.from_payload(json.loads(payloads[0]))
-        assert harvested.dim == built.diagnostics.rom_dim
+        assert 0 < harvested.dim <= rom.MAX_DIM
         assert harvested.n_cells == mesh.n_cells
 
     def test_replay_stays_inside_golden_bands(self):
@@ -238,13 +232,15 @@ class TestRomSolve:
         reference = TransientSolver(mesh, boundaries).solve(
             schedule, dt_s=0.2, probes=probes, snapshot_times_s=[0.5]
         )
-        solver.solve(schedule, dt_s=0.2, probes=probes, method="rom")
-        replay = solver.solve(
-            schedule, dt_s=0.2, probes=probes, snapshot_times_s=[0.5], method="rom"
-        )
+        with basis_scope(BasisScope(collect=True)) as scope:
+            solver.solve(schedule, dt_s=0.2, probes=probes)
+            replay = solver.solve(
+                schedule, dt_s=0.2, probes=probes, snapshot_times_s=[0.5]
+            )
+        assert len(scope.bases) == 1
         assert replay.diagnostics.solver_method == "rom"
-        assert not replay.diagnostics.rom_basis_built
-        assert 0.0 < replay.diagnostics.rom_residual < solver.rom_config.residual_tol
+        assert replay.diagnostics.rom_dim == next(iter(scope.bases.values())).dim
+        assert 0.0 < replay.diagnostics.rom_residual < rom.RESIDUAL_TOL
         # The golden temperature band is rtol 1e-5 / atol 1e-6; an adequate
         # own-trajectory basis reproduces probes orders of magnitude tighter.
         np.testing.assert_allclose(
@@ -273,52 +269,63 @@ class TestRomSolve:
         mesh, boundaries, source, corner = slab_problem()
         schedule = smooth_schedule(source, corner)
         solver = TransientSolver(mesh, boundaries)
-        solver.solve(schedule, dt_s=0.2, method="rom")
-        replay = solver.solve(
-            schedule,
-            dt_s=0.2,
-            probes={"corner": Box.from_rect(Rect.from_size_mm(0.0, 0.0, 1.0, 1.0), 0.0, 10e-6)},
-            snapshot_times_s=[1.2],
-            method="rom",
-        )
+        with basis_scope(BasisScope(collect=True)):
+            solver.solve(schedule, dt_s=0.2)
+            replay = solver.solve(
+                schedule,
+                dt_s=0.2,
+                probes={"corner": Box.from_rect(Rect.from_size_mm(0.0, 0.0, 1.0, 1.0), 0.0, 10e-6)},
+                snapshot_times_s=[1.2],
+            )
         assert replay.diagnostics.solver_method == "rom"
 
-    def test_auto_never_builds_and_uses_installed_bases(self):
+    def test_replay_scope_never_builds_and_replays_its_bases(self):
         mesh, boundaries, source, corner = slab_problem()
         schedule = smooth_schedule(source, corner)
-        auto = TransientSolver(mesh, boundaries).solve(
-            schedule, dt_s=0.2, method="auto"
-        )
-        assert auto.diagnostics.solver_method == "lu"
-        assert not auto.diagnostics.rom_basis_built
+        empty = BasisScope()
+        with basis_scope(empty):
+            cold = TransientSolver(mesh, boundaries).solve(schedule, dt_s=0.2)
+        assert cold.diagnostics.solver_method == "lu"
+        assert not empty.bases
 
-        builder = TransientSolver(mesh, boundaries)
-        builder.solve(schedule, dt_s=0.2, method="rom")
-        for payload in builder.rom_payloads():
-            install_payload(payload)
-        warmed = TransientSolver(mesh, boundaries).solve(
-            schedule, dt_s=0.2, method="auto"
-        )
+        with basis_scope(BasisScope(collect=True)) as built:
+            TransientSolver(mesh, boundaries).solve(schedule, dt_s=0.2)
+        with basis_scope(BasisScope.from_payloads(built.payloads())):
+            warmed = TransientSolver(mesh, boundaries).solve(schedule, dt_s=0.2)
         assert warmed.diagnostics.solver_method == "rom"
+        # Out of scope again: the full-space path, bit for bit.
+        after = TransientSolver(mesh, boundaries).solve(schedule, dt_s=0.2)
+        assert after.diagnostics.solver_method == "lu"
+        np.testing.assert_array_equal(
+            after.final_map.temperatures_c, cold.final_map.temperatures_c
+        )
 
-    def test_residual_breach_falls_back_to_lu(self):
+    def test_no_scope_skips_basis_keying(self, monkeypatch):
+        mesh, boundaries, source, corner = slab_problem()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a solve with no scope keyed a basis")
+
+        monkeypatch.setattr(transient, "basis_content_key", refuse)
+        result = TransientSolver(mesh, boundaries).solve(
+            smooth_schedule(source, corner), dt_s=0.2
+        )
+        assert result.diagnostics.solver_method == "lu"
+        assert result.diagnostics.rom_dim == 0
+
+    def test_residual_breach_falls_back_to_lu(self, monkeypatch):
+        monkeypatch.setattr(rom, "MAX_DIM", 2)
         mesh, boundaries, source, corner = slab_problem()
         schedule = fast_schedule(source, corner)
         reference = TransientSolver(mesh, boundaries).solve(schedule, dt_s=0.001)
-        solver = TransientSolver(
-            mesh, boundaries, rom_config=RomConfig(max_dim=2)
-        )
-        solver.solve(schedule, dt_s=0.001, method="rom")
-        fallback = solver.solve(schedule, dt_s=0.001, method="rom")
+        solver = TransientSolver(mesh, boundaries)
+        with basis_scope(BasisScope(collect=True)) as scope:
+            solver.solve(schedule, dt_s=0.001)
+            fallback = solver.solve(schedule, dt_s=0.001)
         assert fallback.diagnostics.solver_method == "lu"
         assert fallback.diagnostics.rom_fallback
-        assert not fallback.diagnostics.rom_basis_built
+        assert fallback.diagnostics.rom_dim == 2
+        assert len(scope.bases) == 1
         np.testing.assert_array_equal(
             fallback.final_map.temperatures_c, reference.final_map.temperatures_c
         )
-
-    def test_unknown_method_rejected(self):
-        mesh, boundaries, source, corner = slab_problem()
-        solver = TransientSolver(mesh, boundaries)
-        with pytest.raises(SolverError, match="unknown transient method"):
-            solver.solve(smooth_schedule(source, corner), dt_s=0.2, method="qr")

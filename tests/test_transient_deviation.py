@@ -27,6 +27,7 @@ from repro.scenarios import (
     ScenarioRegistry,
     ScenarioRunner,
     builtin_scenarios,
+    collect_bases,
     compare_artifact_dicts,
     default_registry,
 )
@@ -37,11 +38,11 @@ from repro.thermal import (
     Mesh3D,
     SourceSchedule,
     ThermalMap,
+    BasisScope,
     TransientSolver,
     basis_content_key,
+    basis_scope,
     clear_factorization_cache,
-    clear_installed_bases,
-    install_payload,
 )
 from repro.thermal import factorization
 from repro.thermal import transient as transient_module
@@ -342,8 +343,8 @@ GOLDEN_REGISTRY.register_many(builtin_scenarios())
 register_golden_representatives(GOLDEN_REGISTRY)
 
 
-def _transient(spec, method):
-    return ScenarioRunner(spec, transient_method=method).run(("transient",))
+def _transient(spec):
+    return ScenarioRunner(spec).run(("transient",))
 
 
 def _assert_inside_golden_bands(golden, fresh):
@@ -375,18 +376,14 @@ class TestReducedOrder:
         spec = GOLDEN_REGISTRY.get(name)
         assert spec.trace.initial == "steady"
         golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
-        lu = _transient(spec, "lu").results["transient"]
-        builder = ScenarioRunner(spec, transient_method="rom")
-        harvest = builder.run(("transient",)).results["transient"]
-        assert harvest["solver"]["rom_basis_built"]
+        lu = _transient(spec).results["transient"]
+        with basis_scope(BasisScope(collect=True)) as scope:
+            harvest = _transient(spec).results["transient"]
+        assert len(scope.bases) == 1
         # The harvest integrates in full space, so it is the LU result.
-        assert {**harvest, "solver": None} == {**lu, "solver": None}
-        try:
-            for payload in builder.engine().rom_basis_payloads():
-                install_payload(payload)
-            replay = _transient(spec, "auto").results["transient"]
-        finally:
-            clear_installed_bases()
+        assert harvest == lu
+        with basis_scope(BasisScope.from_payloads(scope.payloads())):
+            replay = _transient(spec).results["transient"]
         assert replay["solver"]["method"] == "rom"
         assert not replay["solver"]["rom_fallback"]
         _replay_worst_sample_as_golden(golden, replay)
@@ -400,10 +397,8 @@ class TestReducedOrder:
         name = "small_die_uniform"
         spec = GOLDEN_REGISTRY.get(name)
         golden = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
-        builder = ScenarioRunner(spec, transient_method="rom")
-        builder.run(("transient",))
-        payloads = builder.engine().rom_basis_payloads()
-        harvested = {json.loads(payload)["key"] for payload in payloads}
+        bases = collect_bases([spec])
+        harvested = set(bases.bases)
 
         steady_field = TransientSolver._steady_field
 
@@ -418,12 +413,8 @@ class TestReducedOrder:
 
         monkeypatch.setattr(TransientSolver, "_steady_field", last_bits_off)
         monkeypatch.setattr(transient_module, "basis_content_key", recorded_key)
-        try:
-            for payload in payloads:
-                install_payload(payload)
-            replay = _transient(spec, "auto").results["transient"]
-        finally:
-            clear_installed_bases()
+        with basis_scope(bases):
+            replay = _transient(spec).results["transient"]
         assert keys and set(keys) <= harvested
         assert replay["solver"]["method"] == "rom"
         assert not replay["solver"]["rom_fallback"]

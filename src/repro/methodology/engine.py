@@ -12,11 +12,13 @@ so every helper (and the optimisation loops) shares the same machinery:
   (activity tile powers, ONI operating point, zoom setting), so a design
   point shared by several sweeps — or revisited by an optimiser — is solved
   exactly once;
-* **batching** — cache misses are solved through
-  :meth:`~repro.methodology.flow.ThermalAwareDesignFlow.run_thermal_many`,
-  which stacks their right-hand sides into multi-RHS ``factor.solve(B)``
-  calls of at most :data:`~repro.methodology.flow.BATCH_COLUMNS` columns
-  against the flow's cached banded-Cholesky factorisation.
+* **batching** — cache misses go to one
+  :meth:`~repro.methodology.flow.ThermalAwareDesignFlow.run_thermal_many`
+  call, which superposes a small design's coarse fields from its shared
+  response basis, and stacks a larger design's into multi-RHS solves of at
+  most :data:`~repro.methodology.flow.BATCH_COLUMNS` columns against the
+  flow's cached banded-Cholesky factorisation (the ``batches`` counter
+  reads that chunking either way).
 
 The engine runs in-process; campaign-level parallelism lives in
 :mod:`repro.campaigns.executors`.
@@ -247,8 +249,8 @@ class SweepEngine:
     def evaluate(self, requests: Iterable[ThermalRequest]) -> List[ThermalEvaluation]:
         """Evaluate every point, returning results in submission order.
 
-        Duplicate points (same evaluation key) are solved once; cache misses
-        are executed in multi-RHS batches.
+        Duplicate points (same evaluation key) are evaluated once; cache
+        misses go to the flow in one batch.
         """
         keys, resolved, pending = self._lookup(
             requests, evaluation_key, self._cache, "cache_hits"
@@ -341,7 +343,7 @@ class SweepEngine:
         """Thermal + SNR evaluation of every point, in submission order.
 
         The thermal half runs through :meth:`evaluate` (deduplicated,
-        multi-RHS batched); the SNR half stacks the pending states into one
+        batched); the SNR half stacks the pending states into one
         vectorized
         :meth:`~repro.methodology.flow.ThermalAwareDesignFlow.run_snr_many`
         call on the flow's default routed network.  Reports are cached

@@ -13,8 +13,9 @@ Each helper reproduces the data behind one of the paper's figures:
 
 All helpers plan their grid up front and execute it on the shared
 :class:`~repro.methodology.engine.SweepEngine`, which deduplicates repeated
-(activity, operating-point) evaluations and batches the coarse solves into
-multi-right-hand-side calls against the flow's cached factorisation.
+(activity, operating-point) evaluations and hands the rest to the flow in
+one batch: superposed from a small design's response basis, or stacked
+into multi-right-hand-side calls against the flow's cached factorisation.
 """
 
 from __future__ import annotations

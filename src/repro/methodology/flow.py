@@ -15,15 +15,20 @@ Every step is exposed separately so the exploration helpers
 (:mod:`repro.methodology.exploration`) can sweep design parameters without
 re-doing unnecessary work: the mesh, the zoom window, the compiled ONI
 geometry and transient probes and the SNR engine are built once per flow,
-and operators, factors and steppers live in the content-keyed shared cache
-of :mod:`repro.thermal.factorization`.
+and operators, factors, steppers and response bases live in the
+content-keyed shared cache of :mod:`repro.thermal.factorization`.
+
+A design point's coarse field is either superposed from its design's
+response basis (small designs, see :data:`BASIS_CELL_COLUMNS`) or solved
+through the cached factor (the others); the zoom window is solved per
+point either way.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -65,6 +70,24 @@ from .transient import (
 #: ``(n_cells, BATCH_COLUMNS)`` right-hand-side and solution arrays.
 BATCH_COLUMNS = 16
 
+#: A design's coarse fields are superposed from its response basis when the
+#: basis's columns times the coarse mesh's cells are at most this; larger
+#: designs solve each design point.  Design content alone decides, never
+#: the number of points evaluated.  Fitted from measured column solves (about
+#: 0.14–0.26 µs per cell and column on the float64 bands up to 9k cells): it
+#: bounds a basis build near 10 ms.  See ``docs/architecture.md``,
+#: "Response basis".
+BASIS_CELL_COLUMNS = 50_000
+
+#: Device kinds in the order of an :class:`~repro.oni.OniPowerConfig`'s
+#: per-device powers (see :func:`_kind_powers`).
+DEVICE_KINDS = ("vcsel", "heater", "driver")
+
+
+def _kind_powers(power: OniPowerConfig) -> Tuple[float, float, float]:
+    """The per-device power of each of :data:`DEVICE_KINDS`."""
+    return (power.vcsel_power_w, power.heater_power_w, power.effective_driver_power_w)
+
 
 @dataclass(frozen=True)
 class ThermalRequest:
@@ -78,6 +101,45 @@ class ThermalRequest:
     activity: ActivityPattern
     power: Optional[OniPowerConfig] = None
     zoom_oni: Optional[str] = "auto"
+
+
+@dataclass(frozen=True)
+class _BasisColumns:
+    """The unit source shapes of a design's coarse response basis and how a
+    request's powers weight them.
+
+    Every row of a shape dissipates 1 W.  First comes one shape per
+    floorplan block (``blocks`` maps its name to its index).  Then, for
+    each set ``g`` of ONIs sharing their own operating point
+    (``own_powers[g]``) and each device kind, one shape of that kind's
+    devices on those ONIs; ``devices`` lists their ``(g, kind)`` in order.
+    """
+
+    shapes: Tuple[SourceBatch, ...]
+    blocks: Dict[str, int]
+    devices: Tuple[Tuple[int, int], ...]
+    own_powers: Tuple[Tuple[float, float, float], ...]
+    key: Hashable
+
+    def weights(self, request: "ThermalRequest", floorplan) -> np.ndarray:
+        """The power of every shape at ``request``: its tile powers, then
+        its ``power`` (the ONIs' own without one).  A row a direct solve
+        would drop contributes nothing: a tile of power <= 0, a device
+        whose power is not > 0."""
+        weights = np.zeros(len(self.shapes))
+        for tile, power in request.activity.tile_powers_w.items():
+            column = self.blocks.get(tile)
+            if column is None:
+                floorplan.get(tile)  # raises the unknown-instance error
+            if not power <= 0.0:
+                weights[column] = power
+        offset = len(self.blocks)
+        requested = None if request.power is None else _kind_powers(request.power)
+        for column, (group, kind) in enumerate(self.devices, start=offset):
+            power = (requested or self.own_powers[group])[kind]
+            if power > 0.0:
+                weights[column] = power
+        return weights
 
 
 @dataclass
@@ -238,6 +300,10 @@ class ThermalAwareDesignFlow:
         #: are computed once) with each row's kind (0 VCSEL, 1 heater,
         #: 2 driver), and the ONI query (see :meth:`_oni_queries`).
         self._device_cache: Optional[Tuple[SourceBatch, np.ndarray]] = None
+        #: The coarse response basis's shapes, or ``None`` inside the
+        #: tuple when the design is too large for one (see
+        #: :meth:`_basis_columns`).
+        self._basis_cache: Optional[Tuple[Optional[_BasisColumns]]] = None
         self._query_cache: Optional[tuple] = None
         self._snr_analyzer_cache: Optional[SnrAnalyzer] = None
         self._zoom_cache: Optional[ZoomSolver] = None
@@ -296,26 +362,66 @@ class ThermalAwareDesignFlow:
 
     # Heat sources -----------------------------------------------------------------------
 
-    def _device_batch(self, power: Optional[OniPowerConfig]) -> SourceBatch:
-        """Every powered device of every ONI (``power`` overrides the ONIs'
-        own), cut from the flow's compiled device rows: it reuses their
-        overlaps with the mesh."""
+    def _device_rows(self) -> Tuple[SourceBatch, np.ndarray]:
+        """Every device of every ONI as source rows at the ONIs' own powers,
+        and each row's index in :data:`DEVICE_KINDS` (compiled once)."""
         if self._device_cache is None:
             optical_z = self.architecture.optical_z_range()
             electrical_z = self.architecture.electrical_z_range()
             devices = SourceBatch.concatenate(
                 [oni.device_sources(optical_z, electrical_z) for oni in self.scenario.onis]
             )
-            kinds = np.array([("vcsel", "heater", "driver").index(g) for g in devices.groups])
+            kinds = np.array([DEVICE_KINDS.index(g) for g in devices.groups], dtype=int)
             self._device_cache = (devices, kinds)
-        devices, kinds = self._device_cache
+        return self._device_cache
+
+    def _device_batch(self, power: Optional[OniPowerConfig]) -> SourceBatch:
+        """Every powered device of every ONI (``power`` overrides the ONIs'
+        own), cut from the flow's compiled device rows: it reuses their
+        overlaps with the mesh."""
+        devices, kinds = self._device_rows()
         powers = devices.powers
         if power is not None:
-            powers = np.array(
-                [power.vcsel_power_w, power.heater_power_w, power.effective_driver_power_w]
-            )[kinds]
+            powers = np.array(_kind_powers(power))[kinds]
         powered = np.flatnonzero(powers > 0.0)
         return devices.take(powered, powers[powered])
+
+    def _basis_columns(self) -> Optional[_BasisColumns]:
+        """The shapes of the design's coarse response basis, or ``None`` when
+        its columns (``T0`` and the shapes) times the coarse cells exceed
+        :data:`BASIS_CELL_COLUMNS` (computed once)."""
+        if self._basis_cache is None:
+            floorplan = self.architecture.floorplan
+            unit = ActivityPattern("basis", {block.name: 1.0 for block in floorplan})
+            blocks = unit.source_batch(floorplan, *self.architecture.electrical_z_range())
+            shapes = [blocks.take(np.array([row])) for row in range(len(blocks))]
+            devices, kinds = self._device_rows()
+            own_powers: List[Tuple[float, float, float]] = []
+            oni_group = {}
+            for oni in self.scenario.onis:
+                own = _kind_powers(oni.power)
+                if own not in own_powers:
+                    own_powers.append(own)
+                oni_group[oni.name] = own_powers.index(own)
+            groups = np.array([oni_group[owner] for owner in devices.owners], dtype=int)
+            device_columns = []
+            for group in range(len(own_powers)):
+                for kind in range(len(DEVICE_KINDS)):
+                    rows = np.flatnonzero((groups == group) & (kinds == kind))
+                    if rows.size:
+                        shapes.append(devices.take(rows, np.ones(rows.size)))
+                        device_columns.append((group, kind))
+            columns = None
+            if (1 + len(shapes)) * self._mesh().n_cells <= BASIS_CELL_COLUMNS:
+                columns = _BasisColumns(
+                    shapes=tuple(shapes),
+                    blocks={name: row for row, name in enumerate(blocks.labels)},
+                    devices=tuple(device_columns),
+                    own_powers=tuple(own_powers),
+                    key=self._solver().response_basis_key(shapes),
+                )
+            self._basis_cache = (columns,)
+        return self._basis_cache[0]
 
     def source_batch(
         self, activity: ActivityPattern, power: Optional[OniPowerConfig] = None
@@ -367,18 +473,35 @@ class ThermalAwareDesignFlow:
     def run_thermal_many(
         self, requests: Sequence[ThermalRequest]
     ) -> List[ThermalEvaluation]:
-        """Thermal analysis of several design points in batched solves.
+        """Thermal analysis of several design points.
 
-        The coarse full-package solves are stacked :data:`BATCH_COLUMNS` at
-        a time into multi-right-hand-side calls
-        (:meth:`~repro.thermal.SteadyStateSolver.solve_many`); the
-        conductance matrix is factorised at most once regardless of the
-        request count.  Zoom solves (which depend on each coarse solution)
-        run per request afterwards.  The results are identical to calling
+        On a design within :data:`BASIS_CELL_COLUMNS`, each coarse field is
+        ``T0 + G p``, superposed from the design's response basis
+        (:meth:`~repro.thermal.SteadyStateSolver.response_basis`, built
+        once per process) with ``p`` the request's tile and device powers.
+        On a larger design the coarse solves are stacked
+        :data:`BATCH_COLUMNS` at a time into multi-right-hand-side calls
+        (:meth:`~repro.thermal.SteadyStateSolver.solve_many`) through the
+        cached factor.  Zoom solves (which depend on each coarse field) run
+        per request afterwards.  The results are identical to calling
         :meth:`run_thermal` once per request.
         """
         request_list = list(requests)
         evaluations: List[ThermalEvaluation] = []
+        columns = self._basis_columns()
+        if columns is not None:
+            basis = self._solver().response_basis(columns.shapes, columns.key)
+            mesh, floorplan = self._mesh(), self.architecture.floorplan
+            for request in request_list:
+                field = basis.field(columns.weights(request, floorplan))
+                sources = (
+                    None
+                    if request.zoom_oni is None
+                    else self.source_batch(request.activity, request.power)
+                )
+                thermal_map = ThermalMap(mesh, field.reshape(mesh.shape))
+                evaluations.append(self._finish_thermal(request, sources, thermal_map))
+            return evaluations
         for start in range(0, len(request_list), BATCH_COLUMNS):
             chunk = request_list[start : start + BATCH_COLUMNS]
             source_sets = [
@@ -414,10 +537,11 @@ class ThermalAwareDesignFlow:
     def _finish_thermal(
         self,
         request: ThermalRequest,
-        sources: SourceBatch,
+        sources: Optional[SourceBatch],
         thermal_map: ThermalMap,
     ) -> ThermalEvaluation:
-        """ONI summaries + optional zoom solve on top of a coarse solution.
+        """ONI summaries + optional zoom solve on top of a coarse solution
+        (``sources`` are the request's, needed only by the zoom).
 
         One weighted sum over the map gives every ONI's footprint, VCSEL
         and microring averages; each summary reads its slice of them.

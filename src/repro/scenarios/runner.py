@@ -9,7 +9,7 @@ through the four analysis paths (specs of one design share the flow; see
 * ``steady`` — one zoomed steady-state evaluation at the nominal operating
   point (:meth:`~repro.methodology.SweepEngine.evaluate_one`);
 * ``sweep`` — a PVCSEL sweep over ``spec.sweep_scales``, deduplicated and
-  multi-RHS-batched by the runner's :class:`~repro.methodology.SweepEngine`;
+  batched by the runner's :class:`~repro.methodology.SweepEngine`;
 * ``snr`` — the batched-SNR evaluation of the same sweep points (thermal
   results served from the engine cache, SNR in one vectorized pass);
 * ``transient`` — the spec's activity trace integrated by the transient

@@ -24,8 +24,12 @@ phases:
 
 Element ``b`` of a batched evaluation is computed by exactly the same
 element-wise operations as a batch of one, so batching never changes the
-numbers.  The physics is identical to the scalar walk; only the association
-order of the floating-point products differs (≲1e-12 relative).
+numbers.  The physics is identical to the scalar walk; the detunings are
+formed as it forms them (the compiled channel gap plus
+``drift·(T_ring − T_laser)``, see
+:meth:`~repro.snr.transmission.WaveguidePropagator.detuning_nm`), and only
+the association order of the floating-point products differs (≲1e-12
+relative).
 """
 
 from __future__ import annotations
@@ -250,6 +254,9 @@ class OpticalLinkEngine:
         own_event = event_valid & (
             event_receiver == np.arange(signals, dtype=np.intp)[:, None]
         )
+        # Design channel gap of every event: the receiver's wavelength less
+        # the signal's, a constant of the routed network.
+        event_gap_nm = wavelength_nm[event_receiver] - wavelength_nm[:, None]
 
         # Receiver incidence: scatters the flattened (signal, event) dropped
         # powers into per-receiver crosstalk totals (own-receiver events
@@ -270,6 +277,7 @@ class OpticalLinkEngine:
         self._event_receiver = event_receiver
         self._event_valid = event_valid
         self._own_event = own_event
+        self._event_gap_nm = event_gap_nm
         self._incidence = incidence
         self._total_wg_transmission = total_wg_transmission
         # Peak drop/through fractions, identical to MicroringModel's.
@@ -312,14 +320,6 @@ class OpticalLinkEngine:
             states.laser_c[:, self.source_index] - reference
         )
 
-    def receiver_resonances_nm(self, states: ThermalStateBatch) -> np.ndarray:
-        """Actual resonance of every receiving microring [nm], ``(B, S)``."""
-        reference = self.microring.parameters.reference_temperature_c
-        drift = self.technology.thermal_sensitivity_nm_per_c
-        return self.wavelength_nm[None, :] + drift * (
-            states.microring_c[:, self.dest_index] - reference
-        )
-
     def source_laser_c(self, states: ThermalStateBatch) -> np.ndarray:
         """Laser temperature of every signal's source ONI [degC], ``(B, S)``."""
         return states.laser_c[:, self.source_index]
@@ -344,13 +344,15 @@ class OpticalLinkEngine:
         if np.any(injected < 0.0):
             raise AnalysisError("injected power must be >= 0")
 
-        signal_wavelength = self.signal_wavelengths_nm(states)
-        resonance = self.receiver_resonances_nm(states)
-
         # Detuning of every (signal, interaction event): the receiver hit at
-        # event k of signal s is itself a link, so its resonance is a column
-        # gather of the per-link resonances.
-        detuning = resonance[:, self._event_receiver] - signal_wavelength[:, :, None]
+        # event k of signal s is itself a link, so its ring temperature is a
+        # column gather of the per-link ones.  Channel gap plus drift, as
+        # the scalar walk forms it: the difference of two absolute
+        # wavelengths would carry their round-off, ~2.3e-13 nm an ulp.
+        drift = self.technology.thermal_sensitivity_nm_per_c
+        ring_c = states.microring_c[:, self.dest_index][:, self._event_receiver]
+        laser_c = self.source_laser_c(states)[:, :, None]
+        detuning = self._event_gap_nm[None, :, :] + drift * (ring_c - laser_c)
         shape = self.microring.lineshape(detuning)
         drop = self._drop_peak * shape
         through = self._through_peak * (1.0 - shape)
@@ -381,7 +383,7 @@ class OpticalLinkEngine:
             signal_power_w=signal,
             crosstalk_power_w=crosstalk,
             residual_power_w=residual,
-            signal_wavelength_nm=signal_wavelength,
+            signal_wavelength_nm=self.signal_wavelengths_nm(states),
             event_dropped_w=dropped,
         )
 

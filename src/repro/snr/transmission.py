@@ -8,6 +8,12 @@ Lorentzian drop response evaluated at the *actual* detuning, which combines
 the design channel spacing with the thermo-optic drift of both the source
 laser and the ring.  Power deposited into a communication's own receiver is
 its signal; power deposited into any other receiver is crosstalk.
+
+The detuning is formed as the channel gap plus ``drift·(T_ring − T_laser)``
+(:meth:`WaveguidePropagator.detuning_nm`), never as the difference of two
+absolute wavelengths near 1550 nm: one ulp of those (2.3e-13 nm) moves a
+near-resonant ring's drop fraction far more than the round-off of the
+temperatures that set it.
 """
 
 from __future__ import annotations
@@ -122,6 +128,27 @@ class WaveguidePropagator:
         drift = self._technology.thermal_sensitivity_nm_per_c
         return communication.wavelength_nm + drift * (state.microring_c - reference)
 
+    def detuning_nm(
+        self,
+        receiver: Communication,
+        communication: Communication,
+        states: Dict[str, OniThermalState],
+    ) -> float:
+        """Detuning of ``receiver``'s microring from ``communication``'s
+        signal [nm]: ``receiver_resonance_nm - signal_wavelength_nm``, formed
+        as the design channel gap plus ``drift·(T_ring − T_laser)`` so it is
+        exact to the temperatures' round-off."""
+        for link in (receiver, communication):
+            if link.wavelength_nm is None:
+                raise AnalysisError(
+                    f"{link.name} has no assigned wavelength; route the network first"
+                )
+        ring_c = self._state_of(receiver.destination, states).microring_c
+        laser_c = self._state_of(communication.source, states).laser_c
+        drift = self._technology.thermal_sensitivity_nm_per_c
+        gap = receiver.wavelength_nm - communication.wavelength_nm
+        return gap + drift * (ring_c - laser_c)
+
     @staticmethod
     def _state_of(name: str, states: Dict[str, OniThermalState]) -> OniThermalState:
         try:
@@ -144,7 +171,8 @@ class WaveguidePropagator:
         trace = PropagationTrace(
             communication=communication, injected_power_w=injected_power_w
         )
-        signal_wavelength = self.signal_wavelength_nm(communication, states)
+        # Raises for an unrouted communication or a missing source state.
+        self.signal_wavelength_nm(communication, states)
 
         power = injected_power_w
         previous = communication.source
@@ -163,8 +191,7 @@ class WaveguidePropagator:
                     # signals (wavelength reuse) interact, through the
                     # thermally-induced misalignment.
                     continue
-                resonance = self.receiver_resonance_nm(receiver, states)
-                detuning = resonance - signal_wavelength
+                detuning = self.detuning_nm(receiver, communication, states)
                 dropped = power * self._microring.drop_fraction(detuning)
                 if receiver.name == communication.name:
                     trace.signal_power_w += dropped

@@ -59,7 +59,11 @@ keep none.  It serves them by content key, one LRU entry each:
   and the explicit ``C/dt − (1−θ)K``;
 * a bare :func:`factorize` of any other matrix, keyed by its content;
 * a **flow**, keyed by its design content (see :meth:`FactorizationCache.flow`):
-  a design flow with its mesh, compiled ONI geometry and SNR engine.
+  a design flow with its mesh, compiled ONI geometry and SNR engine;
+* a **basis**, keyed by :func:`response_basis_key`: the steady response
+  ``T0`` to the boundary load and the response to each of a design's unit
+  source shapes (:class:`~repro.thermal.solver.ResponseBasis`), from which
+  a design flow superposes its small designs' coarse fields.
 
 So the scenarios of a campaign that share a design, or the steady, zoom
 and transient solvers of one flow, build each flow and assemble and
@@ -70,9 +74,10 @@ bounded: a paper-scale factor holds tens of megabytes, so sweeps varying
 the step size or the mesh must not accumulate them; an evicted entry is
 freed, and :meth:`stats` reports the bytes held by factors and sparse
 matrices (the operator a float32 factor refines against counted once).
-A flow is counted as an entry but not in those bytes: its mesh,
-compiled geometry and window meshes are small next to the factors of its
-operators, which it does not hold (they are entries of their own).  Reuse is
+A basis is counted by its dense columns.  A flow is counted as an entry
+but not in those bytes: its mesh, compiled geometry and window meshes are
+small next to the factors of its operators, which it does not hold (they
+are entries of their own).  Reuse is
 numerically invisible — the factorisation is deterministic in the matrix
 content, whichever thread builds it — which is what lets the
 executor-conformance suite keep pinning artifacts byte-identical whatever
@@ -86,7 +91,7 @@ import hashlib
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -408,14 +413,40 @@ def operator_cache_key(mesh: Mesh3D, boundaries: BoundaryConditions) -> Hashable
     return ("operator", mesh.content_key, boundary_signature(boundaries))
 
 
+def response_basis_key(
+    operator_key: Hashable,
+    method: Hashable,
+    boundary_load: np.ndarray,
+    shapes: Sequence[Any],
+) -> Hashable:
+    """Cache key of the response basis of source shapes on an operator.
+
+    The operator entry's key fixes the matrix and ``method`` how its columns
+    are solved (the factor, or an iterative solve and its tolerance); the
+    boundary load (which the operator key leaves out: ambient and imposed
+    temperatures) fixes ``T0``; the box bounds and powers of every shape (a
+    :class:`~repro.thermal.sources.SourceBatch`) fix its column.  A caller
+    that builds its shapes at unit power shares the basis with every design
+    that differs from its own only in the powers it weights them by.
+    """
+    digest = hashlib.sha256()
+    digest.update(b"response-basis-v1:")
+    digest.update(np.ascontiguousarray(boundary_load, dtype=np.float64).tobytes())
+    for shape in shapes:
+        digest.update(np.int64(len(shape)).tobytes())
+        digest.update(np.ascontiguousarray(shape.bounds, dtype=np.float64).tobytes())
+        digest.update(np.ascontiguousarray(shape.powers, dtype=np.float64).tobytes())
+    return ("basis", operator_key, method, digest.hexdigest())
+
+
 #: Kinds of cache entry, as counted by :meth:`FactorizationCache.stats`.
-ENTRY_KINDS: Tuple[str, ...] = ("operator", "stepper", "factor", "flow")
+ENTRY_KINDS: Tuple[str, ...] = ("operator", "stepper", "factor", "flow", "basis")
 
 
 @dataclass(eq=False)
 class CacheEntry:
-    """One cache entry: an operator, a stepper, a bare factor or a flow
-    (see above)."""
+    """One cache entry: an operator, a stepper, a bare factor, a flow or a
+    response basis (see above)."""
 
     key: Hashable
     factor: Optional[BandedCholesky] = None
@@ -423,20 +454,26 @@ class CacheEntry:
     matrix_key: str = ""
     explicit: Optional[sparse.csr_matrix] = None
     flow: Any = None
+    basis: Any = None
 
     @property
     def kind(self) -> str:
         """Which of :data:`ENTRY_KINDS` the entry is."""
         if self.flow is not None:
             return "flow"
+        if self.basis is not None:
+            return "basis"
         if self.operator is not None:
             return "operator"
         return "factor" if self.explicit is None else "stepper"
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the entry's factor and sparse matrices."""
+        """Bytes held by the entry's factor, sparse matrices and basis
+        columns."""
         held = 0 if self.factor is None else self.factor.nbytes
+        if self.basis is not None:
+            held += self.basis.nbytes
         # A float32 factor holds its operator's matrix; count it once.
         counted = None if self.factor is None else self.factor._matrix
         matrices = [self.explicit]
@@ -454,8 +491,8 @@ class FactorizationCache:
 
     Builds are single-flight.  A build runs outside the lock while a
     :class:`~concurrent.futures.Future` marks it in flight; a caller asking
-    for the same operator, stepper, factor or flow meanwhile waits on that
-    future instead of building again.  A failed build hands its exception
+    for the same operator, stepper, factor, flow or basis meanwhile waits on
+    that future instead of building again.  A failed build hands its exception
     to every waiter and installs nothing.
     """
 
@@ -613,6 +650,14 @@ class FactorizationCache:
         )
         return flow
 
+    def basis(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """The response basis under ``key`` (see :func:`response_basis_key`),
+        built by ``build()`` when absent."""
+        basis, _ = self._single_flight(
+            "basis", key, lambda entry: entry.basis, lambda: {"basis": build()}
+        )
+        return basis
+
     def stats(self) -> Dict[str, Any]:
         """Lifetime counters, the current entry count, the entries of each
         kind and the bytes held (flows are not counted in the bytes)."""
@@ -630,8 +675,8 @@ class FactorizationCache:
         }
 
     def clear(self) -> None:
-        """Drop every cached operator, stepper, factor and flow (counters are
-        kept)."""
+        """Drop every cached operator, stepper, factor, flow and basis
+        (counters are kept)."""
         with self._lock:
             self._entries.clear()
 

@@ -13,22 +13,29 @@ boundary right-hand side is recomputed per call.  Very large meshes fall
 back to a conjugate-gradient solve with a Jacobi (inverse-diagonal)
 preconditioner, which, unlike an incomplete LU, is symmetric positive
 definite and so a valid CG preconditioner; it is recomputed per call.
+
+The model is linear in the source powers, so a caller that varies only the
+powers of fixed source shapes may instead ask for their
+:class:`ResponseBasis` (:meth:`SteadyStateSolver.response_basis`): the
+response to the boundary load plus one column per shape, solved once and
+served by the shared cache, from which each field is a weighted sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Hashable, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 from scipy.sparse import diags
 from scipy.sparse.linalg import cg
 
+from .. import telemetry
 from ..config import DIRECT_SOLVER_CELL_LIMIT
 from ..errors import SolverError
 from .assembly import boundary_rhs
 from .boundary import BoundaryConditions
-from .factorization import CacheEntry, shared_cache
+from .factorization import CacheEntry, response_basis_key, shared_cache
 from .mesh import Mesh3D
 from .sources import HeatSource, SourceBatch, power_density_field
 from .thermal_map import ThermalMap
@@ -74,6 +81,43 @@ class BatchSolveResult:
 
     def __getitem__(self, index: int) -> ThermalMap:
         return self.maps[index]
+
+
+class ResponseBasis:
+    """Steady fields of one operator as ``T = T0 + Σ_j w_j·G_j``.
+
+    ``base`` is ``T0``, the field of the boundary load alone; row ``j`` of
+    ``columns`` is ``G_j``, the field source shape ``j`` adds at the powers
+    it was built with.  Both are flat, one value per mesh cell.
+    """
+
+    def __init__(self, base: np.ndarray, columns: np.ndarray) -> None:
+        self.base = base
+        self.columns = columns
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by ``T0`` and the columns."""
+        return self.base.nbytes + self.columns.nbytes
+
+    def field(self, weights: Sequence[float]) -> np.ndarray:
+        """``T0 + Σ_j weights[j]·G_j``, flat.
+
+        The columns are added one at a time in column order, those of zero
+        weight skipped, so the bits depend on the weights alone: not on the
+        BLAS thread count, nor on which process built the basis.  Raises
+        :class:`SolverError` when the field is not finite, as a solve of
+        non-finite powers does.
+        """
+        field = self.base.copy()
+        term = np.empty_like(field)
+        for weight, column in zip(weights, self.columns):
+            if weight != 0.0:
+                np.multiply(column, weight, out=term)
+                field += term
+        if not np.all(np.isfinite(field)):
+            raise SolverError("solver produced non-finite temperatures")
+        return field
 
 
 class SteadyStateSolver:
@@ -233,3 +277,37 @@ class SteadyStateSolver:
             maps.append(ThermalMap(self._mesh, field))
         self._last_diagnostics = diagnostics[-1]
         return BatchSolveResult(maps=maps, diagnostics=diagnostics)
+
+    def response_basis_key(self, shapes: Sequence[SourceBatch]) -> Hashable:
+        """Cache key of the :meth:`response_basis` of ``shapes``: the
+        operator's, the solve method, the boundary load and the shapes'
+        boxes and powers."""
+        entry = shared_cache.operator(self._mesh, self._boundaries)
+        load = boundary_rhs(entry.operator, self._boundaries)
+        direct = entry.operator.n_cells <= self._direct_cell_limit
+        method = "direct" if direct else ("jacobi_cg", self._rtol)
+        return response_basis_key(entry.key, method, load, shapes)
+
+    def response_basis(
+        self, shapes: Sequence[SourceBatch], key: Hashable
+    ) -> ResponseBasis:
+        """The :class:`ResponseBasis` of ``shapes``, one column per shape at
+        its own powers, served by the shared cache under ``key``, their
+        :meth:`response_basis_key` (which a caller asking often computes
+        once).
+
+        Built by one :meth:`solve_many` of the empty source set and every
+        shape, so the residual gate covers each column; a column is its
+        shape's field less ``T0``.
+        """
+
+        def build() -> ResponseBasis:
+            with telemetry.span(
+                "thermal.basis", cells=self._mesh.n_cells, columns=1 + len(shapes)
+            ):
+                maps = self.solve_many([SourceBatch.of([]), *shapes]).maps
+            base = maps[0].temperatures_c.ravel()
+            columns = [thermal_map.temperatures_c.ravel() - base for thermal_map in maps[1:]]
+            return ResponseBasis(base, np.array(columns).reshape(len(shapes), base.size))
+
+        return shared_cache.basis(key, build)

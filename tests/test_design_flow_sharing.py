@@ -190,10 +190,13 @@ class TestCacheOccupancy:
         ScenarioRunner(SPECS[0]).run()
         stats = factorization_cache_stats()
         kinds = stats["kinds"]
-        assert set(kinds) == {"operator", "stepper", "factor", "flow"}
+        assert set(kinds) == {"operator", "stepper", "factor", "flow", "basis"}
         assert sum(kinds.values()) == stats["entries"]
-        # The package and zoom operators, one backward-Euler stepper, the flow.
-        assert kinds == {"operator": 2, "stepper": 1, "factor": 0, "flow": 1}
+        # The package and zoom operators, one backward-Euler stepper, the
+        # flow and the package's response basis.
+        assert kinds == {
+            "operator": 2, "stepper": 1, "factor": 0, "flow": 1, "basis": 1
+        }
         # ``repro stats`` and the service's ``/stats`` document show them.
         assert main(["stats"]) == 0
         shown = json.loads(capsys.readouterr().out)["factorization"]["kinds"]

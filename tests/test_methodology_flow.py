@@ -133,7 +133,8 @@ class TestZoomSettings:
         monkeypatch.setattr(solver_module, "cg", counted_cg)
         evaluation = self.zoomed_run(direct_solver_cell_limit=1)
         assert evaluation.zoom_map is not None
-        assert len(calls) == 2  # the package solve and the zoom solve
+        # The package's response basis columns and the zoom solve.
+        assert {args[0].shape[0] for args in calls} == {3_179, 3_456}
 
     def test_max_cells_bounds_the_zoom_mesh(self):
         with pytest.raises(MeshError):

@@ -510,3 +510,84 @@ class TestWorstLinkTies:
         assert report.worst_case() is report.links[1]
         many = self.batch([[50.0, 40.0, -np.inf]])
         assert many.worst_case_links() == [many.link_names[2]]
+
+
+class TestDetuningRoundOff:
+    """Detuning is the channel gap plus ``drift·(T_ring − T_laser)``, so a
+    temperature moved by one ulp moves a near-resonant link's SNR by about
+    an ulp too, not by the ulp of an absolute wavelength near 1550 nm."""
+
+    #: Two temperatures of the ``workload_grid`` hotspot design, whose ONIs
+    #: 0/2 and 1/3 sit symmetrically about the die centre.
+    COOL_C, WARM_C = 58.73289925963393, 58.792166696538104
+
+    def symmetric_states(self, ring, warm_c=WARM_C):
+        return {
+            name: OniThermalState(
+                name=name,
+                average_temperature_c=self.COOL_C if index % 2 == 0 else warm_c,
+            )
+            for index, name in enumerate(ring.node_names)
+        }
+
+    @staticmethod
+    def wavelength_step_c(analyzer, link, start_c):
+        """The first temperature from ``start_c`` up at which one more ulp
+        moves ``link``'s absolute emitted wavelength by an ulp."""
+        engine = analyzer.engine
+        design = engine.wavelength_nm[engine.link_names.index(link)]
+        reference = engine.microring.parameters.reference_temperature_c
+        drift = engine.technology.thermal_sensitivity_nm_per_c
+        temperature = start_c
+        for _ in range(10_000):
+            following = np.nextafter(temperature, np.inf)
+            if design + drift * (temperature - reference) != design + drift * (
+                following - reference
+            ):
+                return temperature
+            temperature = following
+        raise AssertionError("no wavelength step found")
+
+    def test_one_ulp_at_a_wavelength_step_keeps_symmetric_links_tied(self):
+        ring, network = make_network(oni_count=4, length_mm=9.0, traffic="shift")
+        analyzer = SnrAnalyzer(network)
+        drive = LaserDriveConfig.from_dissipated_mw(3.6)
+        warm_c = self.wavelength_step_c(analyzer, "C_oni_01->oni_02", self.WARM_C)
+        states = self.symmetric_states(ring, warm_c)
+        shifted = dict(states)
+        shifted["oni_01"] = replace(
+            states["oni_01"], laser_temperature_c=np.nextafter(warm_c, np.inf)
+        )
+        symmetric, moved = (
+            {link.communication.name: link.snr_db for link in analyzer.analyze(s, drive).links}
+            for s in (states, shifted)
+        )
+        pairs = [("C_oni_01->oni_02", "C_oni_03->oni_00"), ("C_oni_00->oni_01", "C_oni_02->oni_03")]
+        for first, second in pairs:
+            assert symmetric[first] == symmetric[second]
+            slack = SNR_TIE_ULPS * np.spacing(symmetric[second])
+            assert abs(moved[first] - moved[second]) <= slack
+        reports = [analyzer.analyze(s, drive) for s in (states, shifted)]
+        assert reports[0].worst_case().communication.name == (
+            reports[1].worst_case().communication.name
+        )
+        many = analyzer.analyze_many([states, shifted], drive)
+        assert many.worst_case_links()[0] == many.worst_case_links()[1]
+
+    def test_the_scalar_walk_forms_the_engine_detuning(self):
+        ring, network = make_network(oni_count=4, length_mm=9.0)
+        states = self.symmetric_states(ring)
+        propagator = WaveguidePropagator(network)
+        engine = SnrAnalyzer(network).engine
+        batch = engine.states_batch([states])
+        injected = np.full((1, engine.signal_count), 1e-3)
+        dropped = engine.propagate_many(batch, injected).event_dropped_w[0]
+        for s, communication in enumerate(engine.communications):
+            trace = propagator.propagate_signal(communication, 1e-3, states)
+            for k, receiver in engine.event_receivers(s):
+                if receiver == communication.name:
+                    assert dropped[s, k] == pytest.approx(trace.signal_power_w, rel=1e-12)
+                else:
+                    # The walk stops at a signal its own ring extinguished.
+                    expected = trace.crosstalk_contributions_w.get(receiver, 0.0)
+                    assert dropped[s, k] == pytest.approx(expected, rel=1e-12)

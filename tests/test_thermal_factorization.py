@@ -563,7 +563,7 @@ class TestFactorizationCache:
             "built": 2,
             "reused": 1,
             "entries": 2,
-            "kinds": {"operator": 0, "stepper": 0, "factor": 2, "flow": 0},
+            "kinds": {"operator": 0, "stepper": 0, "factor": 2, "flow": 0, "basis": 0},
             "bytes": first.nbytes + other.nbytes,
         }
 
